@@ -8,7 +8,6 @@ package computes all three at desk scale and checks the equalities relating
 them, including the index formulas for transversal polygon boundary data.
 """
 
-from ._kernels import USING_NUMBA
 from .errors import (
     BranchCut,
     DegenerateSpectrum,

@@ -1,33 +1,15 @@
-"""Hot numeric kernels: edge-transport chains from skew-Hermitian generators.
+"""Hot numeric kernel: edge-transport chains from skew-Hermitian generators.
 
-Two interchangeable implementations:
-
-* a numba ``@njit`` loop (default when numba imports), and
-* a pure-numpy batched path, selected by setting ``MASLOVCW_NO_NUMBA=1``.
-
-Both take a generator stack ``gens`` of shape (E, s, n, n) holding the
-integrated connection form per edge and substep (already contracted with the
-step displacement) and return the unitary transports
+``transport_chain`` takes a generator stack ``gens`` of shape (E, s, n, n)
+holding the integrated connection form per edge and substep (already
+contracted with the step displacement) and returns the unitary transports
 ``T_e = prod_j exp(gens[e, j])``, Newton-polished back onto the unitary
-group.  ``benchmarks/bench_kernels.py`` compares the two.
+group.  Every exponential comes from one batched ``eigh``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("MASLOVCW_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-USING_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
 
 
 def expm_skew(G: np.ndarray) -> np.ndarray:
@@ -36,7 +18,7 @@ def expm_skew(G: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * lam)) @ V.conj().T
 
 
-def transport_chain_numpy(gens: np.ndarray) -> np.ndarray:
+def transport_chain(gens: np.ndarray) -> np.ndarray:
     """Batched transports: eigh-exponentials multiplied over substeps."""
     E, s, n, _ = gens.shape
     if n == 1:
@@ -50,40 +32,3 @@ def transport_chain_numpy(gens: np.ndarray) -> np.ndarray:
     for _ in range(2):
         T = 0.5 * (T + np.swapaxes(np.linalg.inv(T), -1, -2).conj())
     return T
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _transport_chain_nb(gens):
-        E, s, n = gens.shape[0], gens.shape[1], gens.shape[2]
-        out = np.empty((E, n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
-        for e in range(E):
-            T = eye.copy()
-            for j in range(s):
-                H = -1j * gens[e, j]
-                lam, V = np.linalg.eigh(H)
-                step = (V * np.exp(1j * lam)) @ np.ascontiguousarray(V.conj().T)
-                T = step @ T
-            for _ in range(2):
-                T = 0.5 * (T + np.ascontiguousarray(np.linalg.inv(T).conj().T))
-            out[e] = T
-        return out
-
-    def transport_chain(gens: np.ndarray) -> np.ndarray:
-        gens = np.ascontiguousarray(gens, dtype=np.complex128)
-        if gens.shape[2] == 1:
-            return np.exp(gens.sum(axis=1))
-        return _transport_chain_nb(gens)
-
-else:
-    transport_chain = transport_chain_numpy
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on a tiny input (no-op for the numpy path)."""
-    g = np.zeros((2, 1, 2, 2), dtype=np.complex128)
-    g[:, :, 0, 1] = 0.1
-    g[:, :, 1, 0] = -0.1
-    transport_chain(g)

@@ -13,7 +13,8 @@ branch, guarded at pi/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -31,23 +32,54 @@ from .tolerances import TOL, Tolerances
 class DiscreteConnection:
     """Parallel transports of a connection along every directed mesh edge.
 
-    Transports are stored for the canonical edge direction (outward radial,
-    increasing angle); the reverse transport is the conjugate transpose.
-    ``edge_logdet`` carries log det of each transport accumulated from the
-    generators, so the per-edge determinant phase is unwrapped exactly.
+    Holds the generator stack ``G`` (E, s, n, n) of each edge's substeps and
+    ``edge_logdet``, log det of each transport accumulated from the
+    generators, so the per-edge determinant phase is unwrapped exactly; the
+    index needs nothing else.  Transports are stored for the canonical edge
+    direction (outward radial, increasing angle); the reverse transport is
+    the conjugate transpose.  They are built on demand: ``transports_of``
+    chains only the edges asked for, and ``transports`` chains every edge
+    once and caches the stack, so ``max_unitary_defect`` still bounds the
+    drift over every edge whenever it is reported.  ``conjugate`` marks the
+    complex conjugate connection, whose transports are the conjugates of the
+    chained ones.
     """
 
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    transports: np.ndarray      # (E, n, n)
+    G: np.ndarray               # (E, s, n, n)
     edge_logdet: np.ndarray     # (E,) complex
     unitary: bool
-    max_unitary_defect: float
+    conjugate: bool = False
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    def transports_of(self, edge_ids) -> np.ndarray:
+        """Transports of the given edges; slices the full stack once it is built."""
+        full = self.__dict__.get("transports")
+        if full is not None:
+            return full[edge_ids]
+        T = _kernels.transport_chain(self.G[edge_ids])
+        return T.conj() if self.conjugate else T
+
+    @cached_property
+    def transports(self) -> np.ndarray:
+        """(E, n, n) transports of every edge, chained on first access."""
+        return self.transports_of(slice(None))
+
+    @cached_property
+    def max_unitary_defect(self) -> float:
+        """Largest Frobenius distance of any edge transport from the unitary group."""
+        if not self.unitary:
+            return float("nan")
+        T = self.transports
+        eye = np.eye(self.n)
+        return float(
+            np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - eye, axis=(-2, -1)))
+        )
 
     def transport(self, edge_id: int, sign: int = +1) -> np.ndarray:
         T = self.transports[edge_id]
@@ -56,8 +88,8 @@ class DiscreteConnection:
     def conjugated(self) -> "DiscreteConnection":
         return replace(
             self,
-            transports=self.transports.conj(),
             edge_logdet=self.edge_logdet.conj(),
+            conjugate=not self.conjugate,
         )
 
     def on_reversed_mesh(self) -> "DiscreteConnection":
@@ -74,9 +106,10 @@ def edge_transports(
     """Integrate the connection along every edge by the midpoint rule.
 
     Each substep contributes exp(-A(midpoint)(step)); products are
-    re-unitarized.  Unitary specs are checked for skew-Hermitian values at
-    every sampled point; a non-unitary spec is rejected unless explicitly
-    allowed (the norm-drift demonstration does that, rank 1 only).
+    re-unitarized when the transports are built.  Unitary specs are checked
+    for skew-Hermitian values at every sampled point; a non-unitary spec is
+    rejected unless explicitly allowed (the norm-drift demonstration does
+    that, rank 1 only).
     """
     r_mid, t_mid, dr, dt = mesh.edge_quadrature(substeps)
     E, s = r_mid.shape
@@ -99,29 +132,17 @@ def edge_transports(
             f"spec {spec.tag!r} is tagged non-unitary; only the norm-drift "
             "pipeline accepts it"
         )
+    elif n != 1:
+        raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
 
     G = -(Ar * dr[:, :, None, None] + At * dt[:, :, None, None])
-    edge_logdet = np.trace(G.sum(axis=1), axis1=-2, axis2=-1)
-
-    if spec.unitary:
-        T = _kernels.transport_chain(G)
-        eye = np.eye(n)
-        defect = float(
-            np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - eye, axis=(-2, -1)))
-        )
-    else:
-        if n != 1:
-            raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
-        T = np.exp(G.sum(axis=1))
-        defect = float("nan")
     return DiscreteConnection(
         mesh=mesh,
         spec=spec,
         substeps=substeps,
-        transports=T,
-        edge_logdet=edge_logdet,
+        G=G,
+        edge_logdet=np.trace(G.sum(axis=1), axis1=-2, axis2=-1),
         unitary=spec.unitary,
-        max_unitary_defect=defect,
     )
 
 
@@ -159,12 +180,17 @@ class CurvatureReport:
     residual: float
     quantum: Fraction
     max_face_angle: float
-    unitarity_defect: float
     orthogonality_defect: Optional[float]
     mesh_domain: str
     n_r: int
     n_t: int
     face_angles: np.ndarray
+    connection: DiscreteConnection = field(repr=False)
+
+    @property
+    def unitarity_defect(self) -> float:
+        """Transport drift over every edge; builds the transports on first read."""
+        return self.connection.max_unitary_defect
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,12 +249,12 @@ def chern_weil_index(
         residual=residual,
         quantum=quantum,
         max_face_angle=max_face,
-        unitarity_defect=D.max_unitary_defect,
         orthogonality_defect=defect,
         mesh_domain=D.mesh.domain,
         n_r=D.mesh.n_r,
         n_t=D.mesh.n_t,
         face_angles=alpha,
+        connection=D,
     )
 
 
@@ -239,6 +265,7 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
     measures, at every vertex, the distance of (transported)^* (loop frame)
     from the real orthogonal group.  Requires the loop samples to align with
     the rim vertices (sample count divisible by the angular resolution).
+    Only the rim edges are chained, and all rim SVDs run as one batch.
     """
     mesh = D.mesh
     if not mesh.wrap:
@@ -249,16 +276,19 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
             f"loop samples ({N}) must be divisible by the angular resolution ({mesh.n_t})"
         )
     stride = N // mesh.n_t
-    rim = mesh.boundary_angular_ids()
     n = loop.n
-    P = np.eye(n, dtype=complex)
-    start = loop.samples[0]
+    T = D.transports_of(mesh.boundary_angular_ids())
+    P = np.empty_like(T)
+    acc = np.eye(n, dtype=complex)
+    for j, Tj in enumerate(T):
+        acc = Tj @ acc
+        P[j] = acc
+    targets = loop.samples[(np.arange(1, mesh.n_t + 1) * stride) % N]
+    M = np.swapaxes((P @ loop.samples[0]).conj(), -1, -2) @ targets
+    sv_sums = np.linalg.svd(np.real(M), compute_uv=False).sum(axis=-1)
     worst = 0.0
-    for j, e in enumerate(rim):
-        P = D.transports[e] @ P
-        M = (P @ start).conj().T @ loop.samples[((j + 1) * stride) % N]
-        sv = np.linalg.svd(np.real(M), compute_uv=False)
-        d2 = float(np.linalg.norm(M) ** 2 + n - 2.0 * sv.sum())
+    for Mj, sv_sum in zip(M, sv_sums):
+        d2 = float(np.linalg.norm(Mj) ** 2 + n - 2.0 * sv_sum)
         worst = max(worst, math.sqrt(max(d2, 0.0)))
     return worst
 

@@ -250,7 +250,8 @@ def maslov_viterbo(data: TransversalBundleData, tol: Tolerances = TOL) -> int:
     if data.chi != 1:
         raise RankMismatch("the bi-gon lives on a disc (chi = 1)")
     value, _ = mu_cw_polygon(data, tol=tol)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InconsistentFormulas(f"bi-gon curvature index {value} is not an integer")
     ind = fredholm_index(data, tol)
     if int(value) != ind:
         raise InconsistentFormulas(f"bi-gon index {value} != analytic index {ind}")

@@ -249,7 +249,7 @@ def suite_desingularization(seed: int, cases: int = 12) -> dict:
         try:
             res = verify_desingularization(spec)
             ok = True
-        except Exception as exc:  # ViolatedIdentity carries diagnostics
+        except MaslovCWError as exc:  # ViolatedIdentity carries diagnostics
             res = getattr(exc, "diagnostics", {})
             ok = False
         out.append(

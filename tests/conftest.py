@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from maslovcw import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay any JIT compilation cost before tests that measure wall time
-    _kernels.warm_up()
-
 
 @pytest.fixture
 def rng():

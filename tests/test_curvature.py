@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from maslovcw import _kernels
 from maslovcw.connections import (
     ConnectionSpec,
     build_annulus_collar_connection,
@@ -95,6 +98,81 @@ class TestEdgeTransports:
         spec = builtin_connection("example_4_3_nonunitary")
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 16, 16))
+
+
+def reference_diagnostics(D, loop):
+    """Transports, drift and frame defect chained from the full G, edge by edge."""
+    T = _kernels.transport_chain(D.G)
+    drift = float(
+        np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(D.n), axis=(-2, -1)))
+    )
+    N, n = len(loop), loop.n
+    stride = N // D.mesh.n_t
+    P = np.eye(n, dtype=complex)
+    worst = 0.0
+    for j, e in enumerate(D.mesh.boundary_angular_ids()):
+        P = T[e] @ P
+        M = (P @ loop.samples[0]).conj().T @ loop.samples[((j + 1) * stride) % N]
+        sv = np.linalg.svd(np.real(M), compute_uv=False)
+        d2 = float(np.linalg.norm(M) ** 2 + n - 2.0 * sv.sum())
+        worst = max(worst, math.sqrt(max(d2, 0.0)))
+    return T, drift, worst
+
+
+class TestLazyTransports:
+    def test_index_chains_only_rim_edges(self, rng, monkeypatch):
+        loop, _ = random_frame_loop(rng, 3, 512)
+        mesh = Mesh2D("disc", 24, 512)
+        chained = []
+        chain = _kernels.transport_chain
+
+        def recording(gens):
+            chained.append(gens.shape)
+            return chain(gens)
+
+        monkeypatch.setattr(_kernels, "transport_chain", recording)
+        rep = chern_weil_index(edge_transports(build_collar_connection(loop), mesh), loop=loop)
+        assert rep.orthogonality_defect is not None
+        assert sum(shape[0] for shape in chained) <= mesh.n_t
+        # reading the drift chains every edge once
+        chained.clear()
+        assert rep.unitarity_defect <= 1e-9
+        assert [shape[0] for shape in chained] == [mesh.num_edges]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_chain_bitwise(self, rng, n):
+        loop, _ = random_frame_loop(rng, n, 256)
+        spec = build_collar_connection(loop)
+        mesh = Mesh2D("disc", 16, 256)
+        lazy = edge_transports(spec, mesh, substeps=2)
+        rep = chern_weil_index(lazy, Fraction(1), loop=loop)
+        T, drift, worst = reference_diagnostics(lazy, loop)
+        assert rep.orthogonality_defect == worst
+        assert np.array_equal(lazy.transports, T)
+        assert lazy.max_unitary_defect == drift == rep.unitarity_defect
+        # a stack built before the index gives the same report
+        eager = edge_transports(spec, mesh, substeps=2)
+        eager.transports
+        rep_eager = chern_weil_index(eager, Fraction(1), loop=loop)
+        assert rep_eager.raw == rep.raw
+        assert rep_eager.orthogonality_defect == worst
+
+    def test_conjugated_transports(self, rng):
+        loop, _ = random_frame_loop(rng, 3, 128)
+        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 128))
+        before = D.conjugated()
+        assert np.array_equal(before.transports, D.transports.conj())
+        assert np.array_equal(D.conjugated().transports, D.transports.conj())
+        assert np.array_equal(before.conjugated().transports, D.transports)
+
+    def test_nonunitary_rank_two_rejected_eagerly(self):
+        def coeffs(r, t):
+            z = np.zeros(r.shape + (2, 2), dtype=complex)
+            return z, z + r[..., None, None]
+
+        spec = ConnectionSpec(2, coeffs, tag="real_rank2", unitary=False)
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(spec, Mesh2D("disc", 8, 16), allow_non_unitary=True)
 
 
 class TestFaceHolonomy:

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from maslovcw import _kernels
 
@@ -11,7 +10,7 @@ def random_skew_batch(rng, E, s, n):
 
 def test_numpy_path_is_unitary(rng):
     G = random_skew_batch(rng, 40, 3, 4)
-    T = _kernels.transport_chain_numpy(G)
+    T = _kernels.transport_chain(G)
     eye = np.eye(4)
     defect = np.max(np.linalg.norm(T.conj().transpose(0, 2, 1) @ T - eye, axis=(1, 2)))
     assert defect <= 1e-13
@@ -19,28 +18,15 @@ def test_numpy_path_is_unitary(rng):
 
 def test_scalar_path_is_exact(rng):
     G = random_skew_batch(rng, 64, 4, 1)
-    T = _kernels.transport_chain_numpy(G)
+    T = _kernels.transport_chain(G)
     assert np.allclose(T, np.exp(G.sum(axis=1)))
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba disabled in this run")
-def test_numba_matches_numpy(rng):
-    for n in (2, 3, 5):
-        G = random_skew_batch(rng, 30, 2, n)
-        a = _kernels.transport_chain(G)
-        b = _kernels.transport_chain_numpy(G)
-        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_chain_matches_sequential_exponentials(rng):
     G = random_skew_batch(rng, 5, 4, 3)
-    T = _kernels.transport_chain_numpy(G)
+    T = _kernels.transport_chain(G)
     for e in range(5):
         P = np.eye(3, dtype=complex)
         for j in range(4):
             P = _kernels.expm_skew(G[e, j]) @ P
         assert np.linalg.norm(T[e] - P) <= 1e-12
-
-
-def test_warm_up_runs():
-    _kernels.warm_up()

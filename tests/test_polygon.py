@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from maslovcw.errors import NotTransverse, RankMismatch
+from maslovcw import polygon
+from maslovcw.errors import InconsistentFormulas, NotTransverse, RankMismatch
 from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import maslov_loop
 from maslovcw.polygon import (
@@ -157,3 +158,8 @@ class TestMaslovViterbo:
         data = random_transversal_data(rng, 2, 3)
         with pytest.raises(RankMismatch):
             maslov_viterbo(data)
+
+    def test_fractional_curvature_index_raises(self, monkeypatch):
+        monkeypatch.setattr(polygon, "mu_cw_polygon", lambda data, tol=None: (Fraction(1, 2), {}))
+        with pytest.raises(InconsistentFormulas):
+            maslov_viterbo(bigon_standard(1))
