@@ -31,8 +31,8 @@ from .loops import (
     winding_increments,
 )
 from .mesh import Mesh2D
-from .orbifold import load_orbifold, mu_cw_orbifold, mu_pi, desing_index, chen_ruan_correction, BranchCover
-from .polygon import TransversalBundleData, fredholm_index, mu_cw_polygon, mu_top
+from .orbifold import load_orbifold, verify_desingularization
+from .polygon import fredholm_index, load_polygon, mu_cw_polygon
 
 MESH_MIN, MESH_MAX = 16, 1024
 
@@ -248,29 +248,16 @@ def _cmd_double(args) -> dict:
 
 def _cmd_polygon(args) -> dict:
     cfg = _config(args, [args.input])
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    n = int(obj["n"])
-    chi = int(obj.get("chi", 1))
-    edges = []
-    for e in obj["edges"]:
-        rows = e["samples"] if isinstance(e, dict) else e
-        M = len(rows)
-        arr = np.empty((M, n, n), dtype=complex)
-        for k, row in enumerate(rows):
-            arr[k] = np.array([complex(re, im) for re, im in row]).reshape(n, n)
-        edges.append(arr)
-    data = TransversalBundleData(n, edges, chi)
-    top = mu_top(data)
+    data = load_polygon(args.input)
     value, details = mu_cw_polygon(data, verify=args.verify)
     ind = fredholm_index(data)
     report = {
-        "mu_top": top,
+        "mu_top": details["mu_top"],
         "mu_cw": {"num": value.numerator, "den": value.denominator},
         "ind": ind,
         "k_plus_1": data.k_plus_1,
-        "n": n,
-        "chi": chi,
+        "n": data.n,
+        "chi": data.chi,
         "config": asdict(cfg),
     }
     if args.verify:
@@ -280,30 +267,22 @@ def _cmd_polygon(args) -> dict:
 
 def _cmd_orbifold(args) -> dict:
     cfg = _config(args, [args.input])
-    spec = load_orbifold(args.input)
-    pi_m = mu_pi(spec)
-    pi_2m = mu_pi(spec, BranchCover(2 * spec.cone.order, spec.cone.order))
-    rounded, rep = mu_cw_orbifold(spec)
-    de = desing_index(spec)
-    corr = chen_ruan_correction([spec.cone])
-    identity = rounded == Fraction(de) + 2 * corr == pi_m
-    report = {
+    out = verify_desingularization(load_orbifold(args.input))
+    pi_m, rounded, corr = out["mu_pi"], out["mu_cw"], out["correction"]
+    return {
         "mu_pi": {"num": pi_m.numerator, "den": pi_m.denominator},
         "mu_cw": {
-            "raw": rep.raw,
+            "raw": out["mu_cw_raw"],
             "rounded": {"num": rounded.numerator, "den": rounded.denominator},
         },
-        "mu_de": de,
+        "mu_de": out["mu_de"],
         "correction": {"num": corr.numerator, "den": corr.denominator},
         "identities": {
-            "cover_independence": pi_m == pi_2m,
-            "desingularization": identity,
+            "cover_independence": out["cover_independent"],
+            "desingularization": out["identity_exact"],
         },
         "config": asdict(cfg),
     }
-    if not (identity and pi_m == pi_2m):
-        raise ViolatedIdentity("orbifold identity failed", report)
-    return report
 
 
 def _cmd_verify(args) -> dict:

@@ -10,7 +10,7 @@ non-unitary counterexample used by the norm-drift demonstration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,8 @@ from .tolerances import TOL, Tolerances
 
 # Cutoff profiles rise 0 -> 1 on [0, sat] and plateau at 1 afterwards, so the
 # form has an exact product structure near the boundary.  Both have zero
-# slope at the ends of the ramp.
+# slope at the ends of the ramp.  They are the package's only ramps: the
+# polygon corner arcs and the orbifold cone cutoff use them with sat = 1.
 _SATURATION = 0.9
 
 
@@ -60,6 +61,17 @@ class ConnectionSpec:
     boundary_loop: Optional[FrameLoop] = None
 
 
+def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None) -> ConnectionSpec:
+    """Spec with A_r = 0 and A_theta = a_theta(r, t) on float arrays."""
+
+    def coeffs(r, t):
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
+        return np.zeros(r.shape + (n, n), dtype=complex), a_theta(r, t)
+
+    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop)
+
+
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
     """Named analytic connections on the unit disc.
 
@@ -69,28 +81,12 @@ def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
     Lagrangian data but not the metric.  ``flat``: d.
     """
     if name == "example_2_7":
-
-        def coeffs(r, t):
-            z = np.zeros(r.shape + (1, 1), dtype=complex)
-            at = (-1j * r)[..., None, None].astype(complex)
-            return z, at
-
-        return ConnectionSpec(1, coeffs, tag=name)
+        return angular_spec(1, lambda r, t: (-1j * r)[..., None, None].astype(complex), name)
     if name == "example_4_3_nonunitary":
-
-        def coeffs(r, t):
-            z = np.zeros(r.shape + (1, 1), dtype=complex)
-            at = r[..., None, None].astype(complex)
-            return z, at
-
-        return ConnectionSpec(1, coeffs, tag=name, unitary=False)
+        spec = angular_spec(1, lambda r, t: r[..., None, None].astype(complex), name)
+        return replace(spec, unitary=False)
     if name == "flat":
-
-        def coeffs(r, t):
-            z = np.zeros(r.shape + (n, n), dtype=complex)
-            return z, z.copy()
-
-        return ConnectionSpec(n, coeffs, tag=name)
+        return angular_spec(n, lambda r, t: np.zeros(r.shape + (n, n), dtype=complex), name)
     raise UnknownName(f"unknown builtin connection {name!r}")
 
 
@@ -148,6 +144,23 @@ def _interp_open(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (1.0 - fr) * A[i0] + fr * A[i0 + 1]
 
 
+def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
+                saturation=_SATURATION) -> np.ndarray:
+    """rho(depth) A(t / span) / span: a boundary form carried inward by a cutoff.
+
+    ``form`` samples the boundary 1-form over a parameter interval of length
+    ``span``, read periodically (closed loop) or clamped (open path).
+    ``depth`` runs from 0 at the inner edge of the collar to 1 at the rim.
+    """
+    N = form.shape[0]
+    rho = cutoff_profile(depth, cutoff, saturation)
+    if periodic:
+        a = _interp_periodic(form, (t / span) * N)
+    else:
+        a = _interp_open(form, (t / span) * (N - 1))
+    return rho[..., None, None] * a / span
+
+
 def build_collar_connection(
     loop: FrameLoop,
     width: float = 0.3,
@@ -164,42 +177,25 @@ def build_collar_connection(
     if not (0.0 < width < 1.0):
         raise ValueError("collar width must lie in (0, 1)")
     A, _ = loop_boundary_form(loop, tol)
-    N = len(loop)
-    n = loop.n
 
-    def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = cutoff_profile((r - (1.0 - width)) / width, cutoff, saturation)
-        a_theta = _interp_periodic(A, (t / (2.0 * np.pi)) * N)
-        at = rho[..., None, None] * a_theta / (2.0 * np.pi)
-        return np.zeros(r.shape + (n, n), dtype=complex), at
+    def a_theta(r, t):
+        depth = (r - (1.0 - width)) / width
+        return collar_term(A, depth, t, 2.0 * np.pi, cutoff=cutoff, saturation=saturation)
 
-    return ConnectionSpec(n, coeffs, tag=f"collar(w={width},{cutoff})", boundary_loop=loop)
+    return angular_spec(loop.n, a_theta, f"collar(w={width},{cutoff})", loop)
 
 
 def build_arc_collar_connection(
-    path: np.ndarray,
-    t_span: float,
-    width: float = 0.3,
-    cutoff: str = "cubic",
-    saturation: float = _SATURATION,
+    path: np.ndarray, t_span: float, width: float = 0.3
 ) -> ConnectionSpec:
     """Collar of an open frame path over an arc of angular span ``t_span``."""
     path = np.asarray(path, dtype=complex)
     A = open_path_form(path)
-    N = path.shape[0]
-    n = path.shape[1]
 
-    def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = cutoff_profile((r - (1.0 - width)) / width, cutoff, saturation)
-        a_theta = _interp_open(A, (t / t_span) * (N - 1))
-        at = rho[..., None, None] * a_theta / t_span
-        return np.zeros(r.shape + (n, n), dtype=complex), at
+    def a_theta(r, t):
+        return collar_term(A, (r - (1.0 - width)) / width, t, t_span, periodic=False)
 
-    return ConnectionSpec(n, coeffs, tag=f"arc_collar(w={width})")
+    return angular_spec(path.shape[1], a_theta, f"arc_collar(w={width})")
 
 
 def build_annulus_collar_connection(
@@ -207,8 +203,6 @@ def build_annulus_collar_connection(
     inner: FrameLoop,
     r_inner: float,
     width: float = 0.2,
-    cutoff: str = "cubic",
-    saturation: float = _SATURATION,
     tol: Tolerances = TOL,
 ) -> ConnectionSpec:
     """Collars at both rims of an annulus.
@@ -222,24 +216,12 @@ def build_annulus_collar_connection(
         raise ValueError("collar width exceeds half the annulus thickness")
     A_out, _ = loop_boundary_form(outer, tol)
     A_in, _ = loop_boundary_form(inner, tol)
-    N_out, N_in, n = len(outer), len(inner), outer.n
 
-    def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho_out = cutoff_profile((r - (1.0 - width)) / width, cutoff, saturation)
-        rho_in = cutoff_profile(((r_inner + width) - r) / width, cutoff, saturation)
-        a_out = _interp_periodic(A_out, (t / (2 * np.pi)) * N_out)
-        a_in = _interp_periodic(A_in, (-t / (2 * np.pi)) * N_in)
-        at = (
-            rho_out[..., None, None] * a_out / (2 * np.pi)
-            - rho_in[..., None, None] * a_in / (2 * np.pi)
-        )
-        return np.zeros(r.shape + (n, n), dtype=complex), at
+    def a_theta(r, t):
+        rim = collar_term(A_out, (r - (1.0 - width)) / width, t, 2 * np.pi)
+        return rim - collar_term(A_in, ((r_inner + width) - r) / width, -t, 2 * np.pi)
 
-    return ConnectionSpec(
-        n, coeffs, tag=f"annulus_collar(w={width})", boundary_loop=outer
-    )
+    return angular_spec(outer.n, a_theta, f"annulus_collar(w={width})", outer)
 
 
 def radial_gauge_transform(

@@ -16,7 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import matcore
-from .errors import LoopNotClosed, RankMismatch, Undersampled, UnknownName, ZeroSample
+from .errors import (
+    LoopNotClosed, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
+)
 from .grassmann import LagrangianFrame, same_lagrangian
 from .tolerances import TOL, Tolerances
 
@@ -111,11 +113,6 @@ class FrameLoop:
         """Orientation reversal; keeps sample 0 as the base point."""
         rev = np.roll(self.samples[::-1], 1, axis=0)
         return FrameLoop(self.n, rev)
-
-    def subsampled(self, step: int) -> "FrameLoop":
-        if len(self) % step:
-            raise Undersampled(f"{len(self)} samples not divisible by {step}")
-        return FrameLoop(self.n, self.samples[::step])
 
     def refined(self, factor: int = 2) -> "FrameLoop":
         """Insert polar midpoints between consecutive aligned frames."""
@@ -273,21 +270,32 @@ def loop_to_json(loop: FrameLoop) -> dict:
     }
 
 
+def samples_from_json(rows, n: int) -> np.ndarray:
+    """(N, n, n) complex samples from N rows of n² row-major [re, im] pairs.
+
+    Raises RankMismatch unless ``rows`` is a list of such rows of numbers.
+    """
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf" or arr.ndim != 3 or arr.shape[1:] != (n * n, 2):
+        raise RankMismatch(f"samples must be rows of {n * n} [re, im] pairs")
+    s = np.empty(arr.shape[:2], dtype=complex)
+    s.real = arr[..., 0]
+    s.imag = arr[..., 1]
+    return s.reshape(-1, n, n)
+
+
 def loop_from_json(obj: dict) -> FrameLoop:
+    if not isinstance(obj, dict):
+        raise MaslovCWError("a frame loop file must hold a JSON object")
     if "generator" in obj:
         params = dict(obj.get("params", {}))
         N = int(params.pop("N", 256))
         return generate_loop(obj["generator"], N=N, **params)
     n = int(obj["n"])
-    rows = obj["samples"]
-    N = len(rows)
-    s = np.empty((N, n, n), dtype=complex)
-    for k, row in enumerate(rows):
-        if len(row) != n * n:
-            raise RankMismatch(f"sample {k} has {len(row)} entries, expected {n * n}")
-        arr = np.array([complex(re, im) for re, im in row])
-        s[k] = arr.reshape(n, n)
-    return FrameLoop(n, s)
+    return FrameLoop(n, samples_from_json(obj["samples"], n))
 
 
 def load_loop(path: str) -> FrameLoop:

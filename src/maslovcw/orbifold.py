@@ -18,14 +18,17 @@ from typing import Optional
 
 import numpy as np
 
-from .connections import ConnectionSpec, _interp_periodic, cutoff_profile, loop_boundary_form
+from .connections import (
+    ConnectionSpec, angular_spec, collar_term, cutoff_profile, loop_boundary_form,
+)
 from .curvature import chern_weil_index, edge_transports
-from .errors import RankMismatch, Undersampled, ViolatedIdentity
+from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
 from .loops import BundlePairSpec, FrameLoop, loop_from_json, loop_to_json, maslov_bundle_pair, maslov_loop
 from .mesh import Mesh2D
 from .tolerances import TOL, Tolerances
 
 _RAW_TOL = 2e-2
+_COLLAR_WIDTH = 0.3
 _MAX_PULLBACK_SAMPLES = 2**16
 
 
@@ -145,42 +148,23 @@ def chen_ruan_correction(cones) -> Fraction:
     return total
 
 
-def _eta_profile(r: np.ndarray) -> np.ndarray:
-    """Cone cutoff: 1 for r <= 0.1, smooth cubic descent to 0 at r = 0.4."""
-    x = np.clip((np.asarray(r, dtype=float) - 0.1) / 0.3, 0.0, 1.0)
-    return 1.0 - x * x * (3.0 - 2.0 * x)
-
-
-def invariant_connection(
-    spec: OrbifoldDiscSpec,
-    width: float = 0.3,
-    cutoff: str = "cubic",
-    tol: Tolerances = TOL,
-) -> ConnectionSpec:
-    """Cone model near the origin plus a boundary collar.
+def invariant_connection(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> ConnectionSpec:
+    """Cone model near the origin plus a boundary collar of width 0.3.
 
     Near the cone point the form is i diag(m_j / m) eta(r) d(theta), matching
-    the flat equivariant structure of the weight representation (eta = 1 at
-    the origin); it decays to zero by mid-radius, disjoint from the collar
-    support.
+    the flat equivariant structure of the weight representation; eta is 1
+    for r <= 0.1 and falls by a cubic ramp to 0 at r = 0.4, so the cone term
+    is disjoint from the collar support.
     """
     A_bdry, _ = loop_boundary_form(spec.boundary, tol)
-    N = len(spec.boundary)
-    n = spec.n
     D = 1j * np.diag(np.array(spec.cone.weights, dtype=float) / spec.cone.order)
 
-    def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        rho = cutoff_profile((r - (1.0 - width)) / width, cutoff)
-        collar = rho[..., None, None] * _interp_periodic(A_bdry, (t / (2 * np.pi)) * N)
-        cone = _eta_profile(r)[..., None, None] * D
-        at = collar / (2.0 * np.pi) + cone
-        return np.zeros(r.shape + (n, n), dtype=complex), at
+    def a_theta(r, t):
+        collar = collar_term(A_bdry, (r - (1.0 - _COLLAR_WIDTH)) / _COLLAR_WIDTH, t, 2 * np.pi)
+        eta = 1.0 - cutoff_profile((r - 0.1) / 0.3, "cubic", 1.0)
+        return collar + eta[..., None, None] * D
 
-    return ConnectionSpec(
-        n, coeffs, tag=f"cone(m={spec.cone.order})+collar", boundary_loop=spec.boundary
-    )
+    return angular_spec(spec.n, a_theta, f"cone(m={spec.cone.order})+collar", spec.boundary)
 
 
 def mu_cw_orbifold(
@@ -271,6 +255,8 @@ def orbifold_to_json(spec: OrbifoldDiscSpec) -> dict:
 
 
 def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
+    if not isinstance(obj, dict) or not isinstance(obj.get("cone"), dict):
+        raise MaslovCWError("an orbifold file must hold a JSON object with a cone object")
     cone = ConePoint(int(obj["cone"]["m"]), tuple(obj["cone"]["weights"]))
     boundary = loop_from_json(obj["boundary"])
     return OrbifoldDiscSpec(int(obj["n"]), cone, boundary)

@@ -10,29 +10,26 @@ formulas (checked against each other in exact rational arithmetic).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import matcore
-from .connections import build_arc_collar_connection, build_collar_connection
+from .connections import build_arc_collar_connection, build_collar_connection, cutoff_profile
 from .curvature import CurvatureReport, chern_weil_index, edge_transports
-from .errors import InconsistentFormulas, NotTransverse, RankMismatch, Undersampled, ViolatedIdentity
+from .errors import (
+    InconsistentFormulas, MaslovCWError, NotTransverse, RankMismatch, Undersampled,
+    ViolatedIdentity,
+)
 from .grassmann import LagrangianFrame, intersection_dim, positive_path
-from .loops import FrameLoop, maslov_loop
+from .loops import FrameLoop, maslov_loop, samples_from_json
 from .mesh import Mesh2D
 from .tolerances import TOL, Tolerances
 
 _VERIFY_TOL = 2e-2
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    return t * t * (3.0 - 2.0 * t)
-
-
-def _smootherstep(t: np.ndarray) -> np.ndarray:
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+_VERTEX_SAMPLES = 64
 
 
 @dataclass(eq=False)
@@ -76,30 +73,20 @@ class TransversalBundleData:
         return F, G
 
 
-def build_L_loop(
-    data: TransversalBundleData,
-    vertex_samples: int = 64,
-    vertex_param: str = "linear",
-    tol: Tolerances = TOL,
-) -> FrameLoop:
+def build_L_loop(data: TransversalBundleData, tol: Tolerances = TOL) -> FrameLoop:
     """Close the edge data into a loop with positive paths at the corners.
 
-    ``vertex_param`` picks the time parametrization of the corner paths
-    ("linear" or "smooth"); both trace the same path, so the winding must
-    not depend on the choice.  Sample counts double automatically until the
-    winding guard passes.
+    Each corner path starts with 64 samples, linear in path time; the count
+    doubles (up to three times) until the winding guard passes.
     """
     for attempt in range(4):
-        nv = vertex_samples * (2**attempt)
+        nv = _VERTEX_SAMPLES * (2**attempt)
         pieces = []
         for i, edge in enumerate(data.edges):
             pieces.append(edge)
             F, G = data.vertex_pair(i)
             path = positive_path(F, G, tol)
-            ts = np.arange(1, nv) / nv
-            if vertex_param == "smooth":
-                ts = _smoothstep(ts)
-            pieces.append(path.sample(ts))
+            pieces.append(path.sample(np.arange(1, nv) / nv))
         samples = np.concatenate(pieces, axis=0)
         try:
             return FrameLoop(data.n, samples)
@@ -126,7 +113,7 @@ def quarter_arc_path(frame: LagrangianFrame, samples: int = 129) -> np.ndarray:
     rotated copies glue smoothly around a full disc.
     """
     t = np.linspace(0.0, 1.0, samples)
-    s = _smootherstep(t)
+    s = cutoff_profile(t, "quintic", 1.0)
     return frame.u[None, :, :] * np.exp(1j * np.pi * s / 2.0)[:, None, None]
 
 
@@ -317,3 +304,21 @@ def bigon_standard(n: int, samples_per_edge: int = 64) -> TransversalBundleData:
     e0 = np.tile(np.eye(n, dtype=complex), (samples_per_edge, 1, 1))
     e1 = 1j * e0
     return TransversalBundleData(n, [e0, e1], chi=1)
+
+
+# ---------------------------------------------------------------------------
+# file format
+# ---------------------------------------------------------------------------
+
+def polygon_from_json(obj: dict) -> TransversalBundleData:
+    """``{"n", "chi"?, "edges"}``; each edge is a sample list or ``{"samples": ...}``."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
+        raise MaslovCWError("a polygon file must hold a JSON object with an edge list")
+    n = int(obj["n"])
+    edges = [samples_from_json(e["samples"] if isinstance(e, dict) else e, n) for e in obj["edges"]]
+    return TransversalBundleData(n, edges, int(obj.get("chi", 1)))
+
+
+def load_polygon(path: str) -> TransversalBundleData:
+    with open(path, "r", encoding="utf-8") as fh:
+        return polygon_from_json(json.load(fh))

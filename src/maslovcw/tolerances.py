@@ -21,10 +21,8 @@ class Tolerances:
     intersection_phase: float = 1e-7  # eigenphase window counting intersection dims
     transverse_angle: float = 1e-7    # positive-path angle distance to 0 mod pi
     winding_guard: float = math.pi / 2   # max per-step principal phase increment
-    winding_residual: float = 1e-9    # |raw - rounded| for closed sampled loops
     face_angle_guard: float = math.pi / 2  # per-plaquette branch guard
     frame_step_sv: float = 0.5        # min singular value in frame alignment
-    eig_gap: float = 1e-10            # eigenvalue separation in joint diagonalization
     skew: float = 1e-10               # skew-Hermitian defect of connection values
 
     def tightened(self, **kw) -> "Tolerances":

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from maslovcw import cli, verify as verify_mod
 from maslovcw.loops import generate_loop, loop_to_json, random_frame_loop, save_loop
@@ -130,6 +131,42 @@ class TestOrbifold:
         assert report["mu_de"] == 0
         assert report["correction"] == {"num": 1, "den": 2}
         assert report["identities"]["desingularization"]
+
+
+# n = 1 sample lists, each malformed in one way
+_BAD_SAMPLES = {
+    "flat_numbers": [1.0] * 16,
+    "ragged_rows": [[[1.0, 0.0]]] * 15 + [[[1.0, 0.0], [0.0, 1.0]]],
+    "wrong_row_length": [[[1.0, 0.0], [0.0, 1.0]]] * 16,
+    "not_pairs": [[[1.0, 0.0, 0.0]]] * 16,
+    "string_entries": [[["1", "0"]]] * 16,
+    "null_entries": [[[1.0, None]]] * 16,
+    "object_rows": {"0": [[1.0, 0.0]]},
+}
+
+
+def _malformed_file(kind, defect):
+    if defect == "top_level_list":
+        return [1, 2]
+    rows = _BAD_SAMPLES[defect]
+    if kind == "maslov":
+        return {"n": 1, "samples": rows}
+    if kind == "polygon":
+        return {"n": 1, "edges": [rows, rows]}
+    return {"n": 1, "cone": {"m": 2, "weights": [1]}, "boundary": {"n": 1, "samples": rows}}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("defect", ["top_level_list"] + sorted(_BAD_SAMPLES))
+    @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
+    def test_exits_one_with_error(self, kind, defect, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_malformed_file(kind, defect)))
+        code, out, err = run_cli([kind, "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from maslovcw.connections import (
+    build_annulus_collar_connection,
+    build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
     cutoff_profile,
     loop_boundary_form,
+    open_path_form,
     radial_gauge_transform,
 )
 from maslovcw.errors import UnknownName, Undersampled
-from maslovcw.loops import FrameLoop, generate_loop
+from maslovcw.grassmann import LagrangianFrame
+from maslovcw.loops import FrameLoop, generate_loop, random_frame_loop
+from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
+from maslovcw.polygon import quarter_arc_path
 
 
 class TestBuiltins:
@@ -112,3 +118,95 @@ class TestGaugeTransform:
         Ar0, At0 = spec.coeffs(np.array([1.0]), np.array([0.4]))
         assert np.allclose(Ar1, Ar0, atol=1e-14)
         assert np.allclose(At1, At0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# every builder's collar term, pinned bitwise to its written-out formula
+# ---------------------------------------------------------------------------
+
+def ref_periodic_lerp(A, x):
+    N = A.shape[0]
+    x = np.mod(x, N)
+    i0 = np.floor(x).astype(int) % N
+    fr = (x - np.floor(x))[..., None, None]
+    return (1.0 - fr) * A[i0] + fr * A[(i0 + 1) % N]
+
+
+def ref_open_lerp(A, x):
+    N = A.shape[0]
+    x = np.clip(x, 0.0, N - 1.0)
+    i0 = np.minimum(np.floor(x).astype(int), N - 2)
+    fr = (x - i0)[..., None, None]
+    return (1.0 - fr) * A[i0] + fr * A[i0 + 1]
+
+
+def _grid(t_max):
+    r, t = np.meshgrid(np.linspace(0.0, 1.0, 29), np.linspace(-0.1, t_max + 0.1, 53))
+    return r.ravel(), t.ravel()
+
+
+def _assert_angular(spec, r, t, expected):
+    Ar, At = spec.coeffs(r, t)
+    assert np.array_equal(Ar, np.zeros_like(expected))
+    assert np.array_equal(At, expected)
+
+
+class TestPinnedCollarTerms:
+    @pytest.mark.parametrize("kind", ["cubic", "quintic"])
+    def test_ramps_are_the_literal_polynomials(self, kind):
+        t = np.linspace(0.0, 1.0, 257)
+        if kind == "cubic":
+            expected = t * t * (3.0 - 2.0 * t)
+        else:
+            expected = t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
+        assert np.array_equal(cutoff_profile(t, kind, 1.0), expected)
+
+    @pytest.mark.parametrize("width,kind,sat", [(0.3, "cubic", 0.9), (0.25, "quintic", 0.8)])
+    def test_disc(self, width, kind, sat):
+        loop, _ = random_frame_loop(np.random.default_rng(3), 2, N=64)
+        A, _ = loop_boundary_form(loop)
+        r, t = _grid(2 * np.pi)
+        spec = build_collar_connection(loop, width=width, cutoff=kind, saturation=sat)
+        rho = cutoff_profile((r - (1.0 - width)) / width, kind, sat)
+        a = ref_periodic_lerp(A, (t / (2.0 * np.pi)) * len(loop))
+        _assert_angular(spec, r, t, rho[..., None, None] * a / (2.0 * np.pi))
+
+    def test_arc(self):
+        path = quarter_arc_path(LagrangianFrame.standard(2), 65) @ np.diag([1.0, 1j])
+        A = open_path_form(path)
+        t_span = 0.5 * np.pi
+        r, t = _grid(t_span)
+        spec = build_arc_collar_connection(path, t_span=t_span, width=0.3)
+        rho = cutoff_profile((r - (1.0 - 0.3)) / 0.3)
+        a = ref_open_lerp(A, (t / t_span) * (len(path) - 1))
+        _assert_angular(spec, r, t, rho[..., None, None] * a / t_span)
+
+    def test_annulus(self):
+        rng = np.random.default_rng(5)
+        outer, _ = random_frame_loop(rng, 2, N=64)
+        inner, _ = random_frame_loop(rng, 2, N=48)
+        A_out, _ = loop_boundary_form(outer)
+        A_in, _ = loop_boundary_form(inner)
+        r_inner, width = 0.4, 0.2
+        r, t = _grid(2 * np.pi)
+        spec = build_annulus_collar_connection(outer, inner, r_inner=r_inner, width=width)
+        rho_out = cutoff_profile((r - (1.0 - width)) / width)
+        rho_in = cutoff_profile(((r_inner + width) - r) / width)
+        a_out = ref_periodic_lerp(A_out, (t / (2 * np.pi)) * len(outer))
+        a_in = ref_periodic_lerp(A_in, (-t / (2 * np.pi)) * len(inner))
+        expected = (rho_out[..., None, None] * a_out / (2 * np.pi)
+                    - rho_in[..., None, None] * a_in / (2 * np.pi))
+        _assert_angular(spec, r, t, expected)
+
+    def test_orbifold_invariant(self):
+        loop, _ = random_frame_loop(np.random.default_rng(7), 2, N=64)
+        spec = OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)
+        A, _ = loop_boundary_form(loop)
+        D = 1j * np.diag(np.array([1.0, 2.0]) / 3)
+        r, t = _grid(2 * np.pi)
+        rho = cutoff_profile((r - (1.0 - 0.3)) / 0.3)
+        a = ref_periodic_lerp(A, (t / (2 * np.pi)) * len(loop))
+        x = np.clip((r - 0.1) / 0.3, 0.0, 1.0)
+        eta = 1.0 - x * x * (3.0 - 2.0 * x)
+        expected = rho[..., None, None] * a / (2.0 * np.pi) + eta[..., None, None] * D
+        _assert_angular(invariant_connection(spec), r, t, expected)

@@ -16,6 +16,7 @@ from maslovcw.loops import (
     maslov_loop,
     orientation_reverse,
     random_frame_loop,
+    samples_from_json,
     winding,
     winding_detail,
 )
@@ -158,6 +159,16 @@ class TestJson:
         again = loop_from_json(json.loads(json.dumps(loop_to_json(loop))))
         assert np.allclose(again.samples, loop.samples)
         assert maslov_loop(again) == maslov_loop(loop)
+
+    def test_samples_match_python_complex_bitwise(self, rng):
+        vals = rng.normal(size=(9, 4, 2)) * 10.0 ** rng.integers(-300, 300, size=(9, 4, 2))
+        rows = vals.tolist()
+        rows[0][0] = [1, -2]
+        rows[1][3] = [-0.0, 0]
+        s = samples_from_json(rows, 2)
+        ref = np.array([[complex(re, im) for re, im in row] for row in rows]).reshape(-1, 2, 2)
+        assert s.shape == (9, 2, 2)
+        assert np.array_equal(s.view(np.uint64), ref.view(np.uint64))
 
     def test_generator_form(self):
         loop = loop_from_json({"generator": "power_k", "params": {"k": -2, "N": 128}})

@@ -16,6 +16,7 @@ from maslovcw.polygon import (
     maslov_viterbo,
     mu_cw_polygon,
     mu_top,
+    polygon_from_json,
     quarter_model_index,
     quarter_model_report,
     random_transversal_data,
@@ -58,12 +59,6 @@ class TestLLoop:
         # whole loop passes construction guards, so it closes as sampled data
         loop = build_L_loop(data)
         assert loop.n == 2
-
-    def test_parametrization_independence(self, rng):
-        data = random_transversal_data(rng, 2, 3)
-        a = maslov_loop(build_L_loop(data, vertex_param="linear"))
-        b = maslov_loop(build_L_loop(data, vertex_param="smooth"))
-        assert a == b
 
     def test_edge_sampling_density_independence(self):
         rng1 = np.random.default_rng(99)
@@ -163,3 +158,15 @@ class TestMaslovViterbo:
         monkeypatch.setattr(polygon, "mu_cw_polygon", lambda data, tol=None: (Fraction(1, 2), {}))
         with pytest.raises(InconsistentFormulas):
             maslov_viterbo(bigon_standard(1))
+
+
+class TestJson:
+    def test_both_edge_forms_round_trip_exactly(self, rng):
+        data = random_transversal_data(rng, 2, 3)
+        rows = [[[[z.real, z.imag] for z in row] for row in e.reshape(len(e), 4)] for e in data.edges]
+        plain = polygon_from_json({"n": 2, "edges": rows})
+        wrapped = polygon_from_json({"n": 2, "chi": -1, "edges": [{"samples": e} for e in rows]})
+        for again in (plain, wrapped):
+            assert all(np.array_equal(a, b) for a, b in zip(again.edges, data.edges))
+        assert (plain.chi, wrapped.chi) == (1, -1)
+        assert mu_top(plain) == mu_top(data)
