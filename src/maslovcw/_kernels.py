@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matcore
+
 
 def expm_skew(G: np.ndarray) -> np.ndarray:
     """exp of a single skew-Hermitian matrix via eigh of -iG."""
@@ -29,6 +31,4 @@ def transport_chain(gens: np.ndarray) -> np.ndarray:
     T = steps[:, 0]
     for j in range(1, s):
         T = steps[:, j] @ T
-    for _ in range(2):
-        T = 0.5 * (T + np.swapaxes(np.linalg.inv(T), -1, -2).conj())
-    return T
+    return matcore.unitarize_batch(T, steps=2)

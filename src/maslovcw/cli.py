@@ -77,12 +77,15 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=7)
         sp.add_argument("--threads", type=int, default=1)
 
+    def generator(sp):  # the flags _loops_from_args reads
+        sp.add_argument("--generator", default=None)
+        sp.add_argument("--k", type=int, default=1, help="power_k generator parameter")
+        sp.add_argument("--rank", type=int, default=1, help="constant generator rank")
+        sp.add_argument("--samples", type=int, default=256)
+
     sp = sub.add_parser("maslov", help="winding Maslov index of a frame loop")
     sp.add_argument("--input", action="append", default=[], help="FrameLoop JSON file")
-    sp.add_argument("--generator", default=None)
-    sp.add_argument("--k", type=int, default=1, help="power_k generator parameter")
-    sp.add_argument("--rank", type=int, default=1, help="constant generator rank")
-    sp.add_argument("--samples", type=int, default=256)
+    generator(sp)
     common(sp)
 
     sp = sub.add_parser("cw", help="Chern-Weil curvature index")
@@ -93,8 +96,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("double", help="doubled-bundle degree versus summed winding")
     sp.add_argument("--input", action="append", default=[], help="loop JSON per component")
-    sp.add_argument("--generator", default=None)
-    sp.add_argument("--samples", type=int, default=256)
+    generator(sp)
     common(sp)
 
     sp = sub.add_parser("polygon", help="transversal boundary data indices")

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import UnknownName
 from .loops import FrameLoop, aligned_frames
-from .tolerances import TOL, Tolerances
 
 # Cutoff profiles rise 0 -> 1 on [0, sat] and plateau at 1 afterwards, so the
 # form has an exact product structure near the boundary.  Both have zero
@@ -94,14 +93,14 @@ def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
 # boundary 1-form of a frame loop and interpolation helpers
 # ---------------------------------------------------------------------------
 
-def loop_boundary_form(loop: FrameLoop, tol: Tolerances = TOL):
+def loop_boundary_form(loop: FrameLoop):
     """Per-sample values of A(t) = w dw*/dt in the aligned frame gauge.
 
     Fourth-order centered differences on the aligned frames; the wrap
     monodromy extends the stencil across the seam.  Values are projected to
     exact skew-Hermitian.  Returns (A values (N, n, n), aligned frames).
     """
-    w, o_wrap = aligned_frames(loop.samples, tol)
+    w, o_wrap = aligned_frames(loop.samples)
     N = len(loop)
     ext = np.concatenate([w[-2:] @ o_wrap.T, w, w[:2] @ o_wrap], axis=0)
     ws = ext.conj().transpose(0, 2, 1)
@@ -166,7 +165,6 @@ def build_collar_connection(
     width: float = 0.3,
     cutoff: str = "cubic",
     saturation: float = _SATURATION,
-    tol: Tolerances = TOL,
 ) -> ConnectionSpec:
     """Collar extension of a boundary loop over the disc.
 
@@ -176,7 +174,7 @@ def build_collar_connection(
     """
     if not (0.0 < width < 1.0):
         raise ValueError("collar width must lie in (0, 1)")
-    A, _ = loop_boundary_form(loop, tol)
+    A, _ = loop_boundary_form(loop)
 
     def a_theta(r, t):
         depth = (r - (1.0 - width)) / width
@@ -203,7 +201,6 @@ def build_annulus_collar_connection(
     inner: FrameLoop,
     r_inner: float,
     width: float = 0.2,
-    tol: Tolerances = TOL,
 ) -> ConnectionSpec:
     """Collars at both rims of an annulus.
 
@@ -214,8 +211,8 @@ def build_annulus_collar_connection(
         raise ValueError("rank mismatch between the two rims")
     if not (0 < width <= 0.5 * (1.0 - r_inner)):
         raise ValueError("collar width exceeds half the annulus thickness")
-    A_out, _ = loop_boundary_form(outer, tol)
-    A_in, _ = loop_boundary_form(inner, tol)
+    A_out, _ = loop_boundary_form(outer)
+    A_in, _ = loop_boundary_form(inner)
 
     def a_theta(r, t):
         rim = collar_term(A_out, (r - (1.0 - width)) / width, t, 2 * np.pi)

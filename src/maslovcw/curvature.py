@@ -20,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, matcore
 from .connections import ConnectionSpec
 from .errors import NonUnitaryConnection, Undersampled, Unrefined
 from .loops import BundlePairSpec, FrameLoop, winding
 from .mesh import Mesh2D
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 @dataclass(eq=False)
@@ -75,11 +75,7 @@ class DiscreteConnection:
         """Largest Frobenius distance of any edge transport from the unitary group."""
         if not self.unitary:
             return float("nan")
-        T = self.transports
-        eye = np.eye(self.n)
-        return float(
-            np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - eye, axis=(-2, -1)))
-        )
+        return matcore.unitary_defect(self.transports)
 
     def transport(self, edge_id: int, sign: int = +1) -> np.ndarray:
         T = self.transports[edge_id]
@@ -101,7 +97,6 @@ def edge_transports(
     mesh: Mesh2D,
     substeps: int = 1,
     allow_non_unitary: bool = False,
-    tol: Tolerances = TOL,
 ) -> DiscreteConnection:
     """Integrate the connection along every edge by the midpoint rule.
 
@@ -123,7 +118,7 @@ def edge_transports(
             float(np.max(np.abs(Ar + Ar.conj().transpose(0, 1, 3, 2)))) if Ar.size else 0.0,
             float(np.max(np.abs(At + At.conj().transpose(0, 1, 3, 2)))) if At.size else 0.0,
         )
-        if skew > tol.skew:
+        if skew > TOL.skew:
             raise NonUnitaryConnection(
                 f"connection values have skew-Hermitian defect {skew:.3g}"
             )
@@ -218,7 +213,6 @@ def chern_weil_index(
     D: DiscreteConnection,
     quantum: Fraction = Fraction(1),
     loop: Optional[FrameLoop] = None,
-    tol: Tolerances = TOL,
 ) -> CurvatureReport:
     """Curvature integral (i/pi) integral tr F as a rounded index.
 
@@ -231,9 +225,9 @@ def chern_weil_index(
     quantum = Fraction(quantum)
     alpha = face_angle_array(D)
     max_face = float(np.max(np.abs(alpha))) if alpha.size else 0.0
-    if max_face >= tol.face_angle_guard:
+    if max_face >= TOL.face_angle_guard:
         raise Unrefined(
-            f"face angle {max_face:.3f} rad >= guard {tol.face_angle_guard:.3f}; "
+            f"face angle {max_face:.3f} rad >= guard {TOL.face_angle_guard:.3f}; "
             "refine the mesh"
         )
     raw = math.fsum(alpha.tolist()) / math.pi
@@ -293,7 +287,7 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
     return worst
 
 
-def double_degree(pair: BundlePairSpec, tol: Tolerances = TOL) -> int:
+def double_degree(pair: BundlePairSpec) -> int:
     """Degree of the doubled bundle from overlap-map windings.
 
     Per boundary component the doubling overlap map is B(t) = u(t) u(t)^T;
@@ -303,7 +297,7 @@ def double_degree(pair: BundlePairSpec, tol: Tolerances = TOL) -> int:
     total = 0
     for L in pair.loops:
         B = L.samples @ L.samples.transpose(0, 2, 1)
-        total += winding(np.linalg.det(B), tol)
+        total += winding(np.linalg.det(B))
     return total
 
 

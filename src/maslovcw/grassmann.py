@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matcore
 from .errors import NotTransverse, RankMismatch, SingularInput
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class LagrangianFrame:
     u: np.ndarray
 
     @classmethod
-    def from_matrix(cls, u: np.ndarray, tol: Tolerances = TOL) -> "LagrangianFrame":
+    def from_matrix(cls, u: np.ndarray) -> "LagrangianFrame":
         u = np.asarray(u, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise SingularInput(f"frame must be square, got {u.shape}")
@@ -35,10 +35,10 @@ class LagrangianFrame:
         if n > matcore.MAX_RANK:
             raise SingularInput(f"rank {n} exceeds the {matcore.MAX_RANK} cap")
         defect = matcore.unitary_defect(u)
-        if defect > tol.same_lagrangian:
+        if defect > TOL.same_lagrangian:
             raise SingularInput(f"frame unitary defect {defect:.3g}")
         if defect > 1e-13 * n:
-            u = matcore.unitarize(u, tol)
+            u = matcore.unitarize(u)
         return cls(n, u)
 
     @classmethod
@@ -55,23 +55,23 @@ def b_map(F: LagrangianFrame) -> np.ndarray:
     return F.u @ F.u.T
 
 
-def same_lagrangian(F: LagrangianFrame, G: LagrangianFrame, tol: Tolerances = TOL) -> bool:
+def same_lagrangian(F: LagrangianFrame, G: LagrangianFrame) -> bool:
     if F.n != G.n:
         raise RankMismatch(f"ranks {F.n} != {G.n}")
-    return matcore.frobenius(b_map(F) - b_map(G)) <= tol.same_lagrangian
+    return matcore.frobenius(b_map(F) - b_map(G)) <= TOL.same_lagrangian
 
 
-def intersection_dim(F: LagrangianFrame, G: LagrangianFrame, tol: Tolerances = TOL) -> int:
+def intersection_dim(F: LagrangianFrame, G: LagrangianFrame) -> int:
     """dim of the real intersection of the two Lagrangians.
 
     Counted as the multiplicity of eigenvalue +1 of W^T W for W = U_F^* U_G,
-    with eigenphases within ``tol.intersection_phase`` of zero treated as +1.
+    with eigenphases within ``TOL.intersection_phase`` of zero treated as +1.
     """
     if F.n != G.n:
         raise RankMismatch(f"ranks {F.n} != {G.n}")
     W = F.u.conj().T @ G.u
     phases = matcore.eigenphases_unitary(W.T @ W)
-    return int(np.count_nonzero(np.abs(phases) <= tol.intersection_phase))
+    return int(np.count_nonzero(np.abs(phases) <= TOL.intersection_phase))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +102,7 @@ class PositivePath:
         return LagrangianFrame(self.n, self.sample(np.array([t]))[0])
 
 
-def positive_path(F: LagrangianFrame, G: LagrangianFrame, tol: Tolerances = TOL) -> PositivePath:
+def positive_path(F: LagrangianFrame, G: LagrangianFrame) -> PositivePath:
     """Canonical positive-definite path between transverse Lagrangians.
 
     Takagi-factor B(U_F^* U_G) = O e^{2i Theta} O^T and lift each angle from
@@ -113,9 +113,9 @@ def positive_path(F: LagrangianFrame, G: LagrangianFrame, tol: Tolerances = TOL)
     if F.n != G.n:
         raise RankMismatch(f"ranks {F.n} != {G.n}")
     ut = F.u.conj().T @ G.u
-    O, theta = matcore.takagi_symmetric_unitary(ut @ ut.T, tol)
-    lifted = np.where(theta <= tol.transverse_angle, theta + np.pi, theta)
-    if np.any(np.minimum(np.abs(lifted), np.abs(np.pi - lifted)) <= tol.transverse_angle):
+    O, theta = matcore.takagi_symmetric_unitary(ut @ ut.T)
+    lifted = np.where(theta <= TOL.transverse_angle, theta + np.pi, theta)
+    if np.any(np.minimum(np.abs(lifted), np.abs(np.pi - lifted)) <= TOL.transverse_angle):
         raise NotTransverse(
             "positive path undefined: a principal angle sits at 0 mod pi "
             f"(angles {np.round(lifted, 9)})"

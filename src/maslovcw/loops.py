@@ -10,6 +10,7 @@ and the file format mirrors the in-memory layout.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,12 +21,12 @@ from .errors import (
     LoopNotClosed, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
 )
 from .grassmann import LagrangianFrame, same_lagrangian
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 MIN_SAMPLES = 8
 
 
-def winding_increments(zs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def winding_increments(zs: np.ndarray) -> np.ndarray:
     """Principal phase increments of a closed loop of nonzero complex numbers.
 
     Raises ZeroSample on a vanishing entry and Undersampled when any
@@ -37,25 +38,25 @@ def winding_increments(zs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
         raise ZeroSample("winding input touches zero")
     dphi = np.angle(np.roll(zs, -1) / zs)
     worst = float(np.max(np.abs(dphi)))
-    if worst >= tol.winding_guard:
+    if worst >= TOL.winding_guard:
         raise Undersampled(
-            f"phase step {worst:.4f} rad >= guard {tol.winding_guard:.4f}; "
+            f"phase step {worst:.4f} rad >= guard {TOL.winding_guard:.4f}; "
             "refine the sampling"
         )
     return dphi
 
 
-def winding_detail(zs: np.ndarray, tol: Tolerances = TOL):
+def winding_detail(zs: np.ndarray):
     """(rounded winding, raw value, |raw - rounded| residual)."""
-    dphi = winding_increments(zs, tol)
+    dphi = winding_increments(zs)
     raw = float(dphi.sum() / (2.0 * np.pi))
     rounded = int(round(raw))
     return rounded, raw, abs(raw - rounded)
 
 
-def winding(zs: np.ndarray, tol: Tolerances = TOL) -> int:
+def winding(zs: np.ndarray) -> int:
     """Winding number of a closed sampled loop in C \\ {0}."""
-    return winding_detail(zs, tol)[0]
+    return winding_detail(zs)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +86,7 @@ class FrameLoop:
         winding_increments(self.det_b())
 
     @classmethod
-    def from_path(cls, samples: np.ndarray, tol: Tolerances = TOL) -> "FrameLoop":
+    def from_path(cls, samples: np.ndarray) -> "FrameLoop":
         """Build a loop from an open path that includes both endpoints.
 
         The final sample must span the same Lagrangian as the first (it may
@@ -95,7 +96,7 @@ class FrameLoop:
         n = samples.shape[1]
         first = LagrangianFrame(n, samples[0])
         last = LagrangianFrame(n, samples[-1])
-        if not same_lagrangian(first, last, tol):
+        if not same_lagrangian(first, last):
             raise LoopNotClosed("endpoint Lagrangian differs from the start")
         return cls(n, samples[:-1])
 
@@ -128,9 +129,9 @@ class FrameLoop:
         return out
 
 
-def maslov_loop(loop: FrameLoop, tol: Tolerances = TOL) -> int:
+def maslov_loop(loop: FrameLoop) -> int:
     """Maslov index: winding number of det(B) along the loop."""
-    return winding(loop.det_b(), tol)
+    return winding(loop.det_b())
 
 
 def orientation_reverse(loop: FrameLoop) -> FrameLoop:
@@ -158,9 +159,9 @@ class BundlePairSpec:
         return len(self.loops)
 
 
-def maslov_bundle_pair(pair: BundlePairSpec, tol: Tolerances = TOL) -> int:
+def maslov_bundle_pair(pair: BundlePairSpec) -> int:
     """Sum of the per-component loop indices, in component order."""
-    return sum(maslov_loop(L, tol) for L in pair.loops)
+    return sum(maslov_loop(L) for L in pair.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def _polar_orthogonal(R: np.ndarray):
     return A @ Bt, float(s.min())
 
 
-def aligned_frames(samples: np.ndarray, tol: Tolerances = TOL):
+def aligned_frames(samples: np.ndarray):
     """Right-multiply each frame by an O(n) factor so the path varies slowly.
 
     Returns (aligned samples, wrap monodromy O_w) with the continuation
@@ -186,9 +187,9 @@ def aligned_frames(samples: np.ndarray, tol: Tolerances = TOL):
         raise RankMismatch("empty frames")
     M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
     A, s, Bt = np.linalg.svd(M)
-    if float(s.min()) < tol.frame_step_sv:
+    if float(s.min()) < TOL.frame_step_sv:
         raise Undersampled(
-            f"frame alignment singular value {s.min():.3f} < {tol.frame_step_sv}"
+            f"frame alignment singular value {s.min():.3f} < {TOL.frame_step_sv}"
         )
     steps = A @ Bt
     w = np.empty_like(u)
@@ -203,7 +204,7 @@ def aligned_frames(samples: np.ndarray, tol: Tolerances = TOL):
     else:
         w_next = w[-1]
     O_w, sv = _polar_orthogonal(np.real(w[0].conj().T @ w_next))
-    if sv < tol.frame_step_sv:
+    if sv < TOL.frame_step_sv:
         raise Undersampled(f"wrap alignment singular value {sv:.3f}")
     return w, O_w
 
@@ -219,12 +220,15 @@ def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
         # tangent lines of the unit circle; index 2
         return FrameLoop(1, (1j * np.exp(2j * np.pi * t))[:, None, None])
     if name == "power_k":
-        k = int(params.get("k", 1))
+        k = int_from_json(params.get("k", 1), "k")
         return FrameLoop(1, np.exp(1j * np.pi * k * t)[:, None, None])
     if name == "constant":
-        n = int(params.get("n", 1))
+        n = int_from_json(params.get("n", 1), "n")
         frame = params.get("frame")
-        f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
+        try:
+            f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
+        except TypeError:
+            raise RankMismatch("a constant frame must be a square array of numbers") from None
         return FrameLoop(n, np.tile(f, (N, 1, 1)))
     raise UnknownName(f"unknown loop generator {name!r}")
 
@@ -270,6 +274,16 @@ def loop_to_json(loop: FrameLoop) -> dict:
     }
 
 
+def int_from_json(value, name: str) -> int:
+    """An integer (or a float with no fractional part) as an int, else MaslovCWError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MaslovCWError(f"{name!r} must be an integer, got {value!r}") from None
+
+
 def samples_from_json(rows, n: int) -> np.ndarray:
     """(N, n, n) complex samples from N rows of n² row-major [re, im] pairs.
 
@@ -291,10 +305,13 @@ def loop_from_json(obj: dict) -> FrameLoop:
     if not isinstance(obj, dict):
         raise MaslovCWError("a frame loop file must hold a JSON object")
     if "generator" in obj:
-        params = dict(obj.get("params", {}))
-        N = int(params.pop("N", 256))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise MaslovCWError("generator params must be a JSON object")
+        params = dict(params)
+        N = int_from_json(params.pop("N", 256), "N")
         return generate_loop(obj["generator"], N=N, **params)
-    n = int(obj["n"])
+    n = int_from_json(obj["n"], "n")
     return FrameLoop(n, samples_from_json(obj["samples"], n))
 
 

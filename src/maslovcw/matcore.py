@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BranchCut, DegenerateSpectrum, SingularInput
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 MAX_RANK = 16
 
@@ -42,10 +42,6 @@ def symmetry_defect(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - M.T))
 
 
-def is_unitary(U: np.ndarray, tol: Tolerances = TOL) -> bool:
-    return unitary_defect(U) <= tol.unitary
-
-
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -53,7 +49,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
-def unitarize(M: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def unitarize(M: np.ndarray) -> np.ndarray:
     """Project a near-unitary square matrix to its polar unitary factor.
 
     Newton iteration U <- (U + U^{-*})/2; quadratically convergent when all
@@ -106,7 +102,7 @@ def _joint_diag_hermitian(A: np.ndarray, B: np.ndarray, reconstruct, tol_recon: 
     )
 
 
-def principal_log_unitary(U: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def principal_log_unitary(U: np.ndarray) -> np.ndarray:
     """Skew-Hermitian H with exp(H) = U and all eigenphases in (-pi, pi).
 
     Splits U into the commuting Hermitian pair (U + U*)/2, (U - U*)/2i and
@@ -127,12 +123,12 @@ def principal_log_unitary(U: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
 
     V, a, b = _joint_diag_hermitian(A, B, rebuild, max(1e-10 * n, 1e-12))
     phases = np.arctan2(b, a)
-    if np.any(np.pi - np.abs(phases) < tol.branch_cut):
+    if np.any(np.pi - np.abs(phases) < TOL.branch_cut):
         raise BranchCut("eigenphase within tolerance of the branch cut at +-pi")
     return (V * (1j * phases)) @ V.conj().T
 
 
-def takagi_symmetric_unitary(M: np.ndarray, tol: Tolerances = TOL):
+def takagi_symmetric_unitary(M: np.ndarray):
     """Factor a symmetric unitary as M = O e^{2i Theta} O^T.
 
     O is real orthogonal and Theta is a real diagonal of phases in
@@ -140,8 +136,9 @@ def takagi_symmetric_unitary(M: np.ndarray, tol: Tolerances = TOL):
     shifted real eigh diagonalizes both at once.
     """
     M = np.asarray(M, dtype=complex)
-    if symmetry_defect(M) > max(tol.symmetric, 1e-9):
-        raise SingularInput(f"matrix is not symmetric within {tol.symmetric:g}")
+    limit = max(TOL.symmetric, 1e-9)
+    if symmetry_defect(M) > limit:
+        raise SingularInput(f"matrix is not symmetric within {limit:g}")
     X = 0.5 * (M.real + M.real.T)
     Y = 0.5 * (M.imag + M.imag.T)
 
@@ -150,7 +147,7 @@ def takagi_symmetric_unitary(M: np.ndarray, tol: Tolerances = TOL):
         R = (O * np.exp(1j * two_theta)) @ O.T
         return R, frobenius(R - M)
 
-    O, x, y = _joint_diag_hermitian(X, Y, rebuild, tol.takagi_recon)
+    O, x, y = _joint_diag_hermitian(X, Y, rebuild, TOL.takagi_recon)
     theta = 0.5 * np.arctan2(y, x)
     return np.ascontiguousarray(O.real), theta
 

@@ -23,12 +23,15 @@ from .connections import (
 )
 from .curvature import chern_weil_index, edge_transports
 from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
-from .loops import BundlePairSpec, FrameLoop, loop_from_json, loop_to_json, maslov_bundle_pair, maslov_loop
+from .loops import (
+    BundlePairSpec, FrameLoop, int_from_json, loop_from_json, loop_to_json, maslov_bundle_pair,
+    maslov_loop,
+)
 from .mesh import Mesh2D
-from .tolerances import TOL, Tolerances
 
 _RAW_TOL = 2e-2
 _COLLAR_WIDTH = 0.3
+_CW_MESH_N_R = 48
 _MAX_PULLBACK_SAMPLES = 2**16
 
 
@@ -94,9 +97,7 @@ class BranchCover:
             )
 
 
-def pullback_bundle_pair(
-    spec: OrbifoldDiscSpec, cover: BranchCover, tol: Tolerances = TOL
-) -> BundlePairSpec:
+def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePairSpec:
     """Boundary loop of the pulled-back pair in the equivariant trivialization.
 
     v(t) = diag(e^{2 pi i (d/m) m_j t}) u(d t mod 1); sampled with d times the
@@ -125,19 +126,17 @@ def pullback_bundle_pair(
     return BundlePairSpec(spec.n, (loop,), euler_characteristic=1)
 
 
-def mu_pi(
-    spec: OrbifoldDiscSpec, cover: Optional[BranchCover] = None, tol: Tolerances = TOL
-) -> Fraction:
+def mu_pi(spec: OrbifoldDiscSpec, cover: Optional[BranchCover] = None) -> Fraction:
     """Index of the branch-cover pullback divided by the cover degree."""
     if cover is None:
         cover = BranchCover(spec.cone.order, spec.cone.order)
-    pulled = pullback_bundle_pair(spec, cover, tol)
-    return Fraction(maslov_bundle_pair(pulled, tol), cover.degree)
+    pulled = pullback_bundle_pair(spec, cover)
+    return Fraction(maslov_bundle_pair(pulled), cover.degree)
 
 
-def desing_index(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> int:
+def desing_index(spec: OrbifoldDiscSpec) -> int:
     """Winding index of the boundary loop in the outer trivialization."""
-    return maslov_loop(spec.boundary, tol)
+    return maslov_loop(spec.boundary)
 
 
 def chen_ruan_correction(cones) -> Fraction:
@@ -148,7 +147,7 @@ def chen_ruan_correction(cones) -> Fraction:
     return total
 
 
-def invariant_connection(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> ConnectionSpec:
+def invariant_connection(spec: OrbifoldDiscSpec) -> ConnectionSpec:
     """Cone model near the origin plus a boundary collar of width 0.3.
 
     Near the cone point the form is i diag(m_j / m) eta(r) d(theta), matching
@@ -156,7 +155,7 @@ def invariant_connection(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> Conne
     for r <= 0.1 and falls by a cubic ramp to 0 at r = 0.4, so the cone term
     is disjoint from the collar support.
     """
-    A_bdry, _ = loop_boundary_form(spec.boundary, tol)
+    A_bdry, _ = loop_boundary_form(spec.boundary)
     D = 1j * np.diag(np.array(spec.cone.weights, dtype=float) / spec.cone.order)
 
     def a_theta(r, t):
@@ -167,25 +166,20 @@ def invariant_connection(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> Conne
     return angular_spec(spec.n, a_theta, f"cone(m={spec.cone.order})+collar", spec.boundary)
 
 
-def mu_cw_orbifold(
-    spec: OrbifoldDiscSpec,
-    n_r: int = 48,
-    substeps: int = 1,
-    tol: Tolerances = TOL,
-):
+def mu_cw_orbifold(spec: OrbifoldDiscSpec):
     """Curvature index of the invariant connection, quantum 1/(2m).
 
-    Returns (rounded Fraction, CurvatureReport); the rounded value must agree
-    with the branch-cover index.
+    Integrated over 48 rings, one angular step per boundary sample.  Returns
+    (rounded Fraction, CurvatureReport); the rounded value must agree with
+    the branch-cover index.
     """
-    conn = invariant_connection(spec, tol=tol)
-    m = Mesh2D("disc", n_r, len(spec.boundary))
-    D = edge_transports(conn, m, substeps, tol=tol)
-    report = chern_weil_index(D, Fraction(1, 2 * spec.cone.order), loop=spec.boundary, tol=tol)
+    m = Mesh2D("disc", _CW_MESH_N_R, len(spec.boundary))
+    D = edge_transports(invariant_connection(spec), m)
+    report = chern_weil_index(D, Fraction(1, 2 * spec.cone.order), loop=spec.boundary)
     return report.rounded, report
 
 
-def verify_desingularization(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> dict:
+def verify_desingularization(spec: OrbifoldDiscSpec) -> dict:
     """Check mu_cw = mu_de + 2 * (weight sum) three ways.
 
     Exact rationals through the branch cover, the desingularized winding and
@@ -193,11 +187,11 @@ def verify_desingularization(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> d
     the common rational.  Raises ViolatedIdentity with diagnostics on
     failure.
     """
-    de = desing_index(spec, tol)
+    de = desing_index(spec)
     corr = chen_ruan_correction([spec.cone])
-    pi_val = mu_pi(spec, tol=tol)
-    pi_val_2m = mu_pi(spec, BranchCover(2 * spec.cone.order, spec.cone.order), tol)
-    cw_rounded, report = mu_cw_orbifold(spec, tol=tol)
+    pi_val = mu_pi(spec)
+    pi_val_2m = mu_pi(spec, BranchCover(2 * spec.cone.order, spec.cone.order))
+    cw_rounded, report = mu_cw_orbifold(spec)
     expected = Fraction(de) + 2 * corr
     out = {
         "mu_de": de,
@@ -222,7 +216,7 @@ def verify_desingularization(spec: OrbifoldDiscSpec, tol: Tolerances = TOL) -> d
     return out
 
 
-def cover_multiplicativity(pair: BundlePairSpec, m: int, tol: Tolerances = TOL) -> dict:
+def cover_multiplicativity(pair: BundlePairSpec, m: int) -> dict:
     """Composing with a degree-m boundary cover multiplies the index by m.
 
     The pair must be smooth (no cone data); each boundary loop is precomposed
@@ -230,12 +224,12 @@ def cover_multiplicativity(pair: BundlePairSpec, m: int, tol: Tolerances = TOL) 
     """
     if m < 2:
         raise RankMismatch("cover degree must be >= 2")
-    base = maslov_bundle_pair(pair, tol)
+    base = maslov_bundle_pair(pair)
     covered = []
     for L in pair.loops:
         samples = np.tile(L.samples, (m, 1, 1))
         covered.append(FrameLoop(L.n, samples))
-    lifted = maslov_bundle_pair(BundlePairSpec(pair.n, tuple(covered)), tol)
+    lifted = maslov_bundle_pair(BundlePairSpec(pair.n, tuple(covered)))
     out = {"m": m, "mu": base, "mu_lifted": lifted, "exact": lifted == m * base}
     if not out["exact"]:
         raise ViolatedIdentity(f"cover multiplicativity failed: {lifted} != {m}*{base}", out)
@@ -257,9 +251,12 @@ def orbifold_to_json(spec: OrbifoldDiscSpec) -> dict:
 def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("cone"), dict):
         raise MaslovCWError("an orbifold file must hold a JSON object with a cone object")
-    cone = ConePoint(int(obj["cone"]["m"]), tuple(obj["cone"]["weights"]))
+    m, weights = obj["cone"]["m"], obj["cone"]["weights"]
+    if not isinstance(weights, list):
+        raise MaslovCWError("cone weights must be a list of integers")
+    cone = ConePoint(int_from_json(m, "m"), tuple(int_from_json(w, "weight") for w in weights))
     boundary = loop_from_json(obj["boundary"])
-    return OrbifoldDiscSpec(int(obj["n"]), cone, boundary)
+    return OrbifoldDiscSpec(int_from_json(obj["n"], "n"), cone, boundary)
 
 
 def load_orbifold(path: str) -> OrbifoldDiscSpec:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -24,12 +25,13 @@ from .errors import (
     ViolatedIdentity,
 )
 from .grassmann import LagrangianFrame, intersection_dim, positive_path
-from .loops import FrameLoop, maslov_loop, samples_from_json
+from .loops import FrameLoop, int_from_json, maslov_loop, samples_from_json
 from .mesh import Mesh2D
-from .tolerances import TOL, Tolerances
 
 _VERIFY_TOL = 2e-2
 _VERTEX_SAMPLES = 64
+_DISC_MESH_N_R = 24
+_QUARTER_MESH_N_R, _QUARTER_MESH_N_T = 32, 128
 
 
 @dataclass(eq=False)
@@ -72,8 +74,13 @@ class TransversalBundleData:
         G = LagrangianFrame.from_matrix(self.edges[(i + 1) % self.k_plus_1][0])
         return F, G
 
+    @cached_property
+    def closed_loop(self) -> FrameLoop:
+        """The closed-up boundary loop: built by ``build_L_loop`` on first use, then reused."""
+        return build_L_loop(self)
 
-def build_L_loop(data: TransversalBundleData, tol: Tolerances = TOL) -> FrameLoop:
+
+def build_L_loop(data: TransversalBundleData) -> FrameLoop:
     """Close the edge data into a loop with positive paths at the corners.
 
     Each corner path starts with 64 samples, linear in path time; the count
@@ -85,7 +92,7 @@ def build_L_loop(data: TransversalBundleData, tol: Tolerances = TOL) -> FrameLoo
         for i, edge in enumerate(data.edges):
             pieces.append(edge)
             F, G = data.vertex_pair(i)
-            path = positive_path(F, G, tol)
+            path = positive_path(F, G)
             pieces.append(path.sample(np.arange(1, nv) / nv))
         samples = np.concatenate(pieces, axis=0)
         try:
@@ -96,9 +103,9 @@ def build_L_loop(data: TransversalBundleData, tol: Tolerances = TOL) -> FrameLoo
     raise Undersampled("unreachable")
 
 
-def mu_top(data: TransversalBundleData, tol: Tolerances = TOL) -> int:
+def mu_top(data: TransversalBundleData) -> int:
     """Topological index: winding of the closed-up boundary loop."""
-    return maslov_loop(build_L_loop(data, tol=tol), tol)
+    return maslov_loop(data.closed_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -122,40 +129,32 @@ class QuarterModel:
     """Model bundle data on the quarter disc for one transverse corner."""
 
     frame: LagrangianFrame
-    arc_samples: int = 129
 
     @property
     def n(self) -> int:
         return self.frame.n
 
     def arc(self) -> np.ndarray:
-        return quarter_arc_path(self.frame, self.arc_samples)
+        return quarter_arc_path(self.frame)
 
 
-def quarter_model_report(
-    model: QuarterModel,
-    n_r: int = 32,
-    n_t: int = 128,
-    width: float = 0.3,
-    substeps: int = 1,
-) -> CurvatureReport:
-    """Curvature integral of the corner model on the quarter-disc mesh.
+def quarter_model_report(model: QuarterModel) -> CurvatureReport:
+    """Curvature integral of the corner model on a 32 x 128 quarter-disc mesh.
 
-    The connection makes the arc frames parallel (a collar of the arc path)
-    and is trivial near the two straight boundary axes; the integral rounds
-    to n/2 at quantum 1/2.
+    The connection makes the arc frames parallel (a collar of width 0.3 on
+    the arc path) and is trivial near the two straight boundary axes; the
+    integral rounds to n/2 at quantum 1/2.
     """
-    spec = build_arc_collar_connection(model.arc(), t_span=0.5 * np.pi, width=width)
-    m = Mesh2D("quarter_disc", n_r, n_t)
-    D = edge_transports(spec, m, substeps)
-    return chern_weil_index(D, Fraction(1, 2))
+    spec = build_arc_collar_connection(model.arc(), t_span=0.5 * np.pi)
+    m = Mesh2D("quarter_disc", _QUARTER_MESH_N_R, _QUARTER_MESH_N_T)
+    return chern_weil_index(edge_transports(spec, m), Fraction(1, 2))
 
 
-def quarter_model_index(n: int, **kw):
+def quarter_model_index(n: int):
     """Index of the rank-n quarter model: returns (Fraction(n, 2), report)."""
     if n < 1:
         raise RankMismatch("rank must be >= 1")
-    rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)), **kw)
+    rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
     if rep.rounded != Fraction(n, 2):
         raise ViolatedIdentity(
             f"quarter model integrated to {rep.raw}, expected {n}/2",
@@ -175,28 +174,23 @@ def glue_quadrants(frame: LagrangianFrame, samples_per_quadrant: int = 128) -> F
 # index formulas
 # ---------------------------------------------------------------------------
 
-def mu_cw_polygon(
-    data: TransversalBundleData,
-    verify: bool = False,
-    mesh_n_r: int = 24,
-    tol: Tolerances = TOL,
-):
+def mu_cw_polygon(data: TransversalBundleData, verify: bool = False):
     """Curvature index of the transversal pair: mu_top - (k+1) n / 2.
 
     With ``verify=True`` the value is recomputed by honest integration:
-    the closed-up loop's collar connection is integrated over the disc and
-    one quarter-disc model per vertex is integrated and subtracted, matching
-    the gluing decomposition of the boundary data.  The two routes must
-    agree within 2e-2.
+    the closed-up loop's collar connection is integrated over the disc (24
+    rings, one angular step per loop sample) and one quarter-disc model per
+    vertex is integrated and subtracted, matching the gluing decomposition
+    of the boundary data.  The two routes must agree within 2e-2.
     """
-    top = mu_top(data, tol)
+    top = mu_top(data)
     value = Fraction(top) - Fraction(data.k_plus_1 * data.n, 2)
     details = {"mu_top": top, "k_plus_1": data.k_plus_1}
     if verify:
-        loop = build_L_loop(data, tol=tol)
-        spec = build_collar_connection(loop, tol=tol)
-        m = Mesh2D("disc", mesh_n_r, len(loop))
-        disc_raw = chern_weil_index(edge_transports(spec, m), Fraction(1, 2), tol=tol).raw
+        loop = data.closed_loop
+        spec = build_collar_connection(loop)
+        m = Mesh2D("disc", _DISC_MESH_N_R, len(loop))
+        disc_raw = chern_weil_index(edge_transports(spec, m), Fraction(1, 2)).raw
         corners = 0.0
         for i in range(data.k_plus_1):
             F, _ = data.vertex_pair(i)
@@ -211,13 +205,13 @@ def mu_cw_polygon(
     return value, details
 
 
-def fredholm_index(data: TransversalBundleData, tol: Tolerances = TOL) -> int:
+def fredholm_index(data: TransversalBundleData) -> int:
     """Index of the boundary value problem from the closed formulas.
 
     Ind = mu_top + n chi - (k+1) n, cross-checked in exact rationals against
     Ind = mu_cw + n chi - (k+1) n / 2.
     """
-    top = mu_top(data, tol)
+    top = mu_top(data)
     n, kp1, chi = data.n, data.k_plus_1, data.chi
     ind_top = Fraction(top + n * chi - kp1 * n)
     mu_cw = Fraction(top) - Fraction(kp1 * n, 2)
@@ -230,16 +224,16 @@ def fredholm_index(data: TransversalBundleData, tol: Tolerances = TOL) -> int:
     return int(ind_top)
 
 
-def maslov_viterbo(data: TransversalBundleData, tol: Tolerances = TOL) -> int:
+def maslov_viterbo(data: TransversalBundleData) -> int:
     """Index of a bi-gon: mu_cw of the two-edge data, equal to the analytic index."""
     if data.k_plus_1 != 2:
         raise RankMismatch("the bi-gon index needs exactly two edges")
     if data.chi != 1:
         raise RankMismatch("the bi-gon lives on a disc (chi = 1)")
-    value, _ = mu_cw_polygon(data, tol=tol)
+    value, _ = mu_cw_polygon(data)
     if value.denominator != 1:
         raise InconsistentFormulas(f"bi-gon curvature index {value} is not an integer")
-    ind = fredholm_index(data, tol)
+    ind = fredholm_index(data)
     if int(value) != ind:
         raise InconsistentFormulas(f"bi-gon index {value} != analytic index {ind}")
     return int(value)
@@ -314,9 +308,9 @@ def polygon_from_json(obj: dict) -> TransversalBundleData:
     """``{"n", "chi"?, "edges"}``; each edge is a sample list or ``{"samples": ...}``."""
     if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
         raise MaslovCWError("a polygon file must hold a JSON object with an edge list")
-    n = int(obj["n"])
+    n = int_from_json(obj["n"], "n")
     edges = [samples_from_json(e["samples"] if isinstance(e, dict) else e, n) for e in obj["edges"]]
-    return TransversalBundleData(n, edges, int(obj.get("chi", 1)))
+    return TransversalBundleData(n, edges, int_from_json(obj.get("chi", 1), "chi"))
 
 
 def load_polygon(path: str) -> TransversalBundleData:

@@ -1,18 +1,18 @@
 """Central numerical tolerances.
 
 Every guard and invariant threshold used across the library lives in one
-frozen record so property tests can tighten them in a single place.
+frozen record, ``TOL``; each guard reads its field where it checks, and no
+call can override it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    unitary: float = 1e-10            # ||U*U - I||_F on freshly factored unitaries
     unitary_global: float = 1e-9      # drift bound for transports anywhere downstream
     symmetric: float = 1e-10          # ||M - M^T||_F on symmetric unitaries
     branch_cut: float = 1e-8          # eigenphase distance to +-pi for principal logs
@@ -24,9 +24,6 @@ class Tolerances:
     face_angle_guard: float = math.pi / 2  # per-plaquette branch guard
     frame_step_sv: float = 0.5        # min singular value in frame alignment
     skew: float = 1e-10               # skew-Hermitian defect of connection values
-
-    def tightened(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 TOL = Tolerances()

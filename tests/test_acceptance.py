@@ -138,10 +138,10 @@ def test_convergence_order_and_transport_drift():
 
 
 @pytest.mark.slow
-def test_full_verify_is_byte_deterministic():
+def test_full_verify_is_byte_deterministic(package_env):
     cmd = [sys.executable, "-m", "maslovcw.cli", "verify", "--suite", "all", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=package_env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=package_env)
     ok = a.returncode == 0 and b.returncode == 0 and a.stdout == b.stdout
     _report(
         "verify --suite all --seed 7 exits 0 with byte-identical reports across runs",

@@ -90,6 +90,16 @@ class TestDouble:
         report = json.loads(out)
         assert report["degree"] == report["index"] == 2
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [(["--generator", "power_k", "--k", "3"], 3), (["--generator", "constant", "--rank", "2"], 0)],
+    )
+    def test_generator_parameters(self, flags, expected, capsys):
+        code, out, _ = run_cli(["double"] + flags, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["degree"] == report["index"] == expected
+
 
 class TestPolygon:
     def test_bigon_file(self, tmp_path, capsys):
@@ -156,17 +166,49 @@ def _malformed_file(kind, defect):
     return {"n": 1, "cone": {"m": 2, "weights": [1]}, "boundary": {"n": 1, "samples": rows}}
 
 
+def _bigon_edges():
+    rows = [[[1.0, 0.0]]] * 8
+    return [rows, [[[0.0, 1.0]]] * 8]
+
+
+_UNIT_LOOP = {"n": 1, "samples": [[[1.0, 0.0]]] * 16}
+
+# files whose integer fields, generator params or cone data are malformed
+_BAD_FIELDS = {
+    "loop_n_list": ("maslov", {"n": [1], "samples": []}),
+    "loop_n_fraction": ("maslov", dict(_UNIT_LOOP, n=1.5)),
+    "params_list": ("maslov", {"generator": "power_k", "params": [1]}),
+    "params_N_null": ("maslov", {"generator": "power_k", "params": {"N": None}}),
+    "params_k_list": ("maslov", {"generator": "power_k", "params": {"k": [3]}}),
+    "params_frame_object": ("maslov", {"generator": "constant", "params": {"frame": {"a": 1}}}),
+    "polygon_n_list": ("polygon", {"n": [1], "edges": _bigon_edges()}),
+    "polygon_chi_null": ("polygon", {"n": 1, "chi": None, "edges": _bigon_edges()}),
+    "orbifold_n_list": ("orbifold", {"n": [1], "cone": {"m": 2, "weights": [1]}, "boundary": _UNIT_LOOP}),
+    "orbifold_m_null": ("orbifold", {"n": 1, "cone": {"m": None, "weights": [1]}, "boundary": _UNIT_LOOP}),
+    "orbifold_weight_null": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [None]}, "boundary": _UNIT_LOOP}),
+    "orbifold_weights_number": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": 1}, "boundary": _UNIT_LOOP}),
+}
+
+
+def _assert_exits_one(kind, obj, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli([kind, "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("defect", ["top_level_list"] + sorted(_BAD_SAMPLES))
     @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
     def test_exits_one_with_error(self, kind, defect, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(_malformed_file(kind, defect)))
-        code, out, err = run_cli([kind, "--input", str(path)], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        _assert_exits_one(kind, _malformed_file(kind, defect), tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+    def test_bad_fields_exit_one_with_error(self, case, tmp_path, capsys):
+        _assert_exits_one(*_BAD_FIELDS[case], tmp_path, capsys)
 
 
 class TestVerify:
@@ -198,7 +240,7 @@ class TestVerify:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self):
+    def test_byte_identical_reports(self, package_env):
         cmd = [
             sys.executable,
             "-m",
@@ -209,8 +251,8 @@ class TestDeterminism:
             "--seed",
             "7",
         ]
-        a = subprocess.run(cmd, capture_output=True, text=True)
-        b = subprocess.run(cmd, capture_output=True, text=True)
+        a = subprocess.run(cmd, capture_output=True, text=True, env=package_env)
+        b = subprocess.run(cmd, capture_output=True, text=True, env=package_env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 

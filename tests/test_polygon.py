@@ -60,6 +60,22 @@ class TestLLoop:
         loop = build_L_loop(data)
         assert loop.n == 2
 
+    def test_closed_loop_built_once_per_polygon(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return build_L_loop(data)
+
+        monkeypatch.setattr(polygon, "build_L_loop", counting)
+        data = bigon_standard(2)
+        mu_cw_polygon(data, verify=True)
+        fredholm_index(data)
+        maslov_viterbo(data)
+        assert mu_top(data) == 2
+        assert calls == [data]
+        assert np.array_equal(data.closed_loop.samples, build_L_loop(bigon_standard(2)).samples)
+
     def test_edge_sampling_density_independence(self):
         rng1 = np.random.default_rng(99)
         rng2 = np.random.default_rng(99)
@@ -155,7 +171,7 @@ class TestMaslovViterbo:
             maslov_viterbo(data)
 
     def test_fractional_curvature_index_raises(self, monkeypatch):
-        monkeypatch.setattr(polygon, "mu_cw_polygon", lambda data, tol=None: (Fraction(1, 2), {}))
+        monkeypatch.setattr(polygon, "mu_cw_polygon", lambda data: (Fraction(1, 2), {}))
         with pytest.raises(InconsistentFormulas):
             maslov_viterbo(bigon_standard(1))
 
