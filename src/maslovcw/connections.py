@@ -48,9 +48,9 @@ class ConnectionSpec:
     """Evaluator of a connection 1-form in polar coefficients.
 
     ``coeffs(r, t)`` takes flat arrays and returns (A_r, A_theta), each of
-    shape r.shape + (n, n).  ``unitary`` tags whether the values are
-    skew-Hermitian; non-unitary specs are only accepted by the norm-drift
-    pipeline.
+    shape r.shape + (n, n); A_r is None when the form has no dr part.
+    ``unitary`` tags whether the values are skew-Hermitian; non-unitary
+    specs are only accepted by the norm-drift pipeline.
     """
 
     n: int
@@ -61,12 +61,10 @@ class ConnectionSpec:
 
 
 def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None) -> ConnectionSpec:
-    """Spec with A_r = 0 and A_theta = a_theta(r, t) on float arrays."""
+    """Spec with no dr part (A_r None) and A_theta = a_theta(r, t) on float arrays."""
 
     def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.zeros(r.shape + (n, n), dtype=complex), a_theta(r, t)
+        return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
     return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop)
 
@@ -150,14 +148,20 @@ def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
     ``form`` samples the boundary 1-form over a parameter interval of length
     ``span``, read periodically (closed loop) or clamped (open path).
     ``depth`` runs from 0 at the inner edge of the collar to 1 at the rim.
+    The form is interpolated only where the cutoff is nonzero; every other
+    point gets an exact zero.
     """
     N = form.shape[0]
     rho = cutoff_profile(depth, cutoff, saturation)
+    on = rho > 0
+    x = t[on] / span
     if periodic:
-        a = _interp_periodic(form, (t / span) * N)
+        a = _interp_periodic(form, x * N)
     else:
-        a = _interp_open(form, (t / span) * (N - 1))
-    return rho[..., None, None] * a / span
+        a = _interp_open(form, x * (N - 1))
+    out = np.zeros(rho.shape + form.shape[1:], dtype=complex)
+    out[on] = rho[on][:, None, None] * a / span
+    return out
 
 
 def build_collar_connection(
@@ -229,7 +233,8 @@ def radial_gauge_transform(
     S is a constant skew-Hermitian generator and s(r) = (1 - r^2)^2, so g is
     the identity on the boundary and smooth at the origin.  The transformed
     form is A' = c s'(r) S dr + g^{-1} A g; its trace curvature integral must
-    match the original up to quadrature error.
+    match the original up to quadrature error.  A base A_r of None counts
+    as zero.
     """
     S = np.asarray(generator, dtype=complex)
     S = 0.5 * (S - S.conj().T)
@@ -245,9 +250,10 @@ def radial_gauge_transform(
         g = np.einsum("ij,...j,kj->...ik", V, ph, V.conj())
         g_inv = np.einsum("ij,...j,kj->...ik", V, 1.0 / ph, V.conj())
         Ar, At = base(r, t)
-        Ar2 = (c * s_prime)[..., None, None] * S + g_inv @ Ar @ g
-        At2 = g_inv @ At @ g
-        return Ar2, At2
+        Ar2 = (c * s_prime)[..., None, None] * S
+        if Ar is not None:
+            Ar2 = Ar2 + g_inv @ Ar @ g
+        return Ar2, g_inv @ At @ g
 
     return ConnectionSpec(
         spec.n, coeffs, tag=f"gauge({spec.tag})", unitary=spec.unitary,

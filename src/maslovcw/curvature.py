@@ -101,22 +101,25 @@ def edge_transports(
     """Integrate the connection along every edge by the midpoint rule.
 
     Each substep contributes exp(-A(midpoint)(step)); products are
-    re-unitarized when the transports are built.  Unitary specs are checked
-    for skew-Hermitian values at every sampled point; a non-unitary spec is
-    rejected unless explicitly allowed (the norm-drift demonstration does
+    re-unitarized when the transports are built.  A spec whose A_r is None
+    has no dr term.  Unitary specs are checked for skew-Hermitian values at
+    every sampled point of every coefficient they return; a non-unitary spec
+    is rejected unless explicitly allowed (the norm-drift demonstration does
     that, rank 1 only).
     """
     r_mid, t_mid, dr, dt = mesh.edge_quadrature(substeps)
     E, s = r_mid.shape
     n = spec.n
     Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
-    Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
     At = np.asarray(At, dtype=complex).reshape(E, s, n, n)
+    if Ar is not None:
+        Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
+    values = [At] if Ar is None else [Ar, At]
 
     if spec.unitary:
         skew = max(
-            float(np.max(np.abs(Ar + Ar.conj().transpose(0, 1, 3, 2)))) if Ar.size else 0.0,
-            float(np.max(np.abs(At + At.conj().transpose(0, 1, 3, 2)))) if At.size else 0.0,
+            float(np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2)))) if A.size else 0.0
+            for A in values
         )
         if skew > TOL.skew:
             raise NonUnitaryConnection(
@@ -130,7 +133,10 @@ def edge_transports(
     elif n != 1:
         raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
 
-    G = -(Ar * dr[:, :, None, None] + At * dt[:, :, None, None])
+    G = At * dt[:, :, None, None]
+    if Ar is not None:
+        G += Ar * dr[:, :, None, None]
+    np.negative(G, out=G)
     return DiscreteConnection(
         mesh=mesh,
         spec=spec,
@@ -168,24 +174,37 @@ def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
 
 @dataclass(eq=False)
 class CurvatureReport:
-    """Outcome of one curvature integration."""
+    """Outcome of one curvature integration.
+
+    The diagnostics that need transports are computed on first read:
+    ``orthogonality_defect`` chains the rim edges against ``probe`` (None
+    when there is no probe loop or no closed rim), and ``unitarity_defect``
+    chains every edge.
+    """
 
     raw: float
     rounded: Fraction
     residual: float
     quantum: Fraction
     max_face_angle: float
-    orthogonality_defect: Optional[float]
     mesh_domain: str
     n_r: int
     n_t: int
     face_angles: np.ndarray
     connection: DiscreteConnection = field(repr=False)
+    probe: Optional[FrameLoop] = field(default=None, repr=False)
 
     @property
     def unitarity_defect(self) -> float:
         """Transport drift over every edge; builds the transports on first read."""
         return self.connection.max_unitary_defect
+
+    @cached_property
+    def orthogonality_defect(self) -> Optional[float]:
+        """Frame defect of the rim transport; chains the rim edges on first read."""
+        if self.probe is None:
+            return None
+        return orthogonality_defect(self.connection, self.probe)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,7 +237,11 @@ def chern_weil_index(
 
     raw = (1/pi) sum of face angles (fixed row-major order, exact
     accumulation); rounded to the nearest multiple of ``quantum``.  Raises
-    Unrefined when any face angle reaches the pi/2 branch guard.
+    Unrefined when any face angle reaches the pi/2 branch guard.  The probe
+    loop (``loop``, else the spec's boundary loop) is checked here against
+    the rim, so a sample count not divisible by the angular resolution
+    raises Undersampled at once; the report computes its frame defect only
+    when it is read.
     """
     if not D.unitary:
         raise NonUnitaryConnection("chern_weil_index requires a unitary connection")
@@ -233,23 +256,36 @@ def chern_weil_index(
     raw = math.fsum(alpha.tolist()) / math.pi
     rounded = Fraction(round(raw / quantum)) * quantum
     residual = abs(raw - float(rounded))
-    defect = None
     probe = loop if loop is not None else D.spec.boundary_loop
     if probe is not None and D.mesh.wrap:
-        defect = orthogonality_defect(D, probe)
+        _rim_stride(D.mesh, probe)
+    else:
+        probe = None
     return CurvatureReport(
         raw=raw,
         rounded=rounded,
         residual=residual,
         quantum=quantum,
         max_face_angle=max_face,
-        orthogonality_defect=defect,
         mesh_domain=D.mesh.domain,
         n_r=D.mesh.n_r,
         n_t=D.mesh.n_t,
         face_angles=alpha,
         connection=D,
+        probe=probe,
     )
+
+
+def _rim_stride(mesh: Mesh2D, loop: FrameLoop) -> int:
+    """Loop samples per rim edge; the rim must be closed and the samples align."""
+    if not mesh.wrap:
+        raise Undersampled("boundary transport defect needs a closed rim")
+    N = len(loop)
+    if N % mesh.n_t:
+        raise Undersampled(
+            f"loop samples ({N}) must be divisible by the angular resolution ({mesh.n_t})"
+        )
+    return N // mesh.n_t
 
 
 def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
@@ -262,14 +298,8 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
     Only the rim edges are chained, and all rim SVDs run as one batch.
     """
     mesh = D.mesh
-    if not mesh.wrap:
-        raise Undersampled("boundary transport defect needs a closed rim")
+    stride = _rim_stride(mesh, loop)
     N = len(loop)
-    if N % mesh.n_t:
-        raise Undersampled(
-            f"loop samples ({N}) must be divisible by the angular resolution ({mesh.n_t})"
-        )
-    stride = N // mesh.n_t
     n = loop.n
     T = D.transports_of(mesh.boundary_angular_ids())
     P = np.empty_like(T)

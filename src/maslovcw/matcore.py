@@ -136,9 +136,8 @@ def takagi_symmetric_unitary(M: np.ndarray):
     shifted real eigh diagonalizes both at once.
     """
     M = np.asarray(M, dtype=complex)
-    limit = max(TOL.symmetric, 1e-9)
-    if symmetry_defect(M) > limit:
-        raise SingularInput(f"matrix is not symmetric within {limit:g}")
+    if symmetry_defect(M) > TOL.symmetric:
+        raise SingularInput(f"matrix is not symmetric within {TOL.symmetric:g}")
     X = 0.5 * (M.real + M.real.T)
     Y = 0.5 * (M.imag + M.imag.T)
 

@@ -187,4 +187,4 @@ class Mesh2D:
 
     def boundary_angular_ids(self) -> np.ndarray:
         """Edge ids of the outer-ring chords, in increasing angle order."""
-        return np.array([self.angular_id(self.n_r, j) for j in range(self.n_t)])
+        return self.angular_id(self.n_r, np.arange(self.n_t))

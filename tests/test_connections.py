@@ -6,6 +6,7 @@ from maslovcw.connections import (
     build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
+    collar_term,
     cutoff_profile,
     loop_boundary_form,
     open_path_form,
@@ -23,14 +24,14 @@ class TestBuiltins:
         spec = builtin_connection("example_2_7")
         r = np.array([0.0, 0.5, 1.0])
         Ar, At = spec.coeffs(r, np.zeros(3))
-        assert np.allclose(Ar, 0.0)
+        assert Ar is None
         assert np.allclose(At[:, 0, 0], -1j * r)
         assert spec.unitary
 
     def test_flat(self):
         spec = builtin_connection("flat", n=3)
         Ar, At = spec.coeffs(np.array([0.3]), np.array([1.0]))
-        assert np.allclose(Ar, 0.0) and np.allclose(At, 0.0)
+        assert Ar is None and np.allclose(At, 0.0)
 
     def test_nonunitary_counterexample_tag(self):
         spec = builtin_connection("example_4_3_nonunitary")
@@ -65,7 +66,7 @@ class TestCollar:
         spec = build_collar_connection(loop)
         r = np.linspace(0.0, 1.0, 11)
         Ar, At = spec.coeffs(r, np.linspace(0, 2 * np.pi, 11))
-        assert np.allclose(Ar, 0.0, atol=1e-12)
+        assert Ar is None
         assert np.allclose(At, 0.0, atol=1e-9)
 
     def test_boundary_form_is_skew(self, rng):
@@ -86,6 +87,20 @@ class TestCollar:
         spec = build_collar_connection(loop, width=0.3)
         _, At = spec.coeffs(np.array([0.5]), np.array([0.3]))
         assert np.allclose(At, 0.0)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_exact_zeros_off_the_support(self, periodic):
+        loop, _ = random_frame_loop(np.random.default_rng(11), 2, 64)
+        A, _ = loop_boundary_form(loop)
+        depth, t = np.meshgrid(np.linspace(-0.5, 1.0, 31), np.linspace(-1.0, 7.0, 17))
+        depth, t = depth.ravel(), t.ravel()
+        out = collar_term(A, depth, t, 2 * np.pi, periodic=periodic)
+        off = out[depth <= 0]
+        assert off.shape == (np.count_nonzero(depth <= 0), 2, 2)
+        # +0 everywhere: no lerped value was scaled by a zero cutoff
+        assert not np.any(np.signbit(off.real)) and not np.any(np.signbit(off.imag))
+        assert np.array_equal(off, np.zeros_like(off))
+        assert np.all(np.any(out[depth > 0] != 0, axis=(-2, -1)))
 
     def test_undersampled_frames_rejected(self):
         # det B is constant (guard passes at construction) but one frame is
@@ -116,7 +131,8 @@ class TestGaugeTransform:
         # boundary values unchanged: s(1) = 0
         Ar1, At1 = g.coeffs(np.array([1.0]), np.array([0.4]))
         Ar0, At0 = spec.coeffs(np.array([1.0]), np.array([0.4]))
-        assert np.allclose(Ar1, Ar0, atol=1e-14)
+        assert Ar0 is None
+        assert np.allclose(Ar1, 0.0, atol=1e-14)
         assert np.allclose(At1, At0, atol=1e-14)
 
 
@@ -147,7 +163,7 @@ def _grid(t_max):
 
 def _assert_angular(spec, r, t, expected):
     Ar, At = spec.coeffs(r, t)
-    assert np.array_equal(Ar, np.zeros_like(expected))
+    assert Ar is None
     assert np.array_equal(At, expected)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from maslovcw import _kernels
+from maslovcw import _kernels, curvature
 from maslovcw.connections import (
     ConnectionSpec,
     build_annulus_collar_connection,
@@ -22,7 +22,7 @@ from maslovcw.curvature import (
     norm_drift_demo,
     orthogonality_defect,
 )
-from maslovcw.errors import NonUnitaryConnection, Unrefined
+from maslovcw.errors import NonUnitaryConnection, Undersampled, Unrefined
 from maslovcw.loops import BundlePairSpec, generate_loop, maslov_bundle_pair, random_frame_loop
 from maslovcw.mesh import Mesh2D
 
@@ -131,9 +131,25 @@ class TestLazyTransports:
             return chain(gens)
 
         monkeypatch.setattr(_kernels, "transport_chain", recording)
-        rep = chern_weil_index(edge_transports(build_collar_connection(loop), mesh), loop=loop)
-        assert rep.orthogonality_defect is not None
+        defect_calls = []
+        defect = curvature.orthogonality_defect
+
+        def counting(D, probe):
+            defect_calls.append(probe)
+            return defect(D, probe)
+
+        monkeypatch.setattr(curvature, "orthogonality_defect", counting)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        rep = chern_weil_index(D, loop=loop)
+        # the index itself chains nothing and leaves the frame defect unread
+        assert chained == [] and defect_calls == []
+        first = rep.orthogonality_defect
+        assert defect_calls == [loop]
         assert sum(shape[0] for shape in chained) <= mesh.n_t
+        chained.clear()
+        assert rep.orthogonality_defect == first
+        assert chained == [] and len(defect_calls) == 1
+        assert first == defect(D, loop)
         # reading the drift chains every edge once
         chained.clear()
         assert rep.unitarity_defect <= 1e-9
@@ -173,6 +189,46 @@ class TestLazyTransports:
         spec = ConnectionSpec(2, coeffs, tag="real_rank2", unitary=False)
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 8, 16), allow_non_unitary=True)
+
+
+def zero_radial_twin(spec):
+    """The same form with its absent dr part returned as explicit zeros."""
+
+    def coeffs(r, t):
+        Ar, At = spec.coeffs(r, t)
+        assert Ar is None
+        return np.zeros(np.shape(r) + (spec.n, spec.n), dtype=complex), At
+
+    return ConnectionSpec(spec.n, coeffs, tag=f"zero_dr({spec.tag})",
+                          boundary_loop=spec.boundary_loop)
+
+
+class TestAbsentRadialPart:
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_none_matches_explicit_zero(self, rng, n, substeps):
+        loop, _ = random_frame_loop(rng, n, 64)
+        spec = build_collar_connection(loop)
+        twin = zero_radial_twin(spec)
+        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        S = S - S.conj().T
+        mesh = Mesh2D("disc", 8, 64)
+        pairs = [(spec, twin), (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
+        for a, b in pairs:
+            Da = edge_transports(a, mesh, substeps)
+            Db = edge_transports(b, mesh, substeps)
+            assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
+            assert np.array_equal(face_angle_array(Da), face_angle_array(Db))
+            assert np.array_equal(Da.transports, Db.transports)
+            assert Da.max_unitary_defect == Db.max_unitary_defect
+
+    def test_returned_radial_part_is_still_checked(self):
+        def coeffs(r, t):
+            Ar = np.ones(r.shape + (1, 1), dtype=complex)  # Hermitian, not skew
+            return Ar, np.zeros(r.shape + (1, 1), dtype=complex)
+
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(ConnectionSpec(1, coeffs, tag="real_dr"), Mesh2D("disc", 4, 8))
 
 
 class TestFaceHolonomy:
@@ -243,6 +299,16 @@ class TestOrthogonalityDefect:
         rep = collar_report(loop)
         assert rep.orthogonality_defect is not None
         assert rep.orthogonality_defect <= 1e-6
+
+    def test_misaligned_loop_rejected_by_the_index(self):
+        loop = generate_loop("circle_tangent", 500)
+        mesh = Mesh2D("disc", 8, 128)
+        D = edge_transports(builtin_connection("flat"), mesh)
+        with pytest.raises(Undersampled):
+            chern_weil_index(D, loop=loop)
+        # the spec's own boundary loop is the probe when none is passed
+        with pytest.raises(Undersampled):
+            chern_weil_index(edge_transports(build_collar_connection(loop), mesh))
 
     def test_flat_with_constant_loop(self):
         loop = generate_loop("constant", 128, n=2)

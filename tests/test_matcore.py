@@ -132,6 +132,15 @@ class TestTakagi:
         O, th = matcore.takagi_symmetric_unitary(M)
         assert np.linalg.norm((O * np.exp(2j * th)) @ O.T - M) <= 1e-12
 
+    def test_symmetry_guard_is_tol_symmetric(self, rng):
+        M = random_symmetric_unitary(3, rng)
+        M = 0.5 * (M + M.T)
+        matcore.takagi_symmetric_unitary(M)
+        bad = M.copy()
+        bad[0, 1] += 5e-10  # defect sqrt(2) * 5e-10: above 1e-10, below 1e-9
+        with pytest.raises(SingularInput, match="within 1e-10"):
+            matcore.takagi_symmetric_unitary(bad)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
