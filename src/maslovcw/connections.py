@@ -48,9 +48,12 @@ class ConnectionSpec:
     """Evaluator of a connection 1-form in polar coefficients.
 
     ``coeffs(r, t)`` takes flat arrays and returns (A_r, A_theta), each of
-    shape r.shape + (n, n); A_r is None when the form has no dr part.
+    shape r.shape + (n, n); A_r may be None, which counts as zero.
     ``unitary`` tags whether the values are skew-Hermitian; non-unitary
-    specs are only accepted by the norm-drift pipeline.
+    specs are only accepted by the norm-drift pipeline.  ``radial`` declares
+    whether the form has a dr part at all: a spec with ``radial=False`` must
+    return A_r None, and is then evaluated only at angular-edge points,
+    since dtheta vanishes along radial edges.
     """
 
     n: int
@@ -58,15 +61,16 @@ class ConnectionSpec:
     tag: str
     unitary: bool = True
     boundary_loop: Optional[FrameLoop] = None
+    radial: bool = True
 
 
 def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None) -> ConnectionSpec:
-    """Spec with no dr part (A_r None) and A_theta = a_theta(r, t) on float arrays."""
+    """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t)."""
 
     def coeffs(r, t):
         return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
-    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop)
+    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False)
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:

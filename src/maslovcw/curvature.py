@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels, matcore
 from .connections import ConnectionSpec
-from .errors import NonUnitaryConnection, Undersampled, Unrefined
+from .errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
 from .loops import BundlePairSpec, FrameLoop, winding
 from .mesh import Mesh2D
 from .tolerances import TOL
@@ -35,14 +35,16 @@ class DiscreteConnection:
     Holds the generator stack ``G`` (E, s, n, n) of each edge's substeps and
     ``edge_logdet``, log det of each transport accumulated from the
     generators, so the per-edge determinant phase is unwrapped exactly; the
-    index needs nothing else.  Transports are stored for the canonical edge
-    direction (outward radial, increasing angle); the reverse transport is
-    the conjugate transpose.  They are built on demand: ``transports_of``
-    chains only the edges asked for, and ``transports`` chains every edge
-    once and caches the stack, so ``max_unitary_defect`` still bounds the
-    drift over every edge whenever it is reported.  ``conjugate`` marks the
-    complex conjugate connection, whose transports are the conjugates of the
-    chained ones.
+    index needs nothing else.  For a spec without a dr part the radial rows
+    of both are exact zeros that were never evaluated.  Transports are
+    stored for the canonical edge direction (outward radial, increasing
+    angle); the reverse transport is the conjugate transpose.  They are
+    built on demand: ``transports_of`` chains only the edges asked for, and
+    ``transports`` chains every edge once and caches the stack, so
+    ``max_unitary_defect`` still bounds the drift over every edge (the
+    zero-generator radial rows chain to exact identities) whenever it is
+    reported.  ``conjugate`` marks the complex conjugate connection, whose
+    transports are the conjugates of the chained ones.
     """
 
     mesh: Mesh2D
@@ -101,16 +103,22 @@ def edge_transports(
     """Integrate the connection along every edge by the midpoint rule.
 
     Each substep contributes exp(-A(midpoint)(step)); products are
-    re-unitarized when the transports are built.  A spec whose A_r is None
-    has no dr term.  Unitary specs are checked for skew-Hermitian values at
-    every sampled point of every coefficient they return; a non-unitary spec
-    is rejected unless explicitly allowed (the norm-drift demonstration does
-    that, rank 1 only).
+    re-unitarized when the transports are built.  A spec without a dr part
+    (``spec.radial`` false) is evaluated only at the angular edges: a radial
+    edge has dtheta = 0, so its generators are exact zeros and its transport
+    the identity, and a returned A_r is rejected.  An A_r of None counts as
+    zero.  Unitary specs are checked for skew-Hermitian values at every
+    point where they are evaluated, of every coefficient they return; a NaN
+    fails the check.  A non-unitary spec is rejected unless explicitly
+    allowed (the norm-drift demonstration does that, rank 1 only).
     """
-    r_mid, t_mid, dr, dt = mesh.edge_quadrature(substeps)
+    skip = 0 if spec.radial else mesh.num_radial
+    r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
     E, s = r_mid.shape
     n = spec.n
     Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
+    if Ar is not None and not spec.radial:
+        raise MaslovCWError(f"spec {spec.tag!r} declares no dr part but returned A_r")
     At = np.asarray(At, dtype=complex).reshape(E, s, n, n)
     if Ar is not None:
         Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
@@ -121,7 +129,7 @@ def edge_transports(
             float(np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2)))) if A.size else 0.0
             for A in values
         )
-        if skew > TOL.skew:
+        if not skew <= TOL.skew:
             raise NonUnitaryConnection(
                 f"connection values have skew-Hermitian defect {skew:.3g}"
             )
@@ -133,16 +141,21 @@ def edge_transports(
     elif n != 1:
         raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
 
-    G = At * dt[:, :, None, None]
+    # rows below ``skip`` (radial edges of a dtheta form) stay exact zeros
+    G = np.zeros((mesh.num_edges, s, n, n), dtype=complex)
+    edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
+    g = G[skip:]
+    np.multiply(At, dt[:, :, None, None], out=g)
     if Ar is not None:
-        G += Ar * dr[:, :, None, None]
-    np.negative(G, out=G)
+        g += Ar * dr[:, :, None, None]
+    np.negative(g, out=g)
+    edge_logdet[skip:] = np.trace(g.sum(axis=1), axis1=-2, axis2=-1)
     return DiscreteConnection(
         mesh=mesh,
         spec=spec,
         substeps=substeps,
         G=G,
-        edge_logdet=np.trace(G.sum(axis=1), axis1=-2, axis2=-1),
+        edge_logdet=edge_logdet,
         unitary=spec.unitary,
     )
 
@@ -248,7 +261,7 @@ def chern_weil_index(
     quantum = Fraction(quantum)
     alpha = face_angle_array(D)
     max_face = float(np.max(np.abs(alpha))) if alpha.size else 0.0
-    if max_face >= TOL.face_angle_guard:
+    if not max_face < TOL.face_angle_guard:
         raise Unrefined(
             f"face angle {max_face:.3f} rad >= guard {TOL.face_angle_guard:.3f}; "
             "refine the mesh"

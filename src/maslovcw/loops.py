@@ -192,12 +192,12 @@ def aligned_frames(samples: np.ndarray):
             f"frame alignment singular value {s.min():.3f} < {TOL.frame_step_sv}"
         )
     steps = A @ Bt
-    w = np.empty_like(u)
-    w[0] = u[0]
-    O = np.eye(n)
+    # only the O(n) chain is sequential; the frames are rotated in one batch
+    O = np.empty((N, n, n))
+    O[0] = np.eye(n)
     for k in range(1, N):
-        O = steps[k - 1] @ O
-        w[k] = u[k] @ O
+        O[k] = steps[k - 1] @ O[k - 1]
+    w = u @ O
     # wrap monodromy from a 5-point extrapolation past the last sample
     if N >= 5:
         w_next = 5 * w[-1] - 10 * w[-2] + 10 * w[-3] - 5 * w[-4] + w[-5]

@@ -13,6 +13,7 @@ be assembled from per-edge data alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,60 +132,75 @@ class Mesh2D:
         edges move only in r; angular edges are straight chords subdivided in
         the plane, with exact per-substep increments of r and theta so closed
         forms integrate exactly; center angular edges (zero length) keep
-        their parametric d(theta) increment.
+        their parametric d(theta) increment.  The geometry does not depend on
+        the orientation; it is computed once per (domain, n_r, n_t, r_inner,
+        substeps), keeping the ``QUADRATURE_CACHE_SIZE`` most recently used,
+        and the arrays are read-only because every caller shares them.
         """
         s = int(substeps)
         if s < 1:
             raise ValueError("substeps must be >= 1")
-        E = self.num_edges
-        r_mid = np.empty((E, s))
-        t_mid = np.empty((E, s))
-        dr = np.zeros((E, s))
-        dt = np.zeros((E, s))
-        rv, tv = self.r_nodes, self.t_nodes
-        frac_mid = (np.arange(s) + 0.5) / s
-
-        # radial edges
-        i_idx, j_idx = np.meshgrid(np.arange(self.n_r), np.arange(self.n_tv), indexing="ij")
-        r0 = rv[i_idx.ravel()][:, None]
-        r1 = rv[i_idx.ravel() + 1][:, None]
-        theta = tv[j_idx.ravel()][:, None]
-        sl = slice(0, self.num_radial)
-        r_mid[sl] = r0 + (r1 - r0) * frac_mid[None, :]
-        t_mid[sl] = np.broadcast_to(theta, (self.num_radial, s))
-        dr[sl] = np.broadcast_to((r1 - r0) / s, (self.num_radial, s))
-
-        # angular edges
-        i_idx, j_idx = np.meshgrid(np.arange(self.n_r + 1), np.arange(self.n_t), indexing="ij")
-        ring_r = rv[i_idx.ravel()]
-        th0 = tv[j_idx.ravel()]
-        th1 = tv[j_idx.ravel() + 1]
-        sl = slice(self.num_radial, None)
-        center = ring_r <= 0.0
-        z0 = ring_r[:, None] * np.exp(1j * th0)[:, None]
-        z1 = ring_r[:, None] * np.exp(1j * th1)[:, None]
-        frac = np.arange(s + 1) / s
-        zz = z0 + (z1 - z0) * frac[None, :]
-        zm = 0.5 * (zz[:, :-1] + zz[:, 1:])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ang_dt = np.angle(zz[:, 1:] / zz[:, :-1])
-        ang_r = np.abs(zm)
-        ang_t = np.mod(np.angle(zm), 2 * np.pi) if self.wrap else np.angle(zm)
-        ang_dr = np.abs(zz[:, 1:]) - np.abs(zz[:, :-1])
-        if np.any(center):
-            # degenerate ring at r = 0: parametric theta increments
-            mid_t = th0[:, None] + (th1 - th0)[:, None] * frac_mid[None, :]
-            step_t = ((th1 - th0) / s)[:, None]
-            ang_r[center] = 0.0
-            ang_t[center] = np.broadcast_to(mid_t, ang_t.shape)[center]
-            ang_dr[center] = 0.0
-            ang_dt = np.where(center[:, None], np.broadcast_to(step_t, ang_dt.shape), ang_dt)
-        r_mid[sl] = ang_r
-        t_mid[sl] = ang_t
-        dr[sl] = ang_dr
-        dt[sl] = ang_dt
-        return r_mid, t_mid, dr, dt
+        return _edge_quadrature(self.domain, self.n_r, self.n_t, self.r_inner, s)
 
     def boundary_angular_ids(self) -> np.ndarray:
         """Edge ids of the outer-ring chords, in increasing angle order."""
         return self.angular_id(self.n_r, np.arange(self.n_t))
+
+
+# verify integrates about ten mesh shapes; cw integrates one
+QUADRATURE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
+def _edge_quadrature(domain: str, n_r: int, n_t: int, r_inner: float, s: int):
+    mesh = Mesh2D(domain, n_r, n_t, r_inner)
+    E = mesh.num_edges
+    r_mid = np.empty((E, s))
+    t_mid = np.empty((E, s))
+    dr = np.zeros((E, s))
+    dt = np.zeros((E, s))
+    rv, tv = mesh.r_nodes, mesh.t_nodes
+    frac_mid = (np.arange(s) + 0.5) / s
+
+    # radial edges
+    i_idx, j_idx = np.meshgrid(np.arange(mesh.n_r), np.arange(mesh.n_tv), indexing="ij")
+    r0 = rv[i_idx.ravel()][:, None]
+    r1 = rv[i_idx.ravel() + 1][:, None]
+    theta = tv[j_idx.ravel()][:, None]
+    sl = slice(0, mesh.num_radial)
+    r_mid[sl] = r0 + (r1 - r0) * frac_mid[None, :]
+    t_mid[sl] = np.broadcast_to(theta, (mesh.num_radial, s))
+    dr[sl] = np.broadcast_to((r1 - r0) / s, (mesh.num_radial, s))
+
+    # angular edges
+    i_idx, j_idx = np.meshgrid(np.arange(mesh.n_r + 1), np.arange(mesh.n_t), indexing="ij")
+    ring_r = rv[i_idx.ravel()]
+    th0 = tv[j_idx.ravel()]
+    th1 = tv[j_idx.ravel() + 1]
+    sl = slice(mesh.num_radial, None)
+    center = ring_r <= 0.0
+    z0 = ring_r[:, None] * np.exp(1j * th0)[:, None]
+    z1 = ring_r[:, None] * np.exp(1j * th1)[:, None]
+    frac = np.arange(s + 1) / s
+    zz = z0 + (z1 - z0) * frac[None, :]
+    zm = 0.5 * (zz[:, :-1] + zz[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ang_dt = np.angle(zz[:, 1:] / zz[:, :-1])
+    ang_r = np.abs(zm)
+    ang_t = np.mod(np.angle(zm), 2 * np.pi) if mesh.wrap else np.angle(zm)
+    ang_dr = np.abs(zz[:, 1:]) - np.abs(zz[:, :-1])
+    if np.any(center):
+        # degenerate ring at r = 0: parametric theta increments
+        mid_t = th0[:, None] + (th1 - th0)[:, None] * frac_mid[None, :]
+        step_t = ((th1 - th0) / s)[:, None]
+        ang_r[center] = 0.0
+        ang_t[center] = np.broadcast_to(mid_t, ang_t.shape)[center]
+        ang_dr[center] = 0.0
+        ang_dt = np.where(center[:, None], np.broadcast_to(step_t, ang_dt.shape), ang_dt)
+    r_mid[sl] = ang_r
+    t_mid[sl] = ang_t
+    dr[sl] = ang_dr
+    dt[sl] = ang_dt
+    for a in (r_mid, t_mid, dr, dt):
+        a.flags.writeable = False
+    return r_mid, t_mid, dr, dt

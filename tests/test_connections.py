@@ -26,16 +26,17 @@ class TestBuiltins:
         Ar, At = spec.coeffs(r, np.zeros(3))
         assert Ar is None
         assert np.allclose(At[:, 0, 0], -1j * r)
-        assert spec.unitary
+        assert spec.unitary and not spec.radial
 
     def test_flat(self):
         spec = builtin_connection("flat", n=3)
         Ar, At = spec.coeffs(np.array([0.3]), np.array([1.0]))
         assert Ar is None and np.allclose(At, 0.0)
+        assert not spec.radial
 
     def test_nonunitary_counterexample_tag(self):
         spec = builtin_connection("example_4_3_nonunitary")
-        assert not spec.unitary
+        assert not spec.unitary and not spec.radial  # replace() keeps the declaration
         _, At = spec.coeffs(np.array([0.7]), np.array([0.0]))
         assert np.allclose(At[:, 0, 0], 0.7)  # real valued, not skew
 
@@ -131,7 +132,7 @@ class TestGaugeTransform:
         # boundary values unchanged: s(1) = 0
         Ar1, At1 = g.coeffs(np.array([1.0]), np.array([0.4]))
         Ar0, At0 = spec.coeffs(np.array([1.0]), np.array([0.4]))
-        assert Ar0 is None
+        assert Ar0 is None and g.radial
         assert np.allclose(Ar1, 0.0, atol=1e-14)
         assert np.allclose(At1, At0, atol=1e-14)
 
@@ -163,7 +164,7 @@ def _grid(t_max):
 
 def _assert_angular(spec, r, t, expected):
     Ar, At = spec.coeffs(r, t)
-    assert Ar is None
+    assert Ar is None and not spec.radial
     assert np.array_equal(At, expected)
 
 

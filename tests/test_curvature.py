@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from maslovcw import _kernels, curvature
+from maslovcw import mesh as mesh_module
 from maslovcw.connections import (
     ConnectionSpec,
+    angular_spec,
     build_annulus_collar_connection,
     build_collar_connection,
     builtin_connection,
@@ -22,9 +25,9 @@ from maslovcw.curvature import (
     norm_drift_demo,
     orthogonality_defect,
 )
-from maslovcw.errors import NonUnitaryConnection, Undersampled, Unrefined
+from maslovcw.errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
 from maslovcw.loops import BundlePairSpec, generate_loop, maslov_bundle_pair, random_frame_loop
-from maslovcw.mesh import Mesh2D
+from maslovcw.mesh import DOMAINS, Mesh2D
 
 
 def collar_report(loop, n_r=24, quantum=Fraction(1), **collar_kw):
@@ -57,6 +60,29 @@ class TestMesh:
     def test_annulus_needs_inner_radius(self):
         with pytest.raises(ValueError):
             Mesh2D("annulus", 8, 16)
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_quadrature_cached_per_shape(self, domain, substeps):
+        m = Mesh2D(domain, 6, 12, 0.3 if domain == "annulus" else 0.0)
+        cached = m.edge_quadrature(substeps)
+        fresh = mesh_module._edge_quadrature.__wrapped__(
+            m.domain, m.n_r, m.n_t, m.r_inner, substeps
+        )
+        for a, b in zip(cached, fresh):
+            assert a.shape == (m.num_edges, substeps)
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        again = Mesh2D(domain, 6, 12, m.r_inner).reversed().edge_quadrature(substeps)
+        assert all(a is b for a, b in zip(again, cached))
+
+    def test_quadrature_cache_is_bounded(self):
+        size = mesh_module.QUADRATURE_CACHE_SIZE
+        for n_r in range(2, size + 6):
+            Mesh2D("disc", n_r, 4).edge_quadrature(1)
+        info = mesh_module._edge_quadrature.cache_info()
+        assert info.maxsize == size and info.currsize <= size
 
 
 class TestEdgeTransports:
@@ -192,7 +218,7 @@ class TestLazyTransports:
 
 
 def zero_radial_twin(spec):
-    """The same form with its absent dr part returned as explicit zeros."""
+    """The same form declared with a dr part, returned as explicit zeros."""
 
     def coeffs(r, t):
         Ar, At = spec.coeffs(r, t)
@@ -203,24 +229,75 @@ def zero_radial_twin(spec):
                           boundary_loop=spec.boundary_loop)
 
 
+TWIN_MESHES = (
+    Mesh2D("disc", 8, 64),
+    Mesh2D("annulus", 6, 64, r_inner=0.4),
+    Mesh2D("quarter_disc", 8, 16),
+    Mesh2D("disc", 8, 64).reversed(),
+)
+
+
+def recording_coeffs(spec, sizes):
+    """``spec`` with a coeffs that records how many points it is asked for."""
+    base = spec.coeffs
+
+    def coeffs(r, t):
+        sizes.append(np.size(r))
+        return base(r, t)
+
+    return replace(spec, coeffs=coeffs)
+
+
 class TestAbsentRadialPart:
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_none_matches_explicit_zero(self, rng, n, substeps):
+        # the angular-only path against the full path of a twin declaring dr
         loop, _ = random_frame_loop(rng, n, 64)
         spec = build_collar_connection(loop)
         twin = zero_radial_twin(spec)
+        assert not spec.radial and twin.radial
         S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         S = S - S.conj().T
-        mesh = Mesh2D("disc", 8, 64)
         pairs = [(spec, twin), (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
-        for a, b in pairs:
-            Da = edge_transports(a, mesh, substeps)
-            Db = edge_transports(b, mesh, substeps)
-            assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
-            assert np.array_equal(face_angle_array(Da), face_angle_array(Db))
-            assert np.array_equal(Da.transports, Db.transports)
-            assert Da.max_unitary_defect == Db.max_unitary_defect
+        for mesh in TWIN_MESHES:
+            for a, b in pairs:
+                Da = edge_transports(a, mesh, substeps)
+                Db = edge_transports(b, mesh, substeps)
+                assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
+                assert np.array_equal(face_angle_array(Da), face_angle_array(Db))
+                assert np.array_equal(Da.transports, Db.transports)
+                assert Da.max_unitary_defect == Db.max_unitary_defect
+            D = edge_transports(spec, mesh, substeps)
+            R = mesh.num_radial
+            assert not np.any(D.G[:R]) and not np.any(D.edge_logdet[:R])
+            assert np.array_equal(D.transports[:R], np.broadcast_to(np.eye(n), (R, n, n)))
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_angular_spec_evaluated_on_angular_edges_only(self, rng, substeps):
+        loop, _ = random_frame_loop(rng, 2, 64)
+        mesh = Mesh2D("disc", 8, 64)
+        angular, full = [], []
+        spec = recording_coeffs(build_collar_connection(loop), angular)
+        edge_transports(spec, mesh, substeps)
+        assert angular == [mesh.num_angular * substeps]
+        angular.clear()
+        gauge = recording_coeffs(radial_gauge_transform(spec, np.diag([1j, -1j])), full)
+        edge_transports(gauge, mesh, substeps)
+        assert full == angular == [mesh.num_edges * substeps]
+
+    def test_angular_spec_returning_radial_part_rejected(self):
+        def coeffs(r, t):
+            z = np.zeros(r.shape + (1, 1), dtype=complex)
+            return z, z
+
+        spec = ConnectionSpec(1, coeffs, tag="undeclared_dr", radial=False)
+        with pytest.raises(MaslovCWError):
+            edge_transports(spec, Mesh2D("disc", 4, 8))
+        # a non-unitary tag does not let it through either
+        with pytest.raises(MaslovCWError):
+            edge_transports(replace(spec, unitary=False), Mesh2D("disc", 4, 8),
+                            allow_non_unitary=True)
 
     def test_returned_radial_part_is_still_checked(self):
         def coeffs(r, t):
@@ -284,6 +361,20 @@ class TestChernWeilIndex:
         spec = ConnectionSpec(1, coeffs, tag="steep")
         with pytest.raises(Unrefined):
             chern_weil_index(edge_transports(spec, Mesh2D("disc", 16, 16)), Fraction(1))
+
+    def test_nan_form_raises_library_error(self):
+        spec = angular_spec(
+            1, lambda r, t: np.where(r > 0.9, np.nan, -1j * r)[..., None, None], "nan_rim"
+        )
+        with pytest.raises(NonUnitaryConnection):
+            chern_weil_index(edge_transports(spec, Mesh2D("disc", 16, 16)), Fraction(1))
+
+    def test_nan_face_angle_trips_the_guard(self):
+        D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 16, 16))
+        logdet = D.edge_logdet.copy()
+        logdet[-1] = complex(0.0, np.nan)
+        with pytest.raises(Unrefined):
+            chern_weil_index(replace(D, edge_logdet=logdet), Fraction(1))
 
     def test_determinism_bitwise(self, rng):
         loop, _ = random_frame_loop(rng, 2, 256)

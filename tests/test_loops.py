@@ -9,6 +9,7 @@ from maslovcw.errors import LoopNotClosed, Undersampled, ZeroSample
 from maslovcw.loops import (
     BundlePairSpec,
     FrameLoop,
+    aligned_frames,
     generate_loop,
     loop_from_json,
     loop_to_json,
@@ -151,6 +152,29 @@ class TestConstruction:
         bad = np.exp(1j * 0.7 * np.pi * t)[:, None, None]
         with pytest.raises(LoopNotClosed):
             FrameLoop.from_path(bad)
+
+
+def per_sample_alignment(u):
+    """Aligned frames with every rotation applied inside the chain loop."""
+    M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    A, _, Bt = np.linalg.svd(M)
+    steps = A @ Bt
+    w = np.empty_like(u)
+    w[0] = u[0]
+    O = np.eye(u.shape[1])
+    for k in range(1, len(u)):
+        O = steps[k - 1] @ O
+        w[k] = u[k] @ O
+    return w
+
+
+class TestAlignedFrames:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_batched_rotation_matches_per_sample_bitwise(self, rng, n):
+        loop, _ = random_frame_loop(rng, n, 256)
+        w, o_wrap = aligned_frames(loop.samples)
+        assert w.tobytes() == per_sample_alignment(loop.samples).tobytes()
+        assert np.allclose(o_wrap.T @ o_wrap, np.eye(n), atol=1e-12)
 
 
 class TestJson:
