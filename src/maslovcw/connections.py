@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnknownName
-from .loops import FrameLoop, aligned_frames
+from .loops import FrameLoop
 
 # Cutoff profiles rise 0 -> 1 on [0, sat] and plateau at 1 afterwards, so the
 # form has an exact product structure near the boundary.  Both have zero
@@ -100,9 +100,10 @@ def loop_boundary_form(loop: FrameLoop):
 
     Fourth-order centered differences on the aligned frames; the wrap
     monodromy extends the stencil across the seam.  Values are projected to
-    exact skew-Hermitian.  Returns (A values (N, n, n), aligned frames).
+    exact skew-Hermitian.  Returns (A values (N, n, n), aligned frames); the
+    frames are the loop's cached, read-only ``aligned``.
     """
-    w, o_wrap = aligned_frames(loop.samples)
+    w, o_wrap = loop.aligned
     N = len(loop)
     ext = np.concatenate([w[-2:] @ o_wrap.T, w, w[:2] @ o_wrap], axis=0)
     ws = ext.conj().transpose(0, 2, 1)

@@ -32,25 +32,29 @@ from .tolerances import TOL
 class DiscreteConnection:
     """Parallel transports of a connection along every directed mesh edge.
 
-    Holds the generator stack ``G`` (E, s, n, n) of each edge's substeps and
+    Holds the evaluated connection values ``A_theta`` and ``A_r`` (None when
+    the spec returned none), each (E', s, n, n) over the evaluated edges, and
     ``edge_logdet``, log det of each transport accumulated from the
-    generators, so the per-edge determinant phase is unwrapped exactly; the
-    index needs nothing else.  For a spec without a dr part the radial rows
-    of both are exact zeros that were never evaluated.  Transports are
-    stored for the canonical edge direction (outward radial, increasing
+    generator diagonals, so the per-edge determinant phase is unwrapped
+    exactly; the index needs nothing else.  A spec without a dr part is
+    evaluated on the angular edges only (E' = num_angular), and the radial
+    rows of ``edge_logdet`` and ``G`` are exact zeros.  The generator stack
+    ``G`` (E, s, n, n) is built from the values on first read.  Transports
+    are stored for the canonical edge direction (outward radial, increasing
     angle); the reverse transport is the conjugate transpose.  They are
     built on demand: ``transports_of`` chains only the edges asked for, and
-    ``transports`` chains every edge once and caches the stack, so
-    ``max_unitary_defect`` still bounds the drift over every edge (the
-    zero-generator radial rows chain to exact identities) whenever it is
-    reported.  ``conjugate`` marks the complex conjugate connection, whose
-    transports are the conjugates of the chained ones.
+    ``transports`` chains every edge once and caches the stack.
+    ``max_unitary_defect`` chains only the edges with a nonzero generator:
+    an all-zero generator chains to the exact identity, whose defect is 0.
+    ``conjugate`` marks the complex conjugate connection, whose transports
+    are the conjugates of the chained ones.
     """
 
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    G: np.ndarray               # (E, s, n, n)
+    A_theta: np.ndarray         # (E', s, n, n) evaluated values
+    A_r: Optional[np.ndarray]   # same shape, or None
     edge_logdet: np.ndarray     # (E,) complex
     unitary: bool
     conjugate: bool = False
@@ -58,6 +62,19 @@ class DiscreteConnection:
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep."""
+        skip = 0 if self.spec.radial else self.mesh.num_radial
+        _, _, dr, dt = (a[skip:] for a in self.mesh.edge_quadrature(self.substeps))
+        G = np.zeros((self.mesh.num_edges,) + self.A_theta.shape[1:], dtype=complex)
+        g = G[skip:]
+        np.multiply(self.A_theta, dt[:, :, None, None], out=g)
+        if self.A_r is not None:
+            g += self.A_r * dr[:, :, None, None]
+        np.negative(g, out=g)
+        return G
 
     def transports_of(self, edge_ids) -> np.ndarray:
         """Transports of the given edges; slices the full stack once it is built."""
@@ -77,11 +94,11 @@ class DiscreteConnection:
         """Largest Frobenius distance of any edge transport from the unitary group."""
         if not self.unitary:
             return float("nan")
-        return matcore.unitary_defect(self.transports)
-
-    def transport(self, edge_id: int, sign: int = +1) -> np.ndarray:
-        T = self.transports[edge_id]
-        return T if sign > 0 else T.conj().T
+        # a NaN entry is truthy, so a NaN generator is chained and reported
+        live = np.flatnonzero(self.G.any(axis=(1, 2, 3)))
+        if not live.size:
+            return 0.0
+        return matcore.unitary_defect(self.transports_of(live))
 
     def conjugated(self) -> "DiscreteConnection":
         return replace(
@@ -111,6 +128,9 @@ def edge_transports(
     point where they are evaluated, of every coefficient they return; a NaN
     fails the check.  A non-unitary spec is rejected unless explicitly
     allowed (the norm-drift demonstration does that, rank 1 only).
+    ``edge_logdet`` reads only the diagonals, in the operation order of
+    ``trace(G.sum(axis=1))``; the generator stack is left to the first read
+    of ``G``.
     """
     skip = 0 if spec.radial else mesh.num_radial
     r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
@@ -141,46 +161,69 @@ def edge_transports(
     elif n != 1:
         raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
 
-    # rows below ``skip`` (radial edges of a dtheta form) stay exact zeros
-    G = np.zeros((mesh.num_edges, s, n, n), dtype=complex)
-    edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    g = G[skip:]
-    np.multiply(At, dt[:, :, None, None], out=g)
+    diag = np.diagonal(At, axis1=-2, axis2=-1) * dt[:, :, None]
     if Ar is not None:
-        g += Ar * dr[:, :, None, None]
-    np.negative(g, out=g)
-    edge_logdet[skip:] = np.trace(g.sum(axis=1), axis1=-2, axis2=-1)
+        diag += np.diagonal(Ar, axis1=-2, axis2=-1) * dr[:, :, None]
+    np.negative(diag, out=diag)
+    # rows below ``skip`` (radial edges of a dtheta form) stay exact zeros
+    edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
+    edge_logdet[skip:] = diag.sum(axis=1).sum(axis=-1)
     return DiscreteConnection(
         mesh=mesh,
         spec=spec,
         substeps=substeps,
-        G=G,
+        A_theta=At,
+        A_r=Ar,
         edge_logdet=edge_logdet,
         unitary=spec.unitary,
     )
 
 
 def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:
-    """Ordered product of the four edge transports around one face boundary."""
+    """Ordered product of the four edge transports around one face boundary.
+
+    Only the face's own four edges are chained.
+    """
     ids, signs = D.mesh.face_edges()
-    T = np.eye(D.n, dtype=complex)
-    for e, sg in zip(ids[face_index], signs[face_index]):
-        T = D.transport(int(e), int(sg)) @ T
-    return T
+    H = np.eye(D.n, dtype=complex)
+    for T, sg in zip(D.transports_of(ids[face_index]), signs[face_index]):
+        H = (T if sg > 0 else T.conj().T) @ H
+    return H
+
+
+def _face_terms(mesh: Mesh2D, x: np.ndarray):
+    """Boundary terms (p, q, r, u) of every face, face value p + q - r - u.
+
+    Face (i, j) has boundary +radial(i, j), +angular(i+1, j), -radial(i, j+1),
+    -angular(i, j); a reversed mesh walks it backwards with flipped signs.
+    Each term is an (n_r, n_t) slice of the per-edge values ``x`` on the
+    structured grid, in row-major face order; the column after the last
+    wraps to column 0 on a closed rim.
+    """
+    rad = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)
+    ang = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
+    if mesh.wrap:
+        rad = np.concatenate([rad, rad[:, :1]], axis=1)
+    left, right = rad[:, :-1], rad[:, 1:]
+    inner, outer = ang[:-1], ang[1:]
+    if mesh.orientation > 0:
+        return left, outer, right, inner
+    return inner, right, outer, left
 
 
 def face_angle_array(D: DiscreteConnection) -> np.ndarray:
     """Arg det of every plaquette holonomy, principal branch, face order."""
-    ids, signs = D.mesh.face_edges()
-    phases = np.imag(D.edge_logdet)
-    alpha = (phases[ids] * signs).sum(axis=1)
+    p, q, r, u = _face_terms(D.mesh, np.imag(D.edge_logdet))
+    alpha = (((p + q) - r) - u).ravel()
     return (alpha + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
     """Per-face log det holonomy with principal imaginary part (any rank-1 spec)."""
-    ids, signs = D.mesh.face_edges()
-    z = (D.edge_logdet[ids] * signs).sum(axis=1)
+    p, q, r, u = _face_terms(D.mesh, D.edge_logdet)
+    # pairwise here, left to right in face_angle_array: both orders are
+    # fixed, and the reported values depend on them bitwise
+    z = ((p + q) - (r + u)).ravel()
     im = (z.imag + np.pi) % (2.0 * np.pi) - np.pi
     return z.real + 1j * im
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -103,6 +104,17 @@ class FrameLoop:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
+    @cached_property
+    def aligned(self):
+        """``aligned_frames(samples)`` as read-only arrays, computed on first read.
+
+        An Undersampled alignment is not cached: it raises on every read.
+        """
+        w, o_wrap = aligned_frames(self.samples)
+        w.flags.writeable = False
+        o_wrap.flags.writeable = False
+        return w, o_wrap
+
     def frame(self, k: int) -> LagrangianFrame:
         return LagrangianFrame(self.n, self.samples[k % len(self)])
 
@@ -119,7 +131,7 @@ class FrameLoop:
         """Insert polar midpoints between consecutive aligned frames."""
         out = self
         for _ in range(int(np.log2(factor))):
-            w, o_wrap = aligned_frames(out.samples)
+            w, o_wrap = out.aligned
             nxt = np.concatenate([w[1:], (w[0] @ o_wrap)[None]], axis=0)
             mids = matcore.unitarize_batch(0.5 * (w + nxt))
             doubled = np.empty((2 * len(out), out.n, out.n), dtype=complex)

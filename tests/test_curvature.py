@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from maslovcw import _kernels, curvature
+from maslovcw import _kernels, curvature, matcore
 from maslovcw import mesh as mesh_module
 from maslovcw.connections import (
     ConnectionSpec,
@@ -176,10 +176,16 @@ class TestLazyTransports:
         assert rep.orthogonality_defect == first
         assert chained == [] and len(defect_calls) == 1
         assert first == defect(D, loop)
-        # reading the drift chains every edge once
+        # reading the drift chains exactly the edges with a nonzero generator, once
         chained.clear()
         assert rep.unitarity_defect <= 1e-9
-        assert [shape[0] for shape in chained] == [mesh.num_edges]
+        live = np.count_nonzero(D.G.any(axis=(1, 2, 3)))
+        # the collar (width 0.3) is nonzero on the rings with r > 0.7 only
+        assert live == np.count_nonzero(mesh.r_nodes > 0.7) * mesh.n_t
+        assert [shape[0] for shape in chained] == [live]
+        chained.clear()
+        assert rep.unitarity_defect <= 1e-9
+        assert chained == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_chain_bitwise(self, rng, n):
@@ -308,6 +314,89 @@ class TestAbsentRadialPart:
             edge_transports(ConnectionSpec(1, coeffs, tag="real_dr"), Mesh2D("disc", 4, 8))
 
 
+def gather_face_sum(mesh, x):
+    """Reference face sum: gather the four boundary edges of every face by id."""
+    ids, signs = mesh.face_edges()
+    return (x[ids] * signs).sum(axis=1)
+
+
+FACE_MESHES = (
+    Mesh2D("disc", 6, 16),
+    Mesh2D("annulus", 5, 12, r_inner=0.3),
+    Mesh2D("quarter_disc", 6, 8),
+)
+
+
+def drift_meshes_and_specs(rng, n):
+    """A collar spec per domain plus the rank-n built-ins, each with its mesh."""
+    loop, _ = random_frame_loop(rng, n, 64)
+    inner, _ = random_frame_loop(rng, n, 64)
+    yield build_collar_connection(loop), Mesh2D("disc", 8, 64)
+    yield (build_annulus_collar_connection(loop, inner, r_inner=0.4, width=0.2),
+           Mesh2D("annulus", 8, 64, r_inner=0.4))
+    yield build_collar_connection(loop), Mesh2D("quarter_disc", 8, 16)
+    yield builtin_connection("flat", n=n), Mesh2D("disc", 8, 16)
+    if n == 1:
+        yield builtin_connection("example_2_7"), Mesh2D("disc", 16, 16)
+
+
+class TestTraceOnlyPath:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("mesh", FACE_MESHES, ids=lambda m: m.domain)
+    def test_face_sums_match_gather(self, rng, mesh, reverse):
+        mesh = mesh.reversed() if reverse else mesh
+        D = edge_transports(builtin_connection("flat"), mesh)
+        logdet = rng.normal(size=mesh.num_edges) + 1j * rng.uniform(-3, 3, mesh.num_edges)
+        D = replace(D, edge_logdet=logdet)
+        alpha = gather_face_sum(mesh, logdet.imag)
+        assert face_angle_array(D).tobytes() == ((alpha + np.pi) % (2 * np.pi) - np.pi).tobytes()
+        z = gather_face_sum(mesh, logdet)
+        ref = z.real + 1j * ((z.imag + np.pi) % (2 * np.pi) - np.pi)
+        assert curvature.complex_face_logsum(D).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3, 8, 9, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_edge_logdet_is_trace_of_generators(self, rng, n, substeps):
+        loop, _ = random_frame_loop(rng, n, 64)
+        spec = build_collar_connection(loop)
+        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for sp in (spec, radial_gauge_transform(spec, S - S.conj().T)):
+            D = edge_transports(sp, Mesh2D("disc", 6, 64), substeps)
+            ref = np.trace(D.G.sum(axis=1), axis1=-2, axis2=-1)
+            assert D.edge_logdet.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_drift_read_first_matches_full_chain(self, rng, n):
+        for spec, mesh in drift_meshes_and_specs(rng, n):
+            D = edge_transports(spec, mesh)
+            drift = D.max_unitary_defect
+            assert "transports" not in D.__dict__
+            T = _kernels.transport_chain(D.G)
+            assert drift == matcore.unitary_defect(T)
+
+    def test_nan_generator_is_chained(self):
+        D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 4, 8))
+        D.G[-1, 0, 0, 0] = np.nan
+        assert math.isnan(D.max_unitary_defect)
+
+    def test_index_leaves_generators_unbuilt(self, rng):
+        loop, _ = random_frame_loop(rng, 3, 128)
+        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 128))
+        rep = chern_weil_index(D, loop=loop)
+        assert rep.rounded is not None and rep.face_angles.size
+        assert "G" not in D.__dict__ and "transports" not in D.__dict__
+
+    def test_conjugated_and_reversed_keep_values(self, rng):
+        loop, _ = random_frame_loop(rng, 2, 64)
+        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 64), 2)
+        for other, T in ((D.conjugated(), D.transports.conj()),
+                         (D.on_reversed_mesh(), D.transports)):
+            assert other.A_theta is D.A_theta and other.A_r is D.A_r
+            assert "G" not in other.__dict__
+            assert np.array_equal(other.G, D.G)
+            assert np.array_equal(other.transports, T)
+
+
 class TestFaceHolonomy:
     def test_flat_identity(self):
         D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 8, 16))
@@ -324,6 +413,29 @@ class TestFaceHolonomy:
         # matches the accumulated per-edge phases
         alpha = face_angle_array(D)
         assert abs(np.angle(np.linalg.det(hol)) - alpha[f]) <= 1e-12
+
+    def test_chains_only_its_edges(self, rng, monkeypatch):
+        loop, _ = random_frame_loop(rng, 3, 64)
+        mesh = Mesh2D("disc", 8, 64)
+        D = edge_transports(build_collar_connection(loop), mesh, 2)
+        chained = []
+        chain = _kernels.transport_chain
+
+        def recording(gens):
+            chained.append(gens.shape[0])
+            return chain(gens)
+
+        monkeypatch.setattr(_kernels, "transport_chain", recording)
+        faces = (0, 7 * 64 + 5, mesh.num_faces - 1)
+        hols = [face_holonomy(D, f) for f in faces]
+        assert chained == [4, 4, 4]
+        ids, signs = mesh.face_edges()
+        for f, H in zip(faces, hols):
+            ref = np.eye(3, dtype=complex)
+            for e, sg in zip(ids[f], signs[f]):
+                T = D.transports[e]
+                ref = (T if sg > 0 else T.conj().T) @ ref
+            assert H.tobytes() == ref.tobytes()
 
     def test_products_stay_unitary(self, rng):
         loop, _ = random_frame_loop(rng, 3, 256)

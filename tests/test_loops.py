@@ -176,6 +176,40 @@ class TestAlignedFrames:
         assert w.tobytes() == per_sample_alignment(loop.samples).tobytes()
         assert np.allclose(o_wrap.T @ o_wrap, np.eye(n), atol=1e-12)
 
+    def test_loop_aligns_once(self, rng, monkeypatch):
+        from maslovcw import loops
+        from maslovcw.connections import build_collar_connection
+
+        loop, _ = random_frame_loop(rng, 3, 128)
+        calls = []
+        align = loops.aligned_frames
+
+        def counting(samples):
+            calls.append(len(samples))
+            return align(samples)
+
+        monkeypatch.setattr(loops, "aligned_frames", counting)
+        build_collar_connection(loop, width=0.2)
+        build_collar_connection(loop, width=0.5, cutoff="quintic")
+        w, o_wrap = loop.aligned
+        assert calls == [128]
+        ref_w, ref_o = align(loop.samples)
+        assert w.tobytes() == ref_w.tobytes() and o_wrap.tobytes() == ref_o.tobytes()
+        for a in (w, o_wrap):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        loop.refined(4)  # reads the cache, then aligns the doubled loop once
+        assert calls == [128, 256]
+
+    def test_undersampled_alignment_raises_on_every_read(self):
+        # diag(e^{i phi}, e^{-i phi}) with quarter turns: det B stays 1, but the
+        # real part of every step is 0, so the alignment singular value is 0
+        phi = 0.5 * np.pi * np.arange(8)
+        loop = FrameLoop(2, np.stack([np.diag([np.exp(1j * p), np.exp(-1j * p)]) for p in phi]))
+        for _ in range(2):
+            with pytest.raises(Undersampled):
+                loop.aligned
+
 
 class TestJson:
     def test_round_trip(self, rng):
