@@ -38,16 +38,20 @@ class DiscreteConnection:
     generator diagonals, so the per-edge determinant phase is unwrapped
     exactly; the index needs nothing else.  A spec without a dr part is
     evaluated on the angular edges only (E' = num_angular), and the radial
-    rows of ``edge_logdet`` and ``G`` are exact zeros.  The generator stack
-    ``G`` (E, s, n, n) is built from the values on first read.  Transports
-    are stored for the canonical edge direction (outward radial, increasing
-    angle); the reverse transport is the conjugate transpose.  They are
-    built on demand: ``transports_of`` chains only the edges asked for, and
-    ``transports`` chains every edge once and caches the stack.
-    ``max_unitary_defect`` chains only the edges with a nonzero generator:
-    an all-zero generator chains to the exact identity, whose defect is 0.
-    ``conjugate`` marks the complex conjugate connection, whose transports
-    are the conjugates of the chained ones.
+    rows of ``edge_logdet`` and ``G`` are exact zeros.  ``live`` is the
+    smallest row range of the values that holds every nonzero entry; rows
+    outside it are exact zeros in the values, so they are skipped.  The
+    generator stack ``G`` (E, s, n, n) is built from the values on first
+    read.  Transports are stored for the canonical edge direction (outward
+    radial, increasing angle); the reverse transport is the conjugate
+    transpose.  They are built on demand: ``transports_of`` chains only the
+    edges asked for, and ``transports`` chains every edge once and caches
+    the stack.  ``max_unitary_defect`` chains only the edges with a nonzero
+    generator: an all-zero generator chains to the exact identity, whose
+    defect is 0.  When every rim edge is among them, it keeps the rim's
+    transports, so a later frame defect chains no rim edge.  ``conjugate``
+    marks the complex conjugate connection, whose transports are the
+    conjugates of the chained ones.
     """
 
     mesh: Mesh2D
@@ -55,6 +59,7 @@ class DiscreteConnection:
     substeps: int
     A_theta: np.ndarray         # (E', s, n, n) evaluated values
     A_r: Optional[np.ndarray]   # same shape, or None
+    live: slice                 # rows of the values holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
     unitary: bool
     conjugate: bool = False
@@ -65,29 +70,42 @@ class DiscreteConnection:
 
     @cached_property
     def G(self) -> np.ndarray:
-        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep."""
+        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep.
+
+        Only the rows in ``live`` are multiplied; the others start as +0, so
+        the closing negation writes the -0 the full product gives there.
+        """
         skip = 0 if self.spec.radial else self.mesh.num_radial
-        _, _, dr, dt = (a[skip:] for a in self.mesh.edge_quadrature(self.substeps))
+        _, _, dr, dt = (a[skip:][self.live] for a in self.mesh.edge_quadrature(self.substeps))
         G = np.zeros((self.mesh.num_edges,) + self.A_theta.shape[1:], dtype=complex)
         g = G[skip:]
-        np.multiply(self.A_theta, dt[:, :, None, None], out=g)
+        g_live = g[self.live]
+        np.multiply(self.A_theta[self.live], dt[:, :, None, None], out=g_live)
         if self.A_r is not None:
-            g += self.A_r * dr[:, :, None, None]
+            g_live += self.A_r[self.live] * dr[:, :, None, None]
         np.negative(g, out=g)
         return G
 
+    def _chain(self, edge_ids) -> np.ndarray:
+        T = _kernels.transport_chain(self.G[edge_ids])
+        return T.conj() if self.conjugate else T
+
     def transports_of(self, edge_ids) -> np.ndarray:
-        """Transports of the given edges; slices the full stack once it is built."""
+        """Transports of the given edge ids; reuses what is already chained."""
         full = self.__dict__.get("transports")
         if full is not None:
             return full[edge_ids]
-        T = _kernels.transport_chain(self.G[edge_ids])
-        return T.conj() if self.conjugate else T
+        rim = self.__dict__.get("_rim_transports")
+        if rim is not None:
+            pos = _positions(rim[0], edge_ids)
+            if pos is not None:
+                return rim[1][pos]
+        return self._chain(edge_ids)
 
     @cached_property
     def transports(self) -> np.ndarray:
         """(E, n, n) transports of every edge, chained on first access."""
-        return self.transports_of(slice(None))
+        return self._chain(slice(None))
 
     @cached_property
     def max_unitary_defect(self) -> float:
@@ -98,7 +116,13 @@ class DiscreteConnection:
         live = np.flatnonzero(self.G.any(axis=(1, 2, 3)))
         if not live.size:
             return 0.0
-        return matcore.unitary_defect(self.transports_of(live))
+        T = self.transports_of(live)
+        rim = self.mesh.boundary_angular_ids()
+        pos = _positions(live, rim)
+        if pos is not None:
+            # kept for transports_of, so a later frame defect chains no rim edge
+            self._rim_transports = (rim, T[pos])
+        return matcore.unitary_defect(T)
 
     def conjugated(self) -> "DiscreteConnection":
         return replace(
@@ -130,7 +154,8 @@ def edge_transports(
     allowed (the norm-drift demonstration does that, rank 1 only).
     ``edge_logdet`` reads only the diagonals, in the operation order of
     ``trace(G.sum(axis=1))``; the generator stack is left to the first read
-    of ``G``.
+    of ``G``.  The check and the diagonals run on views of the live row
+    range only: an all-zero row has skew defect 0 and log det +0.
     """
     skip = 0 if spec.radial else mesh.num_radial
     r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
@@ -143,12 +168,11 @@ def edge_transports(
     if Ar is not None:
         Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
     values = [At] if Ar is None else [Ar, At]
+    live = _live_rows(values)
 
     if spec.unitary:
-        skew = max(
-            float(np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2)))) if A.size else 0.0
-            for A in values
-        )
+        # np.max, not max(): a NaN defect must propagate to the guard
+        skew = float(np.max([_skew_defect(A[live]) for A in values]))
         if not skew <= TOL.skew:
             raise NonUnitaryConnection(
                 f"connection values have skew-Hermitian defect {skew:.3g}"
@@ -161,22 +185,57 @@ def edge_transports(
     elif n != 1:
         raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
 
-    diag = np.diagonal(At, axis1=-2, axis2=-1) * dt[:, :, None]
+    diag = np.diagonal(At[live], axis1=-2, axis2=-1) * dt[live, :, None]
     if Ar is not None:
-        diag += np.diagonal(Ar, axis1=-2, axis2=-1) * dr[:, :, None]
+        diag += np.diagonal(Ar[live], axis1=-2, axis2=-1) * dr[live, :, None]
     np.negative(diag, out=diag)
-    # rows below ``skip`` (radial edges of a dtheta form) stay exact zeros
+    # radial rows of a dtheta form and rows outside ``live`` stay exact +0,
+    # which is also what the sums give on an all-zero row
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    edge_logdet[skip:] = diag.sum(axis=1).sum(axis=-1)
+    edge_logdet[skip:][live] = diag.sum(axis=1).sum(axis=-1)
     return DiscreteConnection(
         mesh=mesh,
         spec=spec,
         substeps=substeps,
         A_theta=At,
         A_r=Ar,
+        live=live,
         edge_logdet=edge_logdet,
         unitary=spec.unitary,
     )
+
+
+def _live_rows(values) -> slice:
+    """Smallest row range of the value stacks that holds every nonzero entry.
+
+    A NaN or inf counts as nonzero, a -0 as zero.  One flat ``!= 0`` mask
+    over the real and imaginary parts with a first and a last ``argmax``,
+    so no row-wise reduction runs.
+    """
+    lo, hi = len(values[0]), 0
+    for A in values:
+        if not A.size:
+            continue
+        nz = A.reshape(-1).view(float) != 0
+        first = int(nz.argmax())
+        if nz[first]:
+            per_row = nz.size // len(A)
+            lo = min(lo, first // per_row)
+            hi = max(hi, (nz.size - 1 - int(nz[::-1].argmax())) // per_row + 1)
+    return slice(lo, max(lo, hi))
+
+
+def _positions(ids: np.ndarray, wanted) -> Optional[np.ndarray]:
+    """Positions of ``wanted`` in the sorted ``ids``; None unless all are there."""
+    pos = np.searchsorted(ids, wanted)
+    if np.all(pos < ids.size) and np.array_equal(ids[pos], wanted):
+        return pos
+    return None
+
+
+def _skew_defect(A: np.ndarray) -> float:
+    """Largest |A + A^*| entry of a (rows, s, n, n) stack, 0 when it is empty."""
+    return float(np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2)))) if A.size else 0.0
 
 
 def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:

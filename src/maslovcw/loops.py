@@ -32,14 +32,14 @@ def winding_increments(zs: np.ndarray) -> np.ndarray:
 
     Raises ZeroSample on a vanishing entry and Undersampled when any
     increment reaches the guard (pi/2 by default, leaving a 2x margin
-    against aliasing).
+    against aliasing) or is NaN.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(np.abs(zs) <= 1e-15):
         raise ZeroSample("winding input touches zero")
     dphi = np.angle(np.roll(zs, -1) / zs)
     worst = float(np.max(np.abs(dphi)))
-    if worst >= TOL.winding_guard:
+    if not worst < TOL.winding_guard:
         raise Undersampled(
             f"phase step {worst:.4f} rad >= guard {TOL.winding_guard:.4f}; "
             "refine the sampling"
@@ -83,8 +83,11 @@ class FrameLoop:
         if defect > 1e-12:
             s = matcore.unitarize_batch(s)
         object.__setattr__(self, "samples", s)
+        det_b = np.linalg.det(s) ** 2
+        det_b.flags.writeable = False
+        object.__setattr__(self, "_det_b", det_b)
         # guard: det B must advance by less than pi/2 per step
-        winding_increments(self.det_b())
+        winding_increments(det_b)
 
     @classmethod
     def from_path(cls, samples: np.ndarray) -> "FrameLoop":
@@ -119,8 +122,8 @@ class FrameLoop:
         return LagrangianFrame(self.n, self.samples[k % len(self)])
 
     def det_b(self) -> np.ndarray:
-        """det(B) = det(frame)^2 at every sample."""
-        return np.linalg.det(self.samples) ** 2
+        """det(B) = det(frame)^2 at every sample, computed once (read-only)."""
+        return self._det_b
 
     def reversed(self) -> "FrameLoop":
         """Orientation reversal; keeps sample 0 as the base point."""
@@ -190,25 +193,35 @@ def aligned_frames(samples: np.ndarray):
 
     Returns (aligned samples, wrap monodromy O_w) with the continuation
     convention w(t + 1) = w(t) O_w.  The per-step orthogonal Procrustes
-    problems are solved independently and chained; a small singular value in
-    any alignment matrix means the loop is too coarsely sampled.
+    problems are solved independently and chained; a small or NaN singular
+    value in any alignment matrix means the loop is too coarsely sampled.
     """
     u = np.asarray(samples, dtype=complex)
     N, n, _ = u.shape
     if n == 0:
         raise RankMismatch("empty frames")
     M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
-    A, s, Bt = np.linalg.svd(M)
-    if float(s.min()) < TOL.frame_step_sv:
+    if n == 1:
+        # the polar factor of a 1x1 matrix is its sign, and products of +-1
+        # are exact, so this equals the SVD chain bitwise
+        s, steps = np.abs(M), np.sign(M)
+    elif np.isfinite(M).all():
+        A, s, Bt = np.linalg.svd(M)
+        steps = A @ Bt
+    else:
+        s = np.array(np.nan)  # the SVD would raise LinAlgError; the guard reports it
+    if not s.min() >= TOL.frame_step_sv:
         raise Undersampled(
             f"frame alignment singular value {s.min():.3f} < {TOL.frame_step_sv}"
         )
-    steps = A @ Bt
     # only the O(n) chain is sequential; the frames are rotated in one batch
     O = np.empty((N, n, n))
     O[0] = np.eye(n)
-    for k in range(1, N):
-        O[k] = steps[k - 1] @ O[k - 1]
+    if n == 1:
+        np.cumprod(steps, axis=0, out=O[1:])
+    else:
+        for k in range(1, N):
+            np.matmul(steps[k - 1], O[k - 1], out=O[k])
     w = u @ O
     # wrap monodromy from a 5-point extrapolation past the last sample
     if N >= 5:
@@ -216,7 +229,7 @@ def aligned_frames(samples: np.ndarray):
     else:
         w_next = w[-1]
     O_w, sv = _polar_orthogonal(np.real(w[0].conj().T @ w_next))
-    if sv < TOL.frame_step_sv:
+    if not sv >= TOL.frame_step_sv:
         raise Undersampled(f"wrap alignment singular value {sv:.3f}")
     return w, O_w
 

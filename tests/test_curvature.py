@@ -11,6 +11,7 @@ from maslovcw.connections import (
     ConnectionSpec,
     angular_spec,
     build_annulus_collar_connection,
+    build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
     radial_gauge_transform,
@@ -28,6 +29,7 @@ from maslovcw.curvature import (
 from maslovcw.errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
 from maslovcw.loops import BundlePairSpec, generate_loop, maslov_bundle_pair, random_frame_loop
 from maslovcw.mesh import DOMAINS, Mesh2D
+from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
 
 
 def collar_report(loop, n_r=24, quantum=Fraction(1), **collar_kw):
@@ -395,6 +397,164 @@ class TestTraceOnlyPath:
             assert "G" not in other.__dict__
             assert np.array_equal(other.G, D.G)
             assert np.array_equal(other.transports, T)
+
+
+def full_array_reference(D):
+    """Skew defect, edge_logdet and G by the formulas over every evaluated row."""
+    skip = 0 if D.spec.radial else D.mesh.num_radial
+    _, _, dr, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
+    values = [D.A_theta] if D.A_r is None else [D.A_r, D.A_theta]
+    skew = float(np.max([np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2))) for A in values]))
+    diag = np.diagonal(D.A_theta, axis1=-2, axis2=-1) * dt[:, :, None]
+    if D.A_r is not None:
+        diag += np.diagonal(D.A_r, axis1=-2, axis2=-1) * dr[:, :, None]
+    np.negative(diag, out=diag)
+    logdet = np.zeros(D.mesh.num_edges, dtype=complex)
+    logdet[skip:] = diag.sum(axis=1).sum(axis=-1)
+    G = np.zeros((D.mesh.num_edges,) + D.A_theta.shape[1:], dtype=complex)
+    g = G[skip:]
+    np.multiply(D.A_theta, dt[:, :, None, None], out=g)
+    if D.A_r is not None:
+        g += D.A_r * dr[:, :, None, None]
+    np.negative(g, out=g)
+    return skew, logdet, G
+
+
+def live_range_specs(rng, n):
+    """Collar, annulus, arc and orbifold specs with their meshes, plus a gauge transform."""
+    loop, _ = random_frame_loop(rng, n, 64)
+    inner, _ = random_frame_loop(rng, n, 64)
+    collar = build_collar_connection(loop)
+    yield collar, Mesh2D("disc", 12, 64)
+    yield (build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
+           Mesh2D("annulus", 14, 64, r_inner=0.3))
+    yield (build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
+           Mesh2D("quarter_disc", 12, 16))
+    weights = tuple(int(w) for w in rng.integers(0, 3, n))
+    yield invariant_connection(OrbifoldDiscSpec(n, ConePoint(3, weights), loop)), Mesh2D("disc", 12, 64)
+    S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    yield radial_gauge_transform(collar, S - S.conj().T), Mesh2D("disc", 12, 64)
+
+
+def live_range_outputs(D):
+    values = [D.A_theta] if D.A_r is None else [D.A_r, D.A_theta]
+    skew = float(np.max([curvature._skew_defect(A[D.live]) for A in values]))
+    return skew, D.edge_logdet, D.G
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_array_formulas(self, rng, n, substeps):
+        for spec, mesh in live_range_specs(rng, n):
+            D = edge_transports(spec, mesh, substeps)
+            skew, logdet, G = full_array_reference(D)
+            new_skew, new_logdet, new_G = live_range_outputs(D)
+            assert new_skew == skew
+            assert new_logdet.tobytes() == logdet.tobytes()
+            assert new_G.tobytes() == G.tobytes()
+            # every row outside the range is all zero, and both end rows are not
+            rows = np.abs(D.A_theta).reshape(len(D.A_theta), -1).max(axis=1)
+            if D.A_r is not None:
+                rows = np.maximum(rows, np.abs(D.A_r).reshape(len(D.A_r), -1).max(axis=1))
+            lo, hi = D.live.start, D.live.stop
+            assert not rows[:lo].any() and not rows[hi:].any()
+            assert rows[lo] and rows[hi - 1]
+
+    def test_collar_range_skips_the_interior(self, rng):
+        loop, _ = random_frame_loop(rng, 2, 64)
+        mesh = Mesh2D("disc", 12, 64)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        # rows are angular edges ring by ring; the width-0.3 collar lives on r > 0.7
+        first_ring = int(np.argmax(mesh.r_nodes > 0.7))
+        assert D.live == slice(first_ring * mesh.n_t, (mesh.n_r + 1) * mesh.n_t)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_all_rows_zero(self, n):
+        mesh = Mesh2D("disc", 8, 32)
+        D = edge_transports(builtin_connection("flat", n=n), mesh, 2)
+        assert D.live.start == D.live.stop
+        skew, logdet, G = full_array_reference(D)
+        new_skew, new_logdet, new_G = live_range_outputs(D)
+        assert new_skew == skew == 0.0
+        assert new_logdet.tobytes() == logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
+        assert new_G.tobytes() == G.tobytes()
+        assert D.max_unitary_defect == 0.0
+        assert chern_weil_index(D).rounded == 0
+
+    def test_all_rows_live(self):
+        # the annulus has no centre ring, where example_2_7 vanishes
+        mesh = Mesh2D("annulus", 8, 32, r_inner=0.25)
+        D = edge_transports(builtin_connection("example_2_7"), mesh, 2)
+        assert D.live == slice(0, mesh.num_angular)
+        for new, ref in zip(live_range_outputs(D), full_array_reference(D)):
+            assert np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+        disc = Mesh2D("disc", 8, 32)
+        assert edge_transports(builtin_connection("example_2_7"), disc).live == slice(
+            disc.n_t, disc.num_angular)
+
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    def test_non_skew_end_row_is_checked(self, row):
+        # a single nonzero row, Hermitian and so not skew: the range must hold it
+        mesh = Mesh2D("disc", 6, 16)
+        k = {"first": 0, "middle": mesh.num_angular // 2, "last": mesh.num_angular - 1}[row]
+        r_mid, t_mid, _, _ = (a[mesh.num_radial:] for a in mesh.edge_quadrature(1))
+        r0, t0 = r_mid[k, 0], t_mid[k, 0]
+
+        def a_theta(r, t):
+            hit = (r == r0) & (t == t0)
+            return np.where(hit, 1.0 + 0j, 0j)[..., None, None]
+
+        spec = angular_spec(1, a_theta, f"hermitian_{row}")
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(spec, mesh)
+
+    def test_nan_theta_part_caught_beside_a_radial_part(self):
+        # a zero A_r first and a NaN A_theta second: max() would drop the NaN
+        def coeffs(r, t):
+            Ar = np.zeros(r.shape + (1, 1), dtype=complex)
+            At = np.where(r > 0.9, np.nan, -1j * r)[..., None, None].astype(complex)
+            return Ar, At
+
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(ConnectionSpec(1, coeffs, tag="nan_theta"), Mesh2D("disc", 16, 16))
+
+    def test_rim_read_after_drift_chains_nothing(self, rng, monkeypatch):
+        loop, _ = random_frame_loop(rng, 3, 128)
+        spec = build_collar_connection(loop)
+        mesh = Mesh2D("disc", 12, 128)
+        fresh = edge_transports(spec, mesh)
+        expected = orthogonality_defect(fresh, loop)
+        expected_conj = orthogonality_defect(fresh.conjugated(), loop)
+        # an interior edge, where the collar vanishes, and the last rim edge
+        ids = np.array([mesh.num_radial, mesh.num_edges - 1])
+        expected_T = fresh.conjugated().transports_of(ids)
+        chained = []
+        chain = _kernels.transport_chain
+
+        def recording(gens):
+            chained.append(gens.shape[0])
+            return chain(gens)
+
+        monkeypatch.setattr(_kernels, "transport_chain", recording)
+        for D, ref in ((edge_transports(spec, mesh), expected),
+                       (edge_transports(spec, mesh).conjugated(), expected_conj)):
+            chained.clear()
+            rep = chern_weil_index(D, loop=loop)
+            assert rep.unitarity_defect <= 1e-9
+            assert len(chained) == 1
+            assert rep.orthogonality_defect == ref
+            assert len(chained) == 1
+        # ids not all among the drift's edges are chained
+        assert ids[0] not in np.flatnonzero(D.G.any(axis=(1, 2, 3)))
+        assert D.transports_of(ids).tobytes() == expected_T.tobytes()
+        assert chained[1:] == [2]
+        # rim edges that the drift did not chain (a flat connection has none) are chained
+        flat = edge_transports(builtin_connection("flat", n=3), mesh)
+        chained.clear()
+        assert flat.max_unitary_defect == 0.0
+        orthogonality_defect(flat, generate_loop("constant", N=128, n=3))
+        assert chained == [mesh.n_t]
 
 
 class TestFaceHolonomy:

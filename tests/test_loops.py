@@ -20,6 +20,7 @@ from maslovcw.loops import (
     samples_from_json,
     winding,
     winding_detail,
+    winding_increments,
 )
 
 
@@ -41,6 +42,14 @@ class TestWinding:
     def test_zero_sample(self):
         with pytest.raises(ZeroSample):
             winding(np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_trips_the_guard(self):
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        z[5] = complex(np.nan, 0.0)
+        for f in (winding_increments, winding):
+            with pytest.raises(Undersampled):
+                f(z)
 
     def test_residual_small_for_closed_loops(self, rng):
         z = np.exp(2j * np.pi * 3 * np.arange(256) / 256) * rng.uniform(0.5, 2.0, 256)
@@ -144,6 +153,25 @@ class TestConstruction:
         with pytest.raises(Undersampled):
             FrameLoop(1, np.exp(1j * np.pi * 5 * t)[:, None, None])
 
+    def test_det_b_computed_once_and_read_only(self, rng, monkeypatch):
+        u = random_frame_loop(rng, 3, 64)[0].samples
+        calls = []
+        det = np.linalg.det
+
+        def counting(a):
+            calls.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        loop = FrameLoop(3, u)
+        assert calls == [(64, 3, 3)]
+        d = loop.det_b()
+        assert maslov_loop(loop) == maslov_loop(loop)
+        assert loop.det_b() is d and len(calls) == 1
+        assert d.tobytes() == (det(loop.samples) ** 2).tobytes()
+        with pytest.raises(ValueError):
+            d[0] = 1.0
+
     def test_from_path_closure(self):
         t = np.linspace(0.0, 1.0, 65)
         good = np.exp(1j * np.pi * t)[:, None, None]  # ends at -1 ~ +1 mod O(1)
@@ -175,6 +203,22 @@ class TestAlignedFrames:
         w, o_wrap = aligned_frames(loop.samples)
         assert w.tobytes() == per_sample_alignment(loop.samples).tobytes()
         assert np.allclose(o_wrap.T @ o_wrap, np.eye(n), atol=1e-12)
+
+    def test_rank_one_matches_svd_chain_bitwise(self, rng):
+        # random +-1 gauge flips make the step signs negative as well as positive
+        for k in (0, 1, -3):
+            u = generate_loop("power_k", N=128, k=k).samples
+            u = u * rng.choice([-1.0, 1.0], size=(128, 1, 1))
+            w, o_wrap = aligned_frames(u)
+            assert w.tobytes() == per_sample_alignment(u).tobytes()
+            assert abs(o_wrap[0, 0]) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_nan_sample_is_undersampled(self, rng, n):
+        u = random_frame_loop(rng, n, 64)[0].samples.copy()
+        u[10, 0, 0] = np.nan
+        with pytest.raises(Undersampled):
+            aligned_frames(u)
 
     def test_loop_aligns_once(self, rng, monkeypatch):
         from maslovcw import loops
