@@ -3,7 +3,8 @@
 JSON reports go to stdout, human diagnostics to stderr.  Exit codes: 0 on
 success, 1 on input or usage errors, 2 when an identity check fails.  Every
 report embeds the fully resolved run configuration, and runs with the same
-seed and thread count are byte-identical.
+seed are byte-identical.  ``--threads`` is recorded in that configuration
+but changes nothing.
 """
 
 from __future__ import annotations

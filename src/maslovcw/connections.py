@@ -15,8 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnknownName
+from . import matcore
+from .errors import NonUnitaryConnection, UnknownName
 from .loops import FrameLoop
+from .tolerances import TOL
 
 # Cutoff profiles rise 0 -> 1 on [0, sat] and plateau at 1 afterwards, so the
 # form has an exact product structure near the boundary.  Both have zero
@@ -53,7 +55,12 @@ class ConnectionSpec:
     specs are only accepted by the norm-drift pipeline.  ``radial`` declares
     whether the form has a dr part at all: a spec with ``radial=False`` must
     return A_r None, and is then evaluated only at angular-edge points,
-    since dtheta vanishes along radial edges.
+    since dtheta vanishes along radial edges.  ``diagonal``, when given
+    (only with ``radial=False``), returns the diagonals of A_theta, shape
+    r.shape + (n,), equal to those of ``coeffs`` value for value; the index
+    path then evaluates only them, and ``coeffs`` runs only when the full
+    values are read.  A spec that gives it vouches that the off-diagonals
+    it leaves out are skew-Hermitian.
     """
 
     n: int
@@ -62,15 +69,58 @@ class ConnectionSpec:
     unitary: bool = True
     boundary_loop: Optional[FrameLoop] = None
     radial: bool = True
+    diagonal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.diagonal is not None and self.radial:
+            raise ValueError("a diagonal evaluator needs a spec without a dr part")
 
 
-def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None) -> ConnectionSpec:
-    """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t)."""
+def _as_float(r, t):
+    return np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+
+
+def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None,
+                 a_diag: Optional[Callable] = None) -> ConnectionSpec:
+    """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t).
+
+    ``a_diag(r, t)``, if given, is the diagonal evaluator: the diagonals of
+    a_theta(r, t).
+    """
 
     def coeffs(r, t):
-        return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        return None, a_theta(*_as_float(r, t))
 
-    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False)
+    def diagonal(r, t):
+        return a_diag(*_as_float(r, t))
+
+    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False,
+                          diagonal=None if a_diag is None else diagonal)
+
+
+def collar_spec(term: Callable, forms: tuple, tag: str, boundary_loop=None) -> ConnectionSpec:
+    """Angular spec with A_theta = term(*forms, r, t) and a diagonal evaluator.
+
+    ``forms`` are skew-Hermitian samples (N, n, n) or matrices (n, n);
+    ``term`` may only interpolate, scale and add them with real weights, and
+    it must work for any trailing shape, since the diagonal evaluator is
+    term(*diagonals of forms, r, t).  The forms are checked here, NaN-safe,
+    against ``TOL.skew``.  Real-weighted sums of exactly skew values stay
+    exactly skew (subtraction is antisymmetric and conj exact), so the
+    off-diagonals that the diagonal evaluator leaves out need no check later.
+    """
+    for F in forms:
+        skew = matcore.skew_defect(F)
+        if not skew <= TOL.skew:
+            raise NonUnitaryConnection(f"boundary form has skew-Hermitian defect {skew:.3g}")
+    diagonals = tuple(np.diagonal(F, axis1=-2, axis2=-1).copy() for F in forms)
+    return angular_spec(
+        forms[0].shape[-1],
+        lambda r, t: term(*forms, r, t),
+        tag,
+        boundary_loop,
+        a_diag=lambda r, t: term(*diagonals, r, t),
+    )
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
@@ -129,12 +179,17 @@ def open_path_form(samples: np.ndarray):
     return 0.5 * (A - A.conj().transpose(0, 2, 1))
 
 
+def _trailing(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``v`` with one unit axis per trailing axis of the samples ``A``."""
+    return v.reshape(v.shape + (1,) * (A.ndim - 1))
+
+
 def _interp_periodic(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Linear interpolation of samples A_k at fractional index x (mod N)."""
     N = A.shape[0]
     x = np.mod(x, N)
     i0 = np.floor(x).astype(int) % N
-    fr = (x - np.floor(x))[..., None, None]
+    fr = _trailing(x - np.floor(x), A)
     return (1.0 - fr) * A[i0] + fr * A[(i0 + 1) % N]
 
 
@@ -142,7 +197,7 @@ def _interp_open(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     N = A.shape[0]
     x = np.clip(x, 0.0, N - 1.0)
     i0 = np.minimum(np.floor(x).astype(int), N - 2)
-    fr = (x - i0)[..., None, None]
+    fr = _trailing(x - i0, A)
     return (1.0 - fr) * A[i0] + fr * A[i0 + 1]
 
 
@@ -151,7 +206,9 @@ def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
     """rho(depth) A(t / span) / span: a boundary form carried inward by a cutoff.
 
     ``form`` samples the boundary 1-form over a parameter interval of length
-    ``span``, read periodically (closed loop) or clamped (open path).
+    ``span``, read periodically (closed loop) or clamped (open path); each
+    sample may have any shape, such as (n, n) values or their (n,)
+    diagonals, and the same elementwise operations run on either.
     ``depth`` runs from 0 at the inner edge of the collar to 1 at the rim.
     The form is interpolated only where the cutoff is nonzero; every other
     point gets an exact zero.
@@ -165,7 +222,7 @@ def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
     else:
         a = _interp_open(form, x * (N - 1))
     out = np.zeros(rho.shape + form.shape[1:], dtype=complex)
-    out[on] = rho[on][:, None, None] * a / span
+    out[on] = _trailing(rho[on], form) * a / span
     return out
 
 
@@ -183,26 +240,23 @@ def build_collar_connection(
     """
     if not (0.0 < width < 1.0):
         raise ValueError("collar width must lie in (0, 1)")
-    A, _ = loop_boundary_form(loop)
 
-    def a_theta(r, t):
+    def term(A, r, t):
         depth = (r - (1.0 - width)) / width
         return collar_term(A, depth, t, 2.0 * np.pi, cutoff=cutoff, saturation=saturation)
 
-    return angular_spec(loop.n, a_theta, f"collar(w={width},{cutoff})", loop)
+    return collar_spec(term, (loop_boundary_form(loop)[0],), f"collar(w={width},{cutoff})", loop)
 
 
 def build_arc_collar_connection(
     path: np.ndarray, t_span: float, width: float = 0.3
 ) -> ConnectionSpec:
     """Collar of an open frame path over an arc of angular span ``t_span``."""
-    path = np.asarray(path, dtype=complex)
-    A = open_path_form(path)
 
-    def a_theta(r, t):
+    def term(A, r, t):
         return collar_term(A, (r - (1.0 - width)) / width, t, t_span, periodic=False)
 
-    return angular_spec(path.shape[1], a_theta, f"arc_collar(w={width})")
+    return collar_spec(term, (open_path_form(path),), f"arc_collar(w={width})")
 
 
 def build_annulus_collar_connection(
@@ -220,14 +274,13 @@ def build_annulus_collar_connection(
         raise ValueError("rank mismatch between the two rims")
     if not (0 < width <= 0.5 * (1.0 - r_inner)):
         raise ValueError("collar width exceeds half the annulus thickness")
-    A_out, _ = loop_boundary_form(outer)
-    A_in, _ = loop_boundary_form(inner)
 
-    def a_theta(r, t):
+    def term(A_out, A_in, r, t):
         rim = collar_term(A_out, (r - (1.0 - width)) / width, t, 2 * np.pi)
         return rim - collar_term(A_in, ((r_inner + width) - r) / width, -t, 2 * np.pi)
 
-    return angular_spec(outer.n, a_theta, f"annulus_collar(w={width})", outer)
+    forms = (loop_boundary_form(outer)[0], loop_boundary_form(inner)[0])
+    return collar_spec(term, forms, f"annulus_collar(w={width})", outer)
 
 
 def radial_gauge_transform(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,61 +28,78 @@ from .mesh import Mesh2D
 from .tolerances import TOL
 
 
+class ConnectionValues(NamedTuple):
+    """Full values of a spec over its evaluated edges, already skew-checked."""
+
+    A_theta: np.ndarray         # (E', s, n, n)
+    A_r: Optional[np.ndarray]   # same shape, or None
+    live: slice                 # rows holding every nonzero entry
+
+
 @dataclass(eq=False)
 class DiscreteConnection:
     """Parallel transports of a connection along every directed mesh edge.
 
-    Holds the evaluated connection values ``A_theta`` and ``A_r`` (None when
-    the spec returned none), each (E', s, n, n) over the evaluated edges, and
-    ``edge_logdet``, log det of each transport accumulated from the
-    generator diagonals, so the per-edge determinant phase is unwrapped
-    exactly; the index needs nothing else.  A spec without a dr part is
-    evaluated on the angular edges only (E' = num_angular), and the radial
-    rows of ``edge_logdet`` and ``G`` are exact zeros.  ``live`` is the
-    smallest row range of the values that holds every nonzero entry; rows
-    outside it are exact zeros in the values, so they are skipped.  The
-    generator stack ``G`` (E, s, n, n) is built from the values on first
-    read.  Transports are stored for the canonical edge direction (outward
-    radial, increasing angle); the reverse transport is the conjugate
-    transpose.  They are built on demand: ``transports_of`` chains only the
-    edges asked for, and ``transports`` chains every edge once and caches
-    the stack.  ``max_unitary_defect`` chains only the edges with a nonzero
-    generator: an all-zero generator chains to the exact identity, whose
-    defect is 0.  When every rim edge is among them, it keeps the rim's
-    transports, so a later frame defect chains no rim edge.  ``conjugate``
-    marks the complex conjugate connection, whose transports are the
-    conjugates of the chained ones.
+    Holds ``edge_logdet``, log det of each transport accumulated from the
+    diagonals of the connection values, so the per-edge determinant phase
+    is unwrapped exactly; the index needs nothing else.  A spec without a dr
+    part is evaluated on the angular edges only (E' = num_angular), and the
+    radial rows of ``edge_logdet`` and ``G`` are exact zeros.  ``live`` is
+    the smallest row range of the evaluated diagonals that holds every
+    nonzero entry; rows outside it are exact zeros, so they are skipped.
+    ``values`` holds the full (E', s, n, n) values: evaluated at
+    construction for a spec without a diagonal evaluator, and on the first
+    read of ``G`` (through ``full_values``, with its own skew check and live
+    range) for a spec with one.  The generator stack ``G`` (E, s, n, n) is
+    built from them on first read; only the transports, the drift and the
+    frame defect read it.  Transports are stored for the canonical edge
+    direction (outward radial, increasing angle); the reverse transport is
+    the conjugate transpose.  They are built on demand: ``transports_of``
+    chains only the edges asked for, and ``transports`` chains every edge
+    once and caches the stack.  ``max_unitary_defect`` chains only the
+    edges with a nonzero generator: an all-zero generator chains to the
+    exact identity, whose defect is 0.  When every rim edge is among them,
+    it keeps the rim's transports, so a later frame defect chains no rim
+    edge.  ``conjugate`` marks the complex conjugate connection, whose
+    transports are the conjugates of the chained ones.
     """
 
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    A_theta: np.ndarray         # (E', s, n, n) evaluated values
-    A_r: Optional[np.ndarray]   # same shape, or None
-    live: slice                 # rows of the values holding every nonzero entry
+    live: slice                 # rows of the evaluated diagonals holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
     unitary: bool
+    values: Optional[ConnectionValues] = field(default=None, repr=False)
     conjugate: bool = False
 
     @property
     def n(self) -> int:
         return self.spec.n
 
+    def full_values(self) -> ConnectionValues:
+        """The full values; evaluated and skew-checked on the first call if not held."""
+        if self.values is None:
+            self.values = _evaluate(self.spec, self.mesh, self.substeps)
+        return self.values
+
     @cached_property
     def G(self) -> np.ndarray:
         """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep.
 
-        Only the rows in ``live`` are multiplied; the others start as +0, so
-        the closing negation writes the -0 the full product gives there.
+        Only the rows in the values' ``live`` are multiplied; the others
+        start as +0, so the closing negation writes the -0 the full product
+        gives there.
         """
+        A_theta, A_r, live = self.full_values()
         skip = 0 if self.spec.radial else self.mesh.num_radial
-        _, _, dr, dt = (a[skip:][self.live] for a in self.mesh.edge_quadrature(self.substeps))
-        G = np.zeros((self.mesh.num_edges,) + self.A_theta.shape[1:], dtype=complex)
+        _, _, dr, dt = (a[skip:][live] for a in self.mesh.edge_quadrature(self.substeps))
+        G = np.zeros((self.mesh.num_edges,) + A_theta.shape[1:], dtype=complex)
         g = G[skip:]
-        g_live = g[self.live]
-        np.multiply(self.A_theta[self.live], dt[:, :, None, None], out=g_live)
-        if self.A_r is not None:
-            g_live += self.A_r[self.live] * dr[:, :, None, None]
+        g_live = g[live]
+        np.multiply(A_theta[live], dt[:, :, None, None], out=g_live)
+        if A_r is not None:
+            g_live += A_r[live] * dr[:, :, None, None]
         np.negative(g, out=g)
         return G
 
@@ -148,46 +165,47 @@ def edge_transports(
     (``spec.radial`` false) is evaluated only at the angular edges: a radial
     edge has dtheta = 0, so its generators are exact zeros and its transport
     the identity, and a returned A_r is rejected.  An A_r of None counts as
-    zero.  Unitary specs are checked for skew-Hermitian values at every
-    point where they are evaluated, of every coefficient they return; a NaN
-    fails the check.  A non-unitary spec is rejected unless explicitly
-    allowed (the norm-drift demonstration does that, rank 1 only).
-    ``edge_logdet`` reads only the diagonals, in the operation order of
-    ``trace(G.sum(axis=1))``; the generator stack is left to the first read
-    of ``G``.  The check and the diagonals run on views of the live row
-    range only: an all-zero row has skew defect 0 and log det +0.
+    zero.  A non-unitary spec is rejected unless explicitly allowed (the
+    norm-drift demonstration does that, rank 1 only).
+
+    One reducer runs on the (E', s, n) diagonals of the values.  A spec with
+    a diagonal evaluator is evaluated for the diagonals only, and a unitary
+    one is checked for skew-Hermitian diagonals (its builder vouches for the
+    off-diagonals); any other spec is evaluated in full, and a unitary one
+    is checked for skew-Hermitian values of every coefficient it returns.
+    A NaN fails either check.  ``edge_logdet`` is computed in the operation
+    order of ``trace(G.sum(axis=1))``; the generator stack is left to the
+    first read of ``G``.  The check and the diagonals run on views of the
+    live row range only: an all-zero row has skew defect 0 and log det +0.
     """
+    if not spec.unitary:
+        if not allow_non_unitary:
+            raise NonUnitaryConnection(
+                f"spec {spec.tag!r} is tagged non-unitary; only the norm-drift "
+                "pipeline accepts it"
+            )
+        if spec.n != 1:
+            raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
     skip = 0 if spec.radial else mesh.num_radial
     r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
-    E, s = r_mid.shape
-    n = spec.n
-    Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
-    if Ar is not None and not spec.radial:
-        raise MaslovCWError(f"spec {spec.tag!r} declares no dr part but returned A_r")
-    At = np.asarray(At, dtype=complex).reshape(E, s, n, n)
-    if Ar is not None:
-        Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
-    values = [At] if Ar is None else [Ar, At]
-    live = _live_rows(values)
+    values = None
+    if spec.diagonal is None:
+        values = _evaluate(spec, mesh, substeps)
+        A_theta, A_r, live = values
+        d_theta = np.diagonal(A_theta[live], axis1=-2, axis2=-1)
+        d_r = None if A_r is None else np.diagonal(A_r[live], axis1=-2, axis2=-1)
+    else:
+        E, s = r_mid.shape
+        d = np.asarray(spec.diagonal(r_mid.ravel(), t_mid.ravel()), dtype=complex)
+        d = d.reshape(E, s, spec.n)
+        live = _live_rows([d])
+        if spec.unitary:
+            _check_skew(matcore.diagonal_skew_defect(d[live]))
+        d_theta, d_r = d[live], None
 
-    if spec.unitary:
-        # np.max, not max(): a NaN defect must propagate to the guard
-        skew = float(np.max([_skew_defect(A[live]) for A in values]))
-        if not skew <= TOL.skew:
-            raise NonUnitaryConnection(
-                f"connection values have skew-Hermitian defect {skew:.3g}"
-            )
-    elif not allow_non_unitary:
-        raise NonUnitaryConnection(
-            f"spec {spec.tag!r} is tagged non-unitary; only the norm-drift "
-            "pipeline accepts it"
-        )
-    elif n != 1:
-        raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
-
-    diag = np.diagonal(At[live], axis1=-2, axis2=-1) * dt[live, :, None]
-    if Ar is not None:
-        diag += np.diagonal(Ar[live], axis1=-2, axis2=-1) * dr[live, :, None]
+    diag = d_theta * dt[live, :, None]
+    if d_r is not None:
+        diag += d_r * dr[live, :, None]
     np.negative(diag, out=diag)
     # radial rows of a dtheta form and rows outside ``live`` stay exact +0,
     # which is also what the sums give on an all-zero row
@@ -197,12 +215,39 @@ def edge_transports(
         mesh=mesh,
         spec=spec,
         substeps=substeps,
-        A_theta=At,
-        A_r=Ar,
         live=live,
         edge_logdet=edge_logdet,
         unitary=spec.unitary,
+        values=values,
     )
+
+
+def _evaluate(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> ConnectionValues:
+    """Full values of ``spec`` over its evaluated edges, with their live range.
+
+    A unitary spec's values are checked skew-Hermitian over that range.
+    """
+    skip = 0 if spec.radial else mesh.num_radial
+    r_mid, t_mid, _, _ = (a[skip:] for a in mesh.edge_quadrature(substeps))
+    E, s = r_mid.shape
+    n = spec.n
+    Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
+    if Ar is not None and not spec.radial:
+        raise MaslovCWError(f"spec {spec.tag!r} declares no dr part but returned A_r")
+    At = np.asarray(At, dtype=complex).reshape(E, s, n, n)
+    if Ar is not None:
+        Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
+    live = _live_rows([At] if Ar is None else [Ar, At])
+    if spec.unitary:
+        # np.max, not max(): a NaN defect must propagate to the guard
+        _check_skew(float(np.max([matcore.skew_defect(A[live])
+                                  for A in (Ar, At) if A is not None])))
+    return ConnectionValues(At, Ar, live)
+
+
+def _check_skew(skew: float) -> None:
+    if not skew <= TOL.skew:
+        raise NonUnitaryConnection(f"connection values have skew-Hermitian defect {skew:.3g}")
 
 
 def _live_rows(values) -> slice:
@@ -231,11 +276,6 @@ def _positions(ids: np.ndarray, wanted) -> Optional[np.ndarray]:
     if np.all(pos < ids.size) and np.array_equal(ids[pos], wanted):
         return pos
     return None
-
-
-def _skew_defect(A: np.ndarray) -> float:
-    """Largest |A + A^*| entry of a (rows, s, n, n) stack, 0 when it is empty."""
-    return float(np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2)))) if A.size else 0.0
 
 
 def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:

@@ -37,7 +37,9 @@ def winding_increments(zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(np.abs(zs) <= 1e-15):
         raise ZeroSample("winding input touches zero")
-    dphi = np.angle(np.roll(zs, -1) / zs)
+    # a NaN sample is reported by the guard below, not by a numpy warning
+    with np.errstate(invalid="ignore"):
+        dphi = np.angle(np.roll(zs, -1) / zs)
     worst = float(np.max(np.abs(dphi)))
     if not worst < TOL.winding_guard:
         raise Undersampled(

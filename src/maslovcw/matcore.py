@@ -38,6 +38,33 @@ def unitary_defect(U: np.ndarray) -> float:
     )
 
 
+def skew_defect(A: np.ndarray) -> float:
+    """Largest |A + A^*| entry of a stack (..., n, n), 0 when it is empty.
+
+    NaN-safe: a NaN entry gives NaN, so a guard written
+    ``not defect <= tol`` trips on it.  Rank 1 is a diagonal stack.
+    """
+    if A.shape[-1] == 1:
+        return diagonal_skew_defect(A)
+    if not A.size:
+        return 0.0
+    return float(np.max(np.abs(A + np.swapaxes(A, -1, -2).conj())))
+
+
+def diagonal_skew_defect(d: np.ndarray) -> float:
+    """Largest |a + conj a| over the diagonal entries ``d``, 0 when empty.
+
+    That is 2 max|Re a|, equal for finite input and without complex
+    temporaries.  An imaginary part that is not finite makes a + conj a NaN,
+    so it gives NaN here too; a non-finite real part shows in the maximum.
+    """
+    if not d.size:
+        return 0.0
+    if not np.isfinite(d.imag).all():
+        return float("nan")
+    return 2.0 * float(np.max(np.abs(d.real)))
+
+
 def symmetry_defect(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - M.T))
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .connections import (
-    ConnectionSpec, angular_spec, collar_term, cutoff_profile, loop_boundary_form,
+    ConnectionSpec, collar_spec, collar_term, cutoff_profile, loop_boundary_form,
 )
 from .curvature import chern_weil_index, edge_transports
 from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
@@ -155,15 +155,15 @@ def invariant_connection(spec: OrbifoldDiscSpec) -> ConnectionSpec:
     for r <= 0.1 and falls by a cubic ramp to 0 at r = 0.4, so the cone term
     is disjoint from the collar support.
     """
-    A_bdry, _ = loop_boundary_form(spec.boundary)
     D = 1j * np.diag(np.array(spec.cone.weights, dtype=float) / spec.cone.order)
 
-    def a_theta(r, t):
+    def term(A_bdry, cone, r, t):
         collar = collar_term(A_bdry, (r - (1.0 - _COLLAR_WIDTH)) / _COLLAR_WIDTH, t, 2 * np.pi)
         eta = 1.0 - cutoff_profile((r - 0.1) / 0.3, "cubic", 1.0)
-        return collar + eta[..., None, None] * D
+        return collar + eta.reshape(eta.shape + (1,) * cone.ndim) * cone
 
-    return angular_spec(spec.n, a_theta, f"cone(m={spec.cone.order})+collar", spec.boundary)
+    forms = (loop_boundary_form(spec.boundary)[0], D)
+    return collar_spec(term, forms, f"cone(m={spec.cone.order})+collar", spec.boundary)
 
 
 def mu_cw_orbifold(spec: OrbifoldDiscSpec):

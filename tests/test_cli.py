@@ -257,6 +257,21 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
 
+class TestModuleEntry:
+    def test_python_dash_m_package(self, package_env):
+        args = ["cw", "--builtin", "example_2_7", "--mesh", "32"]
+        pkg = subprocess.run([sys.executable, "-m", "maslovcw", *args],
+                             capture_output=True, text=True, env=package_env)
+        mod = subprocess.run([sys.executable, "-m", "maslovcw.cli", *args],
+                             capture_output=True, text=True, env=package_env)
+        assert pkg.returncode == mod.returncode == 0
+        assert pkg.stdout == mod.stdout
+        assert json.loads(pkg.stdout)["rounded"] == 2
+        bad = subprocess.run([sys.executable, "-m", "maslovcw", "cw", "--builtin", "nope"],
+                             capture_output=True, text=True, env=package_env)
+        assert bad.returncode == 1 and "error:" in bad.stderr
+
+
 class TestConvergenceCommand:
     def test_runs(self, capsys):
         code, out, _ = run_cli(["convergence", "--resolutions", "32,64"], capsys)

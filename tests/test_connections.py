@@ -166,6 +166,8 @@ def _assert_angular(spec, r, t, expected):
     Ar, At = spec.coeffs(r, t)
     assert Ar is None and not spec.radial
     assert np.array_equal(At, expected)
+    # the diagonal evaluator gives the same diagonals, bit for bit
+    assert spec.diagonal(r, t).tobytes() == np.diagonal(At, axis1=-2, axis2=-1).tobytes()
 
 
 class TestPinnedCollarTerms:

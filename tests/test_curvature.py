@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from maslovcw import _kernels, curvature, matcore
+from maslovcw import _kernels, connections, curvature, matcore, orbifold
 from maslovcw import mesh as mesh_module
 from maslovcw.connections import (
     ConnectionSpec,
@@ -226,7 +226,11 @@ class TestLazyTransports:
 
 
 def zero_radial_twin(spec):
-    """The same form declared with a dr part, returned as explicit zeros."""
+    """The same form declared with a dr part, returned as explicit zeros.
+
+    The twin has no diagonal evaluator, so it is evaluated in full on every
+    edge; it reads the full values of ``spec`` through ``coeffs``.
+    """
 
     def coeffs(r, t):
         Ar, At = spec.coeffs(r, t)
@@ -246,14 +250,17 @@ TWIN_MESHES = (
 
 
 def recording_coeffs(spec, sizes):
-    """``spec`` with a coeffs that records how many points it is asked for."""
-    base = spec.coeffs
+    """``spec`` whose evaluators record (evaluator, number of points) per call."""
 
-    def coeffs(r, t):
-        sizes.append(np.size(r))
-        return base(r, t)
+    def recording(name, fn):
+        def call(r, t):
+            sizes.append((name, np.size(r)))
+            return fn(r, t)
 
-    return replace(spec, coeffs=coeffs)
+        return call
+
+    diagonal = None if spec.diagonal is None else recording("diagonal", spec.diagonal)
+    return replace(spec, coeffs=recording("coeffs", spec.coeffs), diagonal=diagonal)
 
 
 class TestAbsentRadialPart:
@@ -267,7 +274,9 @@ class TestAbsentRadialPart:
         assert not spec.radial and twin.radial
         S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         S = S - S.conj().T
-        pairs = [(spec, twin), (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
+        # the collar's diagonal path and its full path against the twin
+        pairs = [(spec, twin), (replace(spec, diagonal=None), twin),
+                 (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
         for mesh in TWIN_MESHES:
             for a, b in pairs:
                 Da = edge_transports(a, mesh, substeps)
@@ -285,14 +294,22 @@ class TestAbsentRadialPart:
     def test_angular_spec_evaluated_on_angular_edges_only(self, rng, substeps):
         loop, _ = random_frame_loop(rng, 2, 64)
         mesh = Mesh2D("disc", 8, 64)
+        points = mesh.num_angular * substeps
         angular, full = [], []
         spec = recording_coeffs(build_collar_connection(loop), angular)
-        edge_transports(spec, mesh, substeps)
-        assert angular == [mesh.num_angular * substeps]
+        D = edge_transports(spec, mesh, substeps)
+        # the index path evaluates the diagonals only; G evaluates the full values once
+        assert angular == [("diagonal", points)]
+        D.G
+        D.max_unitary_defect
+        assert angular == [("diagonal", points), ("coeffs", points)]
         angular.clear()
         gauge = recording_coeffs(radial_gauge_transform(spec, np.diag([1j, -1j])), full)
-        edge_transports(gauge, mesh, substeps)
-        assert full == angular == [mesh.num_edges * substeps]
+        D = edge_transports(gauge, mesh, substeps)
+        D.G
+        assert gauge.diagonal is None
+        assert full == [("coeffs", mesh.num_edges * substeps)]
+        assert angular == [("coeffs", mesh.num_edges * substeps)]
 
     def test_angular_spec_returning_radial_part_rejected(self):
         def coeffs(r, t):
@@ -390,34 +407,53 @@ class TestTraceOnlyPath:
 
     def test_conjugated_and_reversed_keep_values(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
-        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 64), 2)
-        for other, T in ((D.conjugated(), D.transports.conj()),
-                         (D.on_reversed_mesh(), D.transports)):
-            assert other.A_theta is D.A_theta and other.A_r is D.A_r
-            assert "G" not in other.__dict__
-            assert np.array_equal(other.G, D.G)
-            assert np.array_equal(other.transports, T)
+        spec = build_collar_connection(loop)
+        S = np.array([[1j, 0.5], [-0.5, -1j]])
+        for sp in (spec, radial_gauge_transform(spec, S)):
+            D = edge_transports(sp, Mesh2D("disc", 8, 64), 2)
+            # a diagonal-path connection holds no full values until G is read
+            assert (D.values is None) == (sp.diagonal is not None)
+            early = D.conjugated()
+            values = D.full_values()
+            assert D.full_values() is values
+            for other, T in ((D.conjugated(), D.transports.conj()),
+                             (D.on_reversed_mesh(), D.transports),
+                             (early, D.transports.conj())):
+                if other is not early:
+                    assert other.values is values
+                assert "G" not in other.__dict__
+                assert other.G.tobytes() == D.G.tobytes()
+                assert other.transports.tobytes() == T.tobytes()
 
 
 def full_array_reference(D):
-    """Skew defect, edge_logdet and G by the formulas over every evaluated row."""
+    """Skew defect, edge_logdet and G by the formulas over every evaluated row.
+
+    The full values are evaluated here from ``coeffs``, not read from ``D``,
+    and returned too: [A_theta], or [A_r, A_theta] when the spec returns A_r.
+    """
     skip = 0 if D.spec.radial else D.mesh.num_radial
-    _, _, dr, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
-    values = [D.A_theta] if D.A_r is None else [D.A_r, D.A_theta]
+    r_mid, t_mid, dr, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
+    shape = r_mid.shape + (D.n, D.n)
+    A_r, A_theta = D.spec.coeffs(r_mid.ravel(), t_mid.ravel())
+    A_theta = np.asarray(A_theta, dtype=complex).reshape(shape)
+    if A_r is not None:
+        A_r = np.asarray(A_r, dtype=complex).reshape(shape)
+    values = [A_theta] if A_r is None else [A_r, A_theta]
     skew = float(np.max([np.max(np.abs(A + A.conj().transpose(0, 1, 3, 2))) for A in values]))
-    diag = np.diagonal(D.A_theta, axis1=-2, axis2=-1) * dt[:, :, None]
-    if D.A_r is not None:
-        diag += np.diagonal(D.A_r, axis1=-2, axis2=-1) * dr[:, :, None]
+    diag = np.diagonal(A_theta, axis1=-2, axis2=-1) * dt[:, :, None]
+    if A_r is not None:
+        diag += np.diagonal(A_r, axis1=-2, axis2=-1) * dr[:, :, None]
     np.negative(diag, out=diag)
     logdet = np.zeros(D.mesh.num_edges, dtype=complex)
     logdet[skip:] = diag.sum(axis=1).sum(axis=-1)
-    G = np.zeros((D.mesh.num_edges,) + D.A_theta.shape[1:], dtype=complex)
+    G = np.zeros((D.mesh.num_edges,) + A_theta.shape[1:], dtype=complex)
     g = G[skip:]
-    np.multiply(D.A_theta, dt[:, :, None, None], out=g)
-    if D.A_r is not None:
-        g += D.A_r * dr[:, :, None, None]
+    np.multiply(A_theta, dt[:, :, None, None], out=g)
+    if A_r is not None:
+        g += A_r * dr[:, :, None, None]
     np.negative(g, out=g)
-    return skew, logdet, G
+    return skew, logdet, G, values
 
 
 def live_range_specs(rng, n):
@@ -437,9 +473,18 @@ def live_range_specs(rng, n):
 
 
 def live_range_outputs(D):
-    values = [D.A_theta] if D.A_r is None else [D.A_r, D.A_theta]
-    skew = float(np.max([curvature._skew_defect(A[D.live]) for A in values]))
+    A_theta, A_r, live = D.full_values()
+    values = [A_theta] if A_r is None else [A_r, A_theta]
+    skew = float(np.max([matcore.skew_defect(A[live]) for A in values]))
     return skew, D.edge_logdet, D.G
+
+
+def assert_tight(live, stacks):
+    """Every row outside ``live`` is all zero in every stack, and both end rows are not."""
+    rows = np.max([np.abs(A).reshape(len(A), -1).max(axis=1) for A in stacks], axis=0)
+    lo, hi = live.start, live.stop
+    assert not rows[:lo].any() and not rows[hi:].any()
+    assert rows[lo] and rows[hi - 1]
 
 
 class TestLiveRows:
@@ -448,18 +493,18 @@ class TestLiveRows:
     def test_matches_full_array_formulas(self, rng, n, substeps):
         for spec, mesh in live_range_specs(rng, n):
             D = edge_transports(spec, mesh, substeps)
-            skew, logdet, G = full_array_reference(D)
+            skew, logdet, G, values = full_array_reference(D)
             new_skew, new_logdet, new_G = live_range_outputs(D)
             assert new_skew == skew
             assert new_logdet.tobytes() == logdet.tobytes()
             assert new_G.tobytes() == G.tobytes()
-            # every row outside the range is all zero, and both end rows are not
-            rows = np.abs(D.A_theta).reshape(len(D.A_theta), -1).max(axis=1)
-            if D.A_r is not None:
-                rows = np.maximum(rows, np.abs(D.A_r).reshape(len(D.A_r), -1).max(axis=1))
-            lo, hi = D.live.start, D.live.stop
-            assert not rows[:lo].any() and not rows[hi:].any()
-            assert rows[lo] and rows[hi - 1]
+            # the full values hold their own range; the index path's range
+            # is over the diagonals it evaluated
+            assert_tight(D.full_values().live, values)
+            if spec.diagonal is None:
+                assert D.live == D.full_values().live
+            else:
+                assert_tight(D.live, [np.diagonal(A, axis1=-2, axis2=-1) for A in values])
 
     def test_collar_range_skips_the_interior(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
@@ -474,7 +519,7 @@ class TestLiveRows:
         mesh = Mesh2D("disc", 8, 32)
         D = edge_transports(builtin_connection("flat", n=n), mesh, 2)
         assert D.live.start == D.live.stop
-        skew, logdet, G = full_array_reference(D)
+        skew, logdet, G, _ = full_array_reference(D)
         new_skew, new_logdet, new_G = live_range_outputs(D)
         assert new_skew == skew == 0.0
         assert new_logdet.tobytes() == logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
@@ -555,6 +600,88 @@ class TestLiveRows:
         assert flat.max_unitary_defect == 0.0
         orthogonality_defect(flat, generate_loop("constant", N=128, n=3))
         assert chained == [mesh.n_t]
+
+
+class TestDiagonalPath:
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_path(self, rng, n, substeps):
+        # collar, annulus collar, arc collar and orbifold specs; the gauge
+        # transform has no diagonal evaluator
+        specs = [(sp, m) for sp, m in live_range_specs(rng, n) if sp.diagonal is not None]
+        assert len(specs) == 4
+        for spec, mesh in specs:
+            D = edge_transports(spec, mesh, substeps)
+            F = edge_transports(replace(spec, diagonal=None), mesh, substeps)
+            assert D.values is None and F.values is not None
+            assert np.all(D.edge_logdet == F.edge_logdet)
+            rep, ref = chern_weil_index(D), chern_weil_index(F)
+            assert rep.face_angles.tobytes() == ref.face_angles.tobytes()
+            assert np.float64(rep.raw).tobytes() == np.float64(ref.raw).tobytes()
+            assert D.G.tobytes() == F.G.tobytes()
+            assert rep.unitarity_defect == ref.unitarity_defect
+            assert rep.orthogonality_defect == ref.orthogonality_defect
+            assert (rep.orthogonality_defect is None) == (not mesh.wrap)
+
+    def test_nan_in_boundary_form_rejected(self, rng, monkeypatch):
+        loop, _ = random_frame_loop(rng, 2, 64)
+        path = loop.samples[:33].copy()
+        path[5, 0, 1] = np.nan
+        with pytest.raises(NonUnitaryConnection):
+            build_arc_collar_connection(path, t_span=0.5 * np.pi)
+        # a NaN off the diagonal only, which the diagonal path never reads
+        form = connections.loop_boundary_form
+
+        def nan_form(lp):
+            A, w = form(lp)
+            A = A.copy()
+            A[7, 0, 1] = np.nan
+            return A, w
+
+        monkeypatch.setattr(connections, "loop_boundary_form", nan_form)
+        monkeypatch.setattr(orbifold, "loop_boundary_form", nan_form)
+        builds = (
+            lambda: build_collar_connection(loop),
+            lambda: build_annulus_collar_connection(loop, loop, r_inner=0.3, width=0.15),
+            lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)),
+        )
+        for build in builds:
+            with pytest.raises(NonUnitaryConnection):
+                build()
+
+    def test_nan_diagonal_rejected(self):
+        def a_diag(r, t):
+            return np.where(r > 0.9, np.nan, -1j * r)[..., None]
+
+        spec = angular_spec(1, lambda r, t: a_diag(r, t)[..., None], "nan_diag", a_diag=a_diag)
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(spec, Mesh2D("disc", 16, 16))
+
+    def test_full_values_checked_when_G_is_read(self):
+        # the diagonals are skew, the off-diagonals Hermitian: the index path
+        # passes, and the full check runs on the first read of G
+        def a_theta(r, t):
+            A = np.zeros(r.shape + (2, 2), dtype=complex)
+            A[..., 0, 0] = 1j * r
+            A[..., 0, 1] = A[..., 1, 0] = r
+            return A
+
+        spec = angular_spec(2, a_theta, "hermitian_offdiag",
+                            a_diag=lambda r, t: np.diagonal(a_theta(r, t), axis1=-2, axis2=-1))
+        D = edge_transports(spec, Mesh2D("disc", 4, 8))
+        assert chern_weil_index(D).rounded is not None
+        with pytest.raises(NonUnitaryConnection):
+            D.G
+        with pytest.raises(NonUnitaryConnection):
+            D.max_unitary_defect
+
+    def test_diagonal_needs_an_angular_spec(self):
+        def coeffs(r, t):
+            return None, np.zeros(r.shape + (1, 1), dtype=complex)
+
+        with pytest.raises(ValueError):
+            ConnectionSpec(1, coeffs, tag="radial_diag",
+                           diagonal=lambda r, t: np.zeros(r.shape + (1,), dtype=complex))
 
 
 class TestFaceHolonomy:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -43,13 +44,23 @@ class TestWinding:
         with pytest.raises(ZeroSample):
             winding(np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_trips_the_guard(self):
         z = np.exp(2j * np.pi * np.arange(64) / 64)
         z[5] = complex(np.nan, 0.0)
         for f in (winding_increments, winding):
             with pytest.raises(Undersampled):
                 f(z)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                     complex(np.nan, np.inf)])
+    def test_nan_raises_without_a_warning(self, bad):
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        z[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (winding_increments, winding):
+                with pytest.raises(Undersampled):
+                    f(z)
 
     def test_residual_small_for_closed_loops(self, rng):
         z = np.exp(2j * np.pi * 3 * np.arange(256) / 256) * rng.uniform(0.5, 2.0, 256)

@@ -34,6 +34,31 @@ def random_symmetric_unitary(n, rng):
     return (Q * np.exp(2j * th)) @ Q.T
 
 
+class TestSkewDefect:
+    def test_diagonal_formula_matches_full(self, rng):
+        for shape in [(64, 3, 1, 1), (50, 2, 1, 1)]:
+            A = rng.normal(size=shape) * 1e-12 + 1j * rng.normal(size=shape)
+            full = float(np.max(np.abs(A + np.swapaxes(A, -1, -2).conj())))
+            assert matcore.skew_defect(A) == full
+            assert matcore.diagonal_skew_defect(A[..., 0]) == full
+        A = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+        A = A - np.swapaxes(A, -1, -2).conj()
+        d = np.diagonal(A, axis1=-2, axis2=-1)
+        assert matcore.diagonal_skew_defect(d) == np.max(np.abs(d + d.conj())) == 0.0
+        assert matcore.skew_defect(A[:0]) == matcore.diagonal_skew_defect(d[:0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_trips_a_guard(self, bad, part):
+        d = np.full(8, -1j)
+        d[3] = complex(bad, 1.0) if part == "real" else complex(0.0, bad)
+        for defect in (matcore.diagonal_skew_defect(d), matcore.skew_defect(d[:, None, None])):
+            assert not defect <= 1e-10
+        A = np.zeros((8, 2, 2), dtype=complex)
+        A[3, 0, 1] = d[3]
+        assert not matcore.skew_defect(A) <= 1e-10
+
+
 class TestUnitarize:
     def test_identity(self):
         assert np.allclose(matcore.unitarize(np.eye(3)), np.eye(3))
