@@ -148,7 +148,7 @@ def _emit(report: dict, fmt: str) -> None:
     def flatten(prefix, obj, rows):
         if isinstance(obj, dict):
             for k in sorted(obj):
-                flatten(f"{prefix}{k}." if prefix == "" else f"{prefix}{k}.", obj[k], rows)
+                flatten(f"{prefix}{k}.", obj[k], rows)
         elif isinstance(obj, (list, tuple)):
             for i, v in enumerate(obj):
                 flatten(f"{prefix}{i}.", v, rows)

@@ -76,6 +76,12 @@ class ConnectionSpec:
             raise ValueError("a diagonal evaluator needs a spec without a dr part")
 
 
+def check_skew(defect: float, what: str) -> None:
+    """Raise NonUnitaryConnection unless ``defect`` <= ``TOL.skew``; a NaN raises too."""
+    if not defect <= TOL.skew:
+        raise NonUnitaryConnection(f"skew-Hermitian defect {defect:.3g} of the {what}")
+
+
 def _as_float(r, t):
     return np.asarray(r, dtype=float), np.asarray(t, dtype=float)
 
@@ -110,9 +116,7 @@ def collar_spec(term: Callable, forms: tuple, tag: str, boundary_loop=None) -> C
     off-diagonals that the diagonal evaluator leaves out need no check later.
     """
     for F in forms:
-        skew = matcore.skew_defect(F)
-        if not skew <= TOL.skew:
-            raise NonUnitaryConnection(f"boundary form has skew-Hermitian defect {skew:.3g}")
+        check_skew(matcore.skew_defect(F), "boundary form")
     diagonals = tuple(np.diagonal(F, axis1=-2, axis2=-1).copy() for F in forms)
     return angular_spec(
         forms[0].shape[-1],

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels, matcore
-from .connections import ConnectionSpec
+from .connections import ConnectionSpec, check_skew
 from .errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
 from .loops import BundlePairSpec, FrameLoop, winding
 from .mesh import Mesh2D
@@ -38,30 +38,16 @@ class ConnectionValues(NamedTuple):
 
 @dataclass(eq=False)
 class DiscreteConnection:
-    """Parallel transports of a connection along every directed mesh edge.
+    """A connection integrated along every directed mesh edge.
 
-    Holds ``edge_logdet``, log det of each transport accumulated from the
-    diagonals of the connection values, so the per-edge determinant phase
-    is unwrapped exactly; the index needs nothing else.  A spec without a dr
-    part is evaluated on the angular edges only (E' = num_angular), and the
-    radial rows of ``edge_logdet`` and ``G`` are exact zeros.  ``live`` is
-    the smallest row range of the evaluated diagonals that holds every
-    nonzero entry; rows outside it are exact zeros, so they are skipped.
-    ``values`` holds the full (E', s, n, n) values: evaluated at
-    construction for a spec without a diagonal evaluator, and on the first
-    read of ``G`` (through ``full_values``, with its own skew check and live
-    range) for a spec with one.  The generator stack ``G`` (E, s, n, n) is
-    built from them on first read; only the transports, the drift and the
-    frame defect read it.  Transports are stored for the canonical edge
-    direction (outward radial, increasing angle); the reverse transport is
-    the conjugate transpose.  They are built on demand: ``transports_of``
-    chains only the edges asked for, and ``transports`` chains every edge
-    once and caches the stack.  ``max_unitary_defect`` chains only the
-    edges with a nonzero generator: an all-zero generator chains to the
-    exact identity, whose defect is 0.  When every rim edge is among them,
-    it keeps the rim's transports, so a later frame defect chains no rim
-    edge.  ``conjugate`` marks the complex conjugate connection, whose
-    transports are the conjugates of the chained ones.
+    ``edge_logdet`` (E,) is log det of each edge transport, summed from the
+    diagonals of the connection values; the index reads nothing else.  The
+    rows of edges a spec is not evaluated on, and the evaluated rows outside
+    ``live``, are exact zeros.  The full ``values`` and the generators ``G``
+    (E, s, n, n) are built when first needed.  Transports are for the
+    canonical edge direction (outward radial, increasing angle); each edge is
+    chained at most once, when first asked for, and kept.  ``conjugate``
+    marks the complex conjugate connection.
     """
 
     mesh: Mesh2D
@@ -69,13 +55,16 @@ class DiscreteConnection:
     substeps: int
     live: slice                 # rows of the evaluated diagonals holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
-    unitary: bool
     values: Optional[ConnectionValues] = field(default=None, repr=False)
     conjugate: bool = False
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @property
+    def unitary(self) -> bool:
+        return self.spec.unitary
 
     def full_values(self) -> ConnectionValues:
         """The full values; evaluated and skew-checked on the first call if not held."""
@@ -87,59 +76,60 @@ class DiscreteConnection:
     def G(self) -> np.ndarray:
         """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep.
 
-        Only the rows in the values' ``live`` are multiplied; the others
-        start as +0, so the closing negation writes the -0 the full product
-        gives there.
+        Rows outside the values' ``live`` start as +0, so the closing
+        negation writes the -0 the full product gives there.
         """
         A_theta, A_r, live = self.full_values()
-        skip = 0 if self.spec.radial else self.mesh.num_radial
-        _, _, dr, dt = (a[skip:][live] for a in self.mesh.edge_quadrature(self.substeps))
+        rows, (_, _, dr, dt) = _quadrature(self.spec, self.mesh, self.substeps)
         G = np.zeros((self.mesh.num_edges,) + A_theta.shape[1:], dtype=complex)
-        g = G[skip:]
-        g_live = g[live]
-        np.multiply(A_theta[live], dt[:, :, None, None], out=g_live)
-        if A_r is not None:
-            g_live += A_r[live] * dr[:, :, None, None]
+        g = G[rows]
+        _step(A_theta[live], None if A_r is None else A_r[live], dt[live], dr[live], out=g[live])
         np.negative(g, out=g)
         return G
 
-    def _chain(self, edge_ids) -> np.ndarray:
-        T = _kernels.transport_chain(self.G[edge_ids])
-        return T.conj() if self.conjugate else T
+    @cached_property
+    def _store(self):
+        """(E, n, n) transports of the chained edges, and the (E,) mask of those."""
+        E = self.mesh.num_edges
+        return np.empty((E, self.n, self.n), dtype=complex), np.zeros(E, dtype=bool)
 
     def transports_of(self, edge_ids) -> np.ndarray:
-        """Transports of the given edge ids; reuses what is already chained."""
-        full = self.__dict__.get("transports")
-        if full is not None:
-            return full[edge_ids]
-        rim = self.__dict__.get("_rim_transports")
-        if rim is not None:
-            pos = _positions(rim[0], edge_ids)
-            if pos is not None:
-                return rim[1][pos]
-        return self._chain(edge_ids)
+        """Transports of the given distinct edge ids; chains only those not yet chained."""
+        ids = np.asarray(edge_ids)
+        T, chained = self._store
+        todo = ids[~chained[ids]]
+        if todo.size:
+            new = _kernels.transport_chain(self.G[todo])
+            if self.conjugate:
+                np.conjugate(new, out=new)
+            T[todo] = new
+            chained[todo] = True
+        if ids.size and np.all(np.diff(ids) == 1):
+            # a run of ids is read in place: no second copy of the block
+            run = T[ids[0] : ids[-1] + 1]
+            run.flags.writeable = False
+            return run
+        return T[ids]
 
-    @cached_property
+    @property
     def transports(self) -> np.ndarray:
-        """(E, n, n) transports of every edge, chained on first access."""
-        return self._chain(slice(None))
+        """(E, n, n) transports of every edge."""
+        return self.transports_of(np.arange(self.mesh.num_edges))
 
     @cached_property
     def max_unitary_defect(self) -> float:
-        """Largest Frobenius distance of any edge transport from the unitary group."""
+        """Largest Frobenius distance of any edge transport from the unitary group.
+
+        Only the edges with a nonzero generator are chained: an all-zero
+        generator chains to the exact identity, whose defect is 0.
+        """
         if not self.unitary:
             return float("nan")
         # a NaN entry is truthy, so a NaN generator is chained and reported
         live = np.flatnonzero(self.G.any(axis=(1, 2, 3)))
         if not live.size:
             return 0.0
-        T = self.transports_of(live)
-        rim = self.mesh.boundary_angular_ids()
-        pos = _positions(live, rim)
-        if pos is not None:
-            # kept for transports_of, so a later frame defect chains no rim edge
-            self._rim_transports = (rim, T[pos])
-        return matcore.unitary_defect(T)
+        return matcore.unitary_defect(self.transports_of(live))
 
     def conjugated(self) -> "DiscreteConnection":
         return replace(
@@ -160,23 +150,18 @@ def edge_transports(
 ) -> DiscreteConnection:
     """Integrate the connection along every edge by the midpoint rule.
 
-    Each substep contributes exp(-A(midpoint)(step)); products are
-    re-unitarized when the transports are built.  A spec without a dr part
-    (``spec.radial`` false) is evaluated only at the angular edges: a radial
-    edge has dtheta = 0, so its generators are exact zeros and its transport
-    the identity, and a returned A_r is rejected.  An A_r of None counts as
-    zero.  A non-unitary spec is rejected unless explicitly allowed (the
-    norm-drift demonstration does that, rank 1 only).
+    Each substep contributes exp(-A(midpoint)(step)); transports are chained
+    only when read.  A spec without a dr part is evaluated on the angular
+    edges only (a radial edge has dtheta = 0), and a returned A_r is
+    rejected; an A_r of None counts as zero.  A non-unitary spec is rejected
+    unless explicitly allowed (the norm-drift demonstration, rank 1 only).
 
-    One reducer runs on the (E', s, n) diagonals of the values.  A spec with
-    a diagonal evaluator is evaluated for the diagonals only, and a unitary
-    one is checked for skew-Hermitian diagonals (its builder vouches for the
-    off-diagonals); any other spec is evaluated in full, and a unitary one
-    is checked for skew-Hermitian values of every coefficient it returns.
-    A NaN fails either check.  ``edge_logdet`` is computed in the operation
-    order of ``trace(G.sum(axis=1))``; the generator stack is left to the
-    first read of ``G``.  The check and the diagonals run on views of the
-    live row range only: an all-zero row has skew defect 0 and log det +0.
+    ``edge_logdet`` is computed from the diagonals of the values, in the
+    operation order of ``trace(G.sum(axis=1))``.  A spec with a diagonal
+    evaluator is evaluated for the diagonals only, and a unitary one is
+    checked for skew-Hermitian diagonals (its builder vouches for the rest);
+    any other spec is evaluated in full and checked in full.  A NaN fails
+    either check.  Both run on the ``live`` rows only.
     """
     if not spec.unitary:
         if not allow_non_unitary:
@@ -186,40 +171,49 @@ def edge_transports(
             )
         if spec.n != 1:
             raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
-    skip = 0 if spec.radial else mesh.num_radial
-    r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
+    rows, (r_mid, t_mid, dr, dt) = _quadrature(spec, mesh, substeps)
     values = None
     if spec.diagonal is None:
         values = _evaluate(spec, mesh, substeps)
         A_theta, A_r, live = values
-        d_theta = np.diagonal(A_theta[live], axis1=-2, axis2=-1)
-        d_r = None if A_r is None else np.diagonal(A_r[live], axis1=-2, axis2=-1)
+        d_theta, d_r = (None if A is None else np.diagonal(A[live], axis1=-2, axis2=-1)
+                        for A in (A_theta, A_r))
     else:
-        E, s = r_mid.shape
         d = np.asarray(spec.diagonal(r_mid.ravel(), t_mid.ravel()), dtype=complex)
-        d = d.reshape(E, s, spec.n)
+        d = d.reshape(r_mid.shape + (spec.n,))
         live = _live_rows([d])
         if spec.unitary:
-            _check_skew(matcore.diagonal_skew_defect(d[live]))
+            check_skew(matcore.diagonal_skew_defect(d[live]), "connection diagonals")
         d_theta, d_r = d[live], None
 
-    diag = d_theta * dt[live, :, None]
-    if d_r is not None:
-        diag += d_r * dr[live, :, None]
+    diag = _step(d_theta, d_r, dt[live], dr[live])
     np.negative(diag, out=diag)
-    # radial rows of a dtheta form and rows outside ``live`` stay exact +0,
-    # which is also what the sums give on an all-zero row
+    # rows not evaluated or outside ``live`` stay exact +0, which is also
+    # what the sums give on an all-zero row
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    edge_logdet[skip:][live] = diag.sum(axis=1).sum(axis=-1)
-    return DiscreteConnection(
-        mesh=mesh,
-        spec=spec,
-        substeps=substeps,
-        live=live,
-        edge_logdet=edge_logdet,
-        unitary=spec.unitary,
-        values=values,
-    )
+    edge_logdet[rows][live] = diag.sum(axis=1).sum(axis=-1)
+    return DiscreteConnection(mesh, spec, substeps, live, edge_logdet, values)
+
+
+def _quadrature(spec: ConnectionSpec, mesh: Mesh2D, substeps: int):
+    """Rows of the edges ``spec`` is evaluated on, and their (r_mid, t_mid, dr, dt).
+
+    A spec without a dr part is evaluated on the angular edges only.
+    """
+    rows = slice(0 if spec.radial else mesh.num_radial, None)
+    return rows, tuple(a[rows] for a in mesh.edge_quadrature(substeps))
+
+
+def _step(A_theta, A_r, dt, dr, out=None) -> np.ndarray:
+    """A_theta dt + A_r dr per edge and substep, for values of any trailing shape.
+
+    ``dt`` and ``dr`` are (E', s); an A_r of None counts as zero.
+    """
+    tail = (1,) * (A_theta.ndim - dt.ndim)
+    out = np.multiply(A_theta, dt.reshape(dt.shape + tail), out=out)
+    if A_r is not None:
+        out += A_r * dr.reshape(dr.shape + tail)
+    return out
 
 
 def _evaluate(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> ConnectionValues:
@@ -227,27 +221,20 @@ def _evaluate(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> ConnectionVa
 
     A unitary spec's values are checked skew-Hermitian over that range.
     """
-    skip = 0 if spec.radial else mesh.num_radial
-    r_mid, t_mid, _, _ = (a[skip:] for a in mesh.edge_quadrature(substeps))
-    E, s = r_mid.shape
-    n = spec.n
+    _, (r_mid, t_mid, _, _) = _quadrature(spec, mesh, substeps)
+    shape = r_mid.shape + (spec.n, spec.n)
     Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
     if Ar is not None and not spec.radial:
         raise MaslovCWError(f"spec {spec.tag!r} declares no dr part but returned A_r")
-    At = np.asarray(At, dtype=complex).reshape(E, s, n, n)
+    At = np.asarray(At, dtype=complex).reshape(shape)
     if Ar is not None:
-        Ar = np.asarray(Ar, dtype=complex).reshape(E, s, n, n)
+        Ar = np.asarray(Ar, dtype=complex).reshape(shape)
     live = _live_rows([At] if Ar is None else [Ar, At])
     if spec.unitary:
         # np.max, not max(): a NaN defect must propagate to the guard
-        _check_skew(float(np.max([matcore.skew_defect(A[live])
-                                  for A in (Ar, At) if A is not None])))
+        check_skew(float(np.max([matcore.skew_defect(A[live]) for A in (Ar, At) if A is not None])),
+                   "connection values")
     return ConnectionValues(At, Ar, live)
-
-
-def _check_skew(skew: float) -> None:
-    if not skew <= TOL.skew:
-        raise NonUnitaryConnection(f"connection values have skew-Hermitian defect {skew:.3g}")
 
 
 def _live_rows(values) -> slice:
@@ -268,14 +255,6 @@ def _live_rows(values) -> slice:
             lo = min(lo, first // per_row)
             hi = max(hi, (nz.size - 1 - int(nz[::-1].argmax())) // per_row + 1)
     return slice(lo, max(lo, hi))
-
-
-def _positions(ids: np.ndarray, wanted) -> Optional[np.ndarray]:
-    """Positions of ``wanted`` in the sorted ``ids``; None unless all are there."""
-    pos = np.searchsorted(ids, wanted)
-    if np.all(pos < ids.size) and np.array_equal(ids[pos], wanted):
-        return pos
-    return None
 
 
 def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:
@@ -334,7 +313,7 @@ class CurvatureReport:
     The diagnostics that need transports are computed on first read:
     ``orthogonality_defect`` chains the rim edges against ``probe`` (None
     when there is no probe loop or no closed rim), and ``unitarity_defect``
-    chains every edge.
+    the edges with a nonzero generator.
     """
 
     raw: float
@@ -351,7 +330,7 @@ class CurvatureReport:
 
     @property
     def unitarity_defect(self) -> float:
-        """Transport drift over every edge; builds the transports on first read."""
+        """Transport drift over every edge; chains the transports on first read."""
         return self.connection.max_unitary_defect
 
     @cached_property

@@ -30,14 +30,17 @@ MIN_SAMPLES = 8
 def winding_increments(zs: np.ndarray) -> np.ndarray:
     """Principal phase increments of a closed loop of nonzero complex numbers.
 
-    Raises ZeroSample on a vanishing entry and Undersampled when any
-    increment reaches the guard (pi/2 by default, leaving a 2x margin
-    against aliasing) or is NaN.
+    Raises ZeroSample on a vanishing entry and Undersampled on a NaN or
+    infinite entry, or when any increment reaches the guard (pi/2 by
+    default, leaving a 2x margin against aliasing) or is NaN.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    if np.any(np.abs(zs) <= 1e-15):
+    size = np.abs(zs)
+    if np.any(size <= 1e-15):
         raise ZeroSample("winding input touches zero")
-    # a NaN sample is reported by the guard below, not by a numpy warning
+    if not np.all(np.isfinite(size)):
+        raise Undersampled("winding input has a non-finite sample")
+    # a NaN increment is reported by the guard below, not by a numpy warning
     with np.errstate(invalid="ignore"):
         dphi = np.angle(np.roll(zs, -1) / zs)
     worst = float(np.max(np.abs(dphi)))
@@ -73,8 +76,8 @@ class FrameLoop:
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] != self.n:
             raise RankMismatch(f"samples shape {s.shape} does not match rank {self.n}")
-        if self.n > matcore.MAX_RANK:
-            raise RankMismatch(f"rank {self.n} exceeds the {matcore.MAX_RANK} cap")
+        if not 1 <= self.n <= matcore.MAX_RANK:
+            raise RankMismatch(f"rank {self.n} outside [1, {matcore.MAX_RANK}]")
         if s.shape[0] < MIN_SAMPLES:
             raise Undersampled(f"need at least {MIN_SAMPLES} samples, got {s.shape[0]}")
         if not np.all(np.isfinite(s)):
@@ -242,6 +245,8 @@ def aligned_frames(samples: np.ndarray):
 
 def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
     """Built-in loops: ``circle_tangent``, ``power_k`` (param k), ``constant``."""
+    if N < MIN_SAMPLES:
+        raise Undersampled(f"need at least {MIN_SAMPLES} samples, got {N}")
     t = np.arange(N) / N
     if name == "circle_tangent":
         # tangent lines of the unit circle; index 2
@@ -254,8 +259,8 @@ def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
         frame = params.get("frame")
         try:
             f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
-        except TypeError:
-            raise RankMismatch("a constant frame must be a square array of numbers") from None
+        except (TypeError, ValueError):
+            raise RankMismatch(f"rank-{n} constant frame: need a square array of numbers") from None
         return FrameLoop(n, np.tile(f, (N, 1, 1)))
     raise UnknownName(f"unknown loop generator {name!r}")
 
@@ -320,7 +325,8 @@ def samples_from_json(rows, n: int) -> np.ndarray:
         arr = np.asarray(rows)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "biuf" or arr.ndim != 3 or arr.shape[1:] != (n * n, 2):
+    if (arr is None or n < 1 or arr.dtype.kind not in "biuf" or arr.ndim != 3
+            or arr.shape[1:] != (n * n, 2)):
         raise RankMismatch(f"samples must be rows of {n * n} [re, im] pairs")
     s = np.empty(arr.shape[:2], dtype=complex)
     s.real = arr[..., 0]
@@ -330,7 +336,7 @@ def samples_from_json(rows, n: int) -> np.ndarray:
 
 def loop_from_json(obj: dict) -> FrameLoop:
     if not isinstance(obj, dict):
-        raise MaslovCWError("a frame loop file must hold a JSON object")
+        raise MaslovCWError(f"a frame loop must be a JSON object, got {type(obj).__name__}")
     if "generator" in obj:
         params = obj.get("params", {})
         if not isinstance(params, dict):
@@ -338,8 +344,8 @@ def loop_from_json(obj: dict) -> FrameLoop:
         params = dict(params)
         N = int_from_json(params.pop("N", 256), "N")
         return generate_loop(obj["generator"], N=N, **params)
-    n = int_from_json(obj["n"], "n")
-    return FrameLoop(n, samples_from_json(obj["samples"], n))
+    n = int_from_json(obj.get("n"), "n")
+    return FrameLoop(n, samples_from_json(obj.get("samples"), n))
 
 
 def load_loop(path: str) -> FrameLoop:

@@ -93,7 +93,7 @@ def unitarize(M: np.ndarray) -> np.ndarray:
         raise SingularInput(f"smallest singular value {sv[-1]:.3g} <= 0.5")
     X = M
     for _ in range(_NEWTON_CAP):
-        X = 0.5 * (X + np.linalg.inv(X).conj().T)
+        X = _newton_step(X)
         if unitary_defect(X) <= 1e-14 * X.shape[0]:
             break
     return X
@@ -103,8 +103,13 @@ def unitarize_batch(M: np.ndarray, steps: int = 4) -> np.ndarray:
     """Newton polish for a stack of near-unitary matrices (no singularity check)."""
     X = np.asarray(M, dtype=complex)
     for _ in range(steps):
-        X = 0.5 * (X + np.swapaxes(np.linalg.inv(X), -1, -2).conj())
+        X = _newton_step(X)
     return X
+
+
+def _newton_step(X: np.ndarray) -> np.ndarray:
+    """U <- (U + U^{-*})/2 on one matrix or a stack."""
+    return 0.5 * (X + np.swapaxes(np.linalg.inv(X), -1, -2).conj())
 
 
 def _joint_diag_hermitian(A: np.ndarray, B: np.ndarray, reconstruct, tol_recon: float):

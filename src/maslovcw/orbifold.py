@@ -251,12 +251,12 @@ def orbifold_to_json(spec: OrbifoldDiscSpec) -> dict:
 def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("cone"), dict):
         raise MaslovCWError("an orbifold file must hold a JSON object with a cone object")
-    m, weights = obj["cone"]["m"], obj["cone"]["weights"]
+    m, weights = obj["cone"].get("m"), obj["cone"].get("weights")
     if not isinstance(weights, list):
         raise MaslovCWError("cone weights must be a list of integers")
     cone = ConePoint(int_from_json(m, "m"), tuple(int_from_json(w, "weight") for w in weights))
-    boundary = loop_from_json(obj["boundary"])
-    return OrbifoldDiscSpec(int_from_json(obj["n"], "n"), cone, boundary)
+    boundary = loop_from_json(obj.get("boundary"))
+    return OrbifoldDiscSpec(int_from_json(obj.get("n"), "n"), cone, boundary)
 
 
 def load_orbifold(path: str) -> OrbifoldDiscSpec:

@@ -22,7 +22,7 @@ from .connections import build_arc_collar_connection, build_collar_connection, c
 from .curvature import CurvatureReport, chern_weil_index, edge_transports
 from .errors import (
     InconsistentFormulas, MaslovCWError, NotTransverse, RankMismatch, Undersampled,
-    ViolatedIdentity,
+    ViolatedIdentity, ZeroSample,
 )
 from .grassmann import LagrangianFrame, intersection_dim, positive_path
 from .loops import FrameLoop, int_from_json, maslov_loop, samples_from_json
@@ -58,6 +58,8 @@ class TransversalBundleData:
                 raise RankMismatch(f"edge shape {e.shape} does not match rank {self.n}")
             if e.shape[0] < 5:
                 raise Undersampled("edge paths need at least 5 samples")
+            if not np.all(np.isfinite(e)):
+                raise ZeroSample("non-finite edge entries")
         for i in range(len(self.edges)):
             F, G = self.vertex_pair(i)
             if intersection_dim(F, G) != 0:
@@ -100,7 +102,6 @@ def build_L_loop(data: TransversalBundleData) -> FrameLoop:
         except Undersampled:
             if attempt == 3:
                 raise
-    raise Undersampled("unreachable")
 
 
 def mu_top(data: TransversalBundleData) -> int:
@@ -308,8 +309,9 @@ def polygon_from_json(obj: dict) -> TransversalBundleData:
     """``{"n", "chi"?, "edges"}``; each edge is a sample list or ``{"samples": ...}``."""
     if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
         raise MaslovCWError("a polygon file must hold a JSON object with an edge list")
-    n = int_from_json(obj["n"], "n")
-    edges = [samples_from_json(e["samples"] if isinstance(e, dict) else e, n) for e in obj["edges"]]
+    n = int_from_json(obj.get("n"), "n")
+    edges = [samples_from_json(e.get("samples") if isinstance(e, dict) else e, n)
+             for e in obj["edges"]]
     return TransversalBundleData(n, edges, int_from_json(obj.get("chi", 1), "chi"))
 
 

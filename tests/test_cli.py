@@ -1,12 +1,18 @@
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovcw import cli, verify as verify_mod
-from maslovcw.loops import generate_loop, loop_to_json, random_frame_loop, save_loop
+from maslovcw.errors import MaslovCWError
+from maslovcw.loops import generate_loop, loop_from_json, loop_to_json, random_frame_loop, save_loop
+from maslovcw.orbifold import orbifold_from_json
+from maslovcw.polygon import polygon_from_json
 
 
 def run_cli(args, capsys):
@@ -187,7 +193,42 @@ _BAD_FIELDS = {
     "orbifold_m_null": ("orbifold", {"n": 1, "cone": {"m": None, "weights": [1]}, "boundary": _UNIT_LOOP}),
     "orbifold_weight_null": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [None]}, "boundary": _UNIT_LOOP}),
     "orbifold_weights_number": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": 1}, "boundary": _UNIT_LOOP}),
+    "params_N_negative": ("maslov", {"generator": "constant", "params": {"N": -5}}),
+    "polygon_nan_sample": ("polygon", {"n": 1, "edges": [[[[np.nan, 0.0]]] + _bigon_edges()[0][1:],
+                                                         _bigon_edges()[1]]}),
+    "polygon_inf_sample": ("polygon", {"n": 1, "edges": [_bigon_edges()[0],
+                                                         [[[0.0, np.inf]]] + _bigon_edges()[1][1:]]}),
+    "orbifold_no_boundary": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [1]}}),
 }
+
+_LOADERS = {"maslov": loop_from_json, "polygon": polygon_from_json, "orbifold": orbifold_from_json}
+
+# small valid files of each kind, every sample count <= 64
+_VALID_FILES = (
+    ("maslov", loop_to_json(generate_loop("constant", 8, n=2))),
+    ("maslov", {"generator": "constant", "params": {"N": 8, "n": 2, "frame": [[1, 0], [0, 1]]}}),
+    ("maslov", {"generator": "power_k", "params": {"N": 16, "k": 1}}),
+    ("polygon", {"n": 1, "chi": 1, "edges": [[[[1.0, 0.0]]] * 5, {"samples": [[[0.0, 1.0]]] * 5}]}),
+    ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [1]},
+                  "boundary": {"generator": "circle_tangent", "params": {"N": 16}}}),
+    ("orbifold", {"n": 2, "cone": {"m": 3, "weights": [1, 2]},
+                  "boundary": loop_to_json(generate_loop("constant", 8, n=2))}),
+)
+_DROP = object()
+_MUTANTS = (None, [1, 2], "x", np.nan, np.inf, -1, -5)
+
+
+def _paths(obj, prefix=()):
+    """The path to every value nested in the dicts and lists of ``obj``."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
 
 
 def _assert_exits_one(kind, obj, tmp_path, capsys):
@@ -209,6 +250,36 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
     def test_bad_fields_exit_one_with_error(self, case, tmp_path, capsys):
         _assert_exits_one(*_BAD_FIELDS[case], tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+    def test_bad_fields_raise_library_error(self, case):
+        kind, obj = _BAD_FIELDS[case]
+        with pytest.raises(MaslovCWError):
+            _LOADERS[kind](json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("kind, obj", _VALID_FILES)
+    def test_valid_files_load(self, kind, obj):
+        _LOADERS[kind](copy.deepcopy(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_raises_library_error(self, data):
+        kind, obj = data.draw(st.sampled_from(_VALID_FILES))
+        obj = copy.deepcopy(obj)
+        path = data.draw(st.sampled_from(list(_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        mutants = ((_DROP,) if isinstance(parent, dict) else ()) + _MUTANTS
+        value = data.draw(st.sampled_from(mutants))
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+        try:
+            _LOADERS[kind](obj)
+        except MaslovCWError:
+            pass
 
 
 class TestVerify:

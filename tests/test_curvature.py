@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovcw import _kernels, connections, curvature, matcore, orbifold
 from maslovcw import mesh as mesh_module
@@ -147,6 +151,15 @@ def reference_diagnostics(D, loop):
     return T, drift, worst
 
 
+STORE_MESH = Mesh2D("disc", 4, 64)
+
+
+@lru_cache(maxsize=None)
+def store_spec(n):
+    loop, _ = random_frame_loop(np.random.default_rng(n), n, 64)
+    return build_collar_connection(loop)
+
+
 class TestLazyTransports:
     def test_index_chains_only_rim_edges(self, rng, monkeypatch):
         loop, _ = random_frame_loop(rng, 3, 512)
@@ -178,13 +191,14 @@ class TestLazyTransports:
         assert rep.orthogonality_defect == first
         assert chained == [] and len(defect_calls) == 1
         assert first == defect(D, loop)
-        # reading the drift chains exactly the edges with a nonzero generator, once
+        # reading the drift chains the edges with a nonzero generator that the
+        # frame defect did not chain (the rim edges are among them), once
         chained.clear()
         assert rep.unitarity_defect <= 1e-9
         live = np.count_nonzero(D.G.any(axis=(1, 2, 3)))
         # the collar (width 0.3) is nonzero on the rings with r > 0.7 only
         assert live == np.count_nonzero(mesh.r_nodes > 0.7) * mesh.n_t
-        assert [shape[0] for shape in chained] == [live]
+        assert [shape[0] for shape in chained] == [live - mesh.n_t]
         chained.clear()
         assert rep.unitarity_defect <= 1e-9
         assert chained == []
@@ -214,6 +228,42 @@ class TestLazyTransports:
         assert np.array_equal(before.transports, D.transports.conj())
         assert np.array_equal(D.conjugated().transports, D.transports.conj())
         assert np.array_equal(before.conjugated().transports, D.transports)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), conjugate=st.booleans(), reads=st.lists(
+        st.one_of(
+            # distinct ids in random order, or a run of consecutive ids
+            st.lists(st.integers(0, STORE_MESH.num_edges - 1), min_size=1, max_size=12, unique=True),
+            st.tuples(st.integers(0, STORE_MESH.num_edges - 1), st.integers(1, 80)).map(
+                lambda t: list(range(t[0], min(t[0] + t[1], STORE_MESH.num_edges)))),
+        ), min_size=1, max_size=6))
+    def test_store_reads_match_chain_and_chain_once(self, n, conjugate, reads):
+        D = edge_transports(store_spec(n), STORE_MESH)
+        if conjugate:
+            D = D.conjugated()
+        chain = _kernels.transport_chain
+        chained = []
+
+        def recording(gens):
+            chained.append(gens.shape[0])
+            return chain(gens)
+
+        seen = set()
+        with mock.patch.object(_kernels, "transport_chain", recording):
+            for ids in reads:
+                ids = np.array(ids)
+                T = D.transports_of(ids)
+                ref = chain(D.G[ids])
+                assert T.tobytes() == (ref.conj() if conjugate else ref).tobytes()
+                seen.update(ids.tolist())
+                # every edge read so far was chained exactly once
+                assert sum(chained) == len(seen)
+        # the drift chains only live edges not read above
+        live = set(np.flatnonzero(D.G.any(axis=(1, 2, 3))).tolist())
+        chained.clear()
+        with mock.patch.object(_kernels, "transport_chain", recording):
+            D.max_unitary_defect
+        assert sum(chained) == len(live - seen)
 
     def test_nonunitary_rank_two_rejected_eagerly(self):
         def coeffs(r, t):
@@ -590,10 +640,10 @@ class TestLiveRows:
             assert len(chained) == 1
             assert rep.orthogonality_defect == ref
             assert len(chained) == 1
-        # ids not all among the drift's edges are chained
+        # of ids not all among the drift's edges, only those not chained are
         assert ids[0] not in np.flatnonzero(D.G.any(axis=(1, 2, 3)))
         assert D.transports_of(ids).tobytes() == expected_T.tobytes()
-        assert chained[1:] == [2]
+        assert chained[1:] == [1]
         # rim edges that the drift did not chain (a flat connection has none) are chained
         flat = edge_transports(builtin_connection("flat", n=3), mesh)
         chained.clear()

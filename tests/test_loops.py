@@ -62,6 +62,15 @@ class TestWinding:
                 with pytest.raises(Undersampled):
                     f(z)
 
+    def test_infinite_sample_rejected(self):
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        z[5] = complex(np.inf, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (winding_increments, winding):
+                with pytest.raises(Undersampled):
+                    f(z)
+
     def test_residual_small_for_closed_loops(self, rng):
         z = np.exp(2j * np.pi * 3 * np.arange(256) / 256) * rng.uniform(0.5, 2.0, 256)
         rounded, raw, residual = winding_detail(z)
