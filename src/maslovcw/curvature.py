@@ -104,11 +104,9 @@ class DiscreteConnection:
                 np.conjugate(new, out=new)
             T[todo] = new
             chained[todo] = True
-        if ids.size and np.all(np.diff(ids) == 1):
-            # a run of ids is read in place: no second copy of the block
-            run = T[ids[0] : ids[-1] + 1]
-            run.flags.writeable = False
-            return run
+            if todo.size == ids.size:
+                # nothing was stored before: ``new`` already holds the rows
+                return new
         return T[ids]
 
     @property

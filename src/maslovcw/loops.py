@@ -38,7 +38,7 @@ def winding_increments(zs: np.ndarray) -> np.ndarray:
     size = np.abs(zs)
     if np.any(size <= 1e-15):
         raise ZeroSample("winding input touches zero")
-    if not np.all(np.isfinite(size)):
+    if not np.isfinite(size.max()):  # the max of the sizes is inf or NaN if any is
         raise Undersampled("winding input has a non-finite sample")
     # a NaN increment is reported by the guard below, not by a numpy warning
     with np.errstate(invalid="ignore"):

@@ -208,7 +208,9 @@ _VALID_FILES = (
     ("maslov", loop_to_json(generate_loop("constant", 8, n=2))),
     ("maslov", {"generator": "constant", "params": {"N": 8, "n": 2, "frame": [[1, 0], [0, 1]]}}),
     ("maslov", {"generator": "power_k", "params": {"N": 16, "k": 1}}),
-    ("polygon", {"n": 1, "chi": 1, "edges": [[[[1.0, 0.0]]] * 5, {"samples": [[[0.0, 1.0]]] * 5}]}),
+    # independent sample rows, so a mutation reaches one sample only
+    ("polygon", {"n": 1, "chi": 1, "edges": [[[[1.0, 0.0]] for _ in range(5)],
+                                             {"samples": [[[0.0, 1.0]] for _ in range(5)]}]}),
     ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [1]},
                   "boundary": {"generator": "circle_tangent", "params": {"N": 16}}}),
     ("orbifold", {"n": 2, "cone": {"m": 3, "weights": [1, 2]},
