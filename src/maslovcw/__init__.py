@@ -12,6 +12,7 @@ from .errors import (
     BranchCut,
     DegenerateSpectrum,
     InconsistentFormulas,
+    InvalidParameter,
     LoopNotClosed,
     MaslovCWError,
     NonUnitaryConnection,

@@ -14,12 +14,6 @@ import numpy as np
 from . import matcore
 
 
-def expm_skew(G: np.ndarray) -> np.ndarray:
-    """exp of a single skew-Hermitian matrix via eigh of -iG."""
-    lam, V = np.linalg.eigh(-1j * np.asarray(G, dtype=complex))
-    return (V * np.exp(1j * lam)) @ V.conj().T
-
-
 def transport_chain(gens: np.ndarray) -> np.ndarray:
     """Batched transports: eigh-exponentials multiplied over substeps."""
     E, s, n, _ = gens.shape

@@ -29,7 +29,6 @@ from .loops import (
     load_loop,
     maslov_bundle_pair,
     maslov_loop,
-    winding_increments,
 )
 from .mesh import Mesh2D
 from .orbifold import load_orbifold, verify_desingularization
@@ -163,7 +162,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _phase_svg(loop: FrameLoop, path: str) -> None:
     """Unwrapped phase of det^2 against t, as a bare SVG polyline."""
-    incs = winding_increments(loop.det_b())
+    incs = loop.phase_increments()
     phase = np.concatenate([[0.0], np.cumsum(incs)])
     t = np.arange(len(phase)) / (len(phase) - 1)
     W, H, pad = 800, 400, 40

@@ -11,12 +11,13 @@ non-unitary counterexample used by the norm-drift demonstration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import matcore
-from .errors import NonUnitaryConnection, UnknownName
+from .errors import InvalidParameter, NonUnitaryConnection, Undersampled, UnknownName
 from .loops import FrameLoop
 from .tolerances import TOL
 
@@ -55,12 +56,11 @@ class ConnectionSpec:
     specs are only accepted by the norm-drift pipeline.  ``radial`` declares
     whether the form has a dr part at all: a spec with ``radial=False`` must
     return A_r None, and is then evaluated only at angular-edge points,
-    since dtheta vanishes along radial edges.  ``diagonal``, when given
-    (only with ``radial=False``), returns the diagonals of A_theta, shape
-    r.shape + (n,), equal to those of ``coeffs`` value for value; the index
-    path then evaluates only them, and ``coeffs`` runs only when the full
-    values are read.  A spec that gives it vouches that the off-diagonals
-    it leaves out are skew-Hermitian.
+    since dtheta vanishes along radial edges.  ``trace``, when given (only
+    with ``radial=False``), returns tr A_theta, shape r.shape, equal up to
+    rounding to the trace of the ``coeffs`` values; the index path then
+    evaluates only it, and ``coeffs`` runs only when the full values are
+    read.  Every collar-type spec gives one.
     """
 
     n: int
@@ -69,11 +69,11 @@ class ConnectionSpec:
     unitary: bool = True
     boundary_loop: Optional[FrameLoop] = None
     radial: bool = True
-    diagonal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    trace: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.diagonal is not None and self.radial:
-            raise ValueError("a diagonal evaluator needs a spec without a dr part")
+        if self.trace is not None and self.radial:
+            raise ValueError("a trace evaluator needs a spec without a dr part")
 
 
 def check_skew(defect: float, what: str) -> None:
@@ -82,49 +82,45 @@ def check_skew(defect: float, what: str) -> None:
         raise NonUnitaryConnection(f"skew-Hermitian defect {defect:.3g} of the {what}")
 
 
-def _as_float(r, t):
-    return np.asarray(r, dtype=float), np.asarray(t, dtype=float)
-
-
 def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None,
-                 a_diag: Optional[Callable] = None) -> ConnectionSpec:
+                 a_trace: Optional[Callable] = None) -> ConnectionSpec:
     """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t).
 
-    ``a_diag(r, t)``, if given, is the diagonal evaluator: the diagonals of
-    a_theta(r, t).
+    ``a_trace(r, t)``, if given, is the trace evaluator: tr a_theta(r, t).
     """
 
     def coeffs(r, t):
-        return None, a_theta(*_as_float(r, t))
-
-    def diagonal(r, t):
-        return a_diag(*_as_float(r, t))
+        return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
     return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False,
-                          diagonal=None if a_diag is None else diagonal)
+                          trace=a_trace)
 
 
-def collar_spec(term: Callable, forms: tuple, tag: str, boundary_loop=None) -> ConnectionSpec:
-    """Angular spec with A_theta = term(*forms, r, t) and a diagonal evaluator.
+def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str,
+                boundary_loop=None) -> ConnectionSpec:
+    """Rank-n angular spec: A_theta = term(*forms(), r, t), trace term(*traces, r, t).
 
-    ``forms`` are skew-Hermitian samples (N, n, n) or matrices (n, n);
-    ``term`` may only interpolate, scale and add them with real weights, and
-    it must work for any trailing shape, since the diagonal evaluator is
-    term(*diagonals of forms, r, t).  The forms are checked here, NaN-safe,
-    against ``TOL.skew``.  Real-weighted sums of exactly skew values stay
-    exactly skew (subtraction is antisymmetric and conj exact), so the
-    off-diagonals that the diagonal evaluator leaves out need no check later.
+    ``term`` may only interpolate, scale and add its inputs with real
+    weights, for any trailing shape.  ``traces`` (complex arrays (N,) or ())
+    are checked here, NaN-safe, to be imaginary.  ``forms()`` gives the
+    skew-Hermitian samples (N, n, n) or matrices (n, n); it runs on the first
+    ``coeffs`` call, where each form F is checked against ``TOL.skew`` and
+    moved onto its trace: F - ((tr F - trace) / n) I, still skew-Hermitian.
     """
-    for F in forms:
-        check_skew(matcore.skew_defect(F), "boundary form")
-    diagonals = tuple(np.diagonal(F, axis1=-2, axis2=-1).copy() for F in forms)
-    return angular_spec(
-        forms[0].shape[-1],
-        lambda r, t: term(*forms, r, t),
-        tag,
-        boundary_loop,
-        a_diag=lambda r, t: term(*diagonals, r, t),
-    )
+    for tr in traces:
+        check_skew(matcore.diagonal_skew_defect(tr), "boundary trace")
+    diag = np.arange(n)
+
+    @cache
+    def shifted():
+        out = [F.copy() for F in forms()]
+        for F, tr in zip(out, traces):
+            check_skew(matcore.skew_defect(F), "boundary form")
+            F[..., diag, diag] -= ((np.trace(F, axis1=-2, axis2=-1) - tr) / n)[..., None]
+        return out
+
+    return angular_spec(n, lambda r, t: term(*shifted(), r, t), tag, boundary_loop,
+                        a_trace=lambda r, t: term(*traces, r, t))
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
@@ -149,6 +145,24 @@ def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
 # boundary 1-form of a frame loop and interpolation helpers
 # ---------------------------------------------------------------------------
 
+def _centred_derivative(ext: np.ndarray, N: int) -> np.ndarray:
+    """Fourth-order centred d/dt at t_k = k/N of N samples padded by two on each side."""
+    return (ext[0:N] - 8.0 * ext[1 : N + 1] + 8.0 * ext[3 : N + 3] - ext[4 : N + 4]) * (N / 12.0)
+
+
+def _open_derivative(f: np.ndarray) -> np.ndarray:
+    """Fourth-order d/dt of N samples at t_k = k/(N - 1), one-sided at the ends."""
+    N = f.shape[0]
+    h = 1.0 / (N - 1)
+    d = np.empty_like(f)
+    d[2 : N - 2] = (f[0 : N - 4] - 8 * f[1 : N - 3] + 8 * f[3 : N - 1] - f[4:N]) / (12 * h)
+    for k in (0, 1):
+        d[k] = (-25 * f[k] + 48 * f[k + 1] - 36 * f[k + 2] + 16 * f[k + 3] - 3 * f[k + 4]) / (12 * h)
+    for k in (N - 2, N - 1):
+        d[k] = (25 * f[k] - 48 * f[k - 1] + 36 * f[k - 2] - 16 * f[k - 3] + 3 * f[k - 4]) / (12 * h)
+    return d
+
+
 def loop_boundary_form(loop: FrameLoop):
     """Per-sample values of A(t) = w dw*/dt in the aligned frame gauge.
 
@@ -158,29 +172,48 @@ def loop_boundary_form(loop: FrameLoop):
     frames are the loop's cached, read-only ``aligned``.
     """
     w, o_wrap = loop.aligned
-    N = len(loop)
     ext = np.concatenate([w[-2:] @ o_wrap.T, w, w[:2] @ o_wrap], axis=0)
-    ws = ext.conj().transpose(0, 2, 1)
-    d = (ws[0:N] - 8.0 * ws[1 : N + 1] + 8.0 * ws[3 : N + 3] - ws[4 : N + 4]) * (N / 12.0)
-    A = w @ d
+    A = w @ _centred_derivative(ext.conj().transpose(0, 2, 1), len(loop))
     A = 0.5 * (A - A.conj().transpose(0, 2, 1))
     return A, w
+
+
+def loop_boundary_trace(loop: FrameLoop) -> np.ndarray:
+    """tr A(t) of ``loop_boundary_form`` from det B alone: -(i/2) d/dt arg det B.
+
+    With w = u O, tr(O dO^T/dt) = 0, so no alignment enters: arg det B is
+    summed from the loop's phase increments, continued across the seam by
+    their total, and differentiated by the same stencil.  The alignment is
+    still read, so its guards raise here as they would for the full form.
+    """
+    loop.aligned  # the guards run on this read
+    dphi = loop.phase_increments()
+    phi, total = np.concatenate([[0.0], np.cumsum(dphi[:-1])]), dphi.sum()
+    ext = np.concatenate([phi[-2:] - total, phi, phi[:2] + total])
+    return -0.5j * _centred_derivative(ext, len(loop))
 
 
 def open_path_form(samples: np.ndarray):
     """Same derivative for an open frame path (one-sided stencils at ends)."""
     u = np.asarray(samples, dtype=complex)
-    N = u.shape[0]
-    h = 1.0 / (N - 1)
-    ws = u.conj().transpose(0, 2, 1)
-    d = np.empty_like(ws)
-    d[2 : N - 2] = (ws[0 : N - 4] - 8 * ws[1 : N - 3] + 8 * ws[3 : N - 1] - ws[4:N]) / (12 * h)
-    for k in (0, 1):
-        d[k] = (-25 * ws[k] + 48 * ws[k + 1] - 36 * ws[k + 2] + 16 * ws[k + 3] - 3 * ws[k + 4]) / (12 * h)
-    for k in (N - 2, N - 1):
-        d[k] = (25 * ws[k] - 48 * ws[k - 1] + 36 * ws[k - 2] - 16 * ws[k - 3] + 3 * ws[k - 4]) / (12 * h)
-    A = u @ d
+    A = u @ _open_derivative(u.conj().transpose(0, 2, 1))
     return 0.5 * (A - A.conj().transpose(0, 2, 1))
+
+
+def open_path_trace(samples: np.ndarray) -> np.ndarray:
+    """tr of ``open_path_form`` from det(u)^2 alone, by the same stencils.
+
+    arg det(u)^2 is unwrapped from its principal increments under the
+    ``TOL.winding_guard`` step guard.  A NaN sample passes the guard and
+    gives a NaN trace, which the collar's trace check rejects.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.linalg.det(np.asarray(samples, dtype=complex)) ** 2
+        dphi = np.angle(z[1:] / z[:-1])
+    worst = np.max(np.abs(dphi))
+    if worst >= TOL.winding_guard:
+        raise Undersampled(f"path phase step {worst:.4f} rad >= guard {TOL.winding_guard:.4f}")
+    return -0.5j * _open_derivative(np.concatenate([[0.0], np.cumsum(dphi)]))
 
 
 def _trailing(v: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -188,31 +221,15 @@ def _trailing(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (A.ndim - 1))
 
 
-def _interp_periodic(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear interpolation of samples A_k at fractional index x (mod N)."""
-    N = A.shape[0]
-    x = np.mod(x, N)
-    i0 = np.floor(x).astype(int) % N
-    fr = _trailing(x - np.floor(x), A)
-    return (1.0 - fr) * A[i0] + fr * A[(i0 + 1) % N]
-
-
-def _interp_open(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    N = A.shape[0]
-    x = np.clip(x, 0.0, N - 1.0)
-    i0 = np.minimum(np.floor(x).astype(int), N - 2)
-    fr = _trailing(x - i0, A)
-    return (1.0 - fr) * A[i0] + fr * A[i0 + 1]
-
-
 def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
                 saturation=_SATURATION) -> np.ndarray:
     """rho(depth) A(t / span) / span: a boundary form carried inward by a cutoff.
 
     ``form`` samples the boundary 1-form over a parameter interval of length
-    ``span``, read periodically (closed loop) or clamped (open path); each
-    sample may have any shape, such as (n, n) values or their (n,)
-    diagonals, and the same elementwise operations run on either.
+    ``span``, read periodically (closed loop) or clamped (open path) and
+    interpolated linearly; each sample may have any shape, such as (n, n)
+    values or their traces (), and the same elementwise operations run on
+    either.
     ``depth`` runs from 0 at the inner edge of the collar to 1 at the rim.
     The form is interpolated only where the cutoff is nonzero; every other
     point gets an exact zero.
@@ -221,12 +238,17 @@ def collar_term(form, depth, t, span: float, periodic=True, cutoff="cubic",
     rho = cutoff_profile(depth, cutoff, saturation)
     on = rho > 0
     x = t[on] / span
-    if periodic:
-        a = _interp_periodic(form, x * N)
+    if periodic:  # fractional sample index x, mod N
+        x = np.mod(x * N, N)
+        i0 = np.floor(x).astype(int) % N
+        i1, fr = (i0 + 1) % N, x - np.floor(x)
     else:
-        a = _interp_open(form, x * (N - 1))
+        x = np.clip(x * (N - 1), 0.0, N - 1.0)
+        i0 = np.minimum(np.floor(x).astype(int), N - 2)
+        i1, fr = i0 + 1, x - i0
+    fr = _trailing(fr, form)
     out = np.zeros(rho.shape + form.shape[1:], dtype=complex)
-    out[on] = _trailing(rho[on], form) * a / span
+    out[on] = _trailing(rho[on], form) * ((1.0 - fr) * form[i0] + fr * form[i1]) / span
     return out
 
 
@@ -243,24 +265,27 @@ def build_collar_connection(
     its boundary transport preserves the loop's Lagrangian frames.
     """
     if not (0.0 < width < 1.0):
-        raise ValueError("collar width must lie in (0, 1)")
+        raise InvalidParameter("collar width must lie in (0, 1)")
 
     def term(A, r, t):
         depth = (r - (1.0 - width)) / width
         return collar_term(A, depth, t, 2.0 * np.pi, cutoff=cutoff, saturation=saturation)
 
-    return collar_spec(term, (loop_boundary_form(loop)[0],), f"collar(w={width},{cutoff})", loop)
+    return collar_spec(term, (loop_boundary_trace(loop),), lambda: (loop_boundary_form(loop)[0],),
+                       loop.n, f"collar(w={width},{cutoff})", loop)
 
 
 def build_arc_collar_connection(
     path: np.ndarray, t_span: float, width: float = 0.3
 ) -> ConnectionSpec:
     """Collar of an open frame path over an arc of angular span ``t_span``."""
+    path = np.array(path, dtype=complex)  # a copy: the full form is built from it later
 
     def term(A, r, t):
         return collar_term(A, (r - (1.0 - width)) / width, t, t_span, periodic=False)
 
-    return collar_spec(term, (open_path_form(path),), f"arc_collar(w={width})")
+    return collar_spec(term, (open_path_trace(path),), lambda: (open_path_form(path),),
+                       path.shape[-1], f"arc_collar(w={width})")
 
 
 def build_annulus_collar_connection(
@@ -275,16 +300,17 @@ def build_annulus_collar_connection(
     rim runs counterclockwise, the inner rim clockwise (theta = -2 pi t).
     """
     if outer.n != inner.n:
-        raise ValueError("rank mismatch between the two rims")
+        raise InvalidParameter("rank mismatch between the two rims")
     if not (0 < width <= 0.5 * (1.0 - r_inner)):
-        raise ValueError("collar width exceeds half the annulus thickness")
+        raise InvalidParameter("collar width exceeds half the annulus thickness")
 
     def term(A_out, A_in, r, t):
         rim = collar_term(A_out, (r - (1.0 - width)) / width, t, 2 * np.pi)
         return rim - collar_term(A_in, ((r_inner + width) - r) / width, -t, 2 * np.pi)
 
-    forms = (loop_boundary_form(outer)[0], loop_boundary_form(inner)[0])
-    return collar_spec(term, forms, f"annulus_collar(w={width})", outer)
+    return collar_spec(term, (loop_boundary_trace(outer), loop_boundary_trace(inner)),
+                       lambda: (loop_boundary_form(outer)[0], loop_boundary_form(inner)[0]),
+                       outer.n, f"annulus_collar(w={width})", outer)
 
 
 def radial_gauge_transform(

@@ -41,7 +41,7 @@ class DiscreteConnection:
     """A connection integrated along every directed mesh edge.
 
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
-    diagonals of the connection values; the index reads nothing else.  The
+    trace of the connection values; the index reads nothing else.  The
     rows of edges a spec is not evaluated on, and the evaluated rows outside
     ``live``, are exact zeros.  The full ``values`` and the generators ``G``
     (E, s, n, n) are built when first needed.  Transports are for the
@@ -53,7 +53,7 @@ class DiscreteConnection:
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    live: slice                 # rows of the evaluated diagonals holding every nonzero entry
+    live: slice                 # rows of the evaluated traces holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
     values: Optional[ConnectionValues] = field(default=None, repr=False)
     conjugate: bool = False
@@ -154,12 +154,13 @@ def edge_transports(
     rejected; an A_r of None counts as zero.  A non-unitary spec is rejected
     unless explicitly allowed (the norm-drift demonstration, rank 1 only).
 
-    ``edge_logdet`` is computed from the diagonals of the values, in the
-    operation order of ``trace(G.sum(axis=1))``.  A spec with a diagonal
-    evaluator is evaluated for the diagonals only, and a unitary one is
-    checked for skew-Hermitian diagonals (its builder vouches for the rest);
-    any other spec is evaluated in full and checked in full.  A NaN fails
-    either check.  Both run on the ``live`` rows only.
+    ``edge_logdet`` is minus the trace times the step, summed over the
+    substeps first, in the operation order of ``trace(G.sum(axis=1))``.  A
+    spec with a trace evaluator is evaluated for the trace only, and a
+    unitary one is checked for an imaginary trace (its full values are
+    checked when first read); any other spec is evaluated in full, checked
+    in full, and traced through its diagonals.  A NaN fails either check.
+    Both run on the ``live`` rows only.
     """
     if not spec.unitary:
         if not allow_non_unitary:
@@ -171,18 +172,17 @@ def edge_transports(
             raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
     rows, (r_mid, t_mid, dr, dt) = _quadrature(spec, mesh, substeps)
     values = None
-    if spec.diagonal is None:
+    if spec.trace is None:
         values = _evaluate(spec, mesh, substeps)
         A_theta, A_r, live = values
         d_theta, d_r = (None if A is None else np.diagonal(A[live], axis1=-2, axis2=-1)
                         for A in (A_theta, A_r))
     else:
-        d = np.asarray(spec.diagonal(r_mid.ravel(), t_mid.ravel()), dtype=complex)
-        d = d.reshape(r_mid.shape + (spec.n,))
-        live = _live_rows([d])
+        tr = np.asarray(spec.trace(r_mid.ravel(), t_mid.ravel()), dtype=complex).reshape(r_mid.shape)
+        live = _live_rows([tr])
         if spec.unitary:
-            check_skew(matcore.diagonal_skew_defect(d[live]), "connection diagonals")
-        d_theta, d_r = d[live], None
+            check_skew(matcore.diagonal_skew_defect(tr[live]), "connection trace")
+        d_theta, d_r = tr[live, :, None], None  # one column: its sum below is the value
 
     diag = _step(d_theta, d_r, dt[live], dr[live])
     np.negative(diag, out=diag)

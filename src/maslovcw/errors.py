@@ -5,6 +5,10 @@ class MaslovCWError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(MaslovCWError, ValueError):
+    """A numeric parameter lies outside its valid range."""
+
+
 class SingularInput(MaslovCWError):
     """Matrix too far from invertible for the requested factorization."""
 

@@ -45,10 +45,6 @@ class LagrangianFrame:
     def standard(cls, n: int) -> "LagrangianFrame":
         return cls(n, np.eye(n, dtype=complex))
 
-    def rotated_by_i(self) -> "LagrangianFrame":
-        """The image under the complex structure, frame i*U."""
-        return LagrangianFrame(self.n, 1j * self.u)
-
 
 def b_map(F: LagrangianFrame) -> np.ndarray:
     """Symmetric unitary U U^T; depends only on the Lagrangian, not the frame."""
@@ -97,9 +93,6 @@ class PositivePath:
         base = self.start.u @ self.orthogonal
         phases = np.exp(1j * np.outer(ts, self.angles))
         return base[None, :, :] * phases[:, None, :]
-
-    def frame_at(self, t: float) -> LagrangianFrame:
-        return LagrangianFrame(self.n, self.sample(np.array([t]))[0])
 
 
 def positive_path(F: LagrangianFrame, G: LagrangianFrame) -> PositivePath:

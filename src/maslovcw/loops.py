@@ -89,10 +89,11 @@ class FrameLoop:
             s = matcore.unitarize_batch(s)
         object.__setattr__(self, "samples", s)
         det_b = np.linalg.det(s) ** 2
-        det_b.flags.writeable = False
-        object.__setattr__(self, "_det_b", det_b)
         # guard: det B must advance by less than pi/2 per step
-        winding_increments(det_b)
+        dphi = winding_increments(det_b)
+        for name, a in (("_det_b", det_b), ("_dphi", dphi)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_path(cls, samples: np.ndarray) -> "FrameLoop":
@@ -123,12 +124,13 @@ class FrameLoop:
         o_wrap.flags.writeable = False
         return w, o_wrap
 
-    def frame(self, k: int) -> LagrangianFrame:
-        return LagrangianFrame(self.n, self.samples[k % len(self)])
-
     def det_b(self) -> np.ndarray:
         """det(B) = det(frame)^2 at every sample, computed once (read-only)."""
         return self._det_b
+
+    def phase_increments(self) -> np.ndarray:
+        """Principal increments of arg det B, sample k to k + 1 and across the seam (read-only)."""
+        return self._dphi
 
     def reversed(self) -> "FrameLoop":
         """Orientation reversal; keeps sample 0 as the base point."""
@@ -150,8 +152,8 @@ class FrameLoop:
 
 
 def maslov_loop(loop: FrameLoop) -> int:
-    """Maslov index: winding number of det(B) along the loop."""
-    return winding(loop.det_b())
+    """Maslov index: winding number of det(B) along the loop, from its kept increments."""
+    return int(round(float(loop.phase_increments().sum() / (2.0 * np.pi))))
 
 
 def orientation_reverse(loop: FrameLoop) -> FrameLoop:
@@ -188,18 +190,14 @@ def maslov_bundle_pair(pair: BundlePairSpec) -> int:
 # frame alignment: smooth the right O(n) gauge so consecutive samples are close
 # ---------------------------------------------------------------------------
 
-def _polar_orthogonal(R: np.ndarray):
-    A, s, Bt = np.linalg.svd(R)
-    return A @ Bt, float(s.min())
-
-
 def aligned_frames(samples: np.ndarray):
     """Right-multiply each frame by an O(n) factor so the path varies slowly.
 
     Returns (aligned samples, wrap monodromy O_w) with the continuation
     convention w(t + 1) = w(t) O_w.  The per-step orthogonal Procrustes
-    problems are solved independently and chained; a small or NaN singular
-    value in any alignment matrix means the loop is too coarsely sampled.
+    problems are solved independently and chained by a prefix scan of
+    log2(N) batched products; a small or NaN singular value in any alignment
+    matrix means the loop is too coarsely sampled.
     """
     u = np.asarray(samples, dtype=complex)
     N, n, _ = u.shape
@@ -219,24 +217,29 @@ def aligned_frames(samples: np.ndarray):
         raise Undersampled(
             f"frame alignment singular value {s.min():.3f} < {TOL.frame_step_sv}"
         )
-    # only the O(n) chain is sequential; the frames are rotated in one batch
+    # O[k] = steps[k-1] ... steps[0]; the frames are rotated in one batch
     O = np.empty((N, n, n))
     O[0] = np.eye(n)
     if n == 1:
         np.cumprod(steps, axis=0, out=O[1:])
     else:
-        for k in range(1, N):
-            np.matmul(steps[k - 1], O[k - 1], out=O[k])
+        # Hillis-Steele scan: after the round with stride d, O[k] holds the
+        # product of the last 2d steps before k (all of them once k <= 2d)
+        O[1:] = steps
+        d = 1
+        while d < N:
+            O[d:] = O[d:] @ O[:-d]
+            d *= 2
     w = u @ O
     # wrap monodromy from a 5-point extrapolation past the last sample
     if N >= 5:
         w_next = 5 * w[-1] - 10 * w[-2] + 10 * w[-3] - 5 * w[-4] + w[-5]
     else:
         w_next = w[-1]
-    O_w, sv = _polar_orthogonal(np.real(w[0].conj().T @ w_next))
-    if not sv >= TOL.frame_step_sv:
-        raise Undersampled(f"wrap alignment singular value {sv:.3f}")
-    return w, O_w
+    A, s, Bt = np.linalg.svd(np.real(w[0].conj().T @ w_next))
+    if not s.min() >= TOL.frame_step_sv:
+        raise Undersampled(f"wrap alignment singular value {s.min():.3f}")
+    return w, A @ Bt
 
 
 # ---------------------------------------------------------------------------

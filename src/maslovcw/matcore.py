@@ -52,7 +52,7 @@ def skew_defect(A: np.ndarray) -> float:
 
 
 def diagonal_skew_defect(d: np.ndarray) -> float:
-    """Largest |a + conj a| over the diagonal entries ``d``, 0 when empty.
+    """Largest |a + conj a| over the diagonals or traces ``d``, 0 when empty.
 
     That is 2 max|Re a|, equal for finite input and without complex
     temporaries.  An imaginary part that is not finite makes a + conj a NaN,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .connections import (
     ConnectionSpec, collar_spec, collar_term, cutoff_profile, loop_boundary_form,
+    loop_boundary_trace,
 )
 from .curvature import chern_weil_index, edge_transports
 from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
@@ -162,8 +163,10 @@ def invariant_connection(spec: OrbifoldDiscSpec) -> ConnectionSpec:
         eta = 1.0 - cutoff_profile((r - 0.1) / 0.3, "cubic", 1.0)
         return collar + eta.reshape(eta.shape + (1,) * cone.ndim) * cone
 
-    forms = (loop_boundary_form(spec.boundary)[0], D)
-    return collar_spec(term, forms, f"cone(m={spec.cone.order})+collar", spec.boundary)
+    loop = spec.boundary
+    return collar_spec(term, (loop_boundary_trace(loop), np.trace(D)),
+                       lambda: (loop_boundary_form(loop)[0], D), spec.n,
+                       f"cone(m={spec.cone.order})+collar", loop)
 
 
 def mu_cw_orbifold(spec: OrbifoldDiscSpec):
@@ -225,11 +228,8 @@ def cover_multiplicativity(pair: BundlePairSpec, m: int) -> dict:
     if m < 2:
         raise RankMismatch("cover degree must be >= 2")
     base = maslov_bundle_pair(pair)
-    covered = []
-    for L in pair.loops:
-        samples = np.tile(L.samples, (m, 1, 1))
-        covered.append(FrameLoop(L.n, samples))
-    lifted = maslov_bundle_pair(BundlePairSpec(pair.n, tuple(covered)))
+    covered = tuple(FrameLoop(L.n, np.tile(L.samples, (m, 1, 1))) for L in pair.loops)
+    lifted = maslov_bundle_pair(BundlePairSpec(pair.n, covered))
     out = {"m": m, "mu": base, "mu_lifted": lifted, "exact": lifted == m * base}
     if not out["exact"]:
         raise ViolatedIdentity(f"cover multiplicativity failed: {lifted} != {m}*{base}", out)

@@ -244,18 +244,6 @@ def maslov_viterbo(data: TransversalBundleData) -> int:
 # generators for randomized suites
 # ---------------------------------------------------------------------------
 
-def twist_edge(edge: np.ndarray, turns: int = 1) -> np.ndarray:
-    """Scale the first frame column by e^{2 pi i turns t}; endpoints unchanged.
-
-    Adds exactly 2*turns to the winding of det^2 along the edge.
-    """
-    edge = np.asarray(edge, dtype=complex).copy()
-    M = edge.shape[0]
-    ph = np.exp(2j * np.pi * turns * np.linspace(0.0, 1.0, M))
-    edge[:, :, 0] = edge[:, :, 0] * ph[:, None]
-    return edge
-
-
 def random_transversal_data(
     rng: np.random.Generator,
     n: int,

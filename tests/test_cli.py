@@ -83,6 +83,14 @@ class TestCw:
         i, j, a = lines[1].split(",")
         float(a)  # plain parseable number, not a numpy repr
 
+    @pytest.mark.parametrize("width", ["1.5", "0"])
+    def test_bad_collar_width_exits_one(self, width, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        save_loop(generate_loop("power_k", 64, k=1), str(path))
+        code, out, err = run_cli(["cw", "--input", str(path), "--collar", width], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: collar width must lie in (0, 1)"]
+
     def test_mesh_bounds(self, capsys):
         code, _, err = run_cli(["cw", "--builtin", "flat", "--mesh", "8"], capsys)
         assert code == 1

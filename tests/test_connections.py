@@ -9,14 +9,26 @@ from maslovcw.connections import (
     collar_term,
     cutoff_profile,
     loop_boundary_form,
+    loop_boundary_trace,
     open_path_form,
+    open_path_trace,
     radial_gauge_transform,
 )
-from maslovcw.errors import UnknownName, Undersampled
+from maslovcw.errors import InvalidParameter, MaslovCWError, RankMismatch, UnknownName, Undersampled
 from maslovcw.grassmann import LagrangianFrame
-from maslovcw.loops import FrameLoop, generate_loop, random_frame_loop
+from maslovcw.loops import FrameLoop, aligned_frames, generate_loop, random_frame_loop
 from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
 from maslovcw.polygon import quarter_arc_path
+from maslovcw.tolerances import TOL
+
+
+def wrap_rejected_loop(seed=14, N=16):
+    """exp(i H(t)) for a seeded one-harmonic Hermitian H(t), rank 2, coarsely sampled."""
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    X = C * np.exp(2j * np.pi * np.arange(N) / N)[:, None, None]
+    lam, V = np.linalg.eigh(0.3 * (X + X.conj().transpose(0, 2, 1)))
+    return FrameLoop(2, np.einsum("tij,tj,tkj->tik", V, np.exp(1j * lam), V.conj()))
 
 
 class TestBuiltins:
@@ -117,6 +129,56 @@ class TestCollar:
         with pytest.raises(ValueError):
             build_collar_connection(loop, width=1.5)
 
+    def test_bad_parameters_are_library_errors(self):
+        loop = generate_loop("constant", 64, n=2)
+        bad = (
+            lambda: build_collar_connection(loop, width=0.0),
+            lambda: build_annulus_collar_connection(loop, loop, r_inner=0.4, width=0.35),
+            lambda: build_annulus_collar_connection(loop, generate_loop("constant", 64), 0.4),
+        )
+        for build in bad:
+            with pytest.raises(InvalidParameter) as err:
+                build()
+            assert isinstance(err.value, MaslovCWError) and isinstance(err.value, ValueError)
+            assert not isinstance(err.value, RankMismatch)
+
+    def test_wrap_guard_rejects_at_build_time(self):
+        # rank 2, from a seeded generator: every step singular value (the
+        # seam step too) clears the guard, but the monodromy extrapolated
+        # past the last sample does not, so only the wrap guard rejects it
+        loop = wrap_rejected_loop()
+        u = loop.samples
+        M = np.real(np.swapaxes(np.roll(u, -1, axis=0), -1, -2).conj() @ u)
+        assert np.linalg.svd(M, compute_uv=False).min() >= TOL.frame_step_sv
+        with pytest.raises(Undersampled, match="wrap alignment singular value"):
+            aligned_frames(u)
+        for build in (lambda: build_collar_connection(loop),
+                      lambda: build_annulus_collar_connection(loop, loop, 0.4, 0.2),
+                      lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(2, (1, 0)), loop))):
+            with pytest.raises(Undersampled, match="wrap alignment singular value"):
+                build()
+
+    def test_boundary_trace_matches_the_form(self, rng):
+        # the trace read off det B is the trace of the frame-derived form up
+        # to the stencil's discretization error, which falls as O(N^-4)
+        for n in (1, 2, 3):
+            errs = []
+            for N in (128, 256):
+                loop, _ = random_frame_loop(np.random.default_rng(n), n, N)
+                A, _ = loop_boundary_form(loop)
+                errs.append(np.abs(np.trace(A, axis1=1, axis2=2) - loop_boundary_trace(loop)).max())
+            assert errs[1] <= 1e-5 and errs[1] <= max(errs[0] / 8, 1e-13)
+        tau = loop_boundary_trace(generate_loop("circle_tangent", 256))
+        assert np.abs(tau + 2j * np.pi).max() <= 1e-9 and not np.any(tau.real)
+        path = quarter_arc_path(LagrangianFrame.standard(2), 129) @ np.diag([1.0, 1j])
+        err = np.abs(np.trace(open_path_form(path), axis1=1, axis2=2) - open_path_trace(path))
+        assert err.max() <= 1e-4
+
+    def test_open_path_trace_guard(self):
+        t = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(Undersampled):
+            open_path_trace(np.exp(3j * np.pi * t)[:, None, None])
+
 
 class TestGaugeTransform:
     def test_transformed_form_still_skew(self):
@@ -138,14 +200,18 @@ class TestGaugeTransform:
 
 
 # ---------------------------------------------------------------------------
-# every builder's collar term, pinned bitwise to its written-out formula
+# every builder's collar term and trace, pinned to its written-out formula
 # ---------------------------------------------------------------------------
+
+def _weight(fr, A):
+    return fr.reshape(fr.shape + (1,) * (A.ndim - 1))
+
 
 def ref_periodic_lerp(A, x):
     N = A.shape[0]
     x = np.mod(x, N)
     i0 = np.floor(x).astype(int) % N
-    fr = (x - np.floor(x))[..., None, None]
+    fr = _weight(x - np.floor(x), A)
     return (1.0 - fr) * A[i0] + fr * A[(i0 + 1) % N]
 
 
@@ -153,8 +219,17 @@ def ref_open_lerp(A, x):
     N = A.shape[0]
     x = np.clip(x, 0.0, N - 1.0)
     i0 = np.minimum(np.floor(x).astype(int), N - 2)
-    fr = (x - i0)[..., None, None]
+    fr = _weight(x - i0, A)
     return (1.0 - fr) * A[i0] + fr * A[i0 + 1]
+
+
+def ref_shifted(A, tau):
+    """A - ((tr A - tau) / n) I: the form moved onto the trace tau."""
+    n = A.shape[-1]
+    A = A.copy()
+    i = np.arange(n)
+    A[..., i, i] -= ((np.trace(A, axis1=-2, axis2=-1) - tau) / n)[..., None]
+    return A
 
 
 def _grid(t_max):
@@ -162,12 +237,14 @@ def _grid(t_max):
     return r.ravel(), t.ravel()
 
 
-def _assert_angular(spec, r, t, expected):
+def _assert_angular(spec, r, t, expected, expected_trace):
     Ar, At = spec.coeffs(r, t)
     assert Ar is None and not spec.radial
     assert np.array_equal(At, expected)
-    # the diagonal evaluator gives the same diagonals, bit for bit
-    assert spec.diagonal(r, t).tobytes() == np.diagonal(At, axis1=-2, axis2=-1).tobytes()
+    # the trace evaluator is the same formula on the traces; it meets the
+    # trace of the full values up to rounding
+    assert np.array_equal(spec.trace(r, t), expected_trace)
+    assert np.abs(np.trace(At, axis1=-2, axis2=-1) - expected_trace).max() <= 1e-12
 
 
 class TestPinnedCollarTerms:
@@ -183,49 +260,60 @@ class TestPinnedCollarTerms:
     @pytest.mark.parametrize("width,kind,sat", [(0.3, "cubic", 0.9), (0.25, "quintic", 0.8)])
     def test_disc(self, width, kind, sat):
         loop, _ = random_frame_loop(np.random.default_rng(3), 2, N=64)
-        A, _ = loop_boundary_form(loop)
+        tau = loop_boundary_trace(loop)
+        A = ref_shifted(loop_boundary_form(loop)[0], tau)
         r, t = _grid(2 * np.pi)
         spec = build_collar_connection(loop, width=width, cutoff=kind, saturation=sat)
         rho = cutoff_profile((r - (1.0 - width)) / width, kind, sat)
-        a = ref_periodic_lerp(A, (t / (2.0 * np.pi)) * len(loop))
-        _assert_angular(spec, r, t, rho[..., None, None] * a / (2.0 * np.pi))
+        x = (t / (2.0 * np.pi)) * len(loop)
+        _assert_angular(spec, r, t, rho[..., None, None] * ref_periodic_lerp(A, x) / (2.0 * np.pi),
+                        rho * ref_periodic_lerp(tau, x) / (2.0 * np.pi))
 
     def test_arc(self):
         path = quarter_arc_path(LagrangianFrame.standard(2), 65) @ np.diag([1.0, 1j])
-        A = open_path_form(path)
+        tau = open_path_trace(path)
+        A = ref_shifted(open_path_form(path), tau)
         t_span = 0.5 * np.pi
         r, t = _grid(t_span)
         spec = build_arc_collar_connection(path, t_span=t_span, width=0.3)
         rho = cutoff_profile((r - (1.0 - 0.3)) / 0.3)
-        a = ref_open_lerp(A, (t / t_span) * (len(path) - 1))
-        _assert_angular(spec, r, t, rho[..., None, None] * a / t_span)
+        x = (t / t_span) * (len(path) - 1)
+        _assert_angular(spec, r, t, rho[..., None, None] * ref_open_lerp(A, x) / t_span,
+                        rho * ref_open_lerp(tau, x) / t_span)
 
     def test_annulus(self):
         rng = np.random.default_rng(5)
         outer, _ = random_frame_loop(rng, 2, N=64)
         inner, _ = random_frame_loop(rng, 2, N=48)
-        A_out, _ = loop_boundary_form(outer)
-        A_in, _ = loop_boundary_form(inner)
+        tau_out, tau_in = loop_boundary_trace(outer), loop_boundary_trace(inner)
+        A_out = ref_shifted(loop_boundary_form(outer)[0], tau_out)
+        A_in = ref_shifted(loop_boundary_form(inner)[0], tau_in)
         r_inner, width = 0.4, 0.2
         r, t = _grid(2 * np.pi)
         spec = build_annulus_collar_connection(outer, inner, r_inner=r_inner, width=width)
         rho_out = cutoff_profile((r - (1.0 - width)) / width)
         rho_in = cutoff_profile(((r_inner + width) - r) / width)
-        a_out = ref_periodic_lerp(A_out, (t / (2 * np.pi)) * len(outer))
-        a_in = ref_periodic_lerp(A_in, (-t / (2 * np.pi)) * len(inner))
-        expected = (rho_out[..., None, None] * a_out / (2 * np.pi)
-                    - rho_in[..., None, None] * a_in / (2 * np.pi))
-        _assert_angular(spec, r, t, expected)
+        x_out = (t / (2 * np.pi)) * len(outer)
+        x_in = (-t / (2 * np.pi)) * len(inner)
+        expected = (rho_out[..., None, None] * ref_periodic_lerp(A_out, x_out) / (2 * np.pi)
+                    - rho_in[..., None, None] * ref_periodic_lerp(A_in, x_in) / (2 * np.pi))
+        expected_trace = (rho_out * ref_periodic_lerp(tau_out, x_out) / (2 * np.pi)
+                          - rho_in * ref_periodic_lerp(tau_in, x_in) / (2 * np.pi))
+        _assert_angular(spec, r, t, expected, expected_trace)
 
     def test_orbifold_invariant(self):
         loop, _ = random_frame_loop(np.random.default_rng(7), 2, N=64)
         spec = OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)
-        A, _ = loop_boundary_form(loop)
+        tau = loop_boundary_trace(loop)
+        A = ref_shifted(loop_boundary_form(loop)[0], tau)
         D = 1j * np.diag(np.array([1.0, 2.0]) / 3)
+        tau_cone = np.trace(D)  # i (1 + 2) / 3: the shift leaves D as it is
+        assert np.array_equal(ref_shifted(D, tau_cone), D)
         r, t = _grid(2 * np.pi)
         rho = cutoff_profile((r - (1.0 - 0.3)) / 0.3)
-        a = ref_periodic_lerp(A, (t / (2 * np.pi)) * len(loop))
-        x = np.clip((r - 0.1) / 0.3, 0.0, 1.0)
-        eta = 1.0 - x * x * (3.0 - 2.0 * x)
-        expected = rho[..., None, None] * a / (2.0 * np.pi) + eta[..., None, None] * D
-        _assert_angular(invariant_connection(spec), r, t, expected)
+        x = (t / (2 * np.pi)) * len(loop)
+        y = np.clip((r - 0.1) / 0.3, 0.0, 1.0)
+        eta = 1.0 - y * y * (3.0 - 2.0 * y)
+        expected = rho[..., None, None] * ref_periodic_lerp(A, x) / (2.0 * np.pi) + eta[..., None, None] * D
+        expected_trace = rho * ref_periodic_lerp(tau, x) / (2.0 * np.pi) + eta * tau_cone
+        _assert_angular(invariant_connection(spec), r, t, expected, expected_trace)

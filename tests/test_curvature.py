@@ -31,7 +31,9 @@ from maslovcw.curvature import (
     orthogonality_defect,
 )
 from maslovcw.errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
-from maslovcw.loops import BundlePairSpec, generate_loop, maslov_bundle_pair, random_frame_loop
+from maslovcw.loops import (
+    BundlePairSpec, generate_loop, maslov_bundle_pair, maslov_loop, random_frame_loop,
+)
 from maslovcw.mesh import DOMAINS, Mesh2D
 from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
 
@@ -278,7 +280,7 @@ class TestLazyTransports:
 def zero_radial_twin(spec):
     """The same form declared with a dr part, returned as explicit zeros.
 
-    The twin has no diagonal evaluator, so it is evaluated in full on every
+    The twin has no trace evaluator, so it is evaluated in full on every
     edge; it reads the full values of ``spec`` through ``coeffs``.
     """
 
@@ -309,8 +311,8 @@ def recording_coeffs(spec, sizes):
 
         return call
 
-    diagonal = None if spec.diagonal is None else recording("diagonal", spec.diagonal)
-    return replace(spec, coeffs=recording("coeffs", spec.coeffs), diagonal=diagonal)
+    trace = None if spec.trace is None else recording("trace", spec.trace)
+    return replace(spec, coeffs=recording("coeffs", spec.coeffs), trace=trace)
 
 
 class TestAbsentRadialPart:
@@ -324,15 +326,20 @@ class TestAbsentRadialPart:
         assert not spec.radial and twin.radial
         S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         S = S - S.conj().T
-        # the collar's diagonal path and its full path against the twin
-        pairs = [(spec, twin), (replace(spec, diagonal=None), twin),
+        # the collar's trace path and its full path against the twin; the
+        # trace path meets the twin's diagonal sums up to rounding only
+        pairs = [(spec, twin), (replace(spec, trace=None), twin),
                  (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
         for mesh in TWIN_MESHES:
             for a, b in pairs:
                 Da = edge_transports(a, mesh, substeps)
                 Db = edge_transports(b, mesh, substeps)
-                assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
-                assert np.array_equal(face_angle_array(Da), face_angle_array(Db))
+                if a.trace is None:
+                    assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
+                    assert np.array_equal(face_angle_array(Da), face_angle_array(Db))
+                else:
+                    assert np.abs(Da.edge_logdet - Db.edge_logdet).max() <= 1e-12
+                    assert np.abs(face_angle_array(Da) - face_angle_array(Db)).max() <= 1e-12
                 assert np.array_equal(Da.transports, Db.transports)
                 assert Da.max_unitary_defect == Db.max_unitary_defect
             D = edge_transports(spec, mesh, substeps)
@@ -348,16 +355,16 @@ class TestAbsentRadialPart:
         angular, full = [], []
         spec = recording_coeffs(build_collar_connection(loop), angular)
         D = edge_transports(spec, mesh, substeps)
-        # the index path evaluates the diagonals only; G evaluates the full values once
-        assert angular == [("diagonal", points)]
+        # the index path evaluates the trace only; G evaluates the full values once
+        assert angular == [("trace", points)]
         D.G
         D.max_unitary_defect
-        assert angular == [("diagonal", points), ("coeffs", points)]
+        assert angular == [("trace", points), ("coeffs", points)]
         angular.clear()
         gauge = recording_coeffs(radial_gauge_transform(spec, np.diag([1j, -1j])), full)
         D = edge_transports(gauge, mesh, substeps)
         D.G
-        assert gauge.diagonal is None
+        assert gauge.trace is None
         assert full == [("coeffs", mesh.num_edges * substeps)]
         assert angular == [("coeffs", mesh.num_edges * substeps)]
 
@@ -426,13 +433,19 @@ class TestTraceOnlyPath:
     @pytest.mark.parametrize("substeps", [1, 2, 3, 8, 9, 16])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_edge_logdet_is_trace_of_generators(self, rng, n, substeps):
+        # a full-path spec sums the trace of its generators; a trace spec
+        # sums -tau dt, which meets that trace up to rounding
         loop, _ = random_frame_loop(rng, n, 64)
         spec = build_collar_connection(loop)
         S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for sp in (spec, radial_gauge_transform(spec, S - S.conj().T)):
             D = edge_transports(sp, Mesh2D("disc", 6, 64), substeps)
             ref = np.trace(D.G.sum(axis=1), axis1=-2, axis2=-1)
-            assert D.edge_logdet.tobytes() == ref.tobytes()
+            if sp.trace is None:
+                assert D.edge_logdet.tobytes() == ref.tobytes()
+            else:
+                assert D.edge_logdet.tobytes() == trace_logdet(D)[0].tobytes()
+                assert np.abs(D.edge_logdet - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_drift_read_first_matches_full_chain(self, rng, n):
@@ -457,14 +470,57 @@ class TestTraceOnlyPath:
         assert rep.rounded is not None and rep.face_angles.size
         assert "G" not in D.__dict__ and "_store" not in D.__dict__
 
+    def test_index_path_reads_no_frame_form(self, rng, monkeypatch):
+        from maslovcw import loops
+
+        aligns, forms = [], []
+
+        def counting(fn, calls):
+            def call(x):
+                calls.append(len(x))
+                return fn(x)
+
+            return call
+
+        monkeypatch.setattr(loops, "aligned_frames", counting(loops.aligned_frames, aligns))
+        form = counting(connections.loop_boundary_form, forms)
+        monkeypatch.setattr(connections, "loop_boundary_form", form)
+        monkeypatch.setattr(orbifold, "loop_boundary_form", form)
+        monkeypatch.setattr(connections, "open_path_form",
+                            counting(connections.open_path_form, forms))
+        loop, _ = random_frame_loop(rng, 3, 64)
+        inner, _ = random_frame_loop(rng, 3, 32)
+        disc = Mesh2D("disc", 8, 64)
+        cases = [
+            (build_collar_connection(loop), disc),
+            (build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
+             Mesh2D("annulus", 8, 64, r_inner=0.3)),
+            (build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
+             Mesh2D("quarter_disc", 8, 16)),
+            (invariant_connection(OrbifoldDiscSpec(3, ConePoint(3, (0, 1, 2)), loop)), disc),
+        ]
+        # the builds ran the alignment guards, once per loop
+        assert aligns == [64, 32]
+        for spec, mesh in cases:
+            calls, built = [], len(forms)
+            D = edge_transports(recording_coeffs(spec, calls), mesh)
+            assert chern_weil_index(D).rounded is not None
+            assert [name for name, _ in calls] == ["trace"] and len(forms) == built
+            # G builds the forms from the cached frames, on its first read only
+            D.G
+            edge_transports(spec, mesh).G
+            assert [name for name, _ in calls] == ["trace", "coeffs"] and len(forms) > built
+        assert aligns == [64, 32]
+        assert forms == [64, 64, 32, 33, 64]
+
     def test_conjugated_and_reversed_keep_values(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
         spec = build_collar_connection(loop)
         S = np.array([[1j, 0.5], [-0.5, -1j]])
         for sp in (spec, radial_gauge_transform(spec, S)):
             D = edge_transports(sp, Mesh2D("disc", 8, 64), 2)
-            # a diagonal-path connection holds no full values until G is read
-            assert (D.values is None) == (sp.diagonal is not None)
+            # a trace-path connection holds no full values until G is read
+            assert (D.values is None) == (sp.trace is not None)
             early = D.conjugated()
             values = D.full_values()
             assert D.full_values() is values
@@ -476,6 +532,16 @@ class TestTraceOnlyPath:
                 assert "G" not in other.__dict__
                 assert other.G.tobytes() == D.G.tobytes()
                 assert other.transports.tobytes() == T.tobytes()
+
+
+def trace_logdet(D):
+    """edge_logdet of a trace spec by its formula: -sum over substeps of tau dt."""
+    skip = D.mesh.num_radial
+    r_mid, t_mid, _, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
+    tau = D.spec.trace(r_mid.ravel(), t_mid.ravel()).reshape(r_mid.shape)
+    logdet = np.zeros(D.mesh.num_edges, dtype=complex)
+    logdet[skip:] = (-(tau * dt)).sum(axis=1)
+    return logdet, tau
 
 
 def full_array_reference(D):
@@ -548,15 +614,19 @@ class TestLiveRows:
             skew, logdet, G, values = full_array_reference(D)
             new_skew, new_logdet, new_G = live_range_outputs(D)
             assert new_skew == skew
-            assert new_logdet.tobytes() == logdet.tobytes()
             assert new_G.tobytes() == G.tobytes()
-            # the full values hold their own range; the index path's range
-            # is over the diagonals it evaluated
+            # the full values hold their own range; a trace spec's index
+            # path has its range over the traces it evaluated
             assert_tight(D.full_values().live, values)
-            if spec.diagonal is None:
+            if spec.trace is None:
+                assert new_logdet.tobytes() == logdet.tobytes()
                 assert D.live == D.full_values().live
             else:
-                assert_tight(D.live, [np.diagonal(A, axis1=-2, axis2=-1) for A in values])
+                # it sums -tau dt, which meets the diagonal sums up to rounding
+                trace_ref, tau = trace_logdet(D)
+                assert new_logdet.tobytes() == trace_ref.tobytes()
+                assert np.abs(new_logdet - logdet).max() <= 1e-12
+                assert_tight(D.live, [tau])
 
     def test_collar_range_skips_the_interior(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
@@ -659,17 +729,19 @@ class TestDiagonalPath:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_path(self, rng, n, substeps):
         # collar, annulus collar, arc collar and orbifold specs; the gauge
-        # transform has no diagonal evaluator
-        specs = [(sp, m) for sp, m in live_range_specs(rng, n) if sp.diagonal is not None]
+        # transform has no trace evaluator
+        specs = [(sp, m) for sp, m in live_range_specs(rng, n) if sp.trace is not None]
         assert len(specs) == 4
         for spec, mesh in specs:
             D = edge_transports(spec, mesh, substeps)
-            F = edge_transports(replace(spec, diagonal=None), mesh, substeps)
+            F = edge_transports(replace(spec, trace=None), mesh, substeps)
             assert D.values is None and F.values is not None
-            assert np.all(D.edge_logdet == F.edge_logdet)
+            # the trace meets the diagonal sums of the full values up to rounding
+            assert np.abs(D.edge_logdet - F.edge_logdet).max() <= 1e-12
             rep, ref = chern_weil_index(D), chern_weil_index(F)
-            assert rep.face_angles.tobytes() == ref.face_angles.tobytes()
-            assert np.float64(rep.raw).tobytes() == np.float64(ref.raw).tobytes()
+            assert np.abs(rep.face_angles - ref.face_angles).max() <= 1e-12
+            assert abs(rep.raw - ref.raw) <= 1e-9 and rep.rounded == ref.rounded
+            # the transports and the diagnostics read from them are one computation
             assert D.G.tobytes() == F.G.tobytes()
             assert rep.unitarity_defect == ref.unitarity_defect
             assert rep.orthogonality_defect == ref.orthogonality_defect
@@ -681,7 +753,8 @@ class TestDiagonalPath:
         path[5, 0, 1] = np.nan
         with pytest.raises(NonUnitaryConnection):
             build_arc_collar_connection(path, t_span=0.5 * np.pi)
-        # a NaN off the diagonal only, which the diagonal path never reads
+        # a NaN off the diagonal of the frame-derived form, which the index
+        # path never reads: the builds and the index pass, the first G read raises
         form = connections.loop_boundary_form
 
         def nan_form(lp):
@@ -692,25 +765,30 @@ class TestDiagonalPath:
 
         monkeypatch.setattr(connections, "loop_boundary_form", nan_form)
         monkeypatch.setattr(orbifold, "loop_boundary_form", nan_form)
+        disc = Mesh2D("disc", 8, 64)
         builds = (
-            lambda: build_collar_connection(loop),
-            lambda: build_annulus_collar_connection(loop, loop, r_inner=0.3, width=0.15),
-            lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)),
+            (lambda: build_collar_connection(loop), disc),
+            (lambda: build_annulus_collar_connection(loop, loop, r_inner=0.3, width=0.15),
+             Mesh2D("annulus", 8, 64, r_inner=0.3)),
+            (lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)), disc),
         )
-        for build in builds:
+        for build, mesh in builds:
+            D = edge_transports(build(), mesh)
+            assert chern_weil_index(D).rounded is not None
             with pytest.raises(NonUnitaryConnection):
-                build()
+                D.G
 
     def test_nan_diagonal_rejected(self):
-        def a_diag(r, t):
-            return np.where(r > 0.9, np.nan, -1j * r)[..., None]
+        def a_trace(r, t):
+            return np.where(r > 0.9, np.nan, -1j * r)
 
-        spec = angular_spec(1, lambda r, t: a_diag(r, t)[..., None], "nan_diag", a_diag=a_diag)
+        spec = angular_spec(1, lambda r, t: a_trace(r, t)[..., None, None], "nan_trace",
+                            a_trace=a_trace)
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 16, 16))
 
     def test_full_values_checked_when_G_is_read(self):
-        # the diagonals are skew, the off-diagonals Hermitian: the index path
+        # the trace is imaginary, the off-diagonals Hermitian: the index path
         # passes, and the full check runs on the first read of G
         def a_theta(r, t):
             A = np.zeros(r.shape + (2, 2), dtype=complex)
@@ -719,7 +797,7 @@ class TestDiagonalPath:
             return A
 
         spec = angular_spec(2, a_theta, "hermitian_offdiag",
-                            a_diag=lambda r, t: np.diagonal(a_theta(r, t), axis1=-2, axis2=-1))
+                            a_trace=lambda r, t: np.trace(a_theta(r, t), axis1=-2, axis2=-1))
         D = edge_transports(spec, Mesh2D("disc", 4, 8))
         assert chern_weil_index(D).rounded is not None
         with pytest.raises(NonUnitaryConnection):
@@ -732,8 +810,8 @@ class TestDiagonalPath:
             return None, np.zeros(r.shape + (1, 1), dtype=complex)
 
         with pytest.raises(ValueError):
-            ConnectionSpec(1, coeffs, tag="radial_diag",
-                           diagonal=lambda r, t: np.zeros(r.shape + (1,), dtype=complex))
+            ConnectionSpec(1, coeffs, tag="radial_trace",
+                           trace=lambda r, t: np.zeros(r.shape, dtype=complex))
 
 
 class TestFaceHolonomy:
@@ -959,3 +1037,40 @@ class TestConvergence:
             assert rep.unitarity_defect <= 1e-9
         assert np.log2(errs[0] / errs[1]) >= 1.8
         assert np.log2(errs[1] / errs[2]) >= 1.8
+
+
+def hypothesis_loop(seed, n, N):
+    return random_frame_loop(np.random.default_rng(seed), n, N)[0]
+
+
+class TestTraceProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]))
+    def test_reversal_negates_the_index(self, seed, n, N):
+        loop = hypothesis_loop(seed, n, N)
+        rev = loop.reversed()
+        assert maslov_loop(rev) == -maslov_loop(loop)
+        reps = [chern_weil_index(edge_transports(build_collar_connection(L), Mesh2D("disc", 8, N)))
+                for L in (loop, rev)]
+        assert reps[1].rounded == -reps[0].rounded == -maslov_loop(loop)
+        assert abs(reps[0].raw + reps[1].raw) <= 1e-9
+        # the reversed trace runs backwards with the opposite sign
+        tau, tau_rev = (connections.loop_boundary_trace(L) for L in (loop, rev))
+        assert np.abs(tau_rev + np.roll(tau[::-1], 1)).max() <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]))
+    def test_full_values_carry_the_trace(self, seed, n, N):
+        loop, inner = hypothesis_loop(seed, n, N), hypothesis_loop(seed + 1, n, N)
+        weights = tuple(int(w) for w in np.random.default_rng(seed).integers(0, 4, n))
+        specs = (build_collar_connection(loop),
+                 build_annulus_collar_connection(loop, inner, r_inner=0.4, width=0.2),
+                 invariant_connection(OrbifoldDiscSpec(n, ConePoint(4, weights), loop)))
+        # every boundary sample on the rims, then points across the disc
+        t = np.concatenate([2 * np.pi * np.arange(N) / N, np.linspace(-1.0, 7.0, 41)])
+        r = np.concatenate([np.ones(N), np.linspace(0.0, 1.0, 41)])
+        for spec in specs:
+            for rr in (r, 1.4 - r):
+                _, At = spec.coeffs(rr, t)
+                assert np.abs(np.trace(At, axis1=-2, axis2=-1) - spec.trace(rr, t)).max() <= 1e-12
+                assert matcore.skew_defect(At) == 0.0

@@ -3,6 +3,12 @@ import numpy as np
 from maslovcw import _kernels
 
 
+def expm_skew(G):
+    """exp of a single skew-Hermitian matrix via eigh of -iG."""
+    lam, V = np.linalg.eigh(-1j * G)
+    return (V * np.exp(1j * lam)) @ V.conj().T
+
+
 def random_skew_batch(rng, E, s, n):
     G = rng.normal(size=(E, s, n, n)) + 1j * rng.normal(size=(E, s, n, n))
     return 0.3 * (G - G.conj().transpose(0, 1, 3, 2))
@@ -28,5 +34,5 @@ def test_chain_matches_sequential_exponentials(rng):
     for e in range(5):
         P = np.eye(3, dtype=complex)
         for j in range(4):
-            P = _kernels.expm_skew(G[e, j]) @ P
+            P = expm_skew(G[e, j]) @ P
         assert np.linalg.norm(T[e] - P) <= 1e-12

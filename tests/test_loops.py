@@ -192,6 +192,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             d[0] = 1.0
 
+    def test_increments_kept_from_the_guard(self, rng, monkeypatch):
+        from maslovcw import loops
+
+        u = random_frame_loop(rng, 3, 64)[0].samples
+        calls = []
+        increments = loops.winding_increments
+
+        def counting(zs):
+            calls.append(len(zs))
+            return increments(zs)
+
+        monkeypatch.setattr(loops, "winding_increments", counting)
+        loop = FrameLoop(3, u)
+        assert calls == [64]
+        dphi = loop.phase_increments()
+        assert maslov_loop(loop) == maslov_loop(loop) == winding_detail(loop.det_b())[0]
+        assert calls == [64, 64] and loop.phase_increments() is dphi
+        assert dphi.tobytes() == increments(loop.det_b()).tobytes()
+        with pytest.raises(ValueError):
+            dphi[0] = 1.0
+
     def test_from_path_closure(self):
         t = np.linspace(0.0, 1.0, 65)
         good = np.exp(1j * np.pi * t)[:, None, None]  # ends at -1 ~ +1 mod O(1)
@@ -202,17 +223,34 @@ class TestConstruction:
             FrameLoop.from_path(bad)
 
 
-def per_sample_alignment(u):
-    """Aligned frames with every rotation applied inside the chain loop."""
+def alignment_steps(u):
     M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
     A, _, Bt = np.linalg.svd(M)
-    steps = A @ Bt
+    return A @ Bt
+
+
+def per_sample_alignment(u, sequential=False):
+    """Aligned frames with every rotation applied per sample.
+
+    The rotations O[k] = steps[k-1] ... steps[0] come from a log-depth
+    prefix scan, or with ``sequential`` from the chain one step at a time.
+    """
+    steps = alignment_steps(u)
+    N, n, _ = u.shape
+    O = np.empty((N, n, n))
+    O[0] = np.eye(n)
+    if sequential:
+        for k in range(1, N):
+            O[k] = steps[k - 1] @ O[k - 1]
+    else:
+        O[1:] = steps
+        d = 1
+        while d < N:
+            O[d:] = O[d:] @ O[:-d]
+            d *= 2
     w = np.empty_like(u)
-    w[0] = u[0]
-    O = np.eye(u.shape[1])
-    for k in range(1, len(u)):
-        O = steps[k - 1] @ O
-        w[k] = u[k] @ O
+    for k in range(N):
+        w[k] = u[k] @ O[k]
     return w
 
 
@@ -222,6 +260,7 @@ class TestAlignedFrames:
         loop, _ = random_frame_loop(rng, n, 256)
         w, o_wrap = aligned_frames(loop.samples)
         assert w.tobytes() == per_sample_alignment(loop.samples).tobytes()
+        assert np.abs(w - per_sample_alignment(loop.samples, sequential=True)).max() <= 1e-13
         assert np.allclose(o_wrap.T @ o_wrap, np.eye(n), atol=1e-12)
 
     def test_rank_one_matches_svd_chain_bitwise(self, rng):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovcw.errors import RankMismatch
 from maslovcw.loops import BundlePairSpec, FrameLoop, generate_loop, maslov_bundle_pair, random_frame_loop
@@ -160,6 +162,14 @@ class TestCoverMultiplicativity:
         pair = BundlePairSpec(2, (generate_loop("constant", 64, n=2),))
         for m in (2, 3, 5):
             assert cover_multiplicativity(pair, m)["mu_lifted"] == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.sampled_from([2, 3]),
+           N=st.sampled_from([64, 128]))
+    def test_random_loops_multiply(self, seed, n, m, N):
+        loop, idx = random_frame_loop(np.random.default_rng(seed), n, N)
+        res = cover_multiplicativity(BundlePairSpec(n, (loop,)), m)
+        assert res["exact"] and res["mu"] == idx and res["mu_lifted"] == m * idx
 
     def test_power_loops_triple(self):
         for k in range(-2, 3):

@@ -20,8 +20,17 @@ from maslovcw.polygon import (
     quarter_model_index,
     quarter_model_report,
     random_transversal_data,
-    twist_edge,
 )
+
+
+def twist_edge(edge, turns=1):
+    """Scale the first frame column by e^{2 pi i turns t}; endpoints unchanged.
+
+    Adds exactly 2*turns to the winding of det^2 along the edge.
+    """
+    edge = np.array(edge, dtype=complex)
+    edge[:, :, 0] *= np.exp(2j * np.pi * turns * np.linspace(0.0, 1.0, len(edge)))[:, None]
+    return edge
 
 
 class TestConstruction:
@@ -55,7 +64,7 @@ class TestLLoop:
         for i in range(data.k_plus_1):
             F, G = data.vertex_pair(i)
             path = positive_path(F, G)
-            assert same_lagrangian(path.frame_at(1.0), G)
+            assert same_lagrangian(LagrangianFrame(path.n, path.sample(np.array([1.0]))[0]), G)
         # whole loop passes construction guards, so it closes as sampled data
         loop = build_L_loop(data)
         assert loop.n == 2
