@@ -73,7 +73,7 @@ class ConnectionSpec:
 
     def __post_init__(self):
         if self.trace is not None and self.radial:
-            raise ValueError("a trace evaluator needs a spec without a dr part")
+            raise InvalidParameter("a trace evaluator needs a spec without a dr part")
 
 
 def check_skew(defect: float, what: str) -> None:

@@ -13,7 +13,7 @@ branch, guarded at pi/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -45,9 +45,8 @@ class DiscreteConnection:
     rows of edges a spec is not evaluated on, and the evaluated rows outside
     ``live``, are exact zeros.  The full ``values`` and the generators ``G``
     (E, s, n, n) are built when first needed.  Transports are for the
-    canonical edge direction (outward radial, increasing angle); each edge is
-    chained at most once, when first asked for, and kept.  ``conjugate``
-    marks the complex conjugate connection.
+    canonical edge direction (outward radial, increasing angle); they are
+    chained from ``G`` on every read and not kept.
     """
 
     mesh: Mesh2D
@@ -56,7 +55,6 @@ class DiscreteConnection:
     live: slice                 # rows of the evaluated traces holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
     values: Optional[ConnectionValues] = field(default=None, repr=False)
-    conjugate: bool = False
 
     @property
     def n(self) -> int:
@@ -87,57 +85,14 @@ class DiscreteConnection:
         np.negative(g, out=g)
         return G
 
-    @cached_property
-    def _store(self):
-        """(E, n, n) transports of the chained edges, and the (E,) mask of those."""
-        E = self.mesh.num_edges
-        return np.empty((E, self.n, self.n), dtype=complex), np.zeros(E, dtype=bool)
-
     def transports_of(self, edge_ids) -> np.ndarray:
-        """Transports of the given distinct edge ids; chains only those not yet chained."""
-        ids = np.asarray(edge_ids)
-        T, chained = self._store
-        todo = ids[~chained[ids]]
-        if todo.size:
-            new = _kernels.transport_chain(self.G[todo])
-            if self.conjugate:
-                np.conjugate(new, out=new)
-            T[todo] = new
-            chained[todo] = True
-            if todo.size == ids.size:
-                # nothing was stored before: ``new`` already holds the rows
-                return new
-        return T[ids]
+        """Transports of the given edge ids, chained on every call."""
+        return _kernels.transport_chain(self.G[edge_ids])
 
     @property
     def transports(self) -> np.ndarray:
         """(E, n, n) transports of every edge."""
-        return self.transports_of(np.arange(self.mesh.num_edges))
-
-    @cached_property
-    def max_unitary_defect(self) -> float:
-        """Largest Frobenius distance of any edge transport from the unitary group.
-
-        Only the edges with a nonzero generator are chained: an all-zero
-        generator chains to the exact identity, whose defect is 0.
-        """
-        if not self.unitary:
-            return float("nan")
-        # a NaN entry is truthy, so a NaN generator is chained and reported
-        live = np.flatnonzero(self.G.any(axis=(1, 2, 3)))
-        if not live.size:
-            return 0.0
-        return matcore.unitary_defect(self.transports_of(live))
-
-    def conjugated(self) -> "DiscreteConnection":
-        return replace(
-            self,
-            edge_logdet=self.edge_logdet.conj(),
-            conjugate=not self.conjugate,
-        )
-
-    def on_reversed_mesh(self) -> "DiscreteConnection":
-        return replace(self, mesh=self.mesh.reversed())
+        return _kernels.transport_chain(self.G)
 
 
 def edge_transports(
@@ -308,10 +263,11 @@ def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
 class CurvatureReport:
     """Outcome of one curvature integration.
 
-    The diagnostics that need transports are computed on first read:
-    ``orthogonality_defect`` chains the rim edges against ``probe`` (None
-    when there is no probe loop or no closed rim), and ``unitarity_defect``
-    the edges with a nonzero generator.
+    The two diagnostics that need transports are computed together on the
+    first read of either, by ``transport_defects``: ``unitarity_defect``
+    over the edges with a nonzero generator, and ``orthogonality_defect``
+    over the rim against ``probe`` (None when there is no probe loop or no
+    closed rim).
     """
 
     raw: float
@@ -326,17 +282,19 @@ class CurvatureReport:
     connection: DiscreteConnection = field(repr=False)
     probe: Optional[FrameLoop] = field(default=None, repr=False)
 
+    @cached_property
+    def _transport_defects(self) -> tuple:
+        return transport_defects(self.connection, self.probe)
+
     @property
     def unitarity_defect(self) -> float:
-        """Transport drift over every edge; chains the transports on first read."""
-        return self.connection.max_unitary_defect
+        """Transport drift over every edge."""
+        return self._transport_defects[0]
 
-    @cached_property
+    @property
     def orthogonality_defect(self) -> Optional[float]:
-        """Frame defect of the rim transport; chains the rim edges on first read."""
-        if self.probe is None:
-            return None
-        return orthogonality_defect(self.connection, self.probe)
+        """Frame defect of the rim transport, None without a probe."""
+        return self._transport_defects[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -390,7 +348,7 @@ def chern_weil_index(
     residual = abs(raw - float(rounded))
     probe = loop if loop is not None else D.spec.boundary_loop
     if probe is not None and D.mesh.wrap:
-        _rim_stride(D.mesh, probe)
+        _rim_ids(D.mesh, probe)
     else:
         probe = None
     return CurvatureReport(
@@ -408,8 +366,8 @@ def chern_weil_index(
     )
 
 
-def _rim_stride(mesh: Mesh2D, loop: FrameLoop) -> int:
-    """Loop samples per rim edge; the rim must be closed and the samples align."""
+def _rim_ids(mesh: Mesh2D, loop: FrameLoop) -> np.ndarray:
+    """Rim edge ids; the rim must be closed and the loop samples align with it."""
     if not mesh.wrap:
         raise Undersampled("boundary transport defect needs a closed rim")
     N = len(loop)
@@ -417,7 +375,7 @@ def _rim_stride(mesh: Mesh2D, loop: FrameLoop) -> int:
         raise Undersampled(
             f"loop samples ({N}) must be divisible by the angular resolution ({mesh.n_t})"
         )
-    return N // mesh.n_t
+    return mesh.boundary_angular_ids()
 
 
 def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
@@ -429,17 +387,41 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
     the rim vertices (sample count divisible by the angular resolution).
     Only the rim edges are chained, and all rim SVDs run as one batch.
     """
-    mesh = D.mesh
-    stride = _rim_stride(mesh, loop)
-    N = len(loop)
-    n = loop.n
-    T = D.transports_of(mesh.boundary_angular_ids())
+    return _frame_defect(D.transports_of(_rim_ids(D.mesh, loop)), loop)
+
+
+def transport_defects(
+    D: DiscreteConnection, loop: Optional[FrameLoop] = None
+) -> tuple[float, Optional[float]]:
+    """Transport drift over every edge, and the rim's frame defect against ``loop``.
+
+    The edges with a nonzero generator and, given a loop, the rim edges are
+    chained in one call.  An all-zero generator chains to the exact
+    identity, whose defect is 0, so the drift over that block is the drift
+    over every edge.  The frame defect is None without a loop.
+    """
+    rim = None if loop is None else _rim_ids(D.mesh, loop)
+    # a NaN entry is truthy, so a NaN generator is chained and reported
+    chained = D.G.any(axis=(1, 2, 3))
+    if rim is not None:
+        chained[rim] = True
+    ids = np.flatnonzero(chained)
+    if not ids.size:
+        return 0.0, None
+    T = D.transports_of(ids)
+    frame = None if rim is None else _frame_defect(T[np.searchsorted(ids, rim)], loop)
+    return matcore.unitary_defect(T), frame
+
+
+def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:
+    """Frame defect of the rim transports ``T`` (increasing angle) against ``loop``."""
+    N, n, n_t = len(loop), loop.n, len(T)
     P = np.empty_like(T)
     acc = np.eye(n, dtype=complex)
     for j, Tj in enumerate(T):
         acc = Tj @ acc
         P[j] = acc
-    targets = loop.samples[(np.arange(1, mesh.n_t + 1) * stride) % N]
+    targets = loop.samples[(np.arange(1, n_t + 1) * (N // n_t)) % N]
     M = np.swapaxes((P @ loop.samples[0]).conj(), -1, -2) @ targets
     sv_sums = np.linalg.svd(np.real(M), compute_uv=False).sum(axis=-1)
     worst = 0.0

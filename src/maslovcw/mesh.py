@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownName
+from .errors import InvalidParameter, UnknownName
 
 DOMAINS = ("disc", "annulus", "quarter_disc")
 
@@ -35,11 +35,11 @@ class Mesh2D:
         if self.domain not in DOMAINS:
             raise UnknownName(f"unknown domain {self.domain!r}")
         if self.n_r < 2 or self.n_t < 4:
-            raise ValueError("mesh too coarse")
+            raise InvalidParameter("mesh too coarse")
         if self.domain == "annulus" and not (0.0 < self.r_inner < 1.0):
-            raise ValueError("annulus needs 0 < r_inner < 1")
+            raise InvalidParameter("annulus needs 0 < r_inner < 1")
         if self.orientation not in (+1, -1):
-            raise ValueError("orientation must be +-1")
+            raise InvalidParameter("orientation must be +-1")
 
     # -- grid ---------------------------------------------------------------
 
@@ -139,7 +139,7 @@ class Mesh2D:
         """
         s = int(substeps)
         if s < 1:
-            raise ValueError("substeps must be >= 1")
+            raise InvalidParameter("substeps must be >= 1")
         return _edge_quadrature(self.domain, self.n_r, self.n_t, self.r_inner, s)
 
     def boundary_angular_ids(self) -> np.ndarray:

@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw import cli, verify as verify_mod
+from maslovcw import _kernels, cli, verify as verify_mod
+from maslovcw.connections import build_collar_connection
+from maslovcw.curvature import edge_transports
 from maslovcw.errors import MaslovCWError
-from maslovcw.loops import generate_loop, loop_from_json, loop_to_json, random_frame_loop, save_loop
+from maslovcw.loops import (
+    generate_loop, load_loop, loop_from_json, loop_to_json, random_frame_loop, save_loop,
+)
+from maslovcw.mesh import Mesh2D
 from maslovcw.orbifold import orbifold_from_json
 from maslovcw.polygon import polygon_from_json
 
@@ -90,6 +95,29 @@ class TestCw:
         code, out, err = run_cli(["cw", "--input", str(path), "--collar", width], capsys)
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: collar width must lie in (0, 1)"]
+
+    def test_transport_diagnostics_match_full_chain(self, tmp_path, capsys):
+        loop, _ = random_frame_loop(np.random.default_rng(9), 3, 128)
+        path = tmp_path / "loop.json"
+        save_loop(loop, str(path))
+        code, out, _ = run_cli(["cw", "--input", str(path), "--mesh", "64"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        # the same connection, every edge chained, the rim walked edge by edge
+        loop = load_loop(str(path))
+        mesh = Mesh2D("disc", cli.MESH_MIN, len(loop))
+        T = _kernels.transport_chain(edge_transports(build_collar_connection(loop), mesh).G)
+        drift = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1)).max()
+        P, worst = np.eye(3, dtype=complex), 0.0
+        for j, e in enumerate(mesh.boundary_angular_ids()):
+            P = T[e] @ P
+            M = (P @ loop.samples[0]).conj().T @ loop.samples[(j + 1) % len(loop)]
+            d2 = np.linalg.norm(M) ** 2 + 3 - 2.0 * np.linalg.svd(M.real, compute_uv=False).sum()
+            worst = max(worst, np.sqrt(max(d2, 0.0)))
+        assert report["unitarity_defect"] == drift
+        assert report["orthogonality_defect"] == worst
+        code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
+        assert code == 0 and json.loads(out)["orthogonality_defect"] is None
 
     def test_mesh_bounds(self, capsys):
         code, _, err = run_cli(["cw", "--builtin", "flat", "--mesh", "8"], capsys)

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -29,8 +28,11 @@ from maslovcw.curvature import (
     face_holonomy,
     norm_drift_demo,
     orthogonality_defect,
+    transport_defects,
 )
-from maslovcw.errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
+from maslovcw.errors import (
+    InvalidParameter, MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined,
+)
 from maslovcw.loops import (
     BundlePairSpec, generate_loop, maslov_bundle_pair, maslov_loop, random_frame_loop,
 )
@@ -68,6 +70,20 @@ class TestMesh:
     def test_annulus_needs_inner_radius(self):
         with pytest.raises(ValueError):
             Mesh2D("annulus", 8, 16)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Mesh2D("disc", 1, 8),
+        lambda: Mesh2D("disc", 4, 3),
+        lambda: Mesh2D("annulus", 8, 16, r_inner=1.0),
+        lambda: Mesh2D("disc", 4, 8, orientation=0),
+        lambda: Mesh2D("disc", 4, 8).edge_quadrature(0),
+        lambda: ConnectionSpec(1, lambda r, t: (None, r), tag="radial_trace", trace=lambda r, t: r),
+    ], ids=["n_r", "n_t", "r_inner", "orientation", "substeps", "trace_with_dr"])
+    def test_bad_parameters_raise_library_error(self, build):
+        # still a ValueError, so the CLI exit code does not change
+        with pytest.raises(InvalidParameter) as err:
+            build()
+        assert isinstance(err.value, MaslovCWError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("domain", DOMAINS)
@@ -126,7 +142,7 @@ class TestEdgeTransports:
         loop, _ = random_frame_loop(rng, 4, 256)
         spec = build_collar_connection(loop)
         D = edge_transports(spec, Mesh2D("disc", 16, 256), substeps=2)
-        assert D.max_unitary_defect <= 1e-9
+        assert transport_defects(D)[0] <= 1e-9
 
     def test_nonunitary_rejected_by_default(self):
         spec = builtin_connection("example_4_3_nonunitary")
@@ -135,11 +151,16 @@ class TestEdgeTransports:
 
 
 def reference_diagnostics(D, loop):
-    """Transports, drift and frame defect chained from the full G, edge by edge."""
+    """Transports, drift and frame defect chained from the full G, edge by edge.
+
+    The frame defect is None when ``loop`` is.
+    """
     T = _kernels.transport_chain(D.G)
     drift = float(
         np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(D.n), axis=(-2, -1)))
     )
+    if loop is None:
+        return T, drift, None
     N, n = len(loop), loop.n
     stride = N // D.mesh.n_t
     P = np.eye(n, dtype=complex)
@@ -153,57 +174,47 @@ def reference_diagnostics(D, loop):
     return T, drift, worst
 
 
-STORE_MESH = Mesh2D("disc", 4, 64)
-
-
-@lru_cache(maxsize=None)
-def store_spec(n):
-    loop, _ = random_frame_loop(np.random.default_rng(n), n, 64)
-    return build_collar_connection(loop)
-
-
 class TestLazyTransports:
-    def test_index_chains_only_rim_edges(self, rng, monkeypatch):
-        loop, _ = random_frame_loop(rng, 3, 512)
-        mesh = Mesh2D("disc", 24, 512)
+    def test_report_chains_live_and_rim_once(self, rng, monkeypatch):
+        loop, _ = random_frame_loop(rng, 3, 256)
+        cases = (
+            # a collar: the rim edges are among the live ones
+            (build_collar_connection(loop), Mesh2D("disc", 16, 256), loop),
+            # flat with a probe: no live edge, so only the n_t rim edges
+            (builtin_connection("flat", n=3), Mesh2D("disc", 8, 128),
+             generate_loop("constant", N=128, n=3)),
+            # a built-in with no probe loop: the live edges only
+            (builtin_connection("example_2_7"), Mesh2D("disc", 16, 16), None),
+        )
         chained = []
         chain = _kernels.transport_chain
 
         def recording(gens):
-            chained.append(gens.shape)
+            chained.append(gens.shape[0])
             return chain(gens)
 
         monkeypatch.setattr(_kernels, "transport_chain", recording)
-        defect_calls = []
-        defect = curvature.orthogonality_defect
-
-        def counting(D, probe):
-            defect_calls.append(probe)
-            return defect(D, probe)
-
-        monkeypatch.setattr(curvature, "orthogonality_defect", counting)
-        D = edge_transports(build_collar_connection(loop), mesh)
-        rep = chern_weil_index(D, loop=loop)
-        # the index itself chains nothing and leaves the frame defect unread
-        assert chained == [] and defect_calls == []
-        first = rep.orthogonality_defect
-        assert defect_calls == [loop]
-        assert sum(shape[0] for shape in chained) <= mesh.n_t
-        chained.clear()
-        assert rep.orthogonality_defect == first
-        assert chained == [] and len(defect_calls) == 1
-        assert first == defect(D, loop)
-        # reading the drift chains the edges with a nonzero generator that the
-        # frame defect did not chain (the rim edges are among them), once
-        chained.clear()
-        assert rep.unitarity_defect <= 1e-9
-        live = np.count_nonzero(D.G.any(axis=(1, 2, 3)))
-        # the collar (width 0.3) is nonzero on the rings with r > 0.7 only
-        assert live == np.count_nonzero(mesh.r_nodes > 0.7) * mesh.n_t
-        assert [shape[0] for shape in chained] == [live - mesh.n_t]
-        chained.clear()
-        assert rep.unitarity_defect <= 1e-9
-        assert chained == []
+        for spec, mesh, probe in cases:
+            for first in ("unitarity_defect", "orthogonality_defect"):
+                chained.clear()
+                D = edge_transports(spec, mesh)
+                rep = chern_weil_index(D, loop=probe)
+                # the index itself chains nothing
+                assert chained == []
+                getattr(rep, first)
+                rows = D.G.any(axis=(1, 2, 3))
+                live = np.count_nonzero(rows)
+                if probe is not None:
+                    # the rim edges are all live, or none is
+                    rim = mesh.boundary_angular_ids()
+                    assert rows[rim].all() == (live > 0)
+                    rows[rim] = True
+                assert chained == [np.count_nonzero(rows)]
+                values = (rep.unitarity_defect, rep.orthogonality_defect)
+                assert len(chained) == 1
+                _, drift, worst = reference_diagnostics(D, probe)
+                assert values == (drift, worst)
+            assert (values[1] is None) == (probe is None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_chain_bitwise(self, rng, n):
@@ -213,59 +224,15 @@ class TestLazyTransports:
         lazy = edge_transports(spec, mesh, substeps=2)
         rep = chern_weil_index(lazy, Fraction(1), loop=loop)
         T, drift, worst = reference_diagnostics(lazy, loop)
-        assert rep.orthogonality_defect == worst
+        assert rep.orthogonality_defect == worst == orthogonality_defect(lazy, loop)
         assert np.array_equal(lazy.transports, T)
-        assert lazy.max_unitary_defect == drift == rep.unitarity_defect
-        # a stack built before the index gives the same report
+        assert rep.unitarity_defect == drift
+        # generators built before the index give the same report
         eager = edge_transports(spec, mesh, substeps=2)
-        eager.transports
+        eager.G
         rep_eager = chern_weil_index(eager, Fraction(1), loop=loop)
         assert rep_eager.raw == rep.raw
         assert rep_eager.orthogonality_defect == worst
-
-    def test_conjugated_transports(self, rng):
-        loop, _ = random_frame_loop(rng, 3, 128)
-        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 128))
-        before = D.conjugated()
-        assert np.array_equal(before.transports, D.transports.conj())
-        assert np.array_equal(D.conjugated().transports, D.transports.conj())
-        assert np.array_equal(before.conjugated().transports, D.transports)
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 3), conjugate=st.booleans(), reads=st.lists(
-        st.one_of(
-            # distinct ids in random order, or a run of consecutive ids
-            st.lists(st.integers(0, STORE_MESH.num_edges - 1), min_size=1, max_size=12, unique=True),
-            st.tuples(st.integers(0, STORE_MESH.num_edges - 1), st.integers(1, 80)).map(
-                lambda t: list(range(t[0], min(t[0] + t[1], STORE_MESH.num_edges)))),
-        ), min_size=1, max_size=6))
-    def test_store_reads_match_chain_and_chain_once(self, n, conjugate, reads):
-        D = edge_transports(store_spec(n), STORE_MESH)
-        if conjugate:
-            D = D.conjugated()
-        chain = _kernels.transport_chain
-        chained = []
-
-        def recording(gens):
-            chained.append(gens.shape[0])
-            return chain(gens)
-
-        seen = set()
-        with mock.patch.object(_kernels, "transport_chain", recording):
-            for ids in reads:
-                ids = np.array(ids)
-                T = D.transports_of(ids)
-                ref = chain(D.G[ids])
-                assert T.tobytes() == (ref.conj() if conjugate else ref).tobytes()
-                seen.update(ids.tolist())
-                # every edge read so far was chained exactly once
-                assert sum(chained) == len(seen)
-        # the drift chains only live edges not read above
-        live = set(np.flatnonzero(D.G.any(axis=(1, 2, 3))).tolist())
-        chained.clear()
-        with mock.patch.object(_kernels, "transport_chain", recording):
-            D.max_unitary_defect
-        assert sum(chained) == len(live - seen)
 
     def test_nonunitary_rank_two_rejected_eagerly(self):
         def coeffs(r, t):
@@ -341,7 +308,7 @@ class TestAbsentRadialPart:
                     assert np.abs(Da.edge_logdet - Db.edge_logdet).max() <= 1e-12
                     assert np.abs(face_angle_array(Da) - face_angle_array(Db)).max() <= 1e-12
                 assert np.array_equal(Da.transports, Db.transports)
-                assert Da.max_unitary_defect == Db.max_unitary_defect
+                assert transport_defects(Da) == transport_defects(Db)
             D = edge_transports(spec, mesh, substeps)
             R = mesh.num_radial
             assert not np.any(D.G[:R]) and not np.any(D.edge_logdet[:R])
@@ -358,7 +325,7 @@ class TestAbsentRadialPart:
         # the index path evaluates the trace only; G evaluates the full values once
         assert angular == [("trace", points)]
         D.G
-        D.max_unitary_defect
+        transport_defects(D)
         assert angular == [("trace", points), ("coeffs", points)]
         angular.clear()
         gauge = recording_coeffs(radial_gauge_transform(spec, np.diag([1j, -1j])), full)
@@ -449,26 +416,40 @@ class TestTraceOnlyPath:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_drift_read_first_matches_full_chain(self, rng, n):
+        chain = _kernels.transport_chain
+        chained = []
+
+        def recording(gens):
+            chained.append(gens.copy())
+            return chain(gens)
+
         for spec, mesh in drift_meshes_and_specs(rng, n):
             D = edge_transports(spec, mesh)
-            drift = D.max_unitary_defect
-            # only the edges with a nonzero generator were chained
-            chained = D._store[1]
-            assert np.array_equal(chained, D.G.any(axis=(1, 2, 3)))
-            T = _kernels.transport_chain(D.G)
-            assert drift == matcore.unitary_defect(T)
+            chained.clear()
+            with mock.patch.object(_kernels, "transport_chain", recording):
+                drift, frame = transport_defects(D)
+            assert frame is None
+            # only the edges with a nonzero generator were chained, in one call
+            live = D.G.any(axis=(1, 2, 3))
+            if live.any():
+                assert len(chained) == 1 and chained[0].tobytes() == D.G[live].tobytes()
+            else:
+                assert chained == [] and drift == 0.0
+            assert drift == matcore.unitary_defect(chain(D.G))
 
     def test_nan_generator_is_chained(self):
         D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 4, 8))
-        D.G[-1, 0, 0, 0] = np.nan
-        assert math.isnan(D.max_unitary_defect)
+        rep = chern_weil_index(D, loop=generate_loop("constant", N=8, n=2))
+        D.G[0, 0, 0, 0] = np.nan
+        assert math.isnan(rep.unitarity_defect)
+        assert rep.orthogonality_defect <= 1e-12
 
     def test_index_leaves_generators_unbuilt(self, rng):
         loop, _ = random_frame_loop(rng, 3, 128)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 128))
         rep = chern_weil_index(D, loop=loop)
         assert rep.rounded is not None and rep.face_angles.size
-        assert "G" not in D.__dict__ and "_store" not in D.__dict__
+        assert "G" not in D.__dict__ and "_transport_defects" not in rep.__dict__
 
     def test_index_path_reads_no_frame_form(self, rng, monkeypatch):
         from maslovcw import loops
@@ -521,17 +502,16 @@ class TestTraceOnlyPath:
             D = edge_transports(sp, Mesh2D("disc", 8, 64), 2)
             # a trace-path connection holds no full values until G is read
             assert (D.values is None) == (sp.trace is not None)
-            early = D.conjugated()
+            early = replace(D, edge_logdet=D.edge_logdet.conj())
             values = D.full_values()
             assert D.full_values() is values
-            for other, T in ((D.conjugated(), D.transports.conj()),
-                             (D.on_reversed_mesh(), D.transports),
-                             (early, D.transports.conj())):
+            for other in (replace(D, edge_logdet=D.edge_logdet.conj()),
+                          replace(D, mesh=D.mesh.reversed()), early):
                 if other is not early:
                     assert other.values is values
                 assert "G" not in other.__dict__
                 assert other.G.tobytes() == D.G.tobytes()
-                assert other.transports.tobytes() == T.tobytes()
+                assert other.transports.tobytes() == D.transports.tobytes()
 
 
 def trace_logdet(D):
@@ -646,7 +626,7 @@ class TestLiveRows:
         assert new_skew == skew == 0.0
         assert new_logdet.tobytes() == logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
         assert new_G.tobytes() == G.tobytes()
-        assert D.max_unitary_defect == 0.0
+        assert transport_defects(D) == (0.0, None)
         assert chern_weil_index(D).rounded == 0
 
     def test_all_rows_live(self):
@@ -685,43 +665,6 @@ class TestLiveRows:
 
         with pytest.raises(NonUnitaryConnection):
             edge_transports(ConnectionSpec(1, coeffs, tag="nan_theta"), Mesh2D("disc", 16, 16))
-
-    def test_rim_read_after_drift_chains_nothing(self, rng, monkeypatch):
-        loop, _ = random_frame_loop(rng, 3, 128)
-        spec = build_collar_connection(loop)
-        mesh = Mesh2D("disc", 12, 128)
-        fresh = edge_transports(spec, mesh)
-        expected = orthogonality_defect(fresh, loop)
-        expected_conj = orthogonality_defect(fresh.conjugated(), loop)
-        # an interior edge, where the collar vanishes, and the last rim edge
-        ids = np.array([mesh.num_radial, mesh.num_edges - 1])
-        expected_T = fresh.conjugated().transports_of(ids)
-        chained = []
-        chain = _kernels.transport_chain
-
-        def recording(gens):
-            chained.append(gens.shape[0])
-            return chain(gens)
-
-        monkeypatch.setattr(_kernels, "transport_chain", recording)
-        for D, ref in ((edge_transports(spec, mesh), expected),
-                       (edge_transports(spec, mesh).conjugated(), expected_conj)):
-            chained.clear()
-            rep = chern_weil_index(D, loop=loop)
-            assert rep.unitarity_defect <= 1e-9
-            assert len(chained) == 1
-            assert rep.orthogonality_defect == ref
-            assert len(chained) == 1
-        # of ids not all among the drift's edges, only those not chained are
-        assert ids[0] not in np.flatnonzero(D.G.any(axis=(1, 2, 3)))
-        assert D.transports_of(ids).tobytes() == expected_T.tobytes()
-        assert chained[1:] == [1]
-        # rim edges that the drift did not chain (a flat connection has none) are chained
-        flat = edge_transports(builtin_connection("flat", n=3), mesh)
-        chained.clear()
-        assert flat.max_unitary_defect == 0.0
-        orthogonality_defect(flat, generate_loop("constant", N=128, n=3))
-        assert chained == [mesh.n_t]
 
 
 class TestDiagonalPath:
@@ -803,7 +746,7 @@ class TestDiagonalPath:
         with pytest.raises(NonUnitaryConnection):
             D.G
         with pytest.raises(NonUnitaryConnection):
-            D.max_unitary_defect
+            transport_defects(D)
 
     def test_diagonal_needs_an_angular_spec(self):
         def coeffs(r, t):
@@ -946,14 +889,14 @@ class TestConjugationAndOrientation:
         loop, _ = random_frame_loop(rng, 2, 256)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 16, 256))
         a = face_angle_array(D)
-        a_conj = face_angle_array(D.conjugated())
+        a_conj = face_angle_array(replace(D, edge_logdet=D.edge_logdet.conj()))
         assert np.max(np.abs(a + a_conj)) <= 1e-10
 
     def test_reversed_mesh_negates_exactly(self, rng):
         loop, _ = random_frame_loop(rng, 2, 256)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 16, 256))
         a = face_angle_array(D)
-        a_rev = face_angle_array(D.on_reversed_mesh())
+        a_rev = face_angle_array(replace(D, mesh=D.mesh.reversed()))
         assert np.max(np.abs(a - (-a_rev))) <= 1e-10
 
     def test_double_copy_totals_twice_the_index(self, rng):
@@ -962,7 +905,7 @@ class TestConjugationAndOrientation:
         loop, idx = random_frame_loop(rng, 2, 256)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 16, 256))
         raw = chern_weil_index(D, Fraction(1)).raw
-        mirrored = D.conjugated().on_reversed_mesh()
+        mirrored = replace(D, edge_logdet=D.edge_logdet.conj(), mesh=D.mesh.reversed())
         raw_mirror = chern_weil_index(mirrored, Fraction(1)).raw
         assert abs(raw - raw_mirror) <= 1e-10
         assert round((raw + raw_mirror) / 2) == idx
@@ -979,6 +922,22 @@ class TestGaugeInvariance:
         rep1 = chern_weil_index(edge_transports(gauged, mesh, substeps=2), Fraction(1))
         assert abs(rep0.raw - rep1.raw) <= 2e-2
         assert rep0.rounded == rep1.rounded == idx
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]),
+           amplitude=st.floats(-1.5, 1.5))
+    def test_random_interior_gauge_leaves_index(self, seed, n, N, amplitude):
+        loop = hypothesis_loop(seed, n, N)
+        re, im = np.random.default_rng(seed).normal(size=(2, n, n))
+        S = re + 1j * im
+        spec = build_collar_connection(loop)
+        # the gauge transform has no trace evaluator: it runs the full path
+        gauged = radial_gauge_transform(spec, S - S.conj().T, amplitude=amplitude)
+        assert gauged.trace is None
+        mesh = Mesh2D("disc", 16, N)
+        rep0, rep1 = (chern_weil_index(edge_transports(sp, mesh, substeps=2)) for sp in (spec, gauged))
+        assert abs(rep0.raw - rep1.raw) <= 2e-2
+        assert rep0.rounded == rep1.rounded == maslov_loop(loop)
 
 
 class TestDoubleDegree:

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from maslovcw import _kernels
+from maslovcw import _kernels, matcore
 
 
 def expm_skew(G):
@@ -36,3 +37,14 @@ def test_chain_matches_sequential_exponentials(rng):
         for j in range(4):
             P = expm_skew(G[e, j]) @ P
         assert np.linalg.norm(T[e] - P) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_zero_generators_chain_to_the_exact_identity(n, s):
+    # the -0 rows are what G holds outside its live range
+    for zero in (0.0, -0.0):
+        G = np.full((5, s, n, n), complex(zero, zero))
+        T = _kernels.transport_chain(G)
+        assert T.tobytes() == np.broadcast_to(np.eye(n, dtype=complex), T.shape).tobytes()
+        assert matcore.unitary_defect(T) == 0.0
