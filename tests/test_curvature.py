@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from dataclasses import replace
 from unittest import mock
 
@@ -174,47 +175,107 @@ def reference_diagnostics(D, loop):
     return T, drift, worst
 
 
+def report_cases(rng):
+    """(spec, mesh, probe) for a collar, flat with a probe, and a built-in without one."""
+    loop, _ = random_frame_loop(rng, 3, 256)
+    return (
+        # a collar: the rim edges are among the live ones
+        (build_collar_connection(loop), Mesh2D("disc", 16, 256), loop),
+        # flat with a probe: no live edge, so only the n_t rim edges
+        (builtin_connection("flat", n=3), Mesh2D("disc", 8, 128),
+         generate_loop("constant", N=128, n=3)),
+        # a built-in with no probe loop: the live edges only
+        (builtin_connection("example_2_7"), Mesh2D("disc", 16, 16), None),
+    )
+
+
+def recording_chain(monkeypatch):
+    """Patch transport_chain to record the row count of each call; return the record."""
+    chained = []
+    chain = _kernels.transport_chain
+
+    def recording(gens):
+        chained.append(gens.shape[0])
+        return chain(gens)
+
+    monkeypatch.setattr(_kernels, "transport_chain", recording)
+    return chained
+
+
+def assert_report_chains_once(spec, mesh, probe, first, chained):
+    """The index chains nothing; reading ``first`` chains live and rim once, the other read none."""
+    chained.clear()
+    D = edge_transports(spec, mesh)
+    rep = chern_weil_index(D, loop=probe)
+    assert chained == []
+    getattr(rep, first)
+    rows = D.G.any(axis=(1, 2, 3))
+    live = np.count_nonzero(rows)
+    if probe is not None:
+        # the rim edges are all live, or none is
+        rim = mesh.boundary_angular_ids()
+        assert rows[rim].all() == (live > 0)
+        rows[rim] = True
+    assert chained == [np.count_nonzero(rows)]
+    values = (rep.unitarity_defect, rep.orthogonality_defect)
+    assert len(chained) == 1
+    _, drift, worst = reference_diagnostics(D, probe)
+    assert values == (drift, worst)
+    assert (worst is None) == (probe is None)
+    return D
+
+
+STORE_MESH = Mesh2D("disc", 4, 64)
+
+
+@lru_cache(maxsize=None)
+def store_spec(n):
+    loop, _ = random_frame_loop(np.random.default_rng(n), n, 64)
+    return build_collar_connection(loop)
+
+
 class TestLazyTransports:
-    def test_report_chains_live_and_rim_once(self, rng, monkeypatch):
-        loop, _ = random_frame_loop(rng, 3, 256)
-        cases = (
-            # a collar: the rim edges are among the live ones
-            (build_collar_connection(loop), Mesh2D("disc", 16, 256), loop),
-            # flat with a probe: no live edge, so only the n_t rim edges
-            (builtin_connection("flat", n=3), Mesh2D("disc", 8, 128),
-             generate_loop("constant", N=128, n=3)),
-            # a built-in with no probe loop: the live edges only
-            (builtin_connection("example_2_7"), Mesh2D("disc", 16, 16), None),
-        )
-        chained = []
+    def test_index_chains_only_rim_edges(self, rng, monkeypatch):
+        # the index reads no transport; the frame defect read first chains
+        # the live and rim edges in one call, and the drift then chains none
+        chained = recording_chain(monkeypatch)
+        for spec, mesh, probe in report_cases(rng):
+            D = assert_report_chains_once(spec, mesh, probe, "orthogonality_defect", chained)
+            if not D.G.any():
+                # with no live edge, the report chains the n_t rim edges only
+                assert chained[0] == mesh.n_t
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), reads=st.lists(
+        st.one_of(
+            # distinct ids in random order, or a run of consecutive ids
+            st.lists(st.integers(0, STORE_MESH.num_edges - 1), min_size=1, max_size=12, unique=True),
+            st.tuples(st.integers(0, STORE_MESH.num_edges - 1), st.integers(1, 80)).map(
+                lambda t: list(range(t[0], min(t[0] + t[1], STORE_MESH.num_edges)))),
+        ), min_size=1, max_size=6))
+    def test_store_reads_match_chain_and_chain_once(self, n, reads):
+        # nothing is stored: each read chains its own ids once, in one call
+        D = edge_transports(store_spec(n), STORE_MESH)
         chain = _kernels.transport_chain
+        chained = []
 
         def recording(gens):
             chained.append(gens.shape[0])
             return chain(gens)
 
-        monkeypatch.setattr(_kernels, "transport_chain", recording)
-        for spec, mesh, probe in cases:
-            for first in ("unitarity_defect", "orthogonality_defect"):
+        with mock.patch.object(_kernels, "transport_chain", recording):
+            for ids in reads:
+                ids = np.array(ids)
                 chained.clear()
-                D = edge_transports(spec, mesh)
-                rep = chern_weil_index(D, loop=probe)
-                # the index itself chains nothing
-                assert chained == []
-                getattr(rep, first)
-                rows = D.G.any(axis=(1, 2, 3))
-                live = np.count_nonzero(rows)
-                if probe is not None:
-                    # the rim edges are all live, or none is
-                    rim = mesh.boundary_angular_ids()
-                    assert rows[rim].all() == (live > 0)
-                    rows[rim] = True
-                assert chained == [np.count_nonzero(rows)]
-                values = (rep.unitarity_defect, rep.orthogonality_defect)
-                assert len(chained) == 1
-                _, drift, worst = reference_diagnostics(D, probe)
-                assert values == (drift, worst)
-            assert (values[1] is None) == (probe is None)
+                T = D.transports_of(ids)
+                assert chained == [len(ids)]
+                assert T.tobytes() == chain(D.G[ids]).tobytes()
+            # the drift chains the live edges in one call, whatever was read above
+            chained.clear()
+            drift, frame = transport_defects(D)
+        live = np.count_nonzero(D.G.any(axis=(1, 2, 3)))
+        assert chained == ([live] if live else [])
+        assert frame is None and drift == reference_diagnostics(D, None)[1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_chain_bitwise(self, rng, n):
@@ -639,6 +700,13 @@ class TestLiveRows:
         disc = Mesh2D("disc", 8, 32)
         assert edge_transports(builtin_connection("example_2_7"), disc).live == slice(
             disc.n_t, disc.num_angular)
+
+    def test_rim_read_after_drift_chains_nothing(self, rng, monkeypatch):
+        # the drift read first chains the live and rim edges in one call, so
+        # the frame defect then chains none, also where the rim is not live
+        chained = recording_chain(monkeypatch)
+        for spec, mesh, probe in report_cases(rng):
+            assert_report_chains_once(spec, mesh, probe, "unitarity_defect", chained)
 
     @pytest.mark.parametrize("row", ["first", "middle", "last"])
     def test_non_skew_end_row_is_checked(self, row):
