@@ -183,10 +183,11 @@ def loop_boundary_trace(loop: FrameLoop) -> np.ndarray:
 
     With w = u O, tr(O dO^T/dt) = 0, so no alignment enters: arg det B is
     summed from the loop's phase increments, continued across the seam by
-    their total, and differentiated by the same stencil.  The alignment is
-    still read, so its guards raise here as they would for the full form.
+    their total, and differentiated by the same stencil.  The frames are
+    never aligned, but the loop's ``alignment_margins`` are read, so the
+    frame-step and wrap guards raise here as they would for the full form.
     """
-    loop.aligned  # the guards run on this read
+    loop.alignment_margins  # the guards run on this read
     dphi = loop.phase_increments()
     phi, total = np.concatenate([[0.0], np.cumsum(dphi[:-1])]), dphi.sum()
     ext = np.concatenate([phi[-2:] - total, phi, phi[:2] + total])

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import matcore
 from .errors import (
-    LoopNotClosed, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
+    InvalidParameter, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
 )
-from .grassmann import LagrangianFrame, same_lagrangian
 from .tolerances import TOL
 
 MIN_SAMPLES = 8
@@ -95,29 +94,25 @@ class FrameLoop:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @classmethod
-    def from_path(cls, samples: np.ndarray) -> "FrameLoop":
-        """Build a loop from an open path that includes both endpoints.
-
-        The final sample must span the same Lagrangian as the first (it may
-        differ by a right real-orthogonal factor); it is then dropped.
-        """
-        samples = np.asarray(samples, dtype=complex)
-        n = samples.shape[1]
-        first = LagrangianFrame(n, samples[0])
-        last = LagrangianFrame(n, samples[-1])
-        if not same_lagrangian(first, last):
-            raise LoopNotClosed("endpoint Lagrangian differs from the start")
-        return cls(n, samples[:-1])
-
     def __len__(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def alignment_margins(self):
+        """``alignment_guard(samples)``: (step, wrap) singular values, on first read.
+
+        The guards of ``aligned`` without the alignment; an Undersampled loop
+        is not cached: it raises on every read.
+        """
+        return alignment_guard(self.samples)
 
     @cached_property
     def aligned(self):
         """``aligned_frames(samples)`` as read-only arrays, computed on first read.
 
-        An Undersampled alignment is not cached: it raises on every read.
+        Only the full boundary forms and ``refined`` read it; the index path
+        reads ``alignment_margins``.  An Undersampled alignment is not
+        cached: it raises on every read.
         """
         w, o_wrap = aligned_frames(self.samples)
         w.flags.writeable = False
@@ -138,9 +133,18 @@ class FrameLoop:
         return FrameLoop(self.n, rev)
 
     def refined(self, factor: int = 2) -> "FrameLoop":
-        """Insert polar midpoints between consecutive aligned frames."""
+        """The loop with ``factor`` times the samples: polar midpoints between aligned frames.
+
+        Raises InvalidParameter unless ``factor`` is a power of two >= 1.
+        """
+        try:
+            f = operator.index(factor)
+        except TypeError:
+            f = 0
+        if f < 1 or f & (f - 1):
+            raise InvalidParameter(f"refinement factor must be a power of two >= 1, got {factor!r}")
         out = self
-        for _ in range(int(np.log2(factor))):
+        for _ in range(f.bit_length() - 1):
             w, o_wrap = out.aligned
             nxt = np.concatenate([w[1:], (w[0] @ o_wrap)[None]], axis=0)
             mids = matcore.unitarize_batch(0.5 * (w + nxt))
@@ -190,6 +194,70 @@ def maslov_bundle_pair(pair: BundlePairSpec) -> int:
 # frame alignment: smooth the right O(n) gauge so consecutive samples are close
 # ---------------------------------------------------------------------------
 
+def _step_matrices(samples: np.ndarray):
+    """(u, M) with M[k] = Re(u[k+1]* u[k]), the alignment matrix of step k (no seam)."""
+    u = np.asarray(samples, dtype=complex)
+    if u.shape[1] == 0:
+        raise RankMismatch("empty frames")
+    return u, np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+
+
+def _check_step(step_sv) -> None:
+    """Raise Undersampled unless the smallest step singular value clears the guard (NaN fails)."""
+    if not step_sv >= TOL.frame_step_sv:
+        raise Undersampled(
+            f"frame alignment singular value {step_sv:.3f} < {TOL.frame_step_sv}"
+        )
+
+
+def _extrapolated(f: np.ndarray) -> np.ndarray:
+    """The frame one sample past the last of ``f``: 5-point extrapolation, or the last if N < 5."""
+    if len(f) < 5:
+        return f[-1]
+    return 5 * f[-1] - 10 * f[-2] + 10 * f[-3] - 5 * f[-4] + f[-5]
+
+
+def _check_wrap(first: np.ndarray, nxt: np.ndarray):
+    """SVD of Re(first* nxt); raise Undersampled unless its singular values clear the guard."""
+    A, s, Bt = np.linalg.svd(np.real(first.conj().T @ nxt))
+    if not s.min() >= TOL.frame_step_sv:
+        raise Undersampled(f"wrap alignment singular value {s.min():.3f}")
+    return A, s, Bt
+
+
+def alignment_guard(samples: np.ndarray):
+    """The guards of ``aligned_frames`` without aligning: (step, wrap) singular values.
+
+    The step minimum is sqrt of the smallest eigenvalue of M^T M (|M| at
+    rank 1).  The aligned frames are w[k] = u[k] O[k], O[k] = steps[k-1]
+    ... steps[0], so each of the last five is u[k] R[k] O[N-1], R[k] a
+    product of the last four steps transposed.  Re(w[0]* w_next) is the
+    same extrapolation of u[k] R[k] times the orthogonal O[N-1], so it has
+    the same singular values, and no frame is rotated.  Raises the same
+    Undersampled errors at the same ``TOL.frame_step_sv``, also on NaN.
+    """
+    u, M = _step_matrices(samples)
+    N, n, _ = u.shape
+    if n == 1:
+        s = np.abs(M).min()
+    elif np.isfinite(M).all():
+        s = np.sqrt(max(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, 0].min(), 0.0))
+    else:
+        s = np.nan  # the guard reports it
+    _check_step(s)
+    tail = u
+    if N >= 5:
+        A, _, Bt = np.linalg.svd(M[-4:])
+        last = A @ Bt
+        R = np.empty((5, n, n))
+        R[4] = np.eye(n)
+        for j in (3, 2, 1, 0):
+            R[j] = last[j].T @ R[j + 1]
+        tail = u[-5:] @ R
+    wrap = _check_wrap(u[0], _extrapolated(tail))[1]
+    return float(s), float(wrap.min())
+
+
 def aligned_frames(samples: np.ndarray):
     """Right-multiply each frame by an O(n) factor so the path varies slowly.
 
@@ -197,13 +265,12 @@ def aligned_frames(samples: np.ndarray):
     convention w(t + 1) = w(t) O_w.  The per-step orthogonal Procrustes
     problems are solved independently and chained by a prefix scan of
     log2(N) batched products; a small or NaN singular value in any alignment
-    matrix means the loop is too coarsely sampled.
+    matrix, or in the wrap, means the loop is too coarsely sampled.  The
+    guards are those of ``alignment_guard``, fed from this SVD and from the
+    aligned frames, so they cost no extra decomposition.
     """
-    u = np.asarray(samples, dtype=complex)
+    u, M = _step_matrices(samples)
     N, n, _ = u.shape
-    if n == 0:
-        raise RankMismatch("empty frames")
-    M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
     if n == 1:
         # the polar factor of a 1x1 matrix is its sign, and products of +-1
         # are exact, so this equals the SVD chain bitwise
@@ -213,10 +280,7 @@ def aligned_frames(samples: np.ndarray):
         steps = A @ Bt
     else:
         s = np.array(np.nan)  # the SVD would raise LinAlgError; the guard reports it
-    if not s.min() >= TOL.frame_step_sv:
-        raise Undersampled(
-            f"frame alignment singular value {s.min():.3f} < {TOL.frame_step_sv}"
-        )
+    _check_step(s.min())
     # O[k] = steps[k-1] ... steps[0]; the frames are rotated in one batch
     O = np.empty((N, n, n))
     O[0] = np.eye(n)
@@ -232,13 +296,7 @@ def aligned_frames(samples: np.ndarray):
             d *= 2
     w = u @ O
     # wrap monodromy from a 5-point extrapolation past the last sample
-    if N >= 5:
-        w_next = 5 * w[-1] - 10 * w[-2] + 10 * w[-3] - 5 * w[-4] + w[-5]
-    else:
-        w_next = w[-1]
-    A, s, Bt = np.linalg.svd(np.real(w[0].conj().T @ w_next))
-    if not s.min() >= TOL.frame_step_sv:
-        raise Undersampled(f"wrap alignment singular value {s.min():.3f}")
+    A, _, Bt = _check_wrap(w[0], _extrapolated(w))
     return w, A @ Bt
 
 

@@ -25,7 +25,7 @@ from .connections import (
 from .curvature import chern_weil_index, edge_transports
 from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
 from .loops import (
-    BundlePairSpec, FrameLoop, int_from_json, loop_from_json, loop_to_json, maslov_bundle_pair,
+    BundlePairSpec, FrameLoop, int_from_json, loop_from_json, maslov_bundle_pair,
     maslov_loop,
 )
 from .mesh import Mesh2D
@@ -239,14 +239,6 @@ def cover_multiplicativity(pair: BundlePairSpec, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
-
-def orbifold_to_json(spec: OrbifoldDiscSpec) -> dict:
-    return {
-        "n": spec.n,
-        "cone": {"m": spec.cone.order, "weights": list(spec.cone.weights)},
-        "boundary": loop_to_json(spec.boundary),
-    }
-
 
 def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
     if not isinstance(obj, dict) or not isinstance(obj.get("cone"), dict):

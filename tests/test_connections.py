@@ -22,15 +22,6 @@ from maslovcw.polygon import quarter_arc_path
 from maslovcw.tolerances import TOL
 
 
-def wrap_rejected_loop(seed=14, N=16):
-    """exp(i H(t)) for a seeded one-harmonic Hermitian H(t), rank 2, coarsely sampled."""
-    rng = np.random.default_rng(seed)
-    C = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    X = C * np.exp(2j * np.pi * np.arange(N) / N)[:, None, None]
-    lam, V = np.linalg.eigh(0.3 * (X + X.conj().transpose(0, 2, 1)))
-    return FrameLoop(2, np.einsum("tij,tj,tkj->tik", V, np.exp(1j * lam), V.conj()))
-
-
 class TestBuiltins:
     def test_disc_example_values(self):
         spec = builtin_connection("example_2_7")
@@ -142,11 +133,11 @@ class TestCollar:
             assert isinstance(err.value, MaslovCWError) and isinstance(err.value, ValueError)
             assert not isinstance(err.value, RankMismatch)
 
-    def test_wrap_guard_rejects_at_build_time(self):
+    def test_wrap_guard_rejects_at_build_time(self, wrap_rejected_loop):
         # rank 2, from a seeded generator: every step singular value (the
         # seam step too) clears the guard, but the monodromy extrapolated
         # past the last sample does not, so only the wrap guard rejects it
-        loop = wrap_rejected_loop()
+        loop = wrap_rejected_loop
         u = loop.samples
         M = np.real(np.swapaxes(np.roll(u, -1, axis=0), -1, -2).conj() @ u)
         assert np.linalg.svd(M, compute_uv=False).min() >= TOL.frame_step_sv

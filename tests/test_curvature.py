@@ -515,7 +515,7 @@ class TestTraceOnlyPath:
     def test_index_path_reads_no_frame_form(self, rng, monkeypatch):
         from maslovcw import loops
 
-        aligns, forms = [], []
+        guards, aligns, forms = [], [], []
 
         def counting(fn, calls):
             def call(x):
@@ -524,6 +524,7 @@ class TestTraceOnlyPath:
 
             return call
 
+        monkeypatch.setattr(loops, "alignment_guard", counting(loops.alignment_guard, guards))
         monkeypatch.setattr(loops, "aligned_frames", counting(loops.aligned_frames, aligns))
         form = counting(connections.loop_boundary_form, forms)
         monkeypatch.setattr(connections, "loop_boundary_form", form)
@@ -541,18 +542,19 @@ class TestTraceOnlyPath:
              Mesh2D("quarter_disc", 8, 16)),
             (invariant_connection(OrbifoldDiscSpec(3, ConePoint(3, (0, 1, 2)), loop)), disc),
         ]
-        # the builds ran the alignment guards, once per loop
-        assert aligns == [64, 32]
+        # the builds ran the alignment guards, once per loop, and aligned nothing
+        assert guards == [64, 32] and aligns == []
         for spec, mesh in cases:
             calls, built = [], len(forms)
             D = edge_transports(recording_coeffs(spec, calls), mesh)
             assert chern_weil_index(D).rounded is not None
             assert [name for name, _ in calls] == ["trace"] and len(forms) == built
-            # G builds the forms from the cached frames, on its first read only
+            # G builds the forms from the frames, aligned on the loop's first read only
             D.G
             edge_transports(spec, mesh).G
             assert [name for name, _ in calls] == ["trace", "coeffs"] and len(forms) > built
-        assert aligns == [64, 32]
+        # the first G read of each loop aligned it, once
+        assert guards == [64, 32] and aligns == [64, 32]
         assert forms == [64, 64, 32, 33, 64]
 
     def test_conjugated_and_reversed_keep_values(self, rng):

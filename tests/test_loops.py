@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import LoopNotClosed, Undersampled, ZeroSample
+from maslovcw.errors import InvalidParameter, LoopNotClosed, Undersampled, ZeroSample
+from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import (
     BundlePairSpec,
     FrameLoop,
     aligned_frames,
+    alignment_guard,
     generate_loop,
     loop_from_json,
     loop_to_json,
@@ -23,6 +25,19 @@ from maslovcw.loops import (
     winding_detail,
     winding_increments,
 )
+
+
+def loop_from_path(samples):
+    """A loop from an open path that includes both endpoints.
+
+    The final sample must span the same Lagrangian as the first (it may
+    differ by a right real-orthogonal factor); it is then dropped.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.shape[1]
+    if not same_lagrangian(LagrangianFrame(n, samples[0]), LagrangianFrame(n, samples[-1])):
+        raise LoopNotClosed("endpoint Lagrangian differs from the start")
+    return FrameLoop(n, samples[:-1])
 
 
 class TestWinding:
@@ -125,6 +140,14 @@ class TestMaslovLoop:
             l2, i2 = random_frame_loop(np.random.default_rng(5), 2, N)
             assert maslov_loop(l2) == i2
 
+    def test_refinement_factor_is_a_power_of_two(self):
+        loop = generate_loop("power_k", N=64, k=1)
+        assert loop.refined(1) is loop
+        assert len(loop.refined(4)) == 256 and len(loop.refined(np.int64(2))) == 128
+        for bad in (0, 3, 6, -2, 2.0, "2"):
+            with pytest.raises(InvalidParameter, match="power of two"):
+                loop.refined(bad)
+
 
 class TestBundlePair:
     def test_disc_example(self):
@@ -216,11 +239,11 @@ class TestConstruction:
     def test_from_path_closure(self):
         t = np.linspace(0.0, 1.0, 65)
         good = np.exp(1j * np.pi * t)[:, None, None]  # ends at -1 ~ +1 mod O(1)
-        loop = FrameLoop.from_path(good)
+        loop = loop_from_path(good)
         assert len(loop) == 64
         bad = np.exp(1j * 0.7 * np.pi * t)[:, None, None]
         with pytest.raises(LoopNotClosed):
-            FrameLoop.from_path(bad)
+            loop_from_path(bad)
 
 
 def alignment_steps(u):
@@ -252,6 +275,13 @@ def per_sample_alignment(u, sequential=False):
     for k in range(N):
         w[k] = u[k] @ O[k]
     return w
+
+
+def quarter_turn_samples():
+    """diag(e^{i phi}, e^{-i phi}) with quarter turns: det B stays 1, but the
+    real part of every step is 0, so the alignment singular value is 0."""
+    phi = 0.5 * np.pi * np.arange(8)
+    return np.stack([np.diag([np.exp(1j * p), np.exp(-1j * p)]) for p in phi])
 
 
 class TestAlignedFrames:
@@ -305,13 +335,40 @@ class TestAlignedFrames:
         assert calls == [128, 256]
 
     def test_undersampled_alignment_raises_on_every_read(self):
-        # diag(e^{i phi}, e^{-i phi}) with quarter turns: det B stays 1, but the
-        # real part of every step is 0, so the alignment singular value is 0
-        phi = 0.5 * np.pi * np.arange(8)
-        loop = FrameLoop(2, np.stack([np.diag([np.exp(1j * p), np.exp(-1j * p)]) for p in phi]))
+        loop = FrameLoop(2, quarter_turn_samples())
         for _ in range(2):
             with pytest.raises(Undersampled):
                 loop.aligned
+
+    def test_guard_margins_match_alignment(self, wrap_rejected_loop):
+        # the step minimum of the full SVD and the singular values of
+        # Re(w_0* w_next) from the aligned frames, on loops that pass both guards
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            for N in (8, 16, 64, 512):
+                # few enough twists that det B passes the winding guard
+                loop, _ = random_frame_loop(rng, n, N, k_max=1 if N <= 16 else 3,
+                                            index_cap=min(8, N // 8))
+                u = loop.samples
+                w, _ = aligned_frames(u)
+                M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+                w_next = 5 * w[-1] - 10 * w[-2] + 10 * w[-3] - 5 * w[-4] + w[-5]
+                ref = (np.linalg.svd(M, compute_uv=False).min(),
+                       np.linalg.svd(np.real(w[0].conj().T @ w_next), compute_uv=False).min())
+                assert np.abs(np.subtract(loop.alignment_margins, ref)).max() <= 1e-12
+        nan = random_frame_loop(rng, 2, 64)[0].samples.copy()
+        nan[10, 0, 0] = np.nan
+        twisted = np.tile(np.eye(2, dtype=complex), (64, 1, 1))
+        twisted[10] = np.diag([1j, -1j])
+        for u in (wrap_rejected_loop.samples, quarter_turn_samples(), twisted, nan):
+            with pytest.raises(Undersampled) as ref:
+                aligned_frames(u)
+            with pytest.raises(Undersampled) as err:
+                alignment_guard(u)
+            assert str(err.value) == str(ref.value)
+        for _ in range(2):  # not cached
+            with pytest.raises(Undersampled, match="wrap alignment singular value"):
+                wrap_rejected_loop.alignment_margins
 
 
 class TestJson:

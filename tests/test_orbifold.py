@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslovcw.errors import RankMismatch
-from maslovcw.loops import BundlePairSpec, FrameLoop, generate_loop, maslov_bundle_pair, random_frame_loop
+from maslovcw.loops import (
+    BundlePairSpec, FrameLoop, generate_loop, loop_to_json, maslov_bundle_pair, random_frame_loop,
+)
 from maslovcw.orbifold import (
     BranchCover,
     ConePoint,
@@ -16,10 +18,18 @@ from maslovcw.orbifold import (
     mu_cw_orbifold,
     mu_pi,
     orbifold_from_json,
-    orbifold_to_json,
     pullback_bundle_pair,
     verify_desingularization,
 )
+
+
+def orbifold_to_json(spec):
+    """The orbifold file format of ``spec``, the inverse of ``orbifold_from_json``."""
+    return {
+        "n": spec.n,
+        "cone": {"m": spec.cone.order, "weights": list(spec.cone.weights)},
+        "boundary": loop_to_json(spec.boundary),
+    }
 
 
 def scalar_spec(m, weight, loop):
