@@ -2,12 +2,14 @@
 
 Edge transports are midpoint-rule path-ordered exponentials of a connection
 form; each quad face contributes the principal argument of the determinant
-of its plaquette holonomy.  Summing face angles over the mesh in fixed
-row-major order and dividing by pi gives the raw index, which is rounded to
-a caller-declared quantum.  Only the abelianized (trace) part of the
+of its plaquette holonomy.  The exact, correctly rounded sum of the face
+angles divided by pi gives the raw index, which is rounded to a
+caller-declared quantum.  Only the abelianized (trace) part of the
 curvature enters, so per-edge determinant phases are accumulated exactly
 from the generators and faces only wrap them once through the principal
-branch, guarded at pi/2.
+branch, guarded at pi/2.  A face row whose edges all carry a zero phase
+has angle exactly +0, so only the rows that can be nonzero (a collar band,
+a cone disc) are wrapped, guarded and summed.
 """
 
 from __future__ import annotations
@@ -222,41 +224,112 @@ def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:
     return H
 
 
-def _face_terms(mesh: Mesh2D, x: np.ndarray):
-    """Boundary terms (p, q, r, u) of every face, face value p + q - r - u.
+def _face_terms(mesh: Mesh2D, x: np.ndarray, rows=slice(None)):
+    """Boundary terms (p, q, r, u) of the faces in ``rows``, face value p + q - r - u.
 
     Face (i, j) has boundary +radial(i, j), +angular(i+1, j), -radial(i, j+1),
     -angular(i, j); a reversed mesh walks it backwards with flipped signs.
-    Each term is an (n_r, n_t) slice of the per-edge values ``x`` on the
-    structured grid, in row-major face order; the column after the last
-    wraps to column 0 on a closed rim.
+    Each term is an array of the per-edge values ``x`` on the structured
+    grid, one row of n_t per face row, in row-major face order; the column
+    after the last wraps to column 0 on a closed rim.
     """
-    rad = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)
+    rad = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)[rows]
     ang = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
+    inner, outer = ang[:-1][rows], ang[1:][rows]
     if mesh.wrap:
         rad = np.concatenate([rad, rad[:, :1]], axis=1)
     left, right = rad[:, :-1], rad[:, 1:]
-    inner, outer = ang[:-1], ang[1:]
     if mesh.orientation > 0:
         return left, outer, right, inner
     return inner, right, outer, left
 
 
+def _principal(t: np.ndarray) -> np.ndarray:
+    """(t + pi) % (2 pi) - pi, bitwise, taking the remainder only where it acts.
+
+    Where t + pi lies in [0, 2 pi) the remainder returns it unchanged, so
+    only the entries outside that range, NaN or inf pay for the slow
+    floating-point remainder.
+    """
+    a = t + np.pi
+    np.remainder(a, 2.0 * np.pi, out=a, where=~((a >= 0.0) & (a < 2.0 * np.pi)))
+    a -= np.pi
+    return a
+
+
+def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, np.ndarray]:
+    """Principal face angles of every face, and of the face rows that can be nonzero.
+
+    A face row is skipped only when its radial edges and both bounding
+    rings hold +-0 in ``edge_logdet.imag``; each of its faces is then
+    ((0 + 0) - 0) - 0 wrapped, exactly +0.  A NaN or inf counts as nonzero,
+    as in ``_live_rows``.  The first array holds every face in face order,
+    +0 outside the band; the second is the band, rows of n_t angles.
+    """
+    mesh = D.mesh
+    x = np.imag(D.edge_logdet)
+    nz = x != 0
+    ring = nz[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t).any(axis=1)
+    radial = nz[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv).any(axis=1)
+    rows = np.flatnonzero(radial | ring[:-1] | ring[1:])
+    p, q, r, u = _face_terms(mesh, x, rows)
+    band = _principal(((p + q) - r) - u)
+    alpha = np.zeros((mesh.n_r, mesh.n_t))
+    alpha[rows] = band
+    return alpha.ravel(), band
+
+
 def face_angle_array(D: DiscreteConnection) -> np.ndarray:
     """Arg det of every plaquette holonomy, principal branch, face order."""
-    p, q, r, u = _face_terms(D.mesh, np.imag(D.edge_logdet))
-    alpha = (((p + q) - r) - u).ravel()
-    return (alpha + np.pi) % (2.0 * np.pi) - np.pi
+    return _face_angles(D)[0]
+
+
+# terms per np.sum in ``_exact_sum``: each level value is at most 2^30 units,
+# so every partial sum of fewer than 2^22 of them is exact in 53 bits
+_SUM_CHUNK = 1 << 22
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of the float array ``x``, bitwise ``math.fsum``.
+
+    With |x| < 2^e, each level k = 1, 2, ... rounds the remainder to a
+    multiple of 2^(e - 30k) by ``(x + C) - C`` with C = 1.5 * 2^(52 + e - 30k),
+    which is exact, as is the new remainder.  A level's values are at most
+    2^30 such units, so ``np.sum`` of a chunk of them is exact in any order.
+    Zero remainders are dropped after each level, and ``math.fsum`` rounds
+    the few level sums once.  Below the subnormal grid the remainder is
+    summed as it is.  Non-finite values, and values from 2^960 up, where a
+    level constant or sum could overflow, go to ``math.fsum`` itself.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    top = float(np.max(np.abs(x))) if x.size else 0.0
+    if not top < 2.0 ** 960:
+        return math.fsum(x.tolist())
+    unit = math.frexp(top)[1]
+    sums = []
+    while x.size:
+        unit -= 30
+        if unit < -1074:
+            hi = x
+        else:
+            C = math.ldexp(1.5, 52 + unit)
+            hi = (x + C) - C
+        for start in range(0, hi.size, _SUM_CHUNK):
+            sums.append(float(np.sum(hi[start : start + _SUM_CHUNK])))
+        if hi is x:
+            break
+        x = x - hi
+        x = x[x != 0]
+    return math.fsum(sums)
 
 
 def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
     """Per-face log det holonomy with principal imaginary part (any rank-1 spec)."""
     p, q, r, u = _face_terms(D.mesh, D.edge_logdet)
-    # pairwise here, left to right in face_angle_array: both orders are
+    # pairwise here, left to right in _face_angles: both orders are
     # fixed, and the reported values depend on them bitwise
     z = ((p + q) - (r + u)).ravel()
-    im = (z.imag + np.pi) % (2.0 * np.pi) - np.pi
-    return z.real + 1j * im
+    return z.real + 1j * _principal(z.imag)
 
 
 @dataclass(eq=False)
@@ -325,8 +398,10 @@ def chern_weil_index(
 ) -> CurvatureReport:
     """Curvature integral (i/pi) integral tr F as a rounded index.
 
-    raw = (1/pi) sum of face angles (fixed row-major order, exact
-    accumulation); rounded to the nearest multiple of ``quantum``.  Raises
+    raw = (1/pi) sum of face angles, the exact sum correctly rounded (so it
+    does not depend on the summation order); rounded to the nearest
+    multiple of ``quantum``.  Only the face rows that can be nonzero are
+    wrapped, guarded and summed; every other face is exactly +0.  Raises
     Unrefined when any face angle reaches the pi/2 branch guard.  The probe
     loop (``loop``, else the spec's boundary loop) is checked here against
     the rim, so a sample count not divisible by the angular resolution
@@ -336,14 +411,14 @@ def chern_weil_index(
     if not D.unitary:
         raise NonUnitaryConnection("chern_weil_index requires a unitary connection")
     quantum = Fraction(quantum)
-    alpha = face_angle_array(D)
-    max_face = float(np.max(np.abs(alpha))) if alpha.size else 0.0
+    alpha, band = _face_angles(D)
+    max_face = float(np.max(np.abs(band))) if band.size else 0.0
     if not max_face < TOL.face_angle_guard:
         raise Unrefined(
             f"face angle {max_face:.3f} rad >= guard {TOL.face_angle_guard:.3f}; "
             "refine the mesh"
         )
-    raw = math.fsum(alpha.tolist()) / math.pi
+    raw = _exact_sum(band) / math.pi
     rounded = Fraction(round(raw / quantum)) * quantum
     residual = abs(raw - float(rounded))
     probe = loop if loop is not None else D.spec.boundary_loop
@@ -453,8 +528,8 @@ def complex_curvature_value(D: DiscreteConnection) -> complex:
     the connection fails the metric condition.
     """
     z = complex_face_logsum(D)
-    re = math.fsum(z.imag.tolist()) / math.pi
-    im = -math.fsum(z.real.tolist()) / math.pi
+    re = _exact_sum(z.imag) / math.pi
+    im = -_exact_sum(z.real) / math.pi
     return complex(re, im)
 
 

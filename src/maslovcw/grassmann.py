@@ -34,8 +34,10 @@ class LagrangianFrame:
         n = u.shape[0]
         if n > matcore.MAX_RANK:
             raise SingularInput(f"rank {n} exceeds the {matcore.MAX_RANK} cap")
+        if not np.isfinite(u).all():
+            raise SingularInput("frame has a non-finite entry")
         defect = matcore.unitary_defect(u)
-        if defect > TOL.same_lagrangian:
+        if not defect <= TOL.same_lagrangian:
             raise SingularInput(f"frame unitary defect {defect:.3g}")
         if defect > 1e-13 * n:
             u = matcore.unitarize(u)

@@ -1103,3 +1103,165 @@ class TestTraceProperties:
                 _, At = spec.coeffs(rr, t)
                 assert np.abs(np.trace(At, axis1=-2, axis2=-1) - spec.trace(rr, t)).max() <= 1e-12
                 assert matcore.skew_defect(At) == 0.0
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def full_grid_angles(D):
+    """Principal face angles of every face by the full-grid gather."""
+    alpha = gather_face_sum(D.mesh, D.edge_logdet.imag)
+    return (alpha + np.pi) % (2 * np.pi) - np.pi
+
+
+def assert_report_matches_full_grid(rep):
+    full = full_grid_angles(rep.connection)
+    assert face_angle_array(rep.connection).tobytes() == full.tobytes()
+    assert rep.face_angles.tobytes() == full.tobytes()
+    assert same_bits(rep.raw, math.fsum(full.tolist()) / math.pi)
+    assert same_bits(rep.max_face_angle, float(np.max(np.abs(full))))
+
+
+def band_cases(rng):
+    """(name, spec, mesh, gap): ``gap`` says the nonzero rows come in two runs."""
+    loop, _ = random_frame_loop(rng, 2, 64)
+    inner, _ = random_frame_loop(rng, 2, 64)
+    collar = build_collar_connection(loop)
+    disc = Mesh2D("disc", 16, 64)
+    S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    yield "disc_collar", collar, disc, False
+    yield ("annulus", build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
+           Mesh2D("annulus", 14, 64, r_inner=0.3), True)
+    yield ("orbifold", invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)),
+           disc, True)
+    yield ("arc_collar", build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
+           Mesh2D("quarter_disc", 12, 16), False)
+    yield "reversed", collar, disc.reversed(), False
+    yield "gauge", radial_gauge_transform(collar, S - S.conj().T), disc, False
+
+
+class TestFaceBand:
+    def test_band_matches_full_grid(self, rng):
+        for name, spec, mesh, gap in band_cases(rng):
+            D = edge_transports(spec, mesh)
+            assert_report_matches_full_grid(chern_weil_index(D))
+            # the band is exactly the rows holding a nonzero face edge
+            ids, _ = mesh.face_edges()
+            live = (D.edge_logdet.imag[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1)
+            _, band = curvature._face_angles(D)
+            assert band.shape == (np.count_nonzero(live), mesh.n_t), name
+            runs = np.count_nonzero(np.diff(np.concatenate([[0], live.astype(int), [0]])) == 1)
+            assert runs == (2 if gap else 1), name
+            if name != "gauge":
+                assert not live.all(), name
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_flat_is_exact_positive_zero(self, n):
+        D = edge_transports(builtin_connection("flat", n=n), Mesh2D("disc", 8, 16))
+        rep = chern_weil_index(D)
+        assert same_bits(rep.raw, 0.0) and same_bits(rep.max_face_angle, 0.0)
+        assert curvature._face_angles(D)[1].shape == (0, 16)
+        assert_report_matches_full_grid(rep)
+
+    @pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf)])
+    @pytest.mark.parametrize("edge", ["radial", "ring"])
+    def test_non_finite_edge_in_a_zero_row_trips_the_guard(self, rng, edge, bad):
+        loop, _ = random_frame_loop(rng, 2, 64)
+        mesh = Mesh2D("disc", 16, 64)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        eid = mesh.radial_id(1, 5) if edge == "radial" else mesh.angular_id(2, 5)
+        assert not np.abs(face_angle_array(D)).reshape(16, 64)[:3].any()
+        logdet = D.edge_logdet.copy()
+        logdet[eid] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(Unrefined):
+            chern_weil_index(replace(D, edge_logdet=logdet))
+
+    def test_principal_matches_the_remainder_formula(self, rng):
+        edges = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi, -3 * np.pi,
+                          1e300, -1e300, 5e-324, np.nan, np.inf, -np.inf])
+        near = np.nextafter(edges[2:8, None], [[-np.inf, np.inf]]).ravel()
+        t = np.concatenate([edges, near, rng.uniform(-10, 10, 1000), rng.uniform(-1, 1, 1000)])
+        with np.errstate(invalid="ignore"):
+            want = (t + np.pi) % (2 * np.pi) - np.pi
+            assert curvature._principal(t).tobytes() == want.tobytes()
+
+    def test_every_verify_report_matches_full_grid(self, monkeypatch, capsys):
+        from maslovcw import cli
+
+        reports = []
+        init = curvature.CurvatureReport.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            reports.append(self)
+
+        monkeypatch.setattr(curvature.CurvatureReport, "__init__", recording)
+        assert cli.main(["verify", "--suite", "all", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert len(reports) >= 50
+        for rep in reports:
+            assert_report_matches_full_grid(rep)
+
+
+def assert_fsum_bits(x):
+    x = np.asarray(x, dtype=float)
+    assert same_bits(curvature._exact_sum(x), math.fsum(x.tolist()))
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-math.pi, math.pi), max_size=64))
+    def test_lists_match_fsum(self, xs):
+        assert_fsum_bits(xs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.one_of(st.integers(0, 600), st.sampled_from([4096, 1024 * 1024])),
+           low=st.floats(-300.0, math.log10(math.pi)),
+           kind=st.sampled_from(["spread", "cancelling", "half_zero", "signed_zeros"]))
+    def test_arrays_match_fsum(self, seed, size, low, kind):
+        # magnitudes log-uniform between 10**low and pi, random signs
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(low, math.log10(math.pi), size)
+        x[rng.random(size) < 0.5] *= -1.0
+        if kind == "cancelling":
+            half = x[: size // 2]
+            x = np.concatenate([half, -half, x[2 * (size // 2):] * 1e-17])
+            rng.shuffle(x)
+        elif kind == "half_zero":
+            x[rng.random(size) < 0.5] = 0.0
+        elif kind == "signed_zeros":
+            x = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        assert_fsum_bits(x)
+
+    @pytest.mark.parametrize("x", [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+                                   [5e-324, -5e-324, 5e-324], [1e-300, 1.0, -1.0],
+                                   [3.0, 2.0 ** -1074, -3.0]])
+    def test_edge_cases_match_fsum(self, x):
+        assert_fsum_bits(x)
+
+    @pytest.mark.parametrize("x", [[np.inf, 1.0], [np.nan, 1.0], [-np.inf, 2.0], [1e300, -1e300, 1.0]])
+    def test_non_finite_and_huge_follow_fsum(self, x):
+        assert_fsum_bits(x)
+
+    @pytest.mark.parametrize("x", [[np.inf, -np.inf], [1.7e308, 1.7e308]])
+    def test_fsum_errors_propagate(self, x):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            math.fsum(x)
+        with pytest.raises(want.type):
+            curvature._exact_sum(np.array(x))
+
+    def test_chunked_levels_match_fsum(self, rng, monkeypatch):
+        monkeypatch.setattr(curvature, "_SUM_CHUNK", 64)
+        for size in (63, 64, 65, 1000):
+            assert_fsum_bits(rng.uniform(-np.pi, np.pi, size) * 10.0 ** rng.uniform(-20, 0, size))
+
+    def test_complex_curvature_value_matches_fsum(self):
+        for D in (edge_transports(builtin_connection("example_4_3_nonunitary"), Mesh2D("disc", 64, 64),
+                                  allow_non_unitary=True),
+                  edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 64, 64))):
+            z = curvature.complex_face_logsum(D)
+            val = complex_curvature_value(D)
+            assert same_bits(val.real, math.fsum(z.imag.tolist()) / math.pi)
+            assert same_bits(val.imag, -math.fsum(z.real.tolist()) / math.pi)

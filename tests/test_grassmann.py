@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from maslovcw import matcore
-from maslovcw.errors import NotTransverse, RankMismatch
+from maslovcw.errors import MaslovCWError, NotTransverse, RankMismatch, SingularInput
 from maslovcw.grassmann import (
     LagrangianFrame,
     b_map,
@@ -34,6 +36,24 @@ def frame_at(path, t):
 def random_orthogonal(n, rng):
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return Q
+
+
+class TestFromMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_non_finite_frame_rejected(self, rng, n, bad):
+        u = matcore.haar_unitary(n, rng)
+        u[n - 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput, match="non-finite"):
+                LagrangianFrame.from_matrix(u)
+
+    def test_non_unitary_frame_rejected(self, rng):
+        u = matcore.haar_unitary(2, rng) * (1 + 1e-6)
+        with pytest.raises(SingularInput, match="unitary defect"):
+            LagrangianFrame.from_matrix(u)
+        assert issubclass(SingularInput, MaslovCWError)
 
 
 class TestBMap:
