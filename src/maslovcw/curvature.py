@@ -267,7 +267,7 @@ def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, np.ndarray]:
     +0 outside the band; the second is the band, rows of n_t angles.
     """
     mesh = D.mesh
-    x = np.imag(D.edge_logdet)
+    x = np.ascontiguousarray(D.edge_logdet.imag)
     nz = x != 0
     ring = nz[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t).any(axis=1)
     radial = nz[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv).any(axis=1)

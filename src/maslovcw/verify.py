@@ -146,18 +146,18 @@ def suite_doubling_degree(seed: int, cases: int = 30) -> dict:
 def suite_quarter_model(seed: int = 0) -> dict:
     """Quarter-disc model integrates to n/2; four rotated copies glue to 2n."""
     out = []
+    quarters = {}
     for n in (1, 2, 3):
-        rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
+        rep = quarters[n] = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
         ok = abs(rep.raw - n / 2) <= 1e-2 and rep.rounded == Fraction(n, 2)
         out.append({"n": n, "raw": rep.raw, "ok": ok})
     for n in (1, 2):
-        frame = LagrangianFrame.standard(n)
-        glued = glue_quadrants(frame)
+        glued = glue_quadrants(LagrangianFrame.standard(n))
         mu = maslov_loop(glued)
         spec = build_collar_connection(glued)
         D = edge_transports(spec, Mesh2D("disc", 24, len(glued)))
         rep = chern_weil_index(D, Fraction(1))
-        quarter = quarter_model_report(QuarterModel(frame))
+        quarter = quarters[n]
         ok = (
             mu == 2 * n
             and rep.rounded == 2 * n

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +347,17 @@ class TestVerify:
         )
         assert code == 0
         assert "ok,True" in out
+
+    @pytest.mark.parametrize("seed", ["3", "7"])
+    def test_exact_fields_match_benchmark_references(self, seed, capsys, monkeypatch):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        from verify_ref import mismatched_suites
+
+        ref = json.loads((bench / "refs.json").read_text())["verify"][seed]
+        code, out, _ = run_cli(["verify", "--suite", "all", "--seed", seed], capsys)
+        assert code == 0
+        assert mismatched_suites(out, ref) == []
 
 
 class TestDeterminism:

@@ -3,9 +3,9 @@ import pytest
 from fractions import Fraction
 
 from maslovcw import polygon
-from maslovcw.errors import InconsistentFormulas, NotTransverse, RankMismatch
-from maslovcw.grassmann import LagrangianFrame, same_lagrangian
-from maslovcw.loops import maslov_loop
+from maslovcw.errors import InconsistentFormulas, NotTransverse, RankMismatch, Undersampled
+from maslovcw.grassmann import LagrangianFrame, positive_path, same_lagrangian
+from maslovcw.loops import FrameLoop, maslov_loop
 from maslovcw.polygon import (
     QuarterModel,
     TransversalBundleData,
@@ -49,6 +49,23 @@ class TestConstruction:
         with pytest.raises(RankMismatch):
             TransversalBundleData(3, [e, 1j * e])
 
+    def test_edges_are_read_only_copies(self, rng):
+        pristine = random_transversal_data(rng, 2, 3)
+        source = [e.copy() for e in pristine.edges]
+        data = TransversalBundleData(2, source)
+        frames = [(F.u.copy(), G.u.copy()) for F, G in map(data.vertex_pair, range(3))]
+        for e in source:
+            e[...] = np.eye(2)  # every corner of the mutated source is degenerate
+        with pytest.raises(NotTransverse):
+            TransversalBundleData(2, source)
+        with pytest.raises(ValueError):
+            data.edges[0][0, 0, 0] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(data.edges, pristine.edges))
+        for (F, G), (u, v) in zip(map(data.vertex_pair, range(3)), frames):
+            assert np.array_equal(F.u, u) and np.array_equal(G.u, v)
+        assert np.array_equal(data.closed_loop.samples, pristine.closed_loop.samples)
+        assert mu_cw_polygon(data) == mu_cw_polygon(pristine)
+
 
 class TestLLoop:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -59,8 +76,6 @@ class TestLLoop:
 
     def test_seams_close(self, rng):
         data = random_transversal_data(rng, 2, 3)
-        from maslovcw.grassmann import positive_path
-
         for i in range(data.k_plus_1):
             F, G = data.vertex_pair(i)
             path = positive_path(F, G)
@@ -84,6 +99,34 @@ class TestLLoop:
         assert mu_top(data) == 2
         assert calls == [data]
         assert np.array_equal(data.closed_loop.samples, build_L_loop(bigon_standard(2)).samples)
+
+    def test_retry_computes_each_positive_path_once(self, monkeypatch, rng):
+        data = random_transversal_data(rng, 2, 4)
+        paths, attempts = [], []
+
+        def counting_path(F, G):
+            paths.append((F, G))
+            return positive_path(F, G)
+
+        def rejecting_twice(n, samples):
+            attempts.append(samples)
+            if len(attempts) <= 2:
+                raise Undersampled("forced retry")
+            return FrameLoop(n, samples)
+
+        monkeypatch.setattr(polygon, "positive_path", counting_path)
+        monkeypatch.setattr(polygon, "FrameLoop", rejecting_twice)
+        loop = build_L_loop(data)
+        assert paths == [data.vertex_pair(i) for i in range(4)]
+        assert len(attempts) == 3
+        for attempt, samples in enumerate(attempts):
+            nv = 64 * 2**attempt
+            pieces = []
+            for i, edge in enumerate(data.edges):
+                path = positive_path(*data.vertex_pair(i))
+                pieces += (edge, path.sample(np.arange(1, nv) / nv))
+            assert np.array_equal(samples, np.concatenate(pieces))
+        assert np.array_equal(loop.samples, attempts[-1])
 
     def test_edge_sampling_density_independence(self):
         rng1 = np.random.default_rng(99)
@@ -143,6 +186,48 @@ class TestMuCw:
             data = random_transversal_data(rng, n, kp1)
             value, details = mu_cw_polygon(data, verify=True)
             assert details["residual"] <= 2e-2
+
+
+class TestCornerWorkOnce:
+    @pytest.mark.parametrize("kp1", [2, 4])
+    def test_frames_and_quarter_model_built_once(self, kp1, monkeypatch, rng):
+        edges = random_transversal_data(rng, 2, kp1).edges
+        frames, models = [], []
+        from_matrix = LagrangianFrame.from_matrix.__func__
+
+        def counting_frame(cls, u):
+            frames.append(u)
+            return from_matrix(cls, u)
+
+        def counting_model(model):
+            models.append(model)
+            return quarter_model_report(model)
+
+        monkeypatch.setattr(LagrangianFrame, "from_matrix", classmethod(counting_frame))
+        monkeypatch.setattr(polygon, "quarter_model_report", counting_model)
+        data = TransversalBundleData(2, edges)
+        mu_cw_polygon(data, verify=True)
+        fredholm_index(data)
+        if kp1 == 2:
+            maslov_viterbo(data)
+        assert len(frames) == 2 * kp1
+        assert len(models) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kp1", [2, 3, 4, 5, 6])
+    def test_one_model_matches_per_vertex_sum(self, n, kp1):
+        data = random_transversal_data(np.random.default_rng(10 * n + kp1), n, kp1)
+        value, details = mu_cw_polygon(data, verify=True)
+        models = [quarter_model_report(QuarterModel(data.vertex_pair(i)[0]))
+                  for i in range(kp1)]
+        reference = details["disc_raw"] - sum(m.raw for m in models)
+        assert abs(details["raw"] - reference) <= 1e-14
+        assert all(m.rounded == Fraction(n, 2) for m in models)
+        top = mu_top(data)
+        assert (value, details["mu_top"], details["k_plus_1"]) == (
+            Fraction(top) - Fraction(kp1 * n, 2), top, kp1)
+        assert Fraction(round(reference * 2), 2) == value
+        assert details["residual"] == abs(details["raw"] - float(value))
 
 
 class TestFredholm:
