@@ -60,7 +60,11 @@ class ConnectionSpec:
     with ``radial=False``), returns tr A_theta, shape r.shape, equal up to
     rounding to the trace of the ``coeffs`` values; the index path then
     evaluates only it, and ``coeffs`` runs only when the full values are
-    read.  Every collar-type spec gives one.
+    read.  Every collar-type spec gives one.  ``rim_cutoff(r)``, when
+    given, is the collar's cutoff as a function of the radius; at every
+    quadrature point of the mesh's rim chords it must equal its value on the
+    rim itself, or ``edge_transports`` raises Unrefined.  Every collar-type
+    spec gives one too.
     """
 
     n: int
@@ -70,6 +74,7 @@ class ConnectionSpec:
     boundary_loop: Optional[FrameLoop] = None
     radial: bool = True
     trace: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    rim_cutoff: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.trace is not None and self.radial:
@@ -83,7 +88,8 @@ def check_skew(defect: float, what: str) -> None:
 
 
 def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None,
-                 a_trace: Optional[Callable] = None) -> ConnectionSpec:
+                 a_trace: Optional[Callable] = None,
+                 rim_cutoff: Optional[Callable] = None) -> ConnectionSpec:
     """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t).
 
     ``a_trace(r, t)``, if given, is the trace evaluator: tr a_theta(r, t).
@@ -93,11 +99,11 @@ def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None,
         return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
     return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False,
-                          trace=a_trace)
+                          trace=a_trace, rim_cutoff=rim_cutoff)
 
 
 def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str,
-                boundary_loop=None) -> ConnectionSpec:
+                boundary_loop=None, rim_cutoff: Optional[Callable] = None) -> ConnectionSpec:
     """Rank-n angular spec: A_theta = term(*forms(), r, t), trace term(*traces, r, t).
 
     ``term`` may only interpolate, scale and add its inputs with real
@@ -106,6 +112,7 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
     skew-Hermitian samples (N, n, n) or matrices (n, n); it runs on the first
     ``coeffs`` call, where each form F is checked against ``TOL.skew`` and
     moved onto its trace: F - ((tr F - trace) / n) I, still skew-Hermitian.
+    ``rim_cutoff(r)`` is the collar cutoff (see ``ConnectionSpec``).
     """
     for tr in traces:
         check_skew(matcore.diagonal_skew_defect(tr), "boundary trace")
@@ -120,7 +127,7 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
         return out
 
     return angular_spec(n, lambda r, t: term(*shifted(), r, t), tag, boundary_loop,
-                        a_trace=lambda r, t: term(*traces, r, t))
+                        a_trace=lambda r, t: term(*traces, r, t), rim_cutoff=rim_cutoff)
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
@@ -209,7 +216,7 @@ def open_path_trace(samples: np.ndarray) -> np.ndarray:
     gives a NaN trace, which the collar's trace check rejects.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.linalg.det(np.asarray(samples, dtype=complex)) ** 2
+        z = matcore.det(np.asarray(samples, dtype=complex)) ** 2
         dphi = np.angle(z[1:] / z[:-1])
     worst = np.max(np.abs(dphi))
     if worst >= TOL.winding_guard:
@@ -268,12 +275,15 @@ def build_collar_connection(
     if not (0.0 < width < 1.0):
         raise InvalidParameter("collar width must lie in (0, 1)")
 
+    def depth(r):
+        return (r - (1.0 - width)) / width
+
     def term(A, r, t):
-        depth = (r - (1.0 - width)) / width
-        return collar_term(A, depth, t, 2.0 * np.pi, cutoff=cutoff, saturation=saturation)
+        return collar_term(A, depth(r), t, 2.0 * np.pi, cutoff=cutoff, saturation=saturation)
 
     return collar_spec(term, (loop_boundary_trace(loop),), lambda: (loop_boundary_form(loop)[0],),
-                       loop.n, f"collar(w={width},{cutoff})", loop)
+                       loop.n, f"collar(w={width},{cutoff})", loop,
+                       lambda r: cutoff_profile(depth(r), cutoff, saturation))
 
 
 def build_arc_collar_connection(
@@ -282,11 +292,15 @@ def build_arc_collar_connection(
     """Collar of an open frame path over an arc of angular span ``t_span``."""
     path = np.array(path, dtype=complex)  # a copy: the full form is built from it later
 
+    def depth(r):
+        return (r - (1.0 - width)) / width
+
     def term(A, r, t):
-        return collar_term(A, (r - (1.0 - width)) / width, t, t_span, periodic=False)
+        return collar_term(A, depth(r), t, t_span, periodic=False)
 
     return collar_spec(term, (open_path_trace(path),), lambda: (open_path_form(path),),
-                       path.shape[-1], f"arc_collar(w={width})")
+                       path.shape[-1], f"arc_collar(w={width})",
+                       rim_cutoff=lambda r: cutoff_profile(depth(r)))
 
 
 def build_annulus_collar_connection(
@@ -305,13 +319,17 @@ def build_annulus_collar_connection(
     if not (0 < width <= 0.5 * (1.0 - r_inner)):
         raise InvalidParameter("collar width exceeds half the annulus thickness")
 
+    def depths(r):  # into the outer and the inner collar; the two supports are disjoint
+        return (r - (1.0 - width)) / width, ((r_inner + width) - r) / width
+
     def term(A_out, A_in, r, t):
-        rim = collar_term(A_out, (r - (1.0 - width)) / width, t, 2 * np.pi)
-        return rim - collar_term(A_in, ((r_inner + width) - r) / width, -t, 2 * np.pi)
+        d_out, d_in = depths(r)
+        return collar_term(A_out, d_out, t, 2 * np.pi) - collar_term(A_in, d_in, -t, 2 * np.pi)
 
     return collar_spec(term, (loop_boundary_trace(outer), loop_boundary_trace(inner)),
                        lambda: (loop_boundary_form(outer)[0], loop_boundary_form(inner)[0]),
-                       outer.n, f"annulus_collar(w={width})", outer)
+                       outer.n, f"annulus_collar(w={width})", outer,
+                       lambda r: np.maximum(*map(cutoff_profile, depths(r))))
 
 
 def radial_gauge_transform(
@@ -346,5 +364,5 @@ def radial_gauge_transform(
 
     return ConnectionSpec(
         spec.n, coeffs, tag=f"gauge({spec.tag})", unitary=spec.unitary,
-        boundary_loop=spec.boundary_loop,
+        boundary_loop=spec.boundary_loop, rim_cutoff=spec.rim_cutoff,
     )

@@ -118,6 +118,14 @@ def edge_transports(
     checked when first read); any other spec is evaluated in full, checked
     in full, and traced through its diagonals.  A NaN fails either check.
     Both run on the ``live`` rows only.
+
+    A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
+    quadrature point of a rim chord differs from its value on the rim
+    itself (1 for a collar of that rim), or is NaN.  A chord cuts inside
+    its circle, to radius cos(pi/n_t) at its midpoint, so on a coarse
+    angular mesh the rim points fall short of the collar's plateau and the
+    face sum misses part of the boundary phase, with no face angle near its
+    guard.
     """
     if not spec.unitary:
         if not allow_non_unitary:
@@ -127,6 +135,8 @@ def edge_transports(
             )
         if spec.n != 1:
             raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
+    if spec.rim_cutoff is not None:
+        _check_rim(spec, mesh, substeps)
     rows, (r_mid, t_mid, dr, dt) = _quadrature(spec, mesh, substeps)
     values = None
     if spec.trace is None:
@@ -148,6 +158,22 @@ def edge_transports(
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
     edge_logdet[rows][live] = diag.sum(axis=1).sum(axis=-1)
     return DiscreteConnection(mesh, spec, substeps, live, edge_logdet, values)
+
+
+def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
+    """Raise Unrefined unless ``spec.rim_cutoff`` is the same at every rim point as on the rim."""
+    r_mid = mesh.edge_quadrature(substeps)[0]
+    for radius, ring in mesh.rims():
+        # the chords' points, then the rim itself; a NaN compares unequal
+        rho = spec.rim_cutoff(np.append(r_mid[ring], radius))
+        bad = rho[:-1] != rho[-1]
+        if bad.any():
+            raise Unrefined(
+                f"collar cutoff {rho[:-1][bad][0]:.3g} at a rim chord point against "
+                f"{rho[-1]:.3g} on the rim r = {radius:g} (mesh {mesh.n_r}x{mesh.n_t}): the "
+                "chords cut inside the collar's plateau; refine the angular mesh or widen "
+                "the collar"
+            )
 
 
 def _quadrature(spec: ConnectionSpec, mesh: Mesh2D, substeps: int):
@@ -516,7 +542,7 @@ def double_degree(pair: BundlePairSpec) -> int:
     total = 0
     for L in pair.loops:
         B = L.samples @ L.samples.transpose(0, 2, 1)
-        total += winding(np.linalg.det(B))
+        total += winding(matcore.det(B))
     return total
 
 

@@ -46,7 +46,11 @@ class UnknownName(MaslovCWError):
 
 
 class Unrefined(MaslovCWError):
-    """A per-face curvature angle exceeds the branch guard; refine the mesh."""
+    """The mesh cannot resolve the connection; refine it.
+
+    A per-face curvature angle exceeds the branch guard, or the rim chords
+    reach inside a collar's plateau.
+    """
 
 
 class NonUnitaryConnection(MaslovCWError):

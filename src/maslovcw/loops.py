@@ -87,7 +87,7 @@ class FrameLoop:
         if defect > 1e-12:
             s = matcore.unitarize_batch(s)
         object.__setattr__(self, "samples", s)
-        det_b = np.linalg.det(s) ** 2
+        det_b = matcore.det(s) ** 2
         # guard: det B must advance by less than pi/2 per step
         dphi = winding_increments(det_b)
         for name, a in (("_det_b", det_b), ("_dphi", dphi)):
@@ -218,11 +218,20 @@ def _extrapolated(f: np.ndarray) -> np.ndarray:
 
 
 def _check_wrap(first: np.ndarray, nxt: np.ndarray):
-    """SVD of Re(first* nxt); raise Undersampled unless its singular values clear the guard."""
-    A, s, Bt = np.linalg.svd(np.real(first.conj().T @ nxt))
+    """(polar factor, singular values) of Re(first* nxt); Undersampled unless they clear the guard.
+
+    At rank 1 they are the sign and the absolute value, equal to the SVD's
+    bitwise, and no SVD runs.
+    """
+    W = np.real(first.conj().T @ nxt)
+    if W.shape == (1, 1):
+        polar, s = np.sign(W), np.abs(W[0])
+    else:
+        A, s, Bt = np.linalg.svd(W)
+        polar = A @ Bt
     if not s.min() >= TOL.frame_step_sv:
         raise Undersampled(f"wrap alignment singular value {s.min():.3f}")
-    return A, s, Bt
+    return polar, s
 
 
 def alignment_guard(samples: np.ndarray):
@@ -233,8 +242,10 @@ def alignment_guard(samples: np.ndarray):
     ... steps[0], so each of the last five is u[k] R[k] O[N-1], R[k] a
     product of the last four steps transposed.  Re(w[0]* w_next) is the
     same extrapolation of u[k] R[k] times the orthogonal O[N-1], so it has
-    the same singular values, and no frame is rotated.  Raises the same
-    Undersampled errors at the same ``TOL.frame_step_sv``, also on NaN.
+    the same singular values, and no frame is rotated.  At rank 1 the polar
+    steps and the wrap are signs and absolute values, with no SVD.  Raises
+    the same Undersampled errors at the same ``TOL.frame_step_sv``, also on
+    NaN.
     """
     u, M = _step_matrices(samples)
     N, n, _ = u.shape
@@ -247,12 +258,17 @@ def alignment_guard(samples: np.ndarray):
     _check_step(s)
     tail = u
     if N >= 5:
-        A, _, Bt = np.linalg.svd(M[-4:])
-        last = A @ Bt
         R = np.empty((5, n, n))
         R[4] = np.eye(n)
-        for j in (3, 2, 1, 0):
-            R[j] = last[j].T @ R[j + 1]
+        if n == 1:
+            # polar factors of 1x1 matrices are signs, as in aligned_frames,
+            # and their products are exact
+            R[3::-1] = np.cumprod(np.sign(M[:-5:-1]), axis=0)
+        else:
+            A, _, Bt = np.linalg.svd(M[-4:])
+            last = A @ Bt
+            for j in (3, 2, 1, 0):
+                R[j] = last[j].T @ R[j + 1]
         tail = u[-5:] @ R
     wrap = _check_wrap(u[0], _extrapolated(tail))[1]
     return float(s), float(wrap.min())
@@ -296,8 +312,7 @@ def aligned_frames(samples: np.ndarray):
             d *= 2
     w = u @ O
     # wrap monodromy from a 5-point extrapolation past the last sample
-    A, _, Bt = _check_wrap(w[0], _extrapolated(w))
-    return w, A @ Bt
+    return w, _check_wrap(w[0], _extrapolated(w))[0]
 
 
 # ---------------------------------------------------------------------------

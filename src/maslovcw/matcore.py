@@ -1,7 +1,9 @@
 """Dense complex small-matrix kernels (n <= 16).
 
-Unitarization by Newton iteration, principal logarithms of unitaries, and
-Takagi factorization of symmetric unitaries.  The two factorizations share
+Stack determinants, unitarization by Newton iteration, principal logarithms
+of unitaries, and Takagi factorization of symmetric unitaries.  Up to rank
+``DET_EXPANSION_MAX`` a determinant is an exact minor expansion vectorised
+over the stack, not one LAPACK LU per matrix.  The two factorizations share
 one trick: a unitary (resp. symmetric unitary) splits into a commuting
 Hermitian (resp. real symmetric) pair, which a single shifted eigh call
 diagonalizes jointly.
@@ -9,12 +11,20 @@ diagonalizes jointly.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import BranchCut, DegenerateSpectrum, SingularInput
 from .tolerances import TOL
 
 MAX_RANK = 16
+
+# Largest rank whose determinant is expanded in minors.  On stacks of 512
+# Haar unitaries (one BLAS thread) the expansion beats LAPACK's per-matrix LU
+# about 19x at rank 1, 13x at 2, 6x at 3, 3x at 4 and 1.7x at 5, and loses
+# from rank 6 on; on 64-sample stacks it loses 1.7x at rank 4 but 3x at 5.
+DET_EXPANSION_MAX = 4
 
 # First shift is fixed; the rest are pseudo-random from a frozen seed.  A
 # shift only fails when two distinct eigenvalue pairs collide accidentally,
@@ -24,6 +34,39 @@ _SHIFTS = (0.7310585786300049,) + tuple(
 )
 
 _NEWTON_CAP = 20
+
+
+def det(U: np.ndarray) -> np.ndarray:
+    """Determinant of a square matrix or of each matrix in a stack (..., n, n).
+
+    Up to rank ``DET_EXPANSION_MAX`` this is the Laplace expansion along the
+    rows: the minors of rows 0..r over every (r+1)-subset of the columns are
+    built from those of rows 0..r-1, each one elementwise over the stack.
+    No pivoting, no division; a NaN or inf entry gives a non-finite value.
+    Above it, and for anything but a float or complex stack, np.linalg.det.
+    """
+    U = np.asarray(U)
+    n = U.shape[-1] if U.ndim else 0
+    if (U.ndim < 2 or U.shape[-2] != n or not 1 <= n <= DET_EXPANSION_MAX
+            or U.dtype.kind not in "fc"):
+        return np.linalg.det(U)
+    if n == 1:
+        return np.positive(U[..., 0, 0])  # a fresh array, or a scalar for one matrix
+    minors = {(j,): U[..., 0, j] for j in range(n)}
+    for r in range(1, n):
+        nxt = {}
+        for S in combinations(range(n), r + 1):
+            # along row r, the minor's column S[p] has sign (-1)^(r - p)
+            acc = U[..., r, S[r]] * minors[S[:r]]
+            for p in range(r - 1, -1, -1):
+                term = U[..., r, S[p]] * minors[S[:p] + S[p + 1:]]
+                if (r - p) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            nxt[S] = acc
+        minors = nxt
+    return minors[tuple(range(n))]
 
 
 def frobenius(M: np.ndarray) -> float:

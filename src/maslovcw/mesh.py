@@ -146,6 +146,11 @@ class Mesh2D:
         """Edge ids of the outer-ring chords, in increasing angle order."""
         return self.angular_id(self.n_r, np.arange(self.n_t))
 
+    def rims(self) -> list:
+        """(radius, slice of chord edge ids) of the outer ring, and of an annulus's inner ring."""
+        rings = [(1.0, self.n_r)] + ([(self.r_inner, 0)] if self.domain == "annulus" else [])
+        return [(r, slice(self.angular_id(i, 0), self.angular_id(i, self.n_t))) for r, i in rings]
+
 
 # verify integrates about ten mesh shapes; cw integrates one
 QUADRATURE_CACHE_SIZE = 16

@@ -158,15 +158,19 @@ def invariant_connection(spec: OrbifoldDiscSpec) -> ConnectionSpec:
     """
     D = 1j * np.diag(np.array(spec.cone.weights, dtype=float) / spec.cone.order)
 
+    def depth(r):
+        return (r - (1.0 - _COLLAR_WIDTH)) / _COLLAR_WIDTH
+
     def term(A_bdry, cone, r, t):
-        collar = collar_term(A_bdry, (r - (1.0 - _COLLAR_WIDTH)) / _COLLAR_WIDTH, t, 2 * np.pi)
+        collar = collar_term(A_bdry, depth(r), t, 2 * np.pi)
         eta = 1.0 - cutoff_profile((r - 0.1) / 0.3, "cubic", 1.0)
         return collar + eta.reshape(eta.shape + (1,) * cone.ndim) * cone
 
     loop = spec.boundary
     return collar_spec(term, (loop_boundary_trace(loop), np.trace(D)),
                        lambda: (loop_boundary_form(loop)[0], D), spec.n,
-                       f"cone(m={spec.cone.order})+collar", loop)
+                       f"cone(m={spec.cone.order})+collar", loop,
+                       lambda r: cutoff_profile(depth(r)))
 
 
 def mu_cw_orbifold(spec: OrbifoldDiscSpec):

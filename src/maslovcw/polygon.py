@@ -263,6 +263,10 @@ def random_transversal_data(
     t = np.linspace(0.0, 1.0, samples_per_edge)
     edges = []
     for i in range(k_plus_1):
+        # the fixed frames a redraw must meet: the previous edge's end, and
+        # for the last edge also edge 0's start
+        prev_end = LagrangianFrame.from_matrix(edges[-1][-1]) if i > 0 else None
+        first_start = LagrangianFrame.from_matrix(edges[0][0]) if 0 < i == k_plus_1 - 1 else None
         for _attempt in range(60):
             Q = matcore.haar_unitary(n, rng)
             K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -271,16 +275,10 @@ def random_transversal_data(
             lam, V = np.linalg.eigh(-1j * K)
             ph = np.exp(1j * np.outer(t, lam))
             path = Q @ np.einsum("ij,tj,kj->tik", V, ph, V.conj())
-            ok = True
-            if i > 0:
-                F = LagrangianFrame.from_matrix(edges[-1][-1])
-                if intersection_dim(F, LagrangianFrame.from_matrix(path[0])) != 0:
-                    ok = False
-            if ok and i == k_plus_1 - 1:
-                F = LagrangianFrame.from_matrix(path[-1])
-                G = LagrangianFrame.from_matrix(edges[0][0])
-                if intersection_dim(F, G) != 0:
-                    ok = False
+            ok = prev_end is None or intersection_dim(
+                prev_end, LagrangianFrame.from_matrix(path[0])) == 0
+            if ok and first_start is not None:
+                ok = intersection_dim(LagrangianFrame.from_matrix(path[-1]), first_start) == 0
             if ok:
                 edges.append(path)
                 break

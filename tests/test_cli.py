@@ -280,6 +280,20 @@ def _assert_exits_one(kind, obj, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+class TestUnresolvedCollar:
+    @pytest.mark.parametrize("width, rounded", [("0.05", None), ("0.01", None), ("0.3", 3)])
+    def test_narrow_collar_exits_one(self, width, rounded, tmp_path, capsys):
+        # power_k, k = 3, 16 samples: the rim chords reach in to cos(pi/16) ~ 0.981
+        path = tmp_path / "loop.json"
+        save_loop(generate_loop("power_k", 16, k=3), str(path))
+        code, out, err = run_cli(["cw", "--input", str(path), "--collar", width], capsys)
+        if rounded is None:
+            assert code == 1 and out == ""
+            assert err.startswith("error: collar cutoff") and "Traceback" not in err
+        else:
+            assert code == 0 and json.loads(out)["rounded"] == rounded
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("defect", ["top_level_list"] + sorted(_BAD_SAMPLES))
     @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])

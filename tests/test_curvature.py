@@ -39,6 +39,7 @@ from maslovcw.loops import (
 )
 from maslovcw.mesh import DOMAINS, Mesh2D
 from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
+from maslovcw.tolerances import TOL
 
 
 def collar_report(loop, n_r=24, quantum=Fraction(1), **collar_kw):
@@ -1054,6 +1055,90 @@ class TestAnnulus:
         rep = chern_weil_index(edge_transports(spec, mesh), Fraction(1))
         pair = BundlePairSpec(1, (outer, inner), euler_characteristic=0)
         assert rep.rounded == maslov_bundle_pair(pair) == -1
+
+
+class TestRimResolution:
+    """A collar whose plateau the rim chords miss raises Unrefined, never a wrong index."""
+
+    @pytest.mark.parametrize("N", [8, 12, 16, 24, 32, 64])
+    def test_power_k_rounds_to_k_or_raises(self, N):
+        # every k the winding guard admits, on the mesh of ``cw --input``
+        ks = [k for k in range(-N, N + 1) if 2 * np.pi * abs(k) / N < TOL.winding_guard]
+        for width in (0.01, 0.02, 0.05, 0.1, 0.2):
+            for k in ks:
+                loop = generate_loop("power_k", N, k=k)
+                try:
+                    rep = collar_report(loop, n_r=32, width=width)
+                except MaslovCWError:
+                    continue
+                assert rep.rounded == k, (N, width, k, rep.raw)
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_disc_collar_threshold_is_exact(self, substeps):
+        # the plateau of a width-w collar starts at r = 1 - (1 - 0.9) w; the
+        # rim points lie at |z| for points z on the chords
+        for n_t in (16, 32, 64, 128):
+            mesh = Mesh2D("disc", 8, n_t)
+            r_min = mesh.edge_quadrature(substeps)[0][mesh.boundary_angular_ids()].min()
+            for width in (0.05, 0.1, 0.2, 0.3, 0.5):
+                spec = build_collar_connection(generate_loop("power_k", n_t, k=1), width=width)
+                if r_min < 1.0 - 0.1 * width:
+                    with pytest.raises(Unrefined, match="rim"):
+                        edge_transports(spec, mesh, substeps)
+                else:
+                    edge_transports(spec, mesh, substeps)
+
+    def test_every_rim_is_checked(self):
+        seen = []
+
+        def rim_cutoff(r):
+            seen.append(np.round(r, 6))
+            return np.ones_like(r)
+
+        spec = angular_spec(1, lambda r, t: np.zeros(r.shape + (1, 1), complex), "probe",
+                            rim_cutoff=rim_cutoff)
+        for mesh, radii in ((Mesh2D("disc", 4, 8), {1.0}),
+                            (Mesh2D("quarter_disc", 4, 8), {1.0}),
+                            (Mesh2D("annulus", 4, 8, r_inner=0.4), {1.0, 0.4})):
+            seen.clear()
+            edge_transports(spec, mesh)
+            # each rim: its chord points, then the rim radius itself
+            assert {float(r[-1]) for r in seen} == radii
+            assert all(r.size == 8 + 1 and np.all(r[:-1] < r[-1]) for r in seen)
+
+    def test_annulus_collar(self):
+        outer = generate_loop("circle_tangent", 16)
+        inner = generate_loop("power_k", 16, k=-1)
+        spec = build_annulus_collar_connection(outer, inner, r_inner=0.4, width=0.05)
+        with pytest.raises(Unrefined, match="r = 1"):
+            edge_transports(spec, Mesh2D("annulus", 12, 16, r_inner=0.4))
+        # a disc collar has no inner collar: its cutoff is 0 on the inner rim and
+        # on the chords inside it alike
+        edge_transports(build_collar_connection(outer), Mesh2D("annulus", 12, 64, r_inner=0.4))
+
+    def test_arc_collar(self):
+        t = np.linspace(0.0, 1.0, 33)
+        path = np.exp(0.5j * np.pi * t)[:, None, None]
+        spec = build_arc_collar_connection(path, t_span=0.5 * np.pi, width=0.1)
+        with pytest.raises(Unrefined):
+            edge_transports(spec, Mesh2D("quarter_disc", 8, 4))
+        edge_transports(spec, Mesh2D("quarter_disc", 8, 32))
+
+    def test_orbifold_collar(self):
+        from maslovcw.orbifold import mu_cw_orbifold
+
+        for N, ok in ((8, False), (16, True)):
+            spec = OrbifoldDiscSpec(1, ConePoint(3, (1,)), generate_loop("power_k", N, k=1))
+            if ok:
+                assert mu_cw_orbifold(spec)[0] == Fraction(1) + Fraction(2, 3)
+            else:
+                with pytest.raises(Unrefined):
+                    mu_cw_orbifold(spec)
+
+    def test_gauge_transform_keeps_the_check(self):
+        spec = build_collar_connection(generate_loop("power_k", 16, k=1), width=0.05)
+        with pytest.raises(Unrefined):
+            edge_transports(radial_gauge_transform(spec, np.array([[1j]])), Mesh2D("disc", 8, 16))
 
 
 class TestConvergence:

@@ -25,6 +25,7 @@ from maslovcw.loops import (
     winding_detail,
     winding_increments,
 )
+from maslovcw.tolerances import TOL
 
 
 def loop_from_path(samples):
@@ -197,15 +198,17 @@ class TestConstruction:
             FrameLoop(1, np.exp(1j * np.pi * 5 * t)[:, None, None])
 
     def test_det_b_computed_once_and_read_only(self, rng, monkeypatch):
+        from maslovcw import matcore
+
         u = random_frame_loop(rng, 3, 64)[0].samples
         calls = []
-        det = np.linalg.det
+        det = matcore.det
 
         def counting(a):
             calls.append(a.shape)
             return det(a)
 
-        monkeypatch.setattr(np.linalg, "det", counting)
+        monkeypatch.setattr(matcore, "det", counting)
         loop = FrameLoop(3, u)
         assert calls == [(64, 3, 3)]
         d = loop.det_b()
@@ -369,6 +372,56 @@ class TestAlignedFrames:
         for _ in range(2):  # not cached
             with pytest.raises(Undersampled, match="wrap alignment singular value"):
                 wrap_rejected_loop.alignment_margins
+
+
+def svd_alignment_guard(u):
+    """``alignment_guard`` with SVDs for the last four polar steps and the wrap (any rank)."""
+    M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    N, n, _ = u.shape
+    s = np.linalg.svd(M, compute_uv=False).min() if n > 1 else np.abs(M).min()
+    if not s >= TOL.frame_step_sv:
+        raise Undersampled(f"frame alignment singular value {s:.3f} < {TOL.frame_step_sv}")
+    tail = u
+    if N >= 5:
+        A, _, Bt = np.linalg.svd(M[-4:])
+        last = A @ Bt
+        R = np.empty((5, n, n))
+        R[4] = np.eye(n)
+        for j in (3, 2, 1, 0):
+            R[j] = last[j].T @ R[j + 1]
+        tail = u[-5:] @ R
+    x = 5 * tail[-1] - 10 * tail[-2] + 10 * tail[-3] - 5 * tail[-4] + tail[-5]
+    wrap = np.linalg.svd(np.real(u[0].conj().T @ x), compute_uv=False)
+    if not wrap.min() >= TOL.frame_step_sv:
+        raise Undersampled(f"wrap alignment singular value {wrap.min():.3f}")
+    return float(s), float(wrap.min())
+
+
+class TestRankOneGuard:
+    @pytest.mark.parametrize("N", [8, 16, 64, 512])
+    def test_signs_match_the_svd_path_bitwise(self, N):
+        rng = np.random.default_rng(N)
+        t = np.arange(N) / N
+        outcomes = set()
+        for _ in range(200):
+            k = int(rng.integers(-N // 3, N // 3 + 1))
+            a, m = rng.uniform(0.0, 2.0), int(rng.integers(1, 4))
+            phi = np.pi * k * t + a * np.sin(2 * np.pi * m * t + rng.uniform(0, 2 * np.pi))
+            phi += rng.choice([0.0, 0.2]) * rng.normal(size=N)  # noise trips the wrap
+            flips = rng.choice([-1.0, 1.0], N)
+            u = (flips * np.exp(1j * phi))[:, None, None]
+            try:
+                ref = svd_alignment_guard(u)
+            except Undersampled as exc:
+                with pytest.raises(Undersampled) as err:
+                    alignment_guard(u)
+                assert str(err.value) == str(exc)
+                outcomes.add(str(exc).split()[0])
+                continue
+            got = alignment_guard(u)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            outcomes.add("pass")
+        assert outcomes == {"pass", "frame", "wrap"}
 
 
 class TestJson:

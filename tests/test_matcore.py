@@ -177,3 +177,80 @@ def test_takagi_reconstruction_property(n, seed):
     M = random_symmetric_unitary(n, rng)
     O, th = matcore.takagi_symmetric_unitary(M)
     assert np.linalg.norm((O * np.exp(2j * th)) @ O.T - M) <= 1e-9
+
+
+class TestDet:
+    """``matcore.det``: minor expansion up to DET_EXPANSION_MAX, np.linalg.det above it."""
+
+    RANKS = range(1, matcore.MAX_RANK + 1)
+
+    @staticmethod
+    def haar_stack(rng, N, n):
+        return np.stack([matcore.haar_unitary(n, rng) for _ in range(N)]).reshape(N, n, n)
+
+    def test_cut_is_inside_the_rank_range(self):
+        assert 1 <= matcore.DET_EXPANSION_MAX < matcore.MAX_RANK
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_haar_unitaries(self, rng, n):
+        U = self.haar_stack(rng, 64, n)
+        assert np.abs(matcore.det(U) - np.linalg.det(U)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_symmetric_unitaries(self, rng, n):
+        u = self.haar_stack(rng, 32, n)
+        B = u @ np.swapaxes(u, -1, -2)
+        assert np.abs(matcore.det(B) - np.linalg.det(B)).max() <= 1e-14
+        assert np.abs(matcore.det(B) - matcore.det(u) ** 2).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_general_complex(self, rng, n):
+        A = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+        ref = np.linalg.det(A)
+        assert (np.abs(matcore.det(A) - ref) / np.abs(ref)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_shapes(self, rng, n):
+        for shape in [(n, n), (5, n, n), (2, 5, n, n), (0, n, n), (2, 0, n, n)]:
+            A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got, ref = matcore.det(A), np.linalg.det(A)
+            assert np.shape(got) == np.shape(ref) and np.ndim(got) == np.ndim(ref)
+            assert np.result_type(got) == np.result_type(ref) == np.complex128
+            assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_returns_a_fresh_array(self, rng):
+        for n in range(1, matcore.DET_EXPANSION_MAX + 1):
+            A = rng.normal(size=(8, n, n)) + 0j
+            d = matcore.det(A)
+            d[:] = 0.0
+            assert np.all(A != 0.0)
+
+    @pytest.mark.parametrize("n", range(matcore.DET_EXPANSION_MAX + 1, matcore.MAX_RANK + 1))
+    def test_above_the_cut_is_lapack_bitwise(self, rng, n):
+        A = rng.normal(size=(16, n, n)) + 1j * rng.normal(size=(16, n, n))
+        assert matcore.det(A).tobytes() == np.linalg.det(A).tobytes()
+
+    @pytest.mark.parametrize("n", RANKS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_entry_gives_non_finite_det(self, rng, n, bad):
+        U = self.haar_stack(rng, 8, n)
+        for i in range(n):
+            for j in range(n):
+                A = U.copy()
+                A[3, i, j] = bad
+                with np.errstate(invalid="ignore"):  # as np.linalg.det, inf - inf warns
+                    d = matcore.det(A)
+                assert not np.isfinite(d[3])
+                assert np.isfinite(np.delete(d, 3)).all()
+
+    @pytest.mark.parametrize("n", range(1, matcore.DET_EXPANSION_MAX + 2))
+    def test_nan_sample_rejected_on_the_open_path(self, rng, n):
+        from maslovcw.connections import build_arc_collar_connection, open_path_trace
+        from maslovcw.errors import NonUnitaryConnection
+
+        t = np.linspace(0.0, 1.0, 33)
+        path = matcore.haar_unitary(n, rng)[None] * np.exp(0.5j * np.pi * t)[:, None, None]
+        path[5, n - 1, 0] = np.nan
+        assert np.isnan(open_path_trace(path)).any()
+        with pytest.raises(NonUnitaryConnection):
+            build_arc_collar_connection(path, t_span=0.5 * np.pi)

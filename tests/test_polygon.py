@@ -213,6 +213,57 @@ class TestCornerWorkOnce:
         assert len(frames) == 2 * kp1
         assert len(models) == 1
 
+    @pytest.mark.parametrize("rejects", [0, 3])
+    @pytest.mark.parametrize("n, kp1", [(1, 3), (2, 4), (3, 5)])
+    def test_generator_builds_fixed_frames_once_per_edge(self, n, kp1, rejects, monkeypatch):
+        # the first ``rejects`` transversality checks fail, so edge 1 is redrawn
+        # that often; the data stays bitwise that of a generator rebuilding
+        # the previous edge's end frame on every draw, with one frame fewer per redraw
+        def reference(rng):
+            t = np.linspace(0.0, 1.0, 64)
+            edges = []
+            for i in range(kp1):
+                for _attempt in range(60):
+                    Q = polygon.matcore.haar_unitary(n, rng)
+                    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                    K = 0.5 * (K - K.conj().T)
+                    K *= 2.0 / max(np.linalg.norm(K), 1e-9)
+                    lam, V = np.linalg.eigh(-1j * K)
+                    ph = np.exp(1j * np.outer(t, lam))
+                    path = Q @ np.einsum("ij,tj,kj->tik", V, ph, V.conj())
+                    ok = i == 0 or polygon.intersection_dim(
+                        LagrangianFrame.from_matrix(edges[-1][-1]),
+                        LagrangianFrame.from_matrix(path[0])) == 0
+                    if ok and i == kp1 - 1:
+                        F = LagrangianFrame.from_matrix(path[-1])
+                        ok = polygon.intersection_dim(
+                            F, LagrangianFrame.from_matrix(edges[0][0])) == 0
+                    if ok:
+                        edges.append(path)
+                        break
+            return edges
+
+        from_matrix = LagrangianFrame.from_matrix.__func__
+        intersection_dim = polygon.intersection_dim
+        frames, checks = [], []
+
+        def counting_frame(cls, u):
+            frames.append(u)
+            return from_matrix(cls, u)
+
+        def failing_first(F, G):
+            checks.append(1)
+            return 1 if len(checks) <= rejects else intersection_dim(F, G)
+
+        monkeypatch.setattr(LagrangianFrame, "from_matrix", classmethod(counting_frame))
+        monkeypatch.setattr(polygon, "intersection_dim", failing_first)
+        ref = reference(np.random.default_rng(kp1))
+        ref_frames, frames[:], checks[:] = len(frames), [], []
+        got = random_transversal_data(np.random.default_rng(kp1), n, kp1).edges
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in ref]
+        # the generator's frames, then the constructor's 2 (k+1)
+        assert len(frames) - 2 * kp1 == ref_frames - rejects
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kp1", [2, 3, 4, 5, 6])
     def test_one_model_matches_per_vertex_sum(self, n, kp1):
