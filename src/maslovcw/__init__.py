@@ -1,19 +1,21 @@
 """Maslov indices of bundle pairs over bordered surfaces.
 
-Three independent routes to the same integer (or rational, over orbifold
-discs): the winding number of det(B) along boundary loops in the Lagrangian
+Three routes to the same integer (or rational, over orbifold discs): the
+winding number of det(B) along boundary loops in the Lagrangian
 Grassmannian, the curvature integral (i/pi) tr F of an orthogonal unitary
 connection, and branch-cover pullbacks divided by the covering degree.  The
 package computes all three at desk scale and checks the equalities relating
 them, including the index formulas for transversal polygon boundary data.
+A collar connection's trace is -(i/2) d/dt arg det B of its boundary loop,
+so its curvature integral tests a discrete Stokes identity on the winding's
+own phase increments; the analytic built-in connections and the branch
+covers are the independent routes (README lists which verify suite is which).
 """
 
 from .errors import (
-    BranchCut,
     DegenerateSpectrum,
     InconsistentFormulas,
     InvalidParameter,
-    LoopNotClosed,
     MaslovCWError,
     NonUnitaryConnection,
     NotTransverse,
@@ -40,12 +42,11 @@ from .loops import (
     load_loop,
     maslov_bundle_pair,
     maslov_loop,
-    orientation_reverse,
     random_frame_loop,
     save_loop,
     winding,
 )
-from .matcore import principal_log_unitary, takagi_symmetric_unitary, unitarize
+from .matcore import takagi_symmetric_unitary
 from .mesh import Mesh2D
 from .connections import (
     ConnectionSpec,
@@ -59,8 +60,6 @@ from .curvature import (
     chern_weil_index,
     double_degree,
     edge_transports,
-    face_holonomy,
-    norm_drift_demo,
     orthogonality_defect,
 )
 from .orbifold import (
@@ -83,7 +82,6 @@ from .polygon import (
     maslov_viterbo,
     mu_cw_polygon,
     mu_top,
-    quarter_model_index,
 )
 from .tolerances import TOL, Tolerances
 

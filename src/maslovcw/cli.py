@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .orbifold import load_orbifold, verify_desingularization
 from .polygon import fredholm_index, load_polygon, mu_cw_polygon
 
 MESH_MIN, MESH_MAX = 16, 1024
+SUBSTEPS_MAX = 16
 
 
 @dataclass
@@ -59,7 +61,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
+
+
+def _positive_float(q: Fraction) -> bool:
+    """0 < float(q) < inf: the index divides its float raw value by q."""
+    try:
+        return 0.0 < float(q) < math.inf
+    except OverflowError:
+        return False
 
 
 def _build_parser() -> _Parser:
@@ -121,9 +134,11 @@ def _build_parser() -> _Parser:
 def _config(args, inputs) -> RunConfig:
     if not (MESH_MIN <= args.mesh <= MESH_MAX):
         raise MaslovCWError(f"--mesh must lie in [{MESH_MIN}, {MESH_MAX}]")
-    if args.substeps < 1:
-        raise MaslovCWError("--substeps must be >= 1")
+    if not (1 <= args.substeps <= SUBSTEPS_MAX):
+        raise MaslovCWError(f"--substeps must lie in [1, {SUBSTEPS_MAX}]")
     q = args.quantum
+    if q is not None and not _positive_float(q):
+        raise MaslovCWError("--quantum must be positive, with a float value in (0, inf)")
     return RunConfig(
         command=args.command,
         inputs=list(inputs),

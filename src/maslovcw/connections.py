@@ -5,7 +5,7 @@ skew-Hermitian-valued 1-form at batches of points.  Collar connections
 extend a boundary frame loop inward through a radial cutoff so that parallel
 transport along the boundary preserves the Lagrangian frames; the analytic
 built-ins cover the standard disc example, the flat connection, and the
-non-unitary counterexample used by the norm-drift demonstration.
+non-unitary counterexample of the verify suite's non-unitary control.
 """
 
 from __future__ import annotations

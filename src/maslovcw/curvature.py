@@ -109,7 +109,7 @@ def edge_transports(
     only when read.  A spec without a dr part is evaluated on the angular
     edges only (a radial edge has dtheta = 0), and a returned A_r is
     rejected; an A_r of None counts as zero.  A non-unitary spec is rejected
-    unless explicitly allowed (the norm-drift demonstration, rank 1 only).
+    unless explicitly allowed (the non-unitary control, rank 1 only).
 
     ``edge_logdet`` is minus the trace times the step, summed over the
     substeps first, in the operation order of ``trace(G.sum(axis=1))``.  A
@@ -238,18 +238,6 @@ def _live_rows(values) -> slice:
     return slice(lo, max(lo, hi))
 
 
-def face_holonomy(D: DiscreteConnection, face_index: int) -> np.ndarray:
-    """Ordered product of the four edge transports around one face boundary.
-
-    Only the face's own four edges are chained.
-    """
-    ids, signs = D.mesh.face_edges()
-    H = np.eye(D.n, dtype=complex)
-    for T, sg in zip(D.transports_of(ids[face_index]), signs[face_index]):
-        H = (T if sg > 0 else T.conj().T) @ H
-    return H
-
-
 def _face_terms(mesh: Mesh2D, x: np.ndarray, rows=slice(None)):
     """Boundary terms (p, q, r, u) of the faces in ``rows``, face value p + q - r - u.
 
@@ -303,11 +291,6 @@ def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.zeros((mesh.n_r, mesh.n_t))
     alpha[rows] = band
     return alpha.ravel(), band
-
-
-def face_angle_array(D: DiscreteConnection) -> np.ndarray:
-    """Arg det of every plaquette holonomy, principal branch, face order."""
-    return _face_angles(D)[0]
 
 
 # terms per np.sum in ``_exact_sum``: each level value is at most 2^30 units,
@@ -557,20 +540,3 @@ def complex_curvature_value(D: DiscreteConnection) -> complex:
     re = _exact_sum(z.imag) / math.pi
     im = -_exact_sum(z.real) / math.pi
     return complex(re, im)
-
-
-def norm_drift_demo(resolution: int = 128, substeps: int = 1):
-    """Run the real-valued connection d + r d(theta) through the complex pipeline.
-
-    Returns (real part, imaginary part) of (i/pi) integral tr F.  The whole
-    integral lands on the imaginary axis (near 2i): transports here rescale
-    sections instead of rotating them, so no index can be read off.  This is
-    why the index pipeline insists on unitarity.
-    """
-    from .connections import builtin_connection
-
-    spec = builtin_connection("example_4_3_nonunitary")
-    mesh = Mesh2D("disc", resolution, resolution)
-    D = edge_transports(spec, mesh, substeps, allow_non_unitary=True)
-    val = complex_curvature_value(D)
-    return val.real, val.imag

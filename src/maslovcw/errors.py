@@ -13,10 +13,6 @@ class SingularInput(MaslovCWError):
     """Matrix too far from invertible for the requested factorization."""
 
 
-class BranchCut(MaslovCWError):
-    """An eigenphase sits on the principal-branch cut at +-pi."""
-
-
 class DegenerateSpectrum(MaslovCWError):
     """Joint diagonalization failed for every deterministic shift."""
 
@@ -35,10 +31,6 @@ class Undersampled(MaslovCWError):
 
 class ZeroSample(MaslovCWError):
     """A winding-number input touches zero."""
-
-
-class LoopNotClosed(MaslovCWError):
-    """End-to-start frames of a sampled path do not span the same Lagrangian."""
 
 
 class UnknownName(MaslovCWError):

@@ -40,7 +40,8 @@ class LagrangianFrame:
         if not defect <= TOL.same_lagrangian:
             raise SingularInput(f"frame unitary defect {defect:.3g}")
         if defect > 1e-13 * n:
-            u = matcore.unitarize(u)
+            # one Newton step takes any defect up to TOL.same_lagrangian below 1e-14 n
+            u = matcore.unitarize_batch(u, steps=1)
         return cls(n, u)
 
     @classmethod

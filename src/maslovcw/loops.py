@@ -160,10 +160,6 @@ def maslov_loop(loop: FrameLoop) -> int:
     return int(round(float(loop.phase_increments().sum() / (2.0 * np.pi))))
 
 
-def orientation_reverse(loop: FrameLoop) -> FrameLoop:
-    return loop.reversed()
-
-
 @dataclass(frozen=True, eq=False)
 class BundlePairSpec:
     """Boundary data of a bundle pair: one oriented frame loop per component."""

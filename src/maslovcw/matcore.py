@@ -1,12 +1,10 @@
 """Dense complex small-matrix kernels (n <= 16).
 
-Stack determinants, unitarization by Newton iteration, principal logarithms
-of unitaries, and Takagi factorization of symmetric unitaries.  Up to rank
-``DET_EXPANSION_MAX`` a determinant is an exact minor expansion vectorised
-over the stack, not one LAPACK LU per matrix.  The two factorizations share
-one trick: a unitary (resp. symmetric unitary) splits into a commuting
-Hermitian (resp. real symmetric) pair, which a single shifted eigh call
-diagonalizes jointly.
+Stack determinants, a Newton unitary polish, and Takagi factorization of
+symmetric unitaries.  Up to rank ``DET_EXPANSION_MAX`` a determinant is an
+exact minor expansion vectorised over the stack, not one LAPACK LU per
+matrix.  A symmetric unitary splits into a commuting real symmetric pair,
+which a single shifted eigh call diagonalizes jointly.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BranchCut, DegenerateSpectrum, SingularInput
+from .errors import DegenerateSpectrum, SingularInput
 from .tolerances import TOL
 
 MAX_RANK = 16
@@ -32,8 +30,6 @@ DET_EXPANSION_MAX = 4
 _SHIFTS = (0.7310585786300049,) + tuple(
     np.random.default_rng(0xC0FFEE).uniform(-2.0, 2.0, 40)
 )
-
-_NEWTON_CAP = 20
 
 
 def det(U: np.ndarray) -> np.ndarray:
@@ -119,31 +115,8 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
-def unitarize(M: np.ndarray) -> np.ndarray:
-    """Project a near-unitary square matrix to its polar unitary factor.
-
-    Newton iteration U <- (U + U^{-*})/2; quadratically convergent when all
-    singular values are near 1.  Raises SingularInput when the smallest
-    singular value is <= 0.5, where the iteration is no longer trustworthy.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise SingularInput(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise SingularInput("non-finite entries")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= 0.5:
-        raise SingularInput(f"smallest singular value {sv[-1]:.3g} <= 0.5")
-    X = M
-    for _ in range(_NEWTON_CAP):
-        X = _newton_step(X)
-        if unitary_defect(X) <= 1e-14 * X.shape[0]:
-            break
-    return X
-
-
 def unitarize_batch(M: np.ndarray, steps: int = 4) -> np.ndarray:
-    """Newton polish for a stack of near-unitary matrices (no singularity check)."""
+    """``steps`` Newton steps on one near-unitary matrix or a stack (no singularity check)."""
     X = np.asarray(M, dtype=complex)
     for _ in range(steps):
         X = _newton_step(X)
@@ -153,54 +126,6 @@ def unitarize_batch(M: np.ndarray, steps: int = 4) -> np.ndarray:
 def _newton_step(X: np.ndarray) -> np.ndarray:
     """U <- (U + U^{-*})/2 on one matrix or a stack."""
     return 0.5 * (X + np.swapaxes(np.linalg.inv(X), -1, -2).conj())
-
-
-def _joint_diag_hermitian(A: np.ndarray, B: np.ndarray, reconstruct, tol_recon: float):
-    """Diagonalize commuting Hermitian A, B by one shifted eigh per attempt.
-
-    ``reconstruct(V, a, b)`` must rebuild the original matrix from the
-    candidate basis V and the diagonals a, b; the first candidate whose
-    reconstruction error passes is accepted.  Genuine eigenvalue multiplicity
-    is harmless (blocks are scalar there); only accidental collisions of
-    distinct (a, b) pairs force another shift.
-    """
-    for c in _SHIFTS:
-        w, V = np.linalg.eigh(A + c * B)
-        a = np.einsum("ij,jk,ki->i", V.conj().T, A, V).real
-        b = np.einsum("ij,jk,ki->i", V.conj().T, B, V).real
-        M, err = reconstruct(V, a, b)
-        if err <= tol_recon:
-            return V, a, b
-    raise DegenerateSpectrum(
-        "joint diagonalization failed for every shift (reconstruction error "
-        f"{err:.3g} > {tol_recon:.3g})"
-    )
-
-
-def principal_log_unitary(U: np.ndarray) -> np.ndarray:
-    """Skew-Hermitian H with exp(H) = U and all eigenphases in (-pi, pi).
-
-    Splits U into the commuting Hermitian pair (U + U*)/2, (U - U*)/2i and
-    recovers eigenphases by atan2 on the joint diagonal.  Raises BranchCut
-    when an eigenphase falls within tolerance of +-pi.
-    """
-    U = np.asarray(U, dtype=complex)
-    n = U.shape[0]
-    A = 0.5 * (U + U.conj().T)
-    B = (U - U.conj().T) / 2j
-
-    target = U
-
-    def rebuild(V, a, b):
-        phases = np.arctan2(b, a)
-        M = (V * np.exp(1j * phases)) @ V.conj().T
-        return M, frobenius(M - target)
-
-    V, a, b = _joint_diag_hermitian(A, B, rebuild, max(1e-10 * n, 1e-12))
-    phases = np.arctan2(b, a)
-    if np.any(np.pi - np.abs(phases) < TOL.branch_cut):
-        raise BranchCut("eigenphase within tolerance of the branch cut at +-pi")
-    return (V * (1j * phases)) @ V.conj().T
 
 
 def takagi_symmetric_unitary(M: np.ndarray):
@@ -215,15 +140,20 @@ def takagi_symmetric_unitary(M: np.ndarray):
         raise SingularInput(f"matrix is not symmetric within {TOL.symmetric:g}")
     X = 0.5 * (M.real + M.real.T)
     Y = 0.5 * (M.imag + M.imag.T)
-
-    def rebuild(O, x, y):
+    # Genuine eigenvalue multiplicity is harmless (blocks are scalar there);
+    # only accidental collisions of distinct (x, y) pairs force another shift.
+    for c in _SHIFTS:
+        _, O = np.linalg.eigh(X + c * Y)
+        x = np.einsum("ij,jk,ki->i", O.T, X, O)
+        y = np.einsum("ij,jk,ki->i", O.T, Y, O)
         two_theta = np.arctan2(y, x)
-        R = (O * np.exp(1j * two_theta)) @ O.T
-        return R, frobenius(R - M)
-
-    O, x, y = _joint_diag_hermitian(X, Y, rebuild, TOL.takagi_recon)
-    theta = 0.5 * np.arctan2(y, x)
-    return np.ascontiguousarray(O.real), theta
+        err = frobenius((O * np.exp(1j * two_theta)) @ O.T - M)
+        if err <= TOL.takagi_recon:
+            return np.ascontiguousarray(O), 0.5 * two_theta
+    raise DegenerateSpectrum(
+        "joint diagonalization failed for every shift (reconstruction error "
+        f"{err:.3g} > {TOL.takagi_recon:.3g})"
+    )
 
 
 def eigenphases_unitary(U: np.ndarray) -> np.ndarray:

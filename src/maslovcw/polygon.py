@@ -155,19 +155,6 @@ def quarter_model_report(model: QuarterModel) -> CurvatureReport:
     return chern_weil_index(edge_transports(spec, m), Fraction(1, 2))
 
 
-def quarter_model_index(n: int):
-    """Index of the rank-n quarter model: returns (Fraction(n, 2), report)."""
-    if n < 1:
-        raise RankMismatch("rank must be >= 1")
-    rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
-    if rep.rounded != Fraction(n, 2):
-        raise ViolatedIdentity(
-            f"quarter model integrated to {rep.raw}, expected {n}/2",
-            {"raw": rep.raw, "expected": Fraction(n, 2)},
-        )
-    return Fraction(n, 2), rep
-
-
 def glue_quadrants(frame: LagrangianFrame, samples_per_quadrant: int = 128) -> FrameLoop:
     """Four rotated copies of the quarter arc glued into a full boundary loop."""
     g = quarter_arc_path(frame, samples_per_quadrant + 1)[:-1]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 class Tolerances:
     unitary_global: float = 1e-9      # drift bound for transports anywhere downstream
     symmetric: float = 1e-10          # ||M - M^T||_F on symmetric unitaries
-    branch_cut: float = 1e-8          # eigenphase distance to +-pi for principal logs
     takagi_recon: float = 1e-9        # ||O e^{2i Theta} O^T - M||_F
     same_lagrangian: float = 1e-8     # ||B(F) - B(G)||_F identifying Lagrangians
     intersection_phase: float = 1e-7  # eigenphase window counting intersection dims

@@ -125,6 +125,24 @@ class TestCw:
         assert code == 1
         assert "mesh" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--mesh", "2048"),
+        ("--quantum", "1/0"), ("--quantum", "0"), ("--quantum", "-1"), ("--quantum", "abc"),
+        ("--quantum", "1e-400"), ("--quantum", "1e400"),
+        ("--substeps", "0"), ("--substeps", str(cli.SUBSTEPS_MAX + 1)), ("--substeps", "100000000"),
+    ])
+    def test_bad_flag(self, flag, value, capsys):
+        # argparse's own rejections end in SystemExit(1), the rest return 1
+        try:
+            code = cli.main(["cw", "--builtin", "example_2_7", "--mesh", "32", flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert flag.lstrip("-") in captured.err
+
 
 class TestDouble:
     def test_generator(self, capsys):

@@ -4,28 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslovcw import matcore
-from maslovcw.errors import BranchCut, SingularInput
+from maslovcw.errors import SingularInput
+from maslovcw.grassmann import LagrangianFrame
+from maslovcw.tolerances import TOL
 
 
 def polar_factor_svd(M):
     """Independent polar-decomposition oracle via an SVD."""
     U, s, Vh = np.linalg.svd(M)
     return U @ Vh
-
-
-def expm_taylor(H, terms=40):
-    """Independent matrix exponential: scaled-and-squared Taylor series."""
-    H = np.asarray(H, dtype=complex)
-    k = max(0, int(np.ceil(np.log2(max(np.linalg.norm(H), 1e-30)))) + 2)
-    X = H / 2**k
-    out = np.eye(H.shape[0], dtype=complex)
-    term = np.eye(H.shape[0], dtype=complex)
-    for j in range(1, terms):
-        term = term @ X / j
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
 
 
 def random_symmetric_unitary(n, rng):
@@ -59,26 +46,50 @@ class TestSkewDefect:
         assert not matcore.skew_defect(A) <= 1e-10
 
 
+def perturbed_to(U, E, target):
+    """U + eps E, with eps scaled so that the unitary defect sits just under ``target``."""
+    d = matcore.unitary_defect(U + 1e-9 * E)
+    return U + (1e-9 * 0.999 * target / d) * E
+
+
 class TestUnitarize:
     def test_identity(self):
-        assert np.allclose(matcore.unitarize(np.eye(3)), np.eye(3))
+        assert np.array_equal(matcore.unitarize_batch(np.eye(3)), np.eye(3))
+        assert np.array_equal(LagrangianFrame.from_matrix(np.eye(3)).u, np.eye(3))
 
     def test_positive_diagonal_projects_to_identity(self):
-        got = matcore.unitarize(np.diag([2.0, 1.0]).astype(complex))
+        got = matcore.unitarize_batch(np.diag([2.0, 1.0]).astype(complex), steps=6)
         assert np.allclose(got, np.eye(2), atol=1e-12)
 
     def test_matches_svd_polar_oracle(self, rng):
         U = matcore.haar_unitary(4, rng)
         H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        H = 0.5 * (H + H.conj().T)
-        M = U @ (np.eye(4) + 1e-6 * H)
-        got = matcore.unitarize(M)
-        assert np.linalg.norm(got - U) <= 2e-6
-        assert np.linalg.norm(got - polar_factor_svd(M)) <= 1e-12
+        M = perturbed_to(U, U @ (H + H.conj().T), TOL.same_lagrangian)
+        assert 1e-13 * 4 < matcore.unitary_defect(M) <= TOL.same_lagrangian
+        got = LagrangianFrame.from_matrix(M).u
+        assert np.linalg.norm(got - U) <= 1e-8
+        assert np.linalg.norm(got - polar_factor_svd(M)) <= 1e-14
 
     def test_singular_input_rejected(self):
-        with pytest.raises(SingularInput):
-            matcore.unitarize(np.diag([1.0, 0.4]).astype(complex))
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = np.nan
+        for M in (np.diag([1.0, 0.4]).astype(complex), bad, np.ones((2, 3))):
+            with pytest.raises(SingularInput):
+                LagrangianFrame.from_matrix(M)
+
+    @pytest.mark.parametrize("n", range(1, matcore.MAX_RANK + 1))
+    def test_one_step_polishes_any_accepted_frame(self, rng, n):
+        # from_matrix accepts a defect up to TOL.same_lagrangian and polishes
+        # it with one Newton step; that step must land below 1e-14 n
+        for k in range(8):
+            U = matcore.haar_unitary(n, rng)
+            E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            if k % 2:
+                E = U @ (E + E.conj().T)  # radial: U (I + eps H)
+            M = perturbed_to(U, E, TOL.same_lagrangian)
+            assert 1e-13 * n < matcore.unitary_defect(M) <= TOL.same_lagrangian
+            assert matcore.unitary_defect(matcore._newton_step(M)) <= 1e-14 * n
+            assert np.array_equal(LagrangianFrame.from_matrix(M).u, matcore._newton_step(M))
 
     def test_post_bound_and_det_modulus(self, rng):
         for _ in range(25):
@@ -88,37 +99,11 @@ class TestUnitarize:
             M = U + 0.05 * E
             if np.linalg.svd(M, compute_uv=False)[-1] <= 0.5:
                 continue
-            got = matcore.unitarize(M)
+            got = matcore.unitarize_batch(M, steps=6)
             assert matcore.unitary_defect(got) <= 1e-12
             gram_defect = np.linalg.norm(M.conj().T @ M - np.eye(n))
             assert np.linalg.norm(got - M) <= 2.0 * gram_defect + 1e-12
             assert abs(abs(np.linalg.det(got)) - 1.0) <= 1e-10
-
-
-class TestPrincipalLog:
-    def test_identity(self):
-        H = matcore.principal_log_unitary(np.eye(3))
-        assert np.allclose(H, 0.0, atol=1e-12)
-
-    def test_diagonal(self):
-        U = np.diag([np.exp(1j * np.pi / 2)])
-        H = matcore.principal_log_unitary(U)
-        assert np.allclose(H, np.diag([1j * np.pi / 2]))
-
-    def test_round_trip_against_taylor_oracle(self, rng):
-        for _ in range(20):
-            Q = matcore.haar_unitary(3, rng)
-            phases = rng.uniform(-3.0, 3.0, 3)
-            U = (Q * np.exp(1j * phases)) @ Q.conj().T
-            H = matcore.principal_log_unitary(U)
-            assert np.linalg.norm(H + H.conj().T) <= 1e-12
-            assert np.linalg.norm(expm_taylor(H) - U) <= 1e-10
-            eig = np.linalg.eigvalsh(-1j * H)
-            assert np.all(np.abs(eig) < np.pi)
-
-    def test_branch_cut(self):
-        with pytest.raises(BranchCut):
-            matcore.principal_log_unitary(np.diag([-1.0 + 0j, 1.0]))
 
 
 class TestTakagi:

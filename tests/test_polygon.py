@@ -17,7 +17,6 @@ from maslovcw.polygon import (
     mu_cw_polygon,
     mu_top,
     polygon_from_json,
-    quarter_model_index,
     quarter_model_report,
     random_transversal_data,
 )
@@ -153,8 +152,8 @@ class TestMuTop:
 class TestQuarterModel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_rank(self, n):
-        value, rep = quarter_model_index(n)
-        assert value == Fraction(n, 2)
+        rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
+        assert rep.rounded == Fraction(n, 2)
         assert abs(rep.raw - n / 2) <= 1e-2
 
     def test_four_rotated_copies_glue_to_full_disc(self, rng):
