@@ -75,7 +75,6 @@ from .orbifold import (
     verify_desingularization,
 )
 from .polygon import (
-    QuarterModel,
     TransversalBundleData,
     build_L_loop,
     fredholm_index,

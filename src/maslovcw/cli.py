@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -21,7 +20,9 @@ import numpy as np
 
 from . import verify as verify_mod
 from .connections import build_collar_connection, builtin_connection
-from .curvature import chern_weil_index, double_degree, edge_transports
+from .curvature import (
+    check_quantum, chern_weil_index, double_degree, edge_transports, index_refining,
+)
 from .errors import InconsistentFormulas, MaslovCWError, ViolatedIdentity
 from .loops import (
     BundlePairSpec,
@@ -65,14 +66,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
-
-
-def _positive_float(q: Fraction) -> bool:
-    """0 < float(q) < inf: the index divides its float raw value by q."""
-    try:
-        return 0.0 < float(q) < math.inf
-    except OverflowError:
-        return False
 
 
 def _build_parser() -> _Parser:
@@ -137,8 +130,8 @@ def _config(args, inputs) -> RunConfig:
     if not (1 <= args.substeps <= SUBSTEPS_MAX):
         raise MaslovCWError(f"--substeps must lie in [1, {SUBSTEPS_MAX}]")
     q = args.quantum
-    if q is not None and not _positive_float(q):
-        raise MaslovCWError("--quantum must be positive, with a float value in (0, inf)")
+    if q is not None:
+        check_quantum(q)
     return RunConfig(
         command=args.command,
         inputs=list(inputs),
@@ -230,16 +223,20 @@ def _cmd_cw(args) -> dict:
     cfg = _config(args, args.input + ([args.builtin] if args.builtin else []))
     quantum = args.quantum if args.quantum is not None else Fraction(1)
     if args.builtin:
-        spec = builtin_connection(args.builtin)
         loop = None
-        mesh = Mesh2D("disc", args.mesh, args.mesh)
+        spec = builtin_connection(args.builtin)
+        D = edge_transports(spec, Mesh2D("disc", args.mesh, args.mesh), args.substeps)
+        rep = chern_weil_index(D, quantum)
     else:
-        loops = _loops_from_args(args)
-        loop = loops[0]
-        spec = build_collar_connection(loop, width=args.collar, cutoff=args.cutoff)
-        mesh = Mesh2D("disc", max(MESH_MIN, args.mesh // 4), len(loop))
-    D = edge_transports(spec, mesh, args.substeps)
-    rep = chern_weil_index(D, quantum, loop=loop)
+        loop = _loops_from_args(args)[0]
+        n_r = max(MESH_MIN, args.mesh // 4)
+
+        def index(probe):  # one angular cell per sample, refined while Unrefined
+            spec = build_collar_connection(probe, width=args.collar, cutoff=args.cutoff)
+            D = edge_transports(spec, Mesh2D("disc", n_r, len(probe)), args.substeps)
+            return chern_weil_index(D, quantum, loop=probe)
+
+        rep = index_refining(index, loop)
     if args.faces_csv:
         rep.faces_csv(args.faces_csv)
     if args.plot and loop is not None:

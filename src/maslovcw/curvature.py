@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, matcore
 from .connections import ConnectionSpec, check_skew
-from .errors import MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
+from .errors import InvalidParameter, MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
 from .loops import BundlePairSpec, FrameLoop, winding
 from .mesh import Mesh2D
 from .tolerances import TOL
@@ -90,11 +90,6 @@ class DiscreteConnection:
     def transports_of(self, edge_ids) -> np.ndarray:
         """Transports of the given edge ids, chained on every call."""
         return _kernels.transport_chain(self.G[edge_ids])
-
-    @property
-    def transports(self) -> np.ndarray:
-        """(E, n, n) transports of every edge."""
-        return _kernels.transport_chain(self.G)
 
 
 def edge_transports(
@@ -357,9 +352,6 @@ class CurvatureReport:
     residual: float
     quantum: Fraction
     max_face_angle: float
-    mesh_domain: str
-    n_r: int
-    n_t: int
     face_angles: np.ndarray
     connection: DiscreteConnection = field(repr=False)
     probe: Optional[FrameLoop] = field(default=None, repr=False)
@@ -379,6 +371,7 @@ class CurvatureReport:
         return self._transport_defects[1]
 
     def to_json_dict(self) -> dict:
+        mesh = self.connection.mesh
         return {
             "raw": self.raw,
             "rounded": float(self.rounded),
@@ -388,12 +381,12 @@ class CurvatureReport:
             "max_face_angle": self.max_face_angle,
             "unitarity_defect": self.unitarity_defect,
             "orthogonality_defect": self.orthogonality_defect,
-            "mesh": {"domain": self.mesh_domain, "Nr": self.n_r, "Nt": self.n_t},
+            "mesh": {"domain": mesh.domain, "Nr": mesh.n_r, "Nt": mesh.n_t},
         }
 
     def faces_csv(self, path: str) -> None:
         """Per-face angle sidecar with columns face_i, face_j, alpha_f."""
-        n_t = self.n_t
+        n_t = self.connection.mesh.n_t
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("face_i,face_j,alpha_f\n")
             for idx, a in enumerate(self.face_angles):
@@ -409,17 +402,17 @@ def chern_weil_index(
 
     raw = (1/pi) sum of face angles, the exact sum correctly rounded (so it
     does not depend on the summation order); rounded to the nearest
-    multiple of ``quantum``.  Only the face rows that can be nonzero are
-    wrapped, guarded and summed; every other face is exactly +0.  Raises
-    Unrefined when any face angle reaches the pi/2 branch guard.  The probe
-    loop (``loop``, else the spec's boundary loop) is checked here against
+    multiple of ``quantum`` (checked by ``check_quantum``).  Only the face
+    rows that can be nonzero are wrapped, guarded and summed; every other
+    face is exactly +0.  Raises Unrefined when any face angle reaches the
+    pi/2 branch guard.  The probe loop (``loop``, else the spec's boundary loop) is checked here against
     the rim, so a sample count not divisible by the angular resolution
     raises Undersampled at once; the report computes its frame defect only
     when it is read.
     """
     if not D.unitary:
         raise NonUnitaryConnection("chern_weil_index requires a unitary connection")
-    quantum = Fraction(quantum)
+    quantum = check_quantum(quantum)
     alpha, band = _face_angles(D)
     max_face = float(np.max(np.abs(band))) if band.size else 0.0
     if not max_face < TOL.face_angle_guard:
@@ -441,13 +434,45 @@ def chern_weil_index(
         residual=residual,
         quantum=quantum,
         max_face_angle=max_face,
-        mesh_domain=D.mesh.domain,
-        n_r=D.mesh.n_r,
-        n_t=D.mesh.n_t,
         face_angles=alpha,
         connection=D,
         probe=probe,
     )
+
+
+def check_quantum(quantum) -> Fraction:
+    """``quantum`` as a Fraction; InvalidParameter unless its float lies in (0, inf).
+
+    The index divides its float raw value by the quantum, so a quantum whose
+    float is 0 or overflows is rejected with the non-positive ones.
+    """
+    q = Fraction(quantum)
+    try:
+        if 0.0 < float(q) < math.inf:
+            return q
+    except OverflowError:
+        pass
+    raise InvalidParameter("quantum must be positive, with a float value in (0, inf)")
+
+
+# sample cap of ``index_refining``; each doubling also doubles the angular mesh
+_MAX_REFINED_SAMPLES = 2**12
+
+
+def index_refining(index, loop: FrameLoop):
+    """``index(loop)``, retried on ``loop.refined()`` while it raises Unrefined.
+
+    For integrations with one angular cell per loop sample, where refining
+    the loop refines the rim chords and the faces.  The last Unrefined is
+    raised once a doubling would pass 2^12 samples.
+    """
+    while True:
+        try:
+            return index(loop)
+        except Unrefined:
+            if 2 * len(loop) > _MAX_REFINED_SAMPLES:
+                raise
+            loop = loop.refined()
 
 
 def _rim_ids(mesh: Mesh2D, loop: FrameLoop) -> np.ndarray:

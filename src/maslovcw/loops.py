@@ -18,9 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import matcore
-from .errors import (
-    InvalidParameter, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
-)
+from .errors import MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample
 from .tolerances import TOL
 
 MIN_SAMPLES = 8
@@ -132,27 +130,14 @@ class FrameLoop:
         rev = np.roll(self.samples[::-1], 1, axis=0)
         return FrameLoop(self.n, rev)
 
-    def refined(self, factor: int = 2) -> "FrameLoop":
-        """The loop with ``factor`` times the samples: polar midpoints between aligned frames.
-
-        Raises InvalidParameter unless ``factor`` is a power of two >= 1.
-        """
-        try:
-            f = operator.index(factor)
-        except TypeError:
-            f = 0
-        if f < 1 or f & (f - 1):
-            raise InvalidParameter(f"refinement factor must be a power of two >= 1, got {factor!r}")
-        out = self
-        for _ in range(f.bit_length() - 1):
-            w, o_wrap = out.aligned
-            nxt = np.concatenate([w[1:], (w[0] @ o_wrap)[None]], axis=0)
-            mids = matcore.unitarize_batch(0.5 * (w + nxt))
-            doubled = np.empty((2 * len(out), out.n, out.n), dtype=complex)
-            doubled[0::2] = w
-            doubled[1::2] = mids
-            out = FrameLoop(out.n, doubled)
-        return out
+    def refined(self) -> "FrameLoop":
+        """The loop with twice the samples: polar midpoints between aligned frames."""
+        w, o_wrap = self.aligned
+        nxt = np.concatenate([w[1:], (w[0] @ o_wrap)[None]], axis=0)
+        doubled = np.empty((2 * len(self), self.n, self.n), dtype=complex)
+        doubled[0::2] = w
+        doubled[1::2] = matcore.unitarize_batch(0.5 * (w + nxt))
+        return FrameLoop(self.n, doubled)
 
 
 def maslov_loop(loop: FrameLoop) -> int:

@@ -22,7 +22,7 @@ from .connections import (
     ConnectionSpec, collar_spec, collar_term, cutoff_profile, loop_boundary_form,
     loop_boundary_trace,
 )
-from .curvature import chern_weil_index, edge_transports
+from .curvature import chern_weil_index, edge_transports, index_refining
 from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
 from .loops import (
     BundlePairSpec, FrameLoop, int_from_json, loop_from_json, maslov_bundle_pair,
@@ -38,16 +38,10 @@ _MAX_PULLBACK_SAMPLES = 2**16
 
 @dataclass(frozen=True)
 class ConePoint:
-    """Interior cone point: order m and a weight per bundle rank.
-
-    ``center`` must lie strictly inside the disc; the single-cone pipelines
-    below additionally pin it to the origin, where the covering map is the
-    closed form z -> z^d.
-    """
+    """Cone point at the origin (covering map z -> z^d): order m and a weight per rank."""
 
     order: int
     weights: tuple
-    center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if self.order < 2:
@@ -56,9 +50,6 @@ class ConePoint:
         for w in self.weights:
             if not (0 <= w < self.order):
                 raise RankMismatch(f"weight {w} outside [0, {self.order})")
-        x, y = self.center
-        if x * x + y * y >= 1.0:
-            raise RankMismatch("cone point must be an interior point of the disc")
 
     @property
     def weight_sum(self) -> Fraction:
@@ -80,8 +71,6 @@ class OrbifoldDiscSpec:
             )
         if self.boundary.n != self.n:
             raise RankMismatch("boundary loop rank mismatch")
-        if self.cone.center != (0.0, 0.0):
-            raise RankMismatch("the disc pipelines support one cone point at the origin")
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,7 @@ def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePa
         except Undersampled:
             if 2 * d * len(base) > _MAX_PULLBACK_SAMPLES:
                 raise
-            base = base.refined(2)
+            base = base.refined()
     return BundlePairSpec(spec.n, (loop,), euler_characteristic=1)
 
 
@@ -176,13 +165,17 @@ def invariant_connection(spec: OrbifoldDiscSpec) -> ConnectionSpec:
 def mu_cw_orbifold(spec: OrbifoldDiscSpec):
     """Curvature index of the invariant connection, quantum 1/(2m).
 
-    Integrated over 48 rings, one angular step per boundary sample.  Returns
-    (rounded Fraction, CurvatureReport); the rounded value must agree with
-    the branch-cover index.
+    Integrated over 48 rings, one angular step per boundary sample; a
+    boundary the mesh cannot resolve is refined (``index_refining``).
+    Returns (rounded Fraction, CurvatureReport); the rounded value must
+    agree with the branch-cover index.
     """
-    m = Mesh2D("disc", _CW_MESH_N_R, len(spec.boundary))
-    D = edge_transports(invariant_connection(spec), m)
-    report = chern_weil_index(D, Fraction(1, 2 * spec.cone.order), loop=spec.boundary)
+    def index(loop):
+        D = edge_transports(invariant_connection(OrbifoldDiscSpec(spec.n, spec.cone, loop)),
+                            Mesh2D("disc", _CW_MESH_N_R, len(loop)))
+        return chern_weil_index(D, Fraction(1, 2 * spec.cone.order), loop=loop)
+
+    report = index_refining(index, spec.boundary)
     return report.rounded, report
 
 

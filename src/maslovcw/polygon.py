@@ -32,6 +32,7 @@ _VERIFY_TOL = 2e-2
 _VERTEX_SAMPLES = 64
 _DISC_MESH_N_R = 24
 _QUARTER_MESH_N_R, _QUARTER_MESH_N_T = 32, 128
+_EDGE_SAMPLES = 64
 
 
 @dataclass(eq=False)
@@ -117,47 +118,34 @@ def mu_top(data: TransversalBundleData) -> int:
 # quarter-disc vertex model
 # ---------------------------------------------------------------------------
 
-def quarter_arc_path(frame: LagrangianFrame, samples: int = 129) -> np.ndarray:
-    """Arc frames gamma(t) = V e^{i pi s(t)/2} joining V.R^n to its i-rotation.
+def quarter_arc_path(frame: LagrangianFrame) -> np.ndarray:
+    """Arc frames gamma(t) = V e^{i pi s(t)/2} joining V.R^n to its i-rotation, 129 samples.
 
     The quintic ramp s has vanishing first and second derivatives at the
     ends, so the path is constant to second order near the two axes and four
     rotated copies glue smoothly around a full disc.
     """
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, 129)
     s = cutoff_profile(t, "quintic", 1.0)
     return frame.u[None, :, :] * np.exp(1j * np.pi * s / 2.0)[:, None, None]
 
 
-@dataclass(eq=False)
-class QuarterModel:
-    """Model bundle data on the quarter disc for one transverse corner."""
+def quarter_model_report(frame: LagrangianFrame) -> CurvatureReport:
+    """Curvature integral of the corner model at ``frame`` on a 32 x 128 quarter-disc mesh.
 
-    frame: LagrangianFrame
-
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
-    def arc(self) -> np.ndarray:
-        return quarter_arc_path(self.frame)
-
-
-def quarter_model_report(model: QuarterModel) -> CurvatureReport:
-    """Curvature integral of the corner model on a 32 x 128 quarter-disc mesh.
-
-    The connection makes the arc frames parallel (a collar of width 0.3 on
-    the arc path) and is trivial near the two straight boundary axes; the
+    The model's boundary is the arc ``quarter_arc_path(frame)`` between the
+    two straight axes.  The connection makes the arc frames parallel (a
+    collar of width 0.3 on the arc path) and is trivial near the axes; the
     integral rounds to n/2 at quantum 1/2.
     """
-    spec = build_arc_collar_connection(model.arc(), t_span=0.5 * np.pi)
+    spec = build_arc_collar_connection(quarter_arc_path(frame), t_span=0.5 * np.pi)
     m = Mesh2D("quarter_disc", _QUARTER_MESH_N_R, _QUARTER_MESH_N_T)
     return chern_weil_index(edge_transports(spec, m), Fraction(1, 2))
 
 
-def glue_quadrants(frame: LagrangianFrame, samples_per_quadrant: int = 128) -> FrameLoop:
-    """Four rotated copies of the quarter arc glued into a full boundary loop."""
-    g = quarter_arc_path(frame, samples_per_quadrant + 1)[:-1]
+def glue_quadrants(frame: LagrangianFrame) -> FrameLoop:
+    """Four rotated copies of the quarter arc glued into a full boundary loop (512 samples)."""
+    g = quarter_arc_path(frame)[:-1]
     blocks = [(1j**k) * g for k in range(4)]
     return FrameLoop(frame.n, np.concatenate(blocks, axis=0))
 
@@ -189,7 +177,7 @@ def mu_cw_polygon(data: TransversalBundleData, verify: bool = False):
         spec = build_collar_connection(loop)
         m = Mesh2D("disc", _DISC_MESH_N_R, len(loop))
         disc_raw = chern_weil_index(edge_transports(spec, m), Fraction(1, 2)).raw
-        corner = quarter_model_report(QuarterModel(data.vertex_pair(0)[0])).raw
+        corner = quarter_model_report(data.vertex_pair(0)[0]).raw
         raw = disc_raw - data.k_plus_1 * corner
         residual = abs(raw - float(value))
         details.update({"raw": raw, "residual": residual, "disc_raw": disc_raw})
@@ -239,15 +227,10 @@ def maslov_viterbo(data: TransversalBundleData) -> int:
 # ---------------------------------------------------------------------------
 
 def random_transversal_data(
-    rng: np.random.Generator,
-    n: int,
-    k_plus_1: int,
-    samples_per_edge: int = 64,
-    chi: int = 1,
-    rate: float = 2.0,
+    rng: np.random.Generator, n: int, k_plus_1: int
 ) -> TransversalBundleData:
-    """Seeded transversal boundary data with smooth random edge paths."""
-    t = np.linspace(0.0, 1.0, samples_per_edge)
+    """Seeded transversal data on a disc: k+1 smooth random edge paths of 64 samples."""
+    t = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
     edges = []
     for i in range(k_plus_1):
         # the fixed frames a redraw must meet: the previous edge's end, and
@@ -258,7 +241,7 @@ def random_transversal_data(
             Q = matcore.haar_unitary(n, rng)
             K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             K = 0.5 * (K - K.conj().T)
-            K *= rate / max(np.linalg.norm(K), 1e-9)
+            K *= 2.0 / max(np.linalg.norm(K), 1e-9)
             lam, V = np.linalg.eigh(-1j * K)
             ph = np.exp(1j * np.outer(t, lam))
             path = Q @ np.einsum("ij,tj,kj->tik", V, ph, V.conj())
@@ -271,14 +254,13 @@ def random_transversal_data(
                 break
         else:
             raise NotTransverse("could not draw transverse edges (improbable)")
-    return TransversalBundleData(n, edges, chi)
+    return TransversalBundleData(n, edges)
 
 
-def bigon_standard(n: int, samples_per_edge: int = 64) -> TransversalBundleData:
-    """Constant edges R^n and i.R^n; the closed-up loop has index n."""
-    e0 = np.tile(np.eye(n, dtype=complex), (samples_per_edge, 1, 1))
-    e1 = 1j * e0
-    return TransversalBundleData(n, [e0, e1], chi=1)
+def bigon_standard(n: int) -> TransversalBundleData:
+    """Constant edges R^n and i.R^n of 64 samples; the closed-up loop has index n."""
+    e0 = np.tile(np.eye(n, dtype=complex), (_EDGE_SAMPLES, 1, 1))
+    return TransversalBundleData(n, [e0, 1j * e0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .orbifold import (
     verify_desingularization,
 )
 from .polygon import (
-    QuarterModel,
     bigon_standard,
     fredholm_index,
     glue_quadrants,
@@ -58,11 +57,11 @@ def _result(name: str, cases: list) -> dict:
     }
 
 
-def suite_disc_example(resolution: int = 128) -> dict:
+def suite_disc_example() -> dict:
     """The built-in disc connection integrates to 2 (raw within 1e-2)."""
     t0 = time.perf_counter()
     spec = builtin_connection("example_2_7")
-    D = edge_transports(spec, Mesh2D("disc", resolution, resolution))
+    D = edge_transports(spec, Mesh2D("disc", 128, 128))
     rep = chern_weil_index(D, Fraction(1))
     elapsed = time.perf_counter() - t0
     # wall-clock stays off the report so reruns are byte-identical
@@ -76,13 +75,13 @@ def suite_disc_example(resolution: int = 128) -> dict:
     return _result("disc_example", [case])
 
 
-def suite_winding_equals_curvature(seed: int, cases: int = 50, loop_n: int = 512) -> dict:
+def suite_winding_equals_curvature(seed: int) -> dict:
     """Rounded curvature index equals the winding index on random loops."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(cases):
+    for _ in range(50):
         n = int(rng.integers(1, 5))
-        loop, designed = random_frame_loop(rng, n, loop_n)
+        loop, designed = random_frame_loop(rng, n, 512)
         mu = maslov_loop(loop)
         spec = build_collar_connection(loop)
         D = edge_transports(spec, Mesh2D("disc", 24, len(loop)))
@@ -99,11 +98,11 @@ def suite_winding_equals_curvature(seed: int, cases: int = 50, loop_n: int = 512
     return _result("winding_equals_curvature", out)
 
 
-def suite_connection_independence(seed: int, cases: int = 20) -> dict:
+def suite_connection_independence(seed: int) -> dict:
     """Two collars with different widths and cutoffs agree (2e-2 raw, exact rounded)."""
     rng = np.random.default_rng(seed + 1)
     out = []
-    for _ in range(cases):
+    for _ in range(20):
         n = int(rng.integers(1, 5))
         loop, _ = random_frame_loop(rng, n, 512)
         reps = []
@@ -124,11 +123,11 @@ def suite_connection_independence(seed: int, cases: int = 20) -> dict:
     return _result("connection_independence", out)
 
 
-def suite_doubling_degree(seed: int, cases: int = 30) -> dict:
+def suite_doubling_degree(seed: int) -> dict:
     """Overlap-map degree equals the summed winding index, annuli included."""
     rng = np.random.default_rng(seed + 2)
     out = []
-    for i in range(cases):
+    for i in range(30):
         n = int(rng.integers(1, 5))
         if i % 3 == 2:
             l1, _ = random_frame_loop(rng, n, 256)
@@ -148,7 +147,7 @@ def suite_quarter_model(seed: int = 0) -> dict:
     out = []
     quarters = {}
     for n in (1, 2, 3):
-        rep = quarters[n] = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
+        rep = quarters[n] = quarter_model_report(LagrangianFrame.standard(n))
         ok = abs(rep.raw - n / 2) <= 1e-2 and rep.rounded == Fraction(n, 2)
         out.append({"n": n, "raw": rep.raw, "ok": ok})
     for n in (1, 2):
@@ -168,11 +167,11 @@ def suite_quarter_model(seed: int = 0) -> dict:
     return _result("quarter_model", out)
 
 
-def suite_polygon_relation(seed: int, cases: int = 30) -> dict:
+def suite_polygon_relation(seed: int) -> dict:
     """mu_top = mu_cw + (k+1) n/2 (rounded curvature) and exact index formulas."""
     rng = np.random.default_rng(seed + 3)
     out = []
-    for i in range(cases):
+    for i in range(30):
         n = int(rng.integers(1, 4))
         kp1 = 2 if i % 4 == 0 else int(rng.integers(2, 6))
         data = random_transversal_data(rng, n, kp1)
@@ -211,19 +210,19 @@ def suite_bigon_viterbo(seed: int = 0) -> dict:
     return _result("bigon_viterbo", out)
 
 
-def _random_orbifold(rng: np.random.Generator, orders=(2, 3, 4, 5)):
+def _random_orbifold(rng: np.random.Generator):
     n = int(rng.integers(1, 4))
-    m = int(rng.choice(orders))
+    m = int(rng.choice((2, 3, 4, 5)))
     weights = tuple(int(x) for x in rng.integers(0, m, n))
     loop, _ = random_frame_loop(rng, n, 256, k_max=2, index_cap=4)
     return OrbifoldDiscSpec(n, ConePoint(m, weights), loop)
 
 
-def suite_cover_independence(seed: int, cases: int = 20) -> dict:
+def suite_cover_independence(seed: int) -> dict:
     """Branch-cover index is the same exact rational for degree m and 2m."""
     rng = np.random.default_rng(seed + 4)
     out = []
-    for _ in range(cases):
+    for _ in range(20):
         spec = _random_orbifold(rng)
         m = spec.cone.order
         v1 = mu_pi(spec, BranchCover(m, m))
@@ -240,11 +239,11 @@ def suite_cover_independence(seed: int, cases: int = 20) -> dict:
     return _result("cover_independence", out)
 
 
-def suite_desingularization(seed: int, cases: int = 12) -> dict:
+def suite_desingularization(seed: int) -> dict:
     """mu_cw = mu_de + 2 * weight sum, exact rationals plus 2e-2 raw agreement."""
     rng = np.random.default_rng(seed + 5)
     out = []
-    for _ in range(cases):
+    for _ in range(12):
         spec = _random_orbifold(rng)
         try:
             res = verify_desingularization(spec)
@@ -280,10 +279,10 @@ def suite_cover_multiplicativity(seed: int) -> dict:
     return _result("cover_multiplicativity", out)
 
 
-def suite_nonunitary_control(resolution: int = 128) -> dict:
+def suite_nonunitary_control() -> dict:
     """The real connection d + r d(theta): drift 2i, rejected by the index pipeline."""
     spec = builtin_connection("example_4_3_nonunitary")
-    mesh = Mesh2D("disc", resolution, resolution)
+    mesh = Mesh2D("disc", 128, 128)
     D = edge_transports(spec, mesh, allow_non_unitary=True)
     val = complex_curvature_value(D)
     rejected = False

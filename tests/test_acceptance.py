@@ -22,7 +22,7 @@ def _report(name: str, ok: bool, extra: str = "") -> None:
 
 def test_disc_example_reproduction():
     t0 = time.perf_counter()
-    suite = verify_mod.suite_disc_example(resolution=128)
+    suite = verify_mod.suite_disc_example()
     elapsed = time.perf_counter() - t0
     case = suite["details"][0]
     ok = suite["ok"] and abs(case["raw"] - 2.0) <= 1e-2 and elapsed < 5.0
@@ -35,7 +35,7 @@ def test_disc_example_reproduction():
 
 def test_winding_equals_curvature_on_fifty_loops():
     t0 = time.perf_counter()
-    suite = verify_mod.suite_winding_equals_curvature(seed=7, cases=50)
+    suite = verify_mod.suite_winding_equals_curvature(seed=7)
     elapsed = time.perf_counter() - t0
     ok = suite["ok"] and suite["passed"] == 50 and elapsed < 120.0
     _report(
@@ -46,7 +46,7 @@ def test_winding_equals_curvature_on_fifty_loops():
 
 
 def test_connection_independence_twenty_cases():
-    suite = verify_mod.suite_connection_independence(seed=7, cases=20)
+    suite = verify_mod.suite_connection_independence(seed=7)
     gaps = [c["gap"] for c in suite["details"]]
     ok = suite["ok"] and max(gaps) <= 2e-2
     _report(
@@ -57,7 +57,7 @@ def test_connection_independence_twenty_cases():
 
 
 def test_doubling_degree_thirty_cases():
-    suite = verify_mod.suite_doubling_degree(seed=7, cases=30)
+    suite = verify_mod.suite_doubling_degree(seed=7)
     has_annulus = any(c["components"] == 2 for c in suite["details"])
     _report(
         "doubled-bundle degree equals summed winding index on 30 seeded cases (annuli included)",
@@ -78,7 +78,7 @@ def test_quarter_model_half_rank():
 
 
 def test_polygon_relation_thirty_cases():
-    suite = verify_mod.suite_polygon_relation(seed=7, cases=30)
+    suite = verify_mod.suite_polygon_relation(seed=7)
     bigons = [c for c in suite["details"] if c["k_plus_1"] == 2]
     ok = suite["ok"] and len(bigons) >= 1 and all("maslov_viterbo" in c for c in bigons)
     _report(
@@ -89,7 +89,7 @@ def test_polygon_relation_thirty_cases():
 
 
 def test_orbifold_cover_independence():
-    suite = verify_mod.suite_cover_independence(seed=7, cases=20)
+    suite = verify_mod.suite_cover_independence(seed=7)
     orders = {c["m"] for c in suite["details"]}
     _report(
         "branch-cover index independent of cover degree on 20 seeded cases",
@@ -99,7 +99,7 @@ def test_orbifold_cover_independence():
 
 
 def test_orbifold_desingularization_identity():
-    suite = verify_mod.suite_desingularization(seed=7, cases=12)
+    suite = verify_mod.suite_desingularization(seed=7)
     residuals = [c["raw_residual"] for c in suite["details"] if c["raw_residual"] is not None]
     _report(
         "orbifold curvature index equals desingularized index plus twice the weight sum",
@@ -118,7 +118,7 @@ def test_cover_multiplicativity_exact():
 
 
 def test_nonunitary_counterexample():
-    suite = verify_mod.suite_nonunitary_control(resolution=128)
+    suite = verify_mod.suite_nonunitary_control()
     case = suite["details"][0]
     _report(
         "non-unitary connection yields drift 2i (within 1e-2) and is rejected by the index pipeline",

@@ -203,6 +203,19 @@ class TestOrbifold:
         assert report["correction"] == {"num": 1, "den": 2}
         assert report["identities"]["desingularization"]
 
+    def test_coarse_boundary_is_refined(self, tmp_path, capsys):
+        # power_k k = 1, 12 samples: the 48 x 12 mesh misses the collar's
+        # plateau, so the curvature route runs on the loop refined once
+        obj = {"n": 1, "cone": {"m": 3, "weights": [2]},
+               "boundary": {"generator": "power_k", "params": {"k": 1, "N": 12}}}
+        path = tmp_path / "orb.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run_cli(["orbifold", "--input", str(path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["mu_pi"] == report["mu_cw"]["rounded"] == {"num": 7, "den": 3}
+        assert abs(report["mu_cw"]["raw"] - 7 / 3) <= 2e-2
+
 
 # n = 1 sample lists, each malformed in one way
 _BAD_SAMPLES = {
@@ -299,17 +312,25 @@ def _assert_exits_one(kind, obj, tmp_path, capsys):
 
 
 class TestUnresolvedCollar:
-    @pytest.mark.parametrize("width, rounded", [("0.05", None), ("0.01", None), ("0.3", 3)])
-    def test_narrow_collar_exits_one(self, width, rounded, tmp_path, capsys):
-        # power_k, k = 3, 16 samples: the rim chords reach in to cos(pi/16) ~ 0.981
+    @pytest.mark.parametrize("width, n_t", [("0.05", 32), ("0.01", 128), ("0.3", 16)])
+    def test_narrow_collar_refines_the_loop(self, width, n_t, tmp_path, capsys):
+        # power_k, k = 3, 16 samples: the rim chords reach in to cos(pi/16) ~ 0.981,
+        # inside the plateau of the two narrow collars, so the loop is doubled
+        # until the angular mesh resolves them
         path = tmp_path / "loop.json"
         save_loop(generate_loop("power_k", 16, k=3), str(path))
         code, out, err = run_cli(["cw", "--input", str(path), "--collar", width], capsys)
-        if rounded is None:
-            assert code == 1 and out == ""
-            assert err.startswith("error: collar cutoff") and "Traceback" not in err
-        else:
-            assert code == 0 and json.loads(out)["rounded"] == rounded
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["rounded"] == 3 and report["mesh"]["Nt"] == n_t
+
+    def test_unresolved_at_the_sample_cap_exits_one(self, tmp_path, capsys):
+        # the plateau of a 1e-7 collar lies past cos(pi/4096)
+        path = tmp_path / "loop.json"
+        save_loop(generate_loop("power_k", 2048, k=3), str(path))
+        code, out, err = run_cli(["cw", "--input", str(path), "--collar", "1e-7"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: collar cutoff") and "Traceback" not in err
 
 
 class TestMalformedFiles:

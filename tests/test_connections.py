@@ -161,7 +161,7 @@ class TestCollar:
             assert errs[1] <= 1e-5 and errs[1] <= max(errs[0] / 8, 1e-13)
         tau = loop_boundary_trace(generate_loop("circle_tangent", 256))
         assert np.abs(tau + 2j * np.pi).max() <= 1e-9 and not np.any(tau.real)
-        path = quarter_arc_path(LagrangianFrame.standard(2), 129) @ np.diag([1.0, 1j])
+        path = quarter_arc_path(LagrangianFrame.standard(2)) @ np.diag([1.0, 1j])
         err = np.abs(np.trace(open_path_form(path), axis1=1, axis2=2) - open_path_trace(path))
         assert err.max() <= 1e-4
 
@@ -261,7 +261,7 @@ class TestPinnedCollarTerms:
                         rho * ref_periodic_lerp(tau, x) / (2.0 * np.pi))
 
     def test_arc(self):
-        path = quarter_arc_path(LagrangianFrame.standard(2), 65) @ np.diag([1.0, 1j])
+        path = quarter_arc_path(LagrangianFrame.standard(2)) @ np.diag([1.0, 1j])
         tau = open_path_trace(path)
         A = ref_shifted(open_path_form(path), tau)
         t_span = 0.5 * np.pi

@@ -25,6 +25,7 @@ from maslovcw.curvature import (
     complex_curvature_value,
     double_degree,
     edge_transports,
+    index_refining,
     orthogonality_defect,
     transport_defects,
 )
@@ -111,7 +112,7 @@ class TestMesh:
 class TestEdgeTransports:
     def test_flat_gives_identities(self):
         D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 8, 16))
-        assert np.allclose(D.transports, np.eye(2), atol=1e-14)
+        assert np.allclose(_kernels.transport_chain(D.G), np.eye(2), atol=1e-14)
         assert np.allclose(D.edge_logdet, 0.0)
 
     def test_disc_example_angular_edge_closed_form(self):
@@ -121,7 +122,8 @@ class TestEdgeTransports:
         # angular edge at full radius: transport close to e^{i r dtheta}
         e = mesh.angular_id(N, 3)
         dth = 2 * np.pi / N
-        assert abs(D.transports[e, 0, 0] - np.exp(1j * 1.0 * dth)) <= dth**3 + 1e-12
+        T = _kernels.transport_chain(D.G)
+        assert abs(T[e, 0, 0] - np.exp(1j * 1.0 * dth)) <= dth**3 + 1e-12
 
     def test_substep_richardson_order_two(self):
         # doubling substeps must cut the per-edge error by >= 4x
@@ -130,7 +132,7 @@ class TestEdgeTransports:
         e = mesh.angular_id(12, 5)
         vals = {}
         for s in (1, 2, 4, 64):
-            vals[s] = edge_transports(spec, mesh, substeps=s).transports[e, 0, 0]
+            vals[s] = _kernels.transport_chain(edge_transports(spec, mesh, substeps=s).G)[e, 0, 0]
         e1 = abs(vals[1] - vals[64])
         e2 = abs(vals[2] - vals[64])
         e4 = abs(vals[4] - vals[64])
@@ -284,7 +286,7 @@ class TestLazyTransports:
         rep = chern_weil_index(lazy, Fraction(1), loop=loop)
         T, drift, worst = reference_diagnostics(lazy, loop)
         assert rep.orthogonality_defect == worst == orthogonality_defect(lazy, loop)
-        assert np.array_equal(lazy.transports, T)
+        assert np.array_equal(_kernels.transport_chain(lazy.G), T)
         assert rep.unitarity_defect == drift
         # generators built before the index give the same report
         eager = edge_transports(spec, mesh, substeps=2)
@@ -368,12 +370,13 @@ class TestAbsentRadialPart:
                     assert np.abs(Da.edge_logdet - Db.edge_logdet).max() <= 1e-12
                     fa, fb = curvature._face_angles(Da)[0], curvature._face_angles(Db)[0]
                     assert np.abs(fa - fb).max() <= 1e-12
-                assert np.array_equal(Da.transports, Db.transports)
+                assert np.array_equal(_kernels.transport_chain(Da.G), _kernels.transport_chain(Db.G))
                 assert transport_defects(Da) == transport_defects(Db)
             D = edge_transports(spec, mesh, substeps)
             R = mesh.num_radial
             assert not np.any(D.G[:R]) and not np.any(D.edge_logdet[:R])
-            assert np.array_equal(D.transports[:R], np.broadcast_to(np.eye(n), (R, n, n)))
+            T = _kernels.transport_chain(D.G)
+            assert np.array_equal(T[:R], np.broadcast_to(np.eye(n), (R, n, n)))
 
     @pytest.mark.parametrize("substeps", [1, 2])
     def test_angular_spec_evaluated_on_angular_edges_only(self, rng, substeps):
@@ -575,7 +578,8 @@ class TestTraceOnlyPath:
                     assert other.values is values
                 assert "G" not in other.__dict__
                 assert other.G.tobytes() == D.G.tobytes()
-                assert other.transports.tobytes() == D.transports.tobytes()
+                chain = _kernels.transport_chain
+                assert chain(other.G).tobytes() == chain(D.G).tobytes()
 
 
 def trace_logdet(D):
@@ -1115,18 +1119,74 @@ class TestRimResolution:
     def test_orbifold_collar(self):
         from maslovcw.orbifold import mu_cw_orbifold
 
-        for N, ok in ((8, False), (16, True)):
+        # 8 samples: the 48 x 8 mesh misses the collar's plateau, so the index
+        # runs on the loop refined once, on a 48 x 16 mesh
+        for N, n_t in ((8, 16), (16, 16)):
             spec = OrbifoldDiscSpec(1, ConePoint(3, (1,)), generate_loop("power_k", N, k=1))
-            if ok:
-                assert mu_cw_orbifold(spec)[0] == Fraction(1) + Fraction(2, 3)
-            else:
+            if N < n_t:
                 with pytest.raises(Unrefined):
-                    mu_cw_orbifold(spec)
+                    edge_transports(invariant_connection(spec), Mesh2D("disc", 48, N))
+            value, rep = mu_cw_orbifold(spec)
+            assert value == Fraction(1) + Fraction(2, 3)
+            assert rep.connection.mesh.n_t == len(rep.probe) == n_t
 
     def test_gauge_transform_keeps_the_check(self):
         spec = build_collar_connection(generate_loop("power_k", 16, k=1), width=0.05)
         with pytest.raises(Unrefined):
             edge_transports(radial_gauge_transform(spec, np.array([[1j]])), Mesh2D("disc", 8, 16))
+
+
+class TestIndexRefining:
+    def test_resolved_loop_runs_once(self):
+        loop, seen = generate_loop("power_k", 16, k=1), []
+        assert index_refining(lambda L: seen.append(L) or 7, loop) == 7
+        assert seen == [loop]
+
+    def test_refines_until_resolved(self):
+        # power_k k=3, 16 samples, as in ``cw --input``: width 0.05 resolves
+        # at 32 samples, width 0.01 at 128
+        loop = generate_loop("power_k", 16, k=3)
+        for width, N in ((0.05, 32), (0.01, 128)):
+            with pytest.raises(Unrefined):
+                collar_report(loop, n_r=32, width=width)
+            rep = index_refining(lambda L: collar_report(L, n_r=32, width=width), loop)
+            assert rep.rounded == 3 and len(rep.probe) == rep.connection.mesh.n_t == N
+
+    def test_stops_at_the_sample_cap(self):
+        seen = []
+
+        def unresolved(L):
+            seen.append(len(L))
+            raise Unrefined("never resolved")
+
+        with pytest.raises(Unrefined, match="never resolved"):
+            index_refining(unresolved, generate_loop("power_k", 8, k=1))
+        assert seen == [8 * 2**j for j in range(10)]  # 8 .. 4096 samples
+
+    def test_other_errors_are_not_retried(self):
+        seen = []
+
+        def undersampled(L):
+            seen.append(L)
+            raise Undersampled("not a mesh problem")
+
+        with pytest.raises(Undersampled):
+            index_refining(undersampled, generate_loop("power_k", 16, k=1))
+        assert len(seen) == 1
+
+
+class TestQuantum:
+    @pytest.mark.parametrize("quantum", [
+        Fraction(0), Fraction(-1, 2), Fraction(1, 10**400), Fraction(10**400)])
+    def test_quantum_without_a_positive_float_raises(self, quantum):
+        D = edge_transports(builtin_connection("flat"), Mesh2D("disc", 8, 16))
+        with pytest.raises(InvalidParameter, match="quantum"):
+            chern_weil_index(D, quantum)
+
+    def test_tiny_and_huge_positive_quanta_round(self):
+        D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 32, 32))
+        for q in (Fraction(1, 10**300), Fraction(10**300)):
+            assert chern_weil_index(D, q).quantum == q
 
 
 class TestConvergence:

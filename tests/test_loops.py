@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import InvalidParameter, Undersampled, ZeroSample
+from maslovcw.errors import Undersampled, ZeroSample
 from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import (
     BundlePairSpec,
@@ -139,18 +139,12 @@ class TestMaslovLoop:
     def test_refinement_stability(self, rng):
         loop, idx = random_frame_loop(rng, 2, 128)
         assert maslov_loop(loop) == idx
-        assert maslov_loop(loop.refined(2)) == idx
+        fine = loop.refined()
+        assert len(fine) == 256 and maslov_loop(fine) == idx
+        assert np.array_equal(fine.samples[0::2], loop.aligned[0])
         for N in (256, 512):
             l2, i2 = random_frame_loop(np.random.default_rng(5), 2, N)
             assert maslov_loop(l2) == i2
-
-    def test_refinement_factor_is_a_power_of_two(self):
-        loop = generate_loop("power_k", N=64, k=1)
-        assert loop.refined(1) is loop
-        assert len(loop.refined(4)) == 256 and len(loop.refined(np.int64(2))) == 128
-        for bad in (0, 3, 6, -2, 2.0, "2"):
-            with pytest.raises(InvalidParameter, match="power of two"):
-                loop.refined(bad)
 
 
 class TestBundlePair:
@@ -337,7 +331,7 @@ class TestAlignedFrames:
         for a in (w, o_wrap):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
-        loop.refined(4)  # reads the cache, then aligns the doubled loop once
+        loop.refined().refined()  # reads the cache, then aligns the doubled loop once
         assert calls == [128, 256]
 
     def test_undersampled_alignment_raises_on_every_read(self):

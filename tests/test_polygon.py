@@ -7,7 +7,6 @@ from maslovcw.errors import InconsistentFormulas, NotTransverse, RankMismatch, U
 from maslovcw.grassmann import LagrangianFrame, positive_path, same_lagrangian
 from maslovcw.loops import FrameLoop, maslov_loop
 from maslovcw.polygon import (
-    QuarterModel,
     TransversalBundleData,
     bigon_standard,
     build_L_loop,
@@ -30,6 +29,36 @@ def twist_edge(edge, turns=1):
     edge = np.array(edge, dtype=complex)
     edge[:, :, 0] *= np.exp(2j * np.pi * turns * np.linspace(0.0, 1.0, len(edge)))[:, None]
     return edge
+
+
+def sample_edges(rng, n, kp1, samples=64):
+    """``random_transversal_data``'s edges drawn with ``samples`` points per edge.
+
+    Rebuilds every fixed frame on each draw; at 64 samples the edges are
+    bitwise the generator's.
+    """
+    t = np.linspace(0.0, 1.0, samples)
+    edges = []
+    for i in range(kp1):
+        for _attempt in range(60):
+            Q = polygon.matcore.haar_unitary(n, rng)
+            K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            K = 0.5 * (K - K.conj().T)
+            K *= 2.0 / max(np.linalg.norm(K), 1e-9)
+            lam, V = np.linalg.eigh(-1j * K)
+            ph = np.exp(1j * np.outer(t, lam))
+            path = Q @ np.einsum("ij,tj,kj->tik", V, ph, V.conj())
+            ok = i == 0 or polygon.intersection_dim(
+                LagrangianFrame.from_matrix(edges[-1][-1]),
+                LagrangianFrame.from_matrix(path[0])) == 0
+            if ok and i == kp1 - 1:
+                F = LagrangianFrame.from_matrix(path[-1])
+                ok = polygon.intersection_dim(
+                    F, LagrangianFrame.from_matrix(edges[0][0])) == 0
+            if ok:
+                edges.append(path)
+                break
+    return edges
 
 
 class TestConstruction:
@@ -128,10 +157,11 @@ class TestLLoop:
         assert np.array_equal(loop.samples, attempts[-1])
 
     def test_edge_sampling_density_independence(self):
-        rng1 = np.random.default_rng(99)
-        rng2 = np.random.default_rng(99)
-        coarse = random_transversal_data(rng1, 2, 3, samples_per_edge=64)
-        fine = random_transversal_data(rng2, 2, 3, samples_per_edge=128)
+        # the same random edge paths, sampled at 64 and at 128 points
+        coarse, fine = (TransversalBundleData(2, sample_edges(np.random.default_rng(99), 2, 3, m))
+                        for m in (64, 128))
+        drawn = random_transversal_data(np.random.default_rng(99), 2, 3).edges
+        assert all(np.array_equal(a, b) for a, b in zip(coarse.edges, drawn))
         assert mu_top(coarse) == mu_top(fine)
 
 
@@ -152,7 +182,7 @@ class TestMuTop:
 class TestQuarterModel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_rank(self, n):
-        rep = quarter_model_report(QuarterModel(LagrangianFrame.standard(n)))
+        rep = quarter_model_report(LagrangianFrame.standard(n))
         assert rep.rounded == Fraction(n, 2)
         assert abs(rep.raw - n / 2) <= 1e-2
 
@@ -163,7 +193,7 @@ class TestQuarterModel:
             )
             glued = glue_quadrants(frame)
             assert maslov_loop(glued) == 2 * n
-            quarter = quarter_model_report(QuarterModel(frame))
+            quarter = quarter_model_report(frame)
             assert abs(4 * quarter.raw - 2 * n) <= 2e-2
 
 
@@ -218,30 +248,6 @@ class TestCornerWorkOnce:
         # the first ``rejects`` transversality checks fail, so edge 1 is redrawn
         # that often; the data stays bitwise that of a generator rebuilding
         # the previous edge's end frame on every draw, with one frame fewer per redraw
-        def reference(rng):
-            t = np.linspace(0.0, 1.0, 64)
-            edges = []
-            for i in range(kp1):
-                for _attempt in range(60):
-                    Q = polygon.matcore.haar_unitary(n, rng)
-                    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                    K = 0.5 * (K - K.conj().T)
-                    K *= 2.0 / max(np.linalg.norm(K), 1e-9)
-                    lam, V = np.linalg.eigh(-1j * K)
-                    ph = np.exp(1j * np.outer(t, lam))
-                    path = Q @ np.einsum("ij,tj,kj->tik", V, ph, V.conj())
-                    ok = i == 0 or polygon.intersection_dim(
-                        LagrangianFrame.from_matrix(edges[-1][-1]),
-                        LagrangianFrame.from_matrix(path[0])) == 0
-                    if ok and i == kp1 - 1:
-                        F = LagrangianFrame.from_matrix(path[-1])
-                        ok = polygon.intersection_dim(
-                            F, LagrangianFrame.from_matrix(edges[0][0])) == 0
-                    if ok:
-                        edges.append(path)
-                        break
-            return edges
-
         from_matrix = LagrangianFrame.from_matrix.__func__
         intersection_dim = polygon.intersection_dim
         frames, checks = [], []
@@ -256,7 +262,7 @@ class TestCornerWorkOnce:
 
         monkeypatch.setattr(LagrangianFrame, "from_matrix", classmethod(counting_frame))
         monkeypatch.setattr(polygon, "intersection_dim", failing_first)
-        ref = reference(np.random.default_rng(kp1))
+        ref = sample_edges(np.random.default_rng(kp1), n, kp1)
         ref_frames, frames[:], checks[:] = len(frames), [], []
         got = random_transversal_data(np.random.default_rng(kp1), n, kp1).edges
         assert [e.tobytes() for e in got] == [e.tobytes() for e in ref]
@@ -268,7 +274,7 @@ class TestCornerWorkOnce:
     def test_one_model_matches_per_vertex_sum(self, n, kp1):
         data = random_transversal_data(np.random.default_rng(10 * n + kp1), n, kp1)
         value, details = mu_cw_polygon(data, verify=True)
-        models = [quarter_model_report(QuarterModel(data.vertex_pair(i)[0]))
+        models = [quarter_model_report(data.vertex_pair(i)[0])
                   for i in range(kp1)]
         reference = details["disc_raw"] - sum(m.raw for m in models)
         assert abs(details["raw"] - reference) <= 1e-14
