@@ -316,6 +316,10 @@ def _cmd_verify(args) -> dict:
 def _cmd_convergence(args) -> dict:
     cfg = _config(args, [])
     res = tuple(int(x) for x in args.resolutions.split(","))
+    if len(res) < 2 or any(a >= b for a, b in zip(res, res[1:])):
+        raise MaslovCWError("--resolutions needs at least two strictly increasing values")
+    if not all(MESH_MIN <= N <= MESH_MAX for N in res):
+        raise MaslovCWError(f"--resolutions values must lie in [{MESH_MIN}, {MESH_MAX}]")
     report = verify_mod.suite_convergence(res)
     report["config"] = asdict(cfg)
     return report
@@ -343,7 +347,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.format)
-    if args.command == "verify" and not report["ok"]:
+    if args.command in ("verify", "convergence") and not report["ok"]:
         return 2
     return 0
 

@@ -53,18 +53,17 @@ class ConnectionSpec:
     ``coeffs(r, t)`` takes flat arrays and returns (A_r, A_theta), each of
     shape r.shape + (n, n); A_r may be None, which counts as zero.
     ``unitary`` tags whether the values are skew-Hermitian; non-unitary
-    specs are only accepted by the norm-drift pipeline.  ``radial`` declares
-    whether the form has a dr part at all: a spec with ``radial=False`` must
-    return A_r None, and is then evaluated only at angular-edge points,
-    since dtheta vanishes along radial edges.  ``trace``, when given (only
-    with ``radial=False``), returns tr A_theta, shape r.shape, equal up to
-    rounding to the trace of the ``coeffs`` values; the index path then
-    evaluates only it, and ``coeffs`` runs only when the full values are
-    read.  Every collar-type spec gives one.  ``rim_cutoff(r)``, when
-    given, is the collar's cutoff as a function of the radius; at every
-    quadrature point of the mesh's rim chords it must equal its value on the
-    rim itself, or ``edge_transports`` raises Unrefined.  Every collar-type
-    spec gives one too.
+    specs are only accepted by the norm-drift pipeline.  ``trace``, when
+    given, returns tr A_theta, shape r.shape, equal up to rounding to the
+    trace of the ``coeffs`` values, and declares that the form has no dr
+    part: ``coeffs`` must then return A_r None, and the spec is evaluated
+    only at angular-edge points, since dtheta vanishes along radial edges.
+    The index path then evaluates only the trace, and ``coeffs`` runs only
+    when the generators are read.  A spec without a trace is evaluated in
+    full on every edge.  ``rim_cutoff(r)``, when given, is the collar's
+    cutoff as a function of the radius; at every quadrature point of the
+    mesh's rim chords it must equal its value on the rim itself, or
+    ``edge_transports`` raises Unrefined.  Every collar-type spec gives one.
     """
 
     n: int
@@ -72,13 +71,8 @@ class ConnectionSpec:
     tag: str
     unitary: bool = True
     boundary_loop: Optional[FrameLoop] = None
-    radial: bool = True
     trace: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rim_cutoff: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.trace is not None and self.radial:
-            raise InvalidParameter("a trace evaluator needs a spec without a dr part")
 
 
 def check_skew(defect: float, what: str) -> None:
@@ -87,19 +81,15 @@ def check_skew(defect: float, what: str) -> None:
         raise NonUnitaryConnection(f"skew-Hermitian defect {defect:.3g} of the {what}")
 
 
-def angular_spec(n: int, a_theta: Callable, tag: str, boundary_loop=None,
-                 a_trace: Optional[Callable] = None,
+def angular_spec(n: int, a_theta: Callable, a_trace: Callable, tag: str, boundary_loop=None,
                  rim_cutoff: Optional[Callable] = None) -> ConnectionSpec:
-    """Spec with no dr part (``radial=False``, A_r None) and A_theta = a_theta(r, t).
-
-    ``a_trace(r, t)``, if given, is the trace evaluator: tr a_theta(r, t).
-    """
+    """Spec with no dr part (A_r None), A_theta = a_theta(r, t) and trace a_trace(r, t)."""
 
     def coeffs(r, t):
         return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
-    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, radial=False,
-                          trace=a_trace, rim_cutoff=rim_cutoff)
+    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, trace=a_trace,
+                          rim_cutoff=rim_cutoff)
 
 
 def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str,
@@ -126,8 +116,8 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
             F[..., diag, diag] -= ((np.trace(F, axis1=-2, axis2=-1) - tr) / n)[..., None]
         return out
 
-    return angular_spec(n, lambda r, t: term(*shifted(), r, t), tag, boundary_loop,
-                        a_trace=lambda r, t: term(*traces, r, t), rim_cutoff=rim_cutoff)
+    return angular_spec(n, lambda r, t: term(*shifted(), r, t), lambda r, t: term(*traces, r, t),
+                        tag, boundary_loop, rim_cutoff)
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
@@ -139,12 +129,15 @@ def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
     Lagrangian data but not the metric.  ``flat``: d.
     """
     if name == "example_2_7":
-        return angular_spec(1, lambda r, t: (-1j * r)[..., None, None].astype(complex), name)
+        return angular_spec(1, lambda r, t: (-1j * r)[..., None, None].astype(complex),
+                            lambda r, t: -1j * r, name)
     if name == "example_4_3_nonunitary":
-        spec = angular_spec(1, lambda r, t: r[..., None, None].astype(complex), name)
+        spec = angular_spec(1, lambda r, t: r[..., None, None].astype(complex),
+                            lambda r, t: r, name)
         return replace(spec, unitary=False)
     if name == "flat":
-        return angular_spec(n, lambda r, t: np.zeros(r.shape + (n, n), dtype=complex), name)
+        return angular_spec(n, lambda r, t: np.zeros(r.shape + (n, n), dtype=complex),
+                            lambda r, t: np.zeros(r.shape, dtype=complex), name)
     raise UnknownName(f"unknown builtin connection {name!r}")
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,33 +30,21 @@ from .mesh import Mesh2D
 from .tolerances import TOL
 
 
-class ConnectionValues(NamedTuple):
-    """Full values of a spec over its evaluated edges, already skew-checked."""
-
-    A_theta: np.ndarray         # (E', s, n, n)
-    A_r: Optional[np.ndarray]   # same shape, or None
-    live: slice                 # rows holding every nonzero entry
-
-
 @dataclass(eq=False)
 class DiscreteConnection:
     """A connection integrated along every directed mesh edge.
 
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
     trace of the connection values; the index reads nothing else.  The
-    rows of edges a spec is not evaluated on, and the evaluated rows outside
-    ``live``, are exact zeros.  The full ``values`` and the generators ``G``
-    (E, s, n, n) are built when first needed.  Transports are for the
-    canonical edge direction (outward radial, increasing angle); they are
-    chained from ``G`` on every read and not kept.
+    generators ``G`` (E, s, n, n) are built when first needed.  Transports
+    are for the canonical edge direction (outward radial, increasing
+    angle); they are chained from ``G`` on every read and not kept.
     """
 
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    live: slice                 # rows of the evaluated traces holding every nonzero entry
     edge_logdet: np.ndarray     # (E,) complex
-    values: Optional[ConnectionValues] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -66,26 +54,10 @@ class DiscreteConnection:
     def unitary(self) -> bool:
         return self.spec.unitary
 
-    def full_values(self) -> ConnectionValues:
-        """The full values; evaluated and skew-checked on the first call if not held."""
-        if self.values is None:
-            self.values = _evaluate(self.spec, self.mesh, self.substeps)
-        return self.values
-
     @cached_property
     def G(self) -> np.ndarray:
-        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep.
-
-        Rows outside the values' ``live`` start as +0, so the closing
-        negation writes the -0 the full product gives there.
-        """
-        A_theta, A_r, live = self.full_values()
-        rows, (_, _, dr, dt) = _quadrature(self.spec, self.mesh, self.substeps)
-        G = np.zeros((self.mesh.num_edges,) + A_theta.shape[1:], dtype=complex)
-        g = G[rows]
-        _step(A_theta[live], None if A_r is None else A_r[live], dt[live], dr[live], out=g[live])
-        np.negative(g, out=g)
-        return G
+        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep."""
+        return _generators(self.spec, self.mesh, self.substeps)
 
     def transports_of(self, edge_ids) -> np.ndarray:
         """Transports of the given edge ids, chained on every call."""
@@ -101,18 +73,17 @@ def edge_transports(
     """Integrate the connection along every edge by the midpoint rule.
 
     Each substep contributes exp(-A(midpoint)(step)); transports are chained
-    only when read.  A spec without a dr part is evaluated on the angular
-    edges only (a radial edge has dtheta = 0), and a returned A_r is
-    rejected; an A_r of None counts as zero.  A non-unitary spec is rejected
-    unless explicitly allowed (the non-unitary control, rank 1 only).
+    only when read.  A non-unitary spec is rejected unless explicitly
+    allowed (the non-unitary control, rank 1 only).
 
     ``edge_logdet`` is minus the trace times the step, summed over the
-    substeps first, in the operation order of ``trace(G.sum(axis=1))``.  A
-    spec with a trace evaluator is evaluated for the trace only, and a
-    unitary one is checked for an imaginary trace (its full values are
-    checked when first read); any other spec is evaluated in full, checked
-    in full, and traced through its diagonals.  A NaN fails either check.
-    Both run on the ``live`` rows only.
+    substeps.  A spec without a trace evaluator is evaluated in full on
+    every edge, and its ``edge_logdet`` is ``trace(G.sum(axis=1))``.  A spec
+    with one has no dr part: its trace is evaluated on the angular edges
+    only (a radial edge has dtheta = 0), a unitary one is checked to be
+    imaginary, and its ``G`` is built and checked when first read.  A NaN
+    fails either check.  Edges outside the rows where the trace is nonzero
+    get exact +0, which is also what the sum gives on an all-zero row.
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
@@ -132,27 +103,20 @@ def edge_transports(
             raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
     if spec.rim_cutoff is not None:
         _check_rim(spec, mesh, substeps)
-    rows, (r_mid, t_mid, dr, dt) = _quadrature(spec, mesh, substeps)
-    values = None
     if spec.trace is None:
-        values = _evaluate(spec, mesh, substeps)
-        A_theta, A_r, live = values
-        d_theta, d_r = (None if A is None else np.diagonal(A[live], axis1=-2, axis2=-1)
-                        for A in (A_theta, A_r))
-    else:
-        tr = np.asarray(spec.trace(r_mid.ravel(), t_mid.ravel()), dtype=complex).reshape(r_mid.shape)
-        live = _live_rows([tr])
-        if spec.unitary:
-            check_skew(matcore.diagonal_skew_defect(tr[live]), "connection trace")
-        d_theta, d_r = tr[live, :, None], None  # one column: its sum below is the value
-
-    diag = _step(d_theta, d_r, dt[live], dr[live])
-    np.negative(diag, out=diag)
-    # rows not evaluated or outside ``live`` stay exact +0, which is also
-    # what the sums give on an all-zero row
+        G = _generators(spec, mesh, substeps)
+        D = DiscreteConnection(mesh, spec, substeps, np.trace(G.sum(axis=1), axis1=-2, axis2=-1))
+        D.G = G  # fills the cache of the lazy property
+        return D
+    skip = mesh.num_radial
+    r_mid, t_mid, _, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
+    tau = np.asarray(spec.trace(r_mid.ravel(), t_mid.ravel()), dtype=complex).reshape(r_mid.shape)
+    band = _live_rows(tau)  # skips a collar's flat interior
+    if spec.unitary:
+        check_skew(matcore.diagonal_skew_defect(tau[band]), "connection trace")
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    edge_logdet[rows][live] = diag.sum(axis=1).sum(axis=-1)
-    return DiscreteConnection(mesh, spec, substeps, live, edge_logdet, values)
+    edge_logdet[skip:][band] = (-(tau[band] * dt[band])).sum(axis=1)
+    return DiscreteConnection(mesh, spec, substeps, edge_logdet)
 
 
 def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
@@ -171,66 +135,50 @@ def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
             )
 
 
-def _quadrature(spec: ConnectionSpec, mesh: Mesh2D, substeps: int):
-    """Rows of the edges ``spec`` is evaluated on, and their (r_mid, t_mid, dr, dt).
+def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> np.ndarray:
+    """(E, s, n, n) generators -(A_theta dt + A_r dr), from one ``coeffs`` call.
 
-    A spec without a dr part is evaluated on the angular edges only.
+    A spec with a trace evaluator is evaluated on the angular edges only,
+    must return A_r None, and keeps +0 on the radial rows; any other spec
+    is evaluated on every edge.  A unitary spec's values are checked
+    skew-Hermitian on every evaluated row.
     """
-    rows = slice(0 if spec.radial else mesh.num_radial, None)
-    return rows, tuple(a[rows] for a in mesh.edge_quadrature(substeps))
-
-
-def _step(A_theta, A_r, dt, dr, out=None) -> np.ndarray:
-    """A_theta dt + A_r dr per edge and substep, for values of any trailing shape.
-
-    ``dt`` and ``dr`` are (E', s); an A_r of None counts as zero.
-    """
-    tail = (1,) * (A_theta.ndim - dt.ndim)
-    out = np.multiply(A_theta, dt.reshape(dt.shape + tail), out=out)
-    if A_r is not None:
-        out += A_r * dr.reshape(dr.shape + tail)
-    return out
-
-
-def _evaluate(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> ConnectionValues:
-    """Full values of ``spec`` over its evaluated edges, with their live range.
-
-    A unitary spec's values are checked skew-Hermitian over that range.
-    """
-    _, (r_mid, t_mid, _, _) = _quadrature(spec, mesh, substeps)
+    skip = 0 if spec.trace is None else mesh.num_radial
+    r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
     shape = r_mid.shape + (spec.n, spec.n)
     Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
-    if Ar is not None and not spec.radial:
-        raise MaslovCWError(f"spec {spec.tag!r} declares no dr part but returned A_r")
+    if Ar is not None and spec.trace is not None:
+        raise MaslovCWError(f"spec {spec.tag!r} has a trace evaluator, so no dr part, "
+                            "but returned A_r")
     At = np.asarray(At, dtype=complex).reshape(shape)
     if Ar is not None:
         Ar = np.asarray(Ar, dtype=complex).reshape(shape)
-    live = _live_rows([At] if Ar is None else [Ar, At])
     if spec.unitary:
         # np.max, not max(): a NaN defect must propagate to the guard
-        check_skew(float(np.max([matcore.skew_defect(A[live]) for A in (Ar, At) if A is not None])),
+        check_skew(float(np.max([matcore.skew_defect(A) for A in (At, Ar) if A is not None])),
                    "connection values")
-    return ConnectionValues(At, Ar, live)
+    G = np.zeros((mesh.num_edges,) + shape[1:], dtype=complex)
+    g = G[skip:]
+    np.multiply(At, dt[..., None, None], out=g)
+    if Ar is not None:
+        g += Ar * dr[..., None, None]
+    np.negative(g, out=g)
+    return G
 
 
-def _live_rows(values) -> slice:
-    """Smallest row range of the value stacks that holds every nonzero entry.
+def _live_rows(tau: np.ndarray) -> slice:
+    """Smallest row range of the traces ``tau`` (E', s) that holds every nonzero entry.
 
     A NaN or inf counts as nonzero, a -0 as zero.  One flat ``!= 0`` mask
     over the real and imaginary parts with a first and a last ``argmax``,
     so no row-wise reduction runs.
     """
-    lo, hi = len(values[0]), 0
-    for A in values:
-        if not A.size:
-            continue
-        nz = A.reshape(-1).view(float) != 0
-        first = int(nz.argmax())
-        if nz[first]:
-            per_row = nz.size // len(A)
-            lo = min(lo, first // per_row)
-            hi = max(hi, (nz.size - 1 - int(nz[::-1].argmax())) // per_row + 1)
-    return slice(lo, max(lo, hi))
+    nz = tau.reshape(-1).view(float) != 0
+    first = int(nz.argmax()) if nz.size else 0
+    if not nz.size or not nz[first]:
+        return slice(0, 0)
+    per_row = nz.size // len(tau)
+    return slice(first // per_row, (nz.size - 1 - int(nz[::-1].argmax())) // per_row + 1)
 
 
 def _face_terms(mesh: Mesh2D, x: np.ndarray, rows=slice(None)):

@@ -44,9 +44,11 @@ class ConePoint:
     weights: tuple
 
     def __post_init__(self):
+        # integers, or floats with no fractional part; anything else raises MaslovCWError
+        object.__setattr__(self, "order", int_from_json(self.order, "m"))
         if self.order < 2:
             raise RankMismatch("cone order must be >= 2")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(int_from_json(w, "weight") for w in self.weights))
         for w in self.weights:
             if not (0 <= w < self.order):
                 raise RankMismatch(f"weight {w} outside [0, {self.order})")
@@ -243,7 +245,7 @@ def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
     m, weights = obj["cone"].get("m"), obj["cone"].get("weights")
     if not isinstance(weights, list):
         raise MaslovCWError("cone weights must be a list of integers")
-    cone = ConePoint(int_from_json(m, "m"), tuple(int_from_json(w, "weight") for w in weights))
+    cone = ConePoint(m, tuple(weights))
     boundary = loop_from_json(obj.get("boundary"))
     return OrbifoldDiscSpec(int_from_json(obj.get("n"), "n"), cone, boundary)
 

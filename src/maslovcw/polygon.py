@@ -90,23 +90,17 @@ class TransversalBundleData:
 def build_L_loop(data: TransversalBundleData) -> FrameLoop:
     """Close the edge data into a loop with positive paths at the corners.
 
-    Each corner path is computed once and sampled at 64 points, linear in
-    path time; the count doubles (up to three times) until the winding guard
-    passes.
+    Each corner path is sampled at 64 points, linear in path time.  Its
+    angles lie in (0, pi), so arg det B turns by 2 sum(theta_j) / 64 < pi/2
+    per step at every rank up to ``matcore.MAX_RANK`` = 16: the corners
+    always pass the winding guard, and an Undersampled loop is an edge's
+    own failure, which denser corners could not mend.
     """
-    paths = [positive_path(*data.vertex_pair(i)) for i in range(data.k_plus_1)]
-    for attempt in range(4):
-        nv = _VERTEX_SAMPLES * (2**attempt)
-        ts = np.arange(1, nv) / nv
-        pieces = []
-        for edge, path in zip(data.edges, paths):
-            pieces += (edge, path.sample(ts))
-        samples = np.concatenate(pieces, axis=0)
-        try:
-            return FrameLoop(data.n, samples)
-        except Undersampled:
-            if attempt == 3:
-                raise
+    ts = np.arange(1, _VERTEX_SAMPLES) / _VERTEX_SAMPLES
+    pieces = []
+    for i, edge in enumerate(data.edges):
+        pieces += (edge, positive_path(*data.vertex_pair(i)).sample(ts))
+    return FrameLoop(data.n, np.concatenate(pieces, axis=0))
 
 
 def mu_top(data: TransversalBundleData) -> int:

@@ -452,3 +452,32 @@ class TestConvergenceCommand:
         assert code == 0
         report = json.loads(out)
         assert report["suite"] == "convergence"
+
+    @pytest.mark.parametrize("resolutions,message", [
+        ("64", "two strictly increasing"),
+        ("128,64", "two strictly increasing"),
+        ("32,32", "two strictly increasing"),
+        ("8,32", "[16, 1024]"),
+        ("32,2048", "[16, 1024]"),
+    ])
+    def test_rejected_resolutions_exit_one(self, resolutions, message, capsys):
+        code, out, err = run_cli(["convergence", "--resolutions", resolutions], capsys)
+        assert code == 1 and out == "" and message in err
+
+    def test_order_is_per_halving_of_the_mesh_width(self, capsys):
+        # a fourfold refinement of a second-order scheme reports order ~2, not ~4
+        code, out, _ = run_cli(["convergence", "--resolutions", "32,128"], capsys)
+        case = json.loads(out)["details"][0]
+        assert code == 0 and case["ok"]
+        assert abs(case["orders"][0] - 2.0) < 0.01
+        e0, e1 = case["errors"]
+        assert case["orders"][0] == float(np.log2(e0 / e1) / 2.0)
+
+    def test_failed_order_exits_two(self, capsys, monkeypatch):
+        # the flat connection's error stays 2 at every resolution: order 0
+        flat = verify_mod.builtin_connection("flat")
+        monkeypatch.setattr(verify_mod, "builtin_connection", lambda name: flat)
+        code, out, _ = run_cli(["convergence", "--resolutions", "16,32"], capsys)
+        report = json.loads(out)
+        assert code == 2 and not report["ok"]
+        assert report["details"][0]["orders"] == [0.0]

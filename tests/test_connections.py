@@ -29,19 +29,22 @@ class TestBuiltins:
         Ar, At = spec.coeffs(r, np.zeros(3))
         assert Ar is None
         assert np.allclose(At[:, 0, 0], -1j * r)
-        assert spec.unitary and not spec.radial
+        assert np.array_equal(spec.trace(r, np.zeros(3)), At[:, 0, 0])
+        assert spec.unitary
 
     def test_flat(self):
         spec = builtin_connection("flat", n=3)
         Ar, At = spec.coeffs(np.array([0.3]), np.array([1.0]))
         assert Ar is None and np.allclose(At, 0.0)
-        assert not spec.radial
+        assert np.array_equal(spec.trace(np.array([0.3]), np.array([1.0])), [0j])
 
     def test_nonunitary_counterexample_tag(self):
         spec = builtin_connection("example_4_3_nonunitary")
-        assert not spec.unitary and not spec.radial  # replace() keeps the declaration
+        assert not spec.unitary
         _, At = spec.coeffs(np.array([0.7]), np.array([0.0]))
         assert np.allclose(At[:, 0, 0], 0.7)  # real valued, not skew
+        # replace() keeps the trace, so the spec still has no dr part
+        assert np.array_equal(spec.trace(np.array([0.7]), np.array([0.0])), At[:, 0, 0])
 
     def test_unknown(self):
         with pytest.raises(UnknownName):
@@ -185,7 +188,8 @@ class TestGaugeTransform:
         # boundary values unchanged: s(1) = 0
         Ar1, At1 = g.coeffs(np.array([1.0]), np.array([0.4]))
         Ar0, At0 = spec.coeffs(np.array([1.0]), np.array([0.4]))
-        assert Ar0 is None and g.radial
+        # the transform has a dr part, so no trace evaluator
+        assert Ar0 is None and g.trace is None
         assert np.allclose(Ar1, 0.0, atol=1e-14)
         assert np.allclose(At1, At0, atol=1e-14)
 
@@ -230,7 +234,7 @@ def _grid(t_max):
 
 def _assert_angular(spec, r, t, expected, expected_trace):
     Ar, At = spec.coeffs(r, t)
-    assert Ar is None and not spec.radial
+    assert Ar is None and spec.trace is not None
     assert np.array_equal(At, expected)
     # the trace evaluator is the same formula on the traces; it meets the
     # trace of the full values up to rounding

@@ -77,8 +77,7 @@ class TestMesh:
         lambda: Mesh2D("annulus", 8, 16, r_inner=1.0),
         lambda: Mesh2D("disc", 4, 8, orientation=0),
         lambda: Mesh2D("disc", 4, 8).edge_quadrature(0),
-        lambda: ConnectionSpec(1, lambda r, t: (None, r), tag="radial_trace", trace=lambda r, t: r),
-    ], ids=["n_r", "n_t", "r_inner", "orientation", "substeps", "trace_with_dr"])
+    ], ids=["n_r", "n_t", "r_inner", "orientation", "substeps"])
     def test_bad_parameters_raise_library_error(self, build):
         # still a ValueError, so the CLI exit code does not change
         with pytest.raises(InvalidParameter) as err:
@@ -347,15 +346,15 @@ class TestAbsentRadialPart:
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_none_matches_explicit_zero(self, rng, n, substeps):
-        # the angular-only path against the full path of a twin declaring dr
+        # the angular-only trace path, and the full path of the same form
+        # with A_r None, against a twin returning explicit zeros
         loop, _ = random_frame_loop(rng, n, 64)
         spec = build_collar_connection(loop)
         twin = zero_radial_twin(spec)
-        assert not spec.radial and twin.radial
+        assert spec.trace is not None and twin.trace is None
         S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         S = S - S.conj().T
-        # the collar's trace path and its full path against the twin; the
-        # trace path meets the twin's diagonal sums up to rounding only
+        # the trace path meets the twin's trace sums up to rounding only
         pairs = [(spec, twin), (replace(spec, trace=None), twin),
                  (radial_gauge_transform(spec, S), radial_gauge_transform(twin, S))]
         for mesh in TWIN_MESHES:
@@ -400,17 +399,19 @@ class TestAbsentRadialPart:
         assert angular == [("coeffs", mesh.num_edges * substeps)]
 
     def test_angular_spec_returning_radial_part_rejected(self):
+        # a trace evaluator declares no dr part; the index path reads the
+        # trace only, and the first read of G rejects the returned A_r
         def coeffs(r, t):
             z = np.zeros(r.shape + (1, 1), dtype=complex)
             return z, z
 
-        spec = ConnectionSpec(1, coeffs, tag="undeclared_dr", radial=False)
-        with pytest.raises(MaslovCWError):
-            edge_transports(spec, Mesh2D("disc", 4, 8))
+        spec = ConnectionSpec(1, coeffs, tag="undeclared_dr",
+                              trace=lambda r, t: np.zeros(r.shape, dtype=complex))
         # a non-unitary tag does not let it through either
-        with pytest.raises(MaslovCWError):
-            edge_transports(replace(spec, unitary=False), Mesh2D("disc", 4, 8),
-                            allow_non_unitary=True)
+        for sp in (spec, replace(spec, unitary=False)):
+            D = edge_transports(sp, Mesh2D("disc", 4, 8), allow_non_unitary=True)
+            with pytest.raises(MaslovCWError):
+                D.G
 
     def test_returned_radial_part_is_still_checked(self):
         def coeffs(r, t):
@@ -567,15 +568,12 @@ class TestTraceOnlyPath:
         S = np.array([[1j, 0.5], [-0.5, -1j]])
         for sp in (spec, radial_gauge_transform(spec, S)):
             D = edge_transports(sp, Mesh2D("disc", 8, 64), 2)
-            # a trace-path connection holds no full values until G is read
-            assert (D.values is None) == (sp.trace is not None)
+            # a trace-path connection builds G on its first read, any other at once
+            assert ("G" in D.__dict__) == (sp.trace is None)
             early = replace(D, edge_logdet=D.edge_logdet.conj())
-            values = D.full_values()
-            assert D.full_values() is values
+            assert D.G is D.G
             for other in (replace(D, edge_logdet=D.edge_logdet.conj()),
                           replace(D, mesh=D.mesh.reversed()), early):
-                if other is not early:
-                    assert other.values is values
                 assert "G" not in other.__dict__
                 assert other.G.tobytes() == D.G.tobytes()
                 chain = _kernels.transport_chain
@@ -597,8 +595,9 @@ def full_array_reference(D):
 
     The full values are evaluated here from ``coeffs``, not read from ``D``,
     and returned too: [A_theta], or [A_r, A_theta] when the spec returns A_r.
+    A spec with a trace evaluator is evaluated on the angular edges only.
     """
-    skip = 0 if D.spec.radial else D.mesh.num_radial
+    skip = 0 if D.spec.trace is None else D.mesh.num_radial
     r_mid, t_mid, dr, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
     shape = r_mid.shape + (D.n, D.n)
     A_r, A_theta = D.spec.coeffs(r_mid.ravel(), t_mid.ravel())
@@ -638,13 +637,6 @@ def live_range_specs(rng, n):
     yield radial_gauge_transform(collar, S - S.conj().T), Mesh2D("disc", 12, 64)
 
 
-def live_range_outputs(D):
-    A_theta, A_r, live = D.full_values()
-    values = [A_theta] if A_r is None else [A_r, A_theta]
-    skew = float(np.max([matcore.skew_defect(A[live]) for A in values]))
-    return skew, D.edge_logdet, D.G
-
-
 def assert_tight(live, stacks):
     """Every row outside ``live`` is all zero in every stack, and both end rows are not."""
     rows = np.max([np.abs(A).reshape(len(A), -1).max(axis=1) for A in stacks], axis=0)
@@ -659,22 +651,18 @@ class TestLiveRows:
     def test_matches_full_array_formulas(self, rng, n, substeps):
         for spec, mesh in live_range_specs(rng, n):
             D = edge_transports(spec, mesh, substeps)
-            skew, logdet, G, values = full_array_reference(D)
-            new_skew, new_logdet, new_G = live_range_outputs(D)
-            assert new_skew == skew
-            assert new_G.tobytes() == G.tobytes()
-            # the full values hold their own range; a trace spec's index
-            # path has its range over the traces it evaluated
-            assert_tight(D.full_values().live, values)
+            skew, logdet, G, _ = full_array_reference(D)
+            assert skew <= TOL.skew
+            assert D.G.tobytes() == G.tobytes()
             if spec.trace is None:
-                assert new_logdet.tobytes() == logdet.tobytes()
-                assert D.live == D.full_values().live
+                assert D.edge_logdet.tobytes() == logdet.tobytes()
             else:
-                # it sums -tau dt, which meets the diagonal sums up to rounding
+                # it sums -tau dt over the rows of its nonzero traces, which
+                # meets the diagonal sums up to rounding
                 trace_ref, tau = trace_logdet(D)
-                assert new_logdet.tobytes() == trace_ref.tobytes()
-                assert np.abs(new_logdet - logdet).max() <= 1e-12
-                assert_tight(D.live, [tau])
+                assert D.edge_logdet.tobytes() == trace_ref.tobytes()
+                assert np.abs(D.edge_logdet - logdet).max() <= 1e-12
+                assert_tight(curvature._live_rows(tau), [tau])
 
     def test_collar_range_skips_the_interior(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
@@ -682,31 +670,38 @@ class TestLiveRows:
         D = edge_transports(build_collar_connection(loop), mesh)
         # rows are angular edges ring by ring; the width-0.3 collar lives on r > 0.7
         first_ring = int(np.argmax(mesh.r_nodes > 0.7))
-        assert D.live == slice(first_ring * mesh.n_t, (mesh.n_r + 1) * mesh.n_t)
+        live = curvature._live_rows(trace_logdet(D)[1])
+        assert live == slice(first_ring * mesh.n_t, (mesh.n_r + 1) * mesh.n_t)
+        assert not D.edge_logdet[mesh.num_radial:][:live.start].any()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_all_rows_zero(self, n):
+        # the trace path and the full path both give exact +0 rows
         mesh = Mesh2D("disc", 8, 32)
-        D = edge_transports(builtin_connection("flat", n=n), mesh, 2)
-        assert D.live.start == D.live.stop
-        skew, logdet, G, _ = full_array_reference(D)
-        new_skew, new_logdet, new_G = live_range_outputs(D)
-        assert new_skew == skew == 0.0
-        assert new_logdet.tobytes() == logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
-        assert new_G.tobytes() == G.tobytes()
-        assert transport_defects(D) == (0.0, None)
-        assert chern_weil_index(D).rounded == 0
+        flat = builtin_connection("flat", n=n)
+        for spec in (flat, replace(flat, trace=None)):
+            D = edge_transports(spec, mesh, 2)
+            skew, logdet, G, _ = full_array_reference(D)
+            assert skew == 0.0
+            assert D.edge_logdet.tobytes() == logdet.tobytes()
+            assert logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
+            assert D.G.tobytes() == G.tobytes()
+            assert transport_defects(D) == (0.0, None)
+            assert chern_weil_index(D).rounded == 0
+        D = edge_transports(flat, mesh, 2)
+        assert curvature._live_rows(trace_logdet(D)[1]) == slice(0, 0)
 
     def test_all_rows_live(self):
         # the annulus has no centre ring, where example_2_7 vanishes
         mesh = Mesh2D("annulus", 8, 32, r_inner=0.25)
         D = edge_transports(builtin_connection("example_2_7"), mesh, 2)
-        assert D.live == slice(0, mesh.num_angular)
-        for new, ref in zip(live_range_outputs(D), full_array_reference(D)):
-            assert np.asarray(new).tobytes() == np.asarray(ref).tobytes()
+        assert curvature._live_rows(trace_logdet(D)[1]) == slice(0, mesh.num_angular)
+        _, logdet, G, _ = full_array_reference(D)
+        # rank 1: the trace is the value itself, so the sums agree bitwise
+        assert D.edge_logdet.tobytes() == logdet.tobytes() and D.G.tobytes() == G.tobytes()
         disc = Mesh2D("disc", 8, 32)
-        assert edge_transports(builtin_connection("example_2_7"), disc).live == slice(
-            disc.n_t, disc.num_angular)
+        D = edge_transports(builtin_connection("example_2_7"), disc)
+        assert curvature._live_rows(trace_logdet(D)[1]) == slice(disc.n_t, disc.num_angular)
 
     def test_rim_read_after_drift_chains_nothing(self, rng, monkeypatch):
         # the drift read first chains the live and rim edges in one call, so
@@ -727,9 +722,11 @@ class TestLiveRows:
             hit = (r == r0) & (t == t0)
             return np.where(hit, 1.0 + 0j, 0j)[..., None, None]
 
-        spec = angular_spec(1, a_theta, f"hermitian_{row}")
-        with pytest.raises(NonUnitaryConnection):
-            edge_transports(spec, mesh)
+        # the trace path checks the trace, the full path every evaluated row
+        spec = angular_spec(1, a_theta, lambda r, t: a_theta(r, t)[..., 0, 0], f"hermitian_{row}")
+        for sp in (spec, replace(spec, trace=None)):
+            with pytest.raises(NonUnitaryConnection):
+                edge_transports(sp, mesh)
 
     def test_nan_theta_part_caught_beside_a_radial_part(self):
         # a zero A_r first and a NaN A_theta second: max() would drop the NaN
@@ -746,21 +743,23 @@ class TestDiagonalPath:
     @pytest.mark.parametrize("substeps", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_path(self, rng, n, substeps):
-        # collar, annulus collar, arc collar and orbifold specs; the gauge
-        # transform has no trace evaluator
+        # collar, annulus collar, arc collar and orbifold specs against the
+        # same forms without their trace, evaluated in full on every edge;
+        # the gauge transform has no trace evaluator
         specs = [(sp, m) for sp, m in live_range_specs(rng, n) if sp.trace is not None]
         assert len(specs) == 4
         for spec, mesh in specs:
             D = edge_transports(spec, mesh, substeps)
             F = edge_transports(replace(spec, trace=None), mesh, substeps)
-            assert D.values is None and F.values is not None
+            assert "G" not in D.__dict__ and "G" in F.__dict__
             # the trace meets the diagonal sums of the full values up to rounding
             assert np.abs(D.edge_logdet - F.edge_logdet).max() <= 1e-12
             rep, ref = chern_weil_index(D), chern_weil_index(F)
             assert np.abs(rep.face_angles - ref.face_angles).max() <= 1e-12
             assert abs(rep.raw - ref.raw) <= 1e-9 and rep.rounded == ref.rounded
-            # the transports and the diagnostics read from them are one computation
-            assert D.G.tobytes() == F.G.tobytes()
+            # the generators agree up to the sign of the radial rows' zeros,
+            # and the diagnostics read from them are one computation
+            assert np.array_equal(D.G, F.G)
             assert rep.unitarity_defect == ref.unitarity_defect
             assert rep.orthogonality_defect == ref.orthogonality_defect
             assert (rep.orthogonality_defect is None) == (not mesh.wrap)
@@ -800,8 +799,7 @@ class TestDiagonalPath:
         def a_trace(r, t):
             return np.where(r > 0.9, np.nan, -1j * r)
 
-        spec = angular_spec(1, lambda r, t: a_trace(r, t)[..., None, None], "nan_trace",
-                            a_trace=a_trace)
+        spec = angular_spec(1, lambda r, t: a_trace(r, t)[..., None, None], a_trace, "nan_trace")
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 16, 16))
 
@@ -814,22 +812,14 @@ class TestDiagonalPath:
             A[..., 0, 1] = A[..., 1, 0] = r
             return A
 
-        spec = angular_spec(2, a_theta, "hermitian_offdiag",
-                            a_trace=lambda r, t: np.trace(a_theta(r, t), axis1=-2, axis2=-1))
+        spec = angular_spec(2, a_theta, lambda r, t: np.trace(a_theta(r, t), axis1=-2, axis2=-1),
+                            "hermitian_offdiag")
         D = edge_transports(spec, Mesh2D("disc", 4, 8))
         assert chern_weil_index(D).rounded is not None
         with pytest.raises(NonUnitaryConnection):
             D.G
         with pytest.raises(NonUnitaryConnection):
             transport_defects(D)
-
-    def test_diagonal_needs_an_angular_spec(self):
-        def coeffs(r, t):
-            return None, np.zeros(r.shape + (1, 1), dtype=complex)
-
-        with pytest.raises(ValueError):
-            ConnectionSpec(1, coeffs, tag="radial_trace",
-                           trace=lambda r, t: np.zeros(r.shape, dtype=complex))
 
 
 def face_holonomy(D, f):
@@ -896,11 +886,13 @@ class TestChernWeilIndex:
             chern_weil_index(edge_transports(spec, Mesh2D("disc", 16, 16)), Fraction(1))
 
     def test_nan_form_raises_library_error(self):
-        spec = angular_spec(
-            1, lambda r, t: np.where(r > 0.9, np.nan, -1j * r)[..., None, None], "nan_rim"
-        )
-        with pytest.raises(NonUnitaryConnection):
-            chern_weil_index(edge_transports(spec, Mesh2D("disc", 16, 16)), Fraction(1))
+        def a_trace(r, t):
+            return np.where(r > 0.9, np.nan, -1j * r)
+
+        spec = angular_spec(1, lambda r, t: a_trace(r, t)[..., None, None], a_trace, "nan_rim")
+        for sp in (spec, replace(spec, trace=None)):
+            with pytest.raises(NonUnitaryConnection):
+                chern_weil_index(edge_transports(sp, Mesh2D("disc", 16, 16)), Fraction(1))
 
     def test_nan_face_angle_trips_the_guard(self):
         D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 16, 16))
@@ -1087,8 +1079,8 @@ class TestRimResolution:
             seen.append(np.round(r, 6))
             return np.ones_like(r)
 
-        spec = angular_spec(1, lambda r, t: np.zeros(r.shape + (1, 1), complex), "probe",
-                            rim_cutoff=rim_cutoff)
+        spec = angular_spec(1, lambda r, t: np.zeros(r.shape + (1, 1), complex),
+                            lambda r, t: np.zeros(r.shape, complex), "probe", rim_cutoff=rim_cutoff)
         for mesh, radii in ((Mesh2D("disc", 4, 8), {1.0}),
                             (Mesh2D("quarter_disc", 4, 8), {1.0}),
                             (Mesh2D("annulus", 4, 8, r_inner=0.4), {1.0, 0.4})):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import RankMismatch
+from maslovcw.errors import MaslovCWError, RankMismatch
 from maslovcw.loops import (
     BundlePairSpec, FrameLoop, generate_loop, loop_to_json, maslov_bundle_pair, random_frame_loop,
 )
@@ -42,6 +42,18 @@ class TestConeData:
             ConePoint(2, (2,))
         with pytest.raises(RankMismatch):
             ConePoint(1, (0,))
+
+    @pytest.mark.parametrize("order,weights", [(3, (1.7,)), (3.5, (1,)), ("3", (1,)), (3, (None,))])
+    def test_non_integer_order_or_weight_rejected(self, order, weights):
+        # a fractional weight was truncated, a fractional order failed later with TypeError
+        with pytest.raises(MaslovCWError):
+            ConePoint(order, weights)
+
+    def test_integral_floats_become_ints(self):
+        cone = ConePoint(3.0, (1.0, np.int64(2)))
+        assert (cone.order, cone.weights) == (3, (1, 2))
+        assert all(type(v) is int for v in (cone.order,) + cone.weights)
+        assert cone.weight_sum == 1
 
     def test_cover_degree_multiple(self):
         with pytest.raises(RankMismatch):

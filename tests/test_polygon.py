@@ -128,33 +128,38 @@ class TestLLoop:
         assert calls == [data]
         assert np.array_equal(data.closed_loop.samples, build_L_loop(bigon_standard(2)).samples)
 
-    def test_retry_computes_each_positive_path_once(self, monkeypatch, rng):
-        data = random_transversal_data(rng, 2, 4)
-        paths, attempts = [], []
+    def test_rank_16_worst_corner_closes_in_one_construction(self, monkeypatch):
+        # corner angles pi - 1e-6 at rank 16: det B turns by just under pi/2
+        # per corner step, the tightest case the corner sampling allows
+        e0 = np.tile(np.eye(16, dtype=complex), (64, 1, 1))
+        data = TransversalBundleData(16, [e0, np.exp(1j * (np.pi - 1e-6)) * e0])
+        built = []
 
-        def counting_path(F, G):
-            paths.append((F, G))
-            return positive_path(F, G)
-
-        def rejecting_twice(n, samples):
-            attempts.append(samples)
-            if len(attempts) <= 2:
-                raise Undersampled("forced retry")
+        def counting(n, samples):
+            built.append(len(samples))
             return FrameLoop(n, samples)
 
-        monkeypatch.setattr(polygon, "positive_path", counting_path)
-        monkeypatch.setattr(polygon, "FrameLoop", rejecting_twice)
+        monkeypatch.setattr(polygon, "FrameLoop", counting)
         loop = build_L_loop(data)
-        assert paths == [data.vertex_pair(i) for i in range(4)]
-        assert len(attempts) == 3
-        for attempt, samples in enumerate(attempts):
-            nv = 64 * 2**attempt
-            pieces = []
-            for i, edge in enumerate(data.edges):
-                path = positive_path(*data.vertex_pair(i))
-                pieces += (edge, path.sample(np.arange(1, nv) / nv))
-            assert np.array_equal(samples, np.concatenate(pieces))
-        assert np.array_equal(loop.samples, attempts[-1])
+        assert built == [2 * 64 + 2 * 63]
+        worst = np.abs(loop.phase_increments()).max()
+        assert np.pi / 2 - 1e-5 < worst < np.pi / 2
+        assert maslov_loop(loop) == 16
+
+    def test_undersampled_edge_raises_after_one_construction(self, monkeypatch, rng):
+        data = random_transversal_data(rng, 2, 3)
+        # det B turns by 40 pi / 63 > pi/2 per step along the twisted edge
+        data = TransversalBundleData(2, [twist_edge(data.edges[0], turns=10)] + data.edges[1:])
+        built = []
+
+        def counting(n, samples):
+            built.append(len(samples))
+            return FrameLoop(n, samples)
+
+        monkeypatch.setattr(polygon, "FrameLoop", counting)
+        with pytest.raises(Undersampled):
+            build_L_loop(data)
+        assert len(built) == 1
 
     def test_edge_sampling_density_independence(self):
         # the same random edge paths, sampled at 64 and at 128 points
