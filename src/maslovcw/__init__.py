@@ -50,7 +50,6 @@ from .matcore import takagi_symmetric_unitary
 from .mesh import Mesh2D
 from .connections import (
     ConnectionSpec,
-    build_annulus_collar_connection,
     build_collar_connection,
     builtin_connection,
 )

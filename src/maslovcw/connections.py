@@ -296,35 +296,6 @@ def build_arc_collar_connection(
                        rim_cutoff=lambda r: cutoff_profile(depth(r)))
 
 
-def build_annulus_collar_connection(
-    outer: FrameLoop,
-    inner: FrameLoop,
-    r_inner: float,
-    width: float = 0.2,
-) -> ConnectionSpec:
-    """Collars at both rims of an annulus.
-
-    Both loops are given in the orientation induced by the surface: the outer
-    rim runs counterclockwise, the inner rim clockwise (theta = -2 pi t).
-    """
-    if outer.n != inner.n:
-        raise InvalidParameter("rank mismatch between the two rims")
-    if not (0 < width <= 0.5 * (1.0 - r_inner)):
-        raise InvalidParameter("collar width exceeds half the annulus thickness")
-
-    def depths(r):  # into the outer and the inner collar; the two supports are disjoint
-        return (r - (1.0 - width)) / width, ((r_inner + width) - r) / width
-
-    def term(A_out, A_in, r, t):
-        d_out, d_in = depths(r)
-        return collar_term(A_out, d_out, t, 2 * np.pi) - collar_term(A_in, d_in, -t, 2 * np.pi)
-
-    return collar_spec(term, (loop_boundary_trace(outer), loop_boundary_trace(inner)),
-                       lambda: (loop_boundary_form(outer)[0], loop_boundary_form(inner)[0]),
-                       outer.n, f"annulus_collar(w={width})", outer,
-                       lambda r: np.maximum(*map(cutoff_profile, depths(r))))
-
-
 def radial_gauge_transform(
     spec: ConnectionSpec, generator: np.ndarray, amplitude: float = 1.0
 ) -> ConnectionSpec:

@@ -87,8 +87,8 @@ def edge_transports(
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
-    itself (1 for a collar of that rim), or is NaN.  A chord cuts inside
-    its circle, to radius cos(pi/n_t) at its midpoint, so on a coarse
+    itself, r = 1 (1 for a collar), or is NaN.  A chord cuts inside the
+    unit circle, to radius cos(pi/n_t) at its midpoint, so on a coarse
     angular mesh the rim points fall short of the collar's plateau and the
     face sum misses part of the boundary phase, with no face angle near its
     guard.
@@ -121,18 +121,17 @@ def edge_transports(
 
 def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
     """Raise Unrefined unless ``spec.rim_cutoff`` is the same at every rim point as on the rim."""
-    r_mid = mesh.edge_quadrature(substeps)[0]
-    for radius, ring in mesh.rims():
-        # the chords' points, then the rim itself; a NaN compares unequal
-        rho = spec.rim_cutoff(np.append(r_mid[ring], radius))
-        bad = rho[:-1] != rho[-1]
-        if bad.any():
-            raise Unrefined(
-                f"collar cutoff {rho[:-1][bad][0]:.3g} at a rim chord point against "
-                f"{rho[-1]:.3g} on the rim r = {radius:g} (mesh {mesh.n_r}x{mesh.n_t}): the "
-                "chords cut inside the collar's plateau; refine the angular mesh or widen "
-                "the collar"
-            )
+    r_mid = mesh.edge_quadrature(substeps)[0][mesh.boundary_angular_ids()]
+    # the chords' points, then the rim r = 1 itself; a NaN compares unequal
+    rho = spec.rim_cutoff(np.append(r_mid, 1.0))
+    bad = rho[:-1] != rho[-1]
+    if bad.any():
+        raise Unrefined(
+            f"collar cutoff {rho[:-1][bad][0]:.3g} at a rim chord point against "
+            f"{rho[-1]:.3g} on the rim r = 1 (mesh {mesh.n_r}x{mesh.n_t}): the "
+            "chords cut inside the collar's plateau; refine the angular mesh or widen "
+            "the collar"
+        )
 
 
 def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> np.ndarray:

@@ -18,10 +18,14 @@ from typing import Optional
 import numpy as np
 
 from . import matcore
-from .errors import MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample
+from .errors import (
+    InvalidParameter, MaslovCWError, RankMismatch, Undersampled, UnknownName, ZeroSample,
+)
 from .tolerances import TOL
 
 MIN_SAMPLES = 8
+# the most samples a generated loop or an orbifold pullback may have
+MAX_SAMPLES = 2**16
 
 
 def winding_increments(zs: np.ndarray) -> np.ndarray:
@@ -49,17 +53,14 @@ def winding_increments(zs: np.ndarray) -> np.ndarray:
     return dphi
 
 
-def winding_detail(zs: np.ndarray):
-    """(rounded winding, raw value, |raw - rounded| residual)."""
-    dphi = winding_increments(zs)
-    raw = float(dphi.sum() / (2.0 * np.pi))
-    rounded = int(round(raw))
-    return rounded, raw, abs(raw - rounded)
+def _turns(dphi: np.ndarray) -> int:
+    """The summed phase increments in whole turns, rounded to the nearest."""
+    return int(round(float(dphi.sum() / (2.0 * np.pi))))
 
 
 def winding(zs: np.ndarray) -> int:
     """Winding number of a closed sampled loop in C \\ {0}."""
-    return winding_detail(zs)[0]
+    return _turns(winding_increments(zs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +143,7 @@ class FrameLoop:
 
 def maslov_loop(loop: FrameLoop) -> int:
     """Maslov index: winding number of det(B) along the loop, from its kept increments."""
-    return int(round(float(loop.phase_increments().sum() / (2.0 * np.pi))))
+    return _turns(loop.phase_increments())
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,10 +301,25 @@ def aligned_frames(samples: np.ndarray):
 # generators and file format
 # ---------------------------------------------------------------------------
 
+_GENERATOR_PARAMS = {"circle_tangent": set(), "power_k": {"k"}, "constant": {"n", "frame"}}
+
+
 def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
-    """Built-in loops: ``circle_tangent``, ``power_k`` (param k), ``constant``."""
+    """Built-in loops: ``circle_tangent``, ``power_k`` (param k), ``constant`` (n, frame).
+
+    Raises before allocating if N lies outside [MIN_SAMPLES, MAX_SAMPLES],
+    the rank n outside [1, MAX_RANK], or a param is not one the generator
+    reads.
+    """
     if N < MIN_SAMPLES:
         raise Undersampled(f"need at least {MIN_SAMPLES} samples, got {N}")
+    if N > MAX_SAMPLES:
+        raise InvalidParameter(f"{N} samples exceed the cap of {MAX_SAMPLES}")
+    if not isinstance(name, str) or name not in _GENERATOR_PARAMS:
+        raise UnknownName(f"unknown loop generator {name!r}")
+    unknown = sorted(set(params) - _GENERATOR_PARAMS[name])
+    if unknown:
+        raise InvalidParameter(f"generator {name!r} takes no params {unknown}")
     t = np.arange(N) / N
     if name == "circle_tangent":
         # tangent lines of the unit circle; index 2
@@ -311,15 +327,16 @@ def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
     if name == "power_k":
         k = int_from_json(params.get("k", 1), "k")
         return FrameLoop(1, np.exp(1j * np.pi * k * t)[:, None, None])
-    if name == "constant":
-        n = int_from_json(params.get("n", 1), "n")
-        frame = params.get("frame")
-        try:
-            f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
-        except (TypeError, ValueError):
-            raise RankMismatch(f"rank-{n} constant frame: need a square array of numbers") from None
-        return FrameLoop(n, np.tile(f, (N, 1, 1)))
-    raise UnknownName(f"unknown loop generator {name!r}")
+    # constant
+    n = int_from_json(params.get("n", 1), "n")
+    if not 1 <= n <= matcore.MAX_RANK:
+        raise RankMismatch(f"rank {n} outside [1, {matcore.MAX_RANK}]")
+    frame = params.get("frame")
+    try:
+        f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
+    except (TypeError, ValueError):
+        raise RankMismatch(f"rank-{n} constant frame: need a square array of numbers") from None
+    return FrameLoop(n, np.tile(f, (N, 1, 1)))
 
 
 def random_frame_loop(
@@ -364,13 +381,18 @@ def loop_to_json(loop: FrameLoop) -> dict:
 
 
 def int_from_json(value, name: str) -> int:
-    """An integer (or a float with no fractional part) as an int, else MaslovCWError."""
+    """An integer (or a float with no fractional part) as an int, else MaslovCWError.
+
+    A boolean is not an integer here, though Python counts True as 1.
+    """
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise MaslovCWError(f"{name!r} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise MaslovCWError(f"{name!r} must be an integer, got {value!r}")
 
 
 def samples_from_json(rows, n: int) -> np.ndarray:
@@ -405,9 +427,17 @@ def loop_from_json(obj: dict) -> FrameLoop:
     return FrameLoop(n, samples_from_json(obj.get("samples"), n))
 
 
-def load_loop(path: str) -> FrameLoop:
+def read_json(path: str):
+    """The JSON value in the file at ``path``; MaslovCWError if it nests too deeply to parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loop_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MaslovCWError(f"{path}: JSON nested too deeply") from None
+
+
+def load_loop(path: str) -> FrameLoop:
+    return loop_from_json(read_json(path))
 
 
 def save_loop(loop: FrameLoop, path: str) -> None:

@@ -1,8 +1,9 @@
-"""Structured polar meshes on the disc, annulus, and quarter disc.
+"""Structured polar meshes on the unit disc and the quarter disc.
 
-Vertices sit on a polar grid; edges are either radial segments or straight
-chords between consecutive ring vertices, so the faces tile an inscribed
-polygonal domain.  The degenerate angular "edges" at a center vertex carry
+Vertices sit on a polar grid of radii 0 to 1, so the only rim is the ring
+r = 1; edges are either radial segments or straight chords between
+consecutive ring vertices, so the faces tile an inscribed polygonal
+domain.  The degenerate angular "edges" at a center vertex carry
 zero geometric length but still transport the d(theta) component of a
 connection form, which is how a cone twist at the origin enters the face sum.
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameter, UnknownName
 
-DOMAINS = ("disc", "annulus", "quarter_disc")
+DOMAINS = ("disc", "quarter_disc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +29,6 @@ class Mesh2D:
     domain: str
     n_r: int
     n_t: int
-    r_inner: float = 0.0
     orientation: int = +1  # +1 counterclockwise, -1 reversed
 
     def __post_init__(self):
@@ -36,8 +36,6 @@ class Mesh2D:
             raise UnknownName(f"unknown domain {self.domain!r}")
         if self.n_r < 2 or self.n_t < 4:
             raise InvalidParameter("mesh too coarse")
-        if self.domain == "annulus" and not (0.0 < self.r_inner < 1.0):
-            raise InvalidParameter("annulus needs 0 < r_inner < 1")
         if self.orientation not in (+1, -1):
             raise InvalidParameter("orientation must be +-1")
 
@@ -52,12 +50,8 @@ class Mesh2D:
         return 2.0 * np.pi if self.wrap else 0.5 * np.pi
 
     @property
-    def r_lo(self) -> float:
-        return self.r_inner if self.domain == "annulus" else 0.0
-
-    @property
     def r_nodes(self) -> np.ndarray:
-        return np.linspace(self.r_lo, 1.0, self.n_r + 1)
+        return np.linspace(0.0, 1.0, self.n_r + 1)
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -121,7 +115,7 @@ class Mesh2D:
         return ids, signs
 
     def reversed(self) -> "Mesh2D":
-        return Mesh2D(self.domain, self.n_r, self.n_t, self.r_inner, -self.orientation)
+        return Mesh2D(self.domain, self.n_r, self.n_t, -self.orientation)
 
     # -- quadrature geometry --------------------------------------------------
 
@@ -133,23 +127,18 @@ class Mesh2D:
         the plane, with exact per-substep increments of r and theta so closed
         forms integrate exactly; center angular edges (zero length) keep
         their parametric d(theta) increment.  The geometry does not depend on
-        the orientation; it is computed once per (domain, n_r, n_t, r_inner,
-        substeps), keeping the ``QUADRATURE_CACHE_SIZE`` most recently used,
-        and the arrays are read-only because every caller shares them.
+        the orientation; it is computed once per (domain, n_r, n_t, substeps),
+        keeping the ``QUADRATURE_CACHE_SIZE`` most recently used, and the
+        arrays are read-only because every caller shares them.
         """
         s = int(substeps)
         if s < 1:
             raise InvalidParameter("substeps must be >= 1")
-        return _edge_quadrature(self.domain, self.n_r, self.n_t, self.r_inner, s)
+        return _edge_quadrature(self.domain, self.n_r, self.n_t, s)
 
     def boundary_angular_ids(self) -> np.ndarray:
-        """Edge ids of the outer-ring chords, in increasing angle order."""
+        """Edge ids of the rim chords (the outer ring, r = 1), in increasing angle order."""
         return self.angular_id(self.n_r, np.arange(self.n_t))
-
-    def rims(self) -> list:
-        """(radius, slice of chord edge ids) of the outer ring, and of an annulus's inner ring."""
-        rings = [(1.0, self.n_r)] + ([(self.r_inner, 0)] if self.domain == "annulus" else [])
-        return [(r, slice(self.angular_id(i, 0), self.angular_id(i, self.n_t))) for r, i in rings]
 
 
 # verify integrates about ten mesh shapes; cw integrates one
@@ -157,8 +146,8 @@ QUADRATURE_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
-def _edge_quadrature(domain: str, n_r: int, n_t: int, r_inner: float, s: int):
-    mesh = Mesh2D(domain, n_r, n_t, r_inner)
+def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
+    mesh = Mesh2D(domain, n_r, n_t)
     E = mesh.num_edges
     r_mid = np.empty((E, s))
     t_mid = np.empty((E, s))
@@ -194,14 +183,13 @@ def _edge_quadrature(domain: str, n_r: int, n_t: int, r_inner: float, s: int):
     ang_r = np.abs(zm)
     ang_t = np.mod(np.angle(zm), 2 * np.pi) if mesh.wrap else np.angle(zm)
     ang_dr = np.abs(zz[:, 1:]) - np.abs(zz[:, :-1])
-    if np.any(center):
-        # degenerate ring at r = 0: parametric theta increments
-        mid_t = th0[:, None] + (th1 - th0)[:, None] * frac_mid[None, :]
-        step_t = ((th1 - th0) / s)[:, None]
-        ang_r[center] = 0.0
-        ang_t[center] = np.broadcast_to(mid_t, ang_t.shape)[center]
-        ang_dr[center] = 0.0
-        ang_dt = np.where(center[:, None], np.broadcast_to(step_t, ang_dt.shape), ang_dt)
+    # degenerate ring at r = 0: parametric theta increments
+    mid_t = th0[:, None] + (th1 - th0)[:, None] * frac_mid[None, :]
+    step_t = ((th1 - th0) / s)[:, None]
+    ang_r[center] = 0.0
+    ang_t[center] = np.broadcast_to(mid_t, ang_t.shape)[center]
+    ang_dr[center] = 0.0
+    ang_dt = np.where(center[:, None], np.broadcast_to(step_t, ang_dt.shape), ang_dt)
     r_mid[sl] = ang_r
     t_mid[sl] = ang_t
     dr[sl] = ang_dr

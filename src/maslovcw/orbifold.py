@@ -11,7 +11,6 @@ index by twice the weight sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,17 +22,16 @@ from .connections import (
     loop_boundary_trace,
 )
 from .curvature import chern_weil_index, edge_transports, index_refining
-from .errors import MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
+from .errors import InvalidParameter, MaslovCWError, RankMismatch, Undersampled, ViolatedIdentity
 from .loops import (
-    BundlePairSpec, FrameLoop, int_from_json, loop_from_json, maslov_bundle_pair,
-    maslov_loop,
+    MAX_SAMPLES, BundlePairSpec, FrameLoop, int_from_json, loop_from_json,
+    maslov_bundle_pair, maslov_loop, read_json,
 )
 from .mesh import Mesh2D
 
 _RAW_TOL = 2e-2
 _COLLAR_WIDTH = 0.3
 _CW_MESH_N_R = 48
-_MAX_PULLBACK_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,8 @@ def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePa
 
     v(t) = diag(e^{2 pi i (d/m) m_j t}) u(d t mod 1); sampled with d times the
     base count so the base samples are reused exactly, and refined (up to
-    2^16 samples) until the winding guard passes.
+    ``MAX_SAMPLES``) until the winding guard passes.  A first pullback of
+    more than ``MAX_SAMPLES`` raises before allocating.
     """
     if cover.order != spec.cone.order:
         raise RankMismatch("cover order does not match the cone order")
@@ -102,9 +101,12 @@ def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePa
     ratio = d // spec.cone.order
     w = np.array(spec.cone.weights, dtype=float)
     base = spec.boundary
+    if d * len(base) > MAX_SAMPLES:
+        raise InvalidParameter(
+            f"pullback of {d * len(base)} samples exceeds the cap of {MAX_SAMPLES}"
+        )
     while True:
-        N = len(base)
-        Nv = d * N
+        Nv = d * len(base)
         t = np.arange(Nv) / Nv
         twist = np.exp(2j * np.pi * ratio * np.outer(t, w))
         samples = twist[:, None, :] * np.tile(base.samples, (d, 1, 1))
@@ -112,7 +114,7 @@ def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePa
             loop = FrameLoop(spec.n, samples)
             break
         except Undersampled:
-            if 2 * d * len(base) > _MAX_PULLBACK_SAMPLES:
+            if 2 * Nv > MAX_SAMPLES:
                 raise
             base = base.refined()
     return BundlePairSpec(spec.n, (loop,), euler_characteristic=1)
@@ -251,5 +253,4 @@ def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
 
 
 def load_orbifold(path: str) -> OrbifoldDiscSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return orbifold_from_json(json.load(fh))
+    return orbifold_from_json(read_json(path))

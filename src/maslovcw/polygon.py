@@ -10,7 +10,6 @@ formulas (checked against each other in exact rational arithmetic).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +24,7 @@ from .errors import (
     ViolatedIdentity, ZeroSample,
 )
 from .grassmann import LagrangianFrame, intersection_dim, positive_path
-from .loops import FrameLoop, int_from_json, maslov_loop, samples_from_json
+from .loops import FrameLoop, int_from_json, maslov_loop, read_json, samples_from_json
 from .mesh import Mesh2D
 
 _VERIFY_TOL = 2e-2
@@ -272,5 +271,4 @@ def polygon_from_json(obj: dict) -> TransversalBundleData:
 
 
 def load_polygon(path: str) -> TransversalBundleData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return polygon_from_json(json.load(fh))
+    return polygon_from_json(read_json(path))

@@ -49,6 +49,16 @@ class TestMaslov:
         assert code == 1
         assert "input" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--generator", "power_k", "--samples", "100000000000"],
+        ["--generator", "constant", "--rank", "100000000"],
+    ])
+    def test_oversized_generator_exits_one(self, flags, capsys):
+        # rejected before any sample is allocated
+        code, out, err = run_cli(["maslov"] + flags, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_plot_svg(self, tmp_path, capsys):
         svg = tmp_path / "phase.svg"
         code, _, _ = run_cli(
@@ -216,6 +226,12 @@ class TestOrbifold:
         assert report["mu_pi"] == report["mu_cw"]["rounded"] == {"num": 7, "den": 3}
         assert abs(report["mu_cw"]["raw"] - 7 / 3) <= 2e-2
 
+    def test_oversized_pullback_exits_one(self, tmp_path, capsys):
+        # cone order 10^12: the pullback of 16 samples would hold 1.6e13,
+        # and is rejected before any is allocated
+        obj = {"n": 1, "cone": {"m": 10**12, "weights": [1]}, "boundary": _UNIT_LOOP}
+        _assert_exits_one("orbifold", json.dumps(obj), tmp_path, capsys)
+
 
 # n = 1 sample lists, each malformed in one way
 _BAD_SAMPLES = {
@@ -267,6 +283,15 @@ _BAD_FIELDS = {
     "polygon_inf_sample": ("polygon", {"n": 1, "edges": [_bigon_edges()[0],
                                                          [[[0.0, np.inf]]] + _bigon_edges()[1][1:]]}),
     "orbifold_no_boundary": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [1]}}),
+    "loop_n_true": ("maslov", dict(_UNIT_LOOP, n=True)),
+    "params_k_true": ("maslov", {"generator": "power_k", "params": {"k": True}}),
+    "polygon_chi_false": ("polygon", {"n": 1, "chi": False, "edges": _bigon_edges()}),
+    "orbifold_n_true": ("orbifold", {"n": True, "cone": {"m": 2, "weights": [1]}, "boundary": _UNIT_LOOP}),
+    "orbifold_weight_true": ("orbifold", {"n": 1, "cone": {"m": 2, "weights": [True]}, "boundary": _UNIT_LOOP}),
+    "params_unknown": ("maslov", {"generator": "power_k", "params": {"k": 1, "bogus": 3}}),
+    "params_k_for_circle_tangent": ("maslov", {"generator": "circle_tangent", "params": {"k": 2}}),
+    "params_N_over_cap": ("maslov", {"generator": "power_k", "params": {"N": 1e11}}),
+    "params_n_over_max_rank": ("maslov", {"generator": "constant", "params": {"n": 10**8}}),
 }
 
 _LOADERS = {"maslov": loop_from_json, "polygon": polygon_from_json, "orbifold": orbifold_from_json}
@@ -301,9 +326,9 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _assert_exits_one(kind, obj, tmp_path, capsys):
+def _assert_exits_one(kind, text, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     code, out, err = run_cli([kind, "--input", str(path)], capsys)
     assert code == 1
     assert out == ""
@@ -337,11 +362,17 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("defect", ["top_level_list"] + sorted(_BAD_SAMPLES))
     @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
     def test_exits_one_with_error(self, kind, defect, tmp_path, capsys):
-        _assert_exits_one(kind, _malformed_file(kind, defect), tmp_path, capsys)
+        _assert_exits_one(kind, json.dumps(_malformed_file(kind, defect)), tmp_path, capsys)
 
     @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
     def test_bad_fields_exit_one_with_error(self, case, tmp_path, capsys):
-        _assert_exits_one(*_BAD_FIELDS[case], tmp_path, capsys)
+        kind, obj = _BAD_FIELDS[case]
+        _assert_exits_one(kind, json.dumps(obj), tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
+    def test_deeply_nested_array_exits_one_with_error(self, kind, tmp_path, capsys):
+        # 50,000 nested arrays (about 100 KB) exceed the parser's recursion limit
+        _assert_exits_one(kind, "[" * 50_000 + "]" * 50_000, tmp_path, capsys)
 
     @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
     def test_bad_fields_raise_library_error(self, case):

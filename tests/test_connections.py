@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maslovcw.connections import (
-    build_annulus_collar_connection,
     build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
@@ -125,14 +124,9 @@ class TestCollar:
 
     def test_bad_parameters_are_library_errors(self):
         loop = generate_loop("constant", 64, n=2)
-        bad = (
-            lambda: build_collar_connection(loop, width=0.0),
-            lambda: build_annulus_collar_connection(loop, loop, r_inner=0.4, width=0.35),
-            lambda: build_annulus_collar_connection(loop, generate_loop("constant", 64), 0.4),
-        )
-        for build in bad:
+        for width in (0.0, 1.0):
             with pytest.raises(InvalidParameter) as err:
-                build()
+                build_collar_connection(loop, width=width)
             assert isinstance(err.value, MaslovCWError) and isinstance(err.value, ValueError)
             assert not isinstance(err.value, RankMismatch)
 
@@ -147,7 +141,6 @@ class TestCollar:
         with pytest.raises(Undersampled, match="wrap alignment singular value"):
             aligned_frames(u)
         for build in (lambda: build_collar_connection(loop),
-                      lambda: build_annulus_collar_connection(loop, loop, 0.4, 0.2),
                       lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(2, (1, 0)), loop))):
             with pytest.raises(Undersampled, match="wrap alignment singular value"):
                 build()
@@ -275,26 +268,6 @@ class TestPinnedCollarTerms:
         x = (t / t_span) * (len(path) - 1)
         _assert_angular(spec, r, t, rho[..., None, None] * ref_open_lerp(A, x) / t_span,
                         rho * ref_open_lerp(tau, x) / t_span)
-
-    def test_annulus(self):
-        rng = np.random.default_rng(5)
-        outer, _ = random_frame_loop(rng, 2, N=64)
-        inner, _ = random_frame_loop(rng, 2, N=48)
-        tau_out, tau_in = loop_boundary_trace(outer), loop_boundary_trace(inner)
-        A_out = ref_shifted(loop_boundary_form(outer)[0], tau_out)
-        A_in = ref_shifted(loop_boundary_form(inner)[0], tau_in)
-        r_inner, width = 0.4, 0.2
-        r, t = _grid(2 * np.pi)
-        spec = build_annulus_collar_connection(outer, inner, r_inner=r_inner, width=width)
-        rho_out = cutoff_profile((r - (1.0 - width)) / width)
-        rho_in = cutoff_profile(((r_inner + width) - r) / width)
-        x_out = (t / (2 * np.pi)) * len(outer)
-        x_in = (-t / (2 * np.pi)) * len(inner)
-        expected = (rho_out[..., None, None] * ref_periodic_lerp(A_out, x_out) / (2 * np.pi)
-                    - rho_in[..., None, None] * ref_periodic_lerp(A_in, x_in) / (2 * np.pi))
-        expected_trace = (rho_out * ref_periodic_lerp(tau_out, x_out) / (2 * np.pi)
-                          - rho_in * ref_periodic_lerp(tau_in, x_in) / (2 * np.pi))
-        _assert_angular(spec, r, t, expected, expected_trace)
 
     def test_orbifold_invariant(self):
         loop, _ = random_frame_loop(np.random.default_rng(7), 2, N=64)

@@ -14,7 +14,6 @@ from maslovcw import mesh as mesh_module
 from maslovcw.connections import (
     ConnectionSpec,
     angular_spec,
-    build_annulus_collar_connection,
     build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
@@ -67,17 +66,12 @@ class TestMesh:
         assert np.array_equal(ids_r, ids[:, ::-1])
         assert np.array_equal(signs_r, -signs[:, ::-1])
 
-    def test_annulus_needs_inner_radius(self):
-        with pytest.raises(ValueError):
-            Mesh2D("annulus", 8, 16)
-
     @pytest.mark.parametrize("build", [
         lambda: Mesh2D("disc", 1, 8),
         lambda: Mesh2D("disc", 4, 3),
-        lambda: Mesh2D("annulus", 8, 16, r_inner=1.0),
         lambda: Mesh2D("disc", 4, 8, orientation=0),
         lambda: Mesh2D("disc", 4, 8).edge_quadrature(0),
-    ], ids=["n_r", "n_t", "r_inner", "orientation", "substeps"])
+    ], ids=["n_r", "n_t", "orientation", "substeps"])
     def test_bad_parameters_raise_library_error(self, build):
         # still a ValueError, so the CLI exit code does not change
         with pytest.raises(InvalidParameter) as err:
@@ -87,17 +81,15 @@ class TestMesh:
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_quadrature_cached_per_shape(self, domain, substeps):
-        m = Mesh2D(domain, 6, 12, 0.3 if domain == "annulus" else 0.0)
+        m = Mesh2D(domain, 6, 12)
         cached = m.edge_quadrature(substeps)
-        fresh = mesh_module._edge_quadrature.__wrapped__(
-            m.domain, m.n_r, m.n_t, m.r_inner, substeps
-        )
+        fresh = mesh_module._edge_quadrature.__wrapped__(m.domain, m.n_r, m.n_t, substeps)
         for a, b in zip(cached, fresh):
             assert a.shape == (m.num_edges, substeps)
             assert a.tobytes() == b.tobytes()
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
-        again = Mesh2D(domain, 6, 12, m.r_inner).reversed().edge_quadrature(substeps)
+        again = Mesh2D(domain, 6, 12).reversed().edge_quadrature(substeps)
         assert all(a is b for a, b in zip(again, cached))
 
     def test_quadrature_cache_is_bounded(self):
@@ -322,7 +314,6 @@ def zero_radial_twin(spec):
 
 TWIN_MESHES = (
     Mesh2D("disc", 8, 64),
-    Mesh2D("annulus", 6, 64, r_inner=0.4),
     Mesh2D("quarter_disc", 8, 16),
     Mesh2D("disc", 8, 64).reversed(),
 )
@@ -430,7 +421,6 @@ def gather_face_sum(mesh, x):
 
 FACE_MESHES = (
     Mesh2D("disc", 6, 16),
-    Mesh2D("annulus", 5, 12, r_inner=0.3),
     Mesh2D("quarter_disc", 6, 8),
 )
 
@@ -438,10 +428,7 @@ FACE_MESHES = (
 def drift_meshes_and_specs(rng, n):
     """A collar spec per domain plus the rank-n built-ins, each with its mesh."""
     loop, _ = random_frame_loop(rng, n, 64)
-    inner, _ = random_frame_loop(rng, n, 64)
     yield build_collar_connection(loop), Mesh2D("disc", 8, 64)
-    yield (build_annulus_collar_connection(loop, inner, r_inner=0.4, width=0.2),
-           Mesh2D("annulus", 8, 64, r_inner=0.4))
     yield build_collar_connection(loop), Mesh2D("quarter_disc", 8, 16)
     yield builtin_connection("flat", n=n), Mesh2D("disc", 8, 16)
     if n == 1:
@@ -537,18 +524,15 @@ class TestTraceOnlyPath:
         monkeypatch.setattr(connections, "open_path_form",
                             counting(connections.open_path_form, forms))
         loop, _ = random_frame_loop(rng, 3, 64)
-        inner, _ = random_frame_loop(rng, 3, 32)
         disc = Mesh2D("disc", 8, 64)
         cases = [
             (build_collar_connection(loop), disc),
-            (build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
-             Mesh2D("annulus", 8, 64, r_inner=0.3)),
             (build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
              Mesh2D("quarter_disc", 8, 16)),
             (invariant_connection(OrbifoldDiscSpec(3, ConePoint(3, (0, 1, 2)), loop)), disc),
         ]
         # the builds ran the alignment guards, once per loop, and aligned nothing
-        assert guards == [64, 32] and aligns == []
+        assert guards == [64] and aligns == []
         for spec, mesh in cases:
             calls, built = [], len(forms)
             D = edge_transports(recording_coeffs(spec, calls), mesh)
@@ -559,8 +543,8 @@ class TestTraceOnlyPath:
             edge_transports(spec, mesh).G
             assert [name for name, _ in calls] == ["trace", "coeffs"] and len(forms) > built
         # the first G read of each loop aligned it, once
-        assert guards == [64, 32] and aligns == [64, 32]
-        assert forms == [64, 64, 32, 33, 64]
+        assert guards == [64] and aligns == [64]
+        assert forms == [64, 33, 64]
 
     def test_conjugated_and_reversed_keep_values(self, rng):
         loop, _ = random_frame_loop(rng, 2, 64)
@@ -622,13 +606,10 @@ def full_array_reference(D):
 
 
 def live_range_specs(rng, n):
-    """Collar, annulus, arc and orbifold specs with their meshes, plus a gauge transform."""
+    """Collar, arc and orbifold specs with their meshes, plus a gauge transform."""
     loop, _ = random_frame_loop(rng, n, 64)
-    inner, _ = random_frame_loop(rng, n, 64)
     collar = build_collar_connection(loop)
     yield collar, Mesh2D("disc", 12, 64)
-    yield (build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
-           Mesh2D("annulus", 14, 64, r_inner=0.3))
     yield (build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
            Mesh2D("quarter_disc", 12, 16))
     weights = tuple(int(w) for w in rng.integers(0, 3, n))
@@ -692,9 +673,11 @@ class TestLiveRows:
         assert curvature._live_rows(trace_logdet(D)[1]) == slice(0, 0)
 
     def test_all_rows_live(self):
-        # the annulus has no centre ring, where example_2_7 vanishes
-        mesh = Mesh2D("annulus", 8, 32, r_inner=0.25)
-        D = edge_transports(builtin_connection("example_2_7"), mesh, 2)
+        # -i (1 + r) is nonzero on the centre ring too, where example_2_7 vanishes
+        spec = angular_spec(1, lambda r, t: (-1j * (1.0 + r))[..., None, None],
+                            lambda r, t: -1j * (1.0 + r), "shifted_example")
+        mesh = Mesh2D("disc", 8, 32)
+        D = edge_transports(spec, mesh, 2)
         assert curvature._live_rows(trace_logdet(D)[1]) == slice(0, mesh.num_angular)
         _, logdet, G, _ = full_array_reference(D)
         # rank 1: the trace is the value itself, so the sums agree bitwise
@@ -743,11 +726,11 @@ class TestDiagonalPath:
     @pytest.mark.parametrize("substeps", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_path(self, rng, n, substeps):
-        # collar, annulus collar, arc collar and orbifold specs against the
+        # collar, arc collar and orbifold specs against the
         # same forms without their trace, evaluated in full on every edge;
         # the gauge transform has no trace evaluator
         specs = [(sp, m) for sp, m in live_range_specs(rng, n) if sp.trace is not None]
-        assert len(specs) == 4
+        assert len(specs) == 3
         for spec, mesh in specs:
             D = edge_transports(spec, mesh, substeps)
             F = edge_transports(replace(spec, trace=None), mesh, substeps)
@@ -785,8 +768,6 @@ class TestDiagonalPath:
         disc = Mesh2D("disc", 8, 64)
         builds = (
             (lambda: build_collar_connection(loop), disc),
-            (lambda: build_annulus_collar_connection(loop, loop, r_inner=0.3, width=0.15),
-             Mesh2D("annulus", 8, 64, r_inner=0.3)),
             (lambda: invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)), disc),
         )
         for build, mesh in builds:
@@ -1030,17 +1011,6 @@ class TestNormDrift:
         assert val == 0.0
 
 
-class TestAnnulus:
-    def test_two_rim_collar_index_adds(self):
-        outer = generate_loop("circle_tangent", 256)   # index 2
-        inner = generate_loop("power_k", 256, k=-3)    # index -3 as oriented
-        spec = build_annulus_collar_connection(outer, inner, r_inner=0.4, width=0.2)
-        mesh = Mesh2D("annulus", 24, 256, r_inner=0.4)
-        rep = chern_weil_index(edge_transports(spec, mesh), Fraction(1))
-        pair = BundlePairSpec(1, (outer, inner), euler_characteristic=0)
-        assert rep.rounded == maslov_bundle_pair(pair) == -1
-
-
 class TestRimResolution:
     """A collar whose plateau the rim chords miss raises Unrefined, never a wrong index."""
 
@@ -1067,7 +1037,7 @@ class TestRimResolution:
             for width in (0.05, 0.1, 0.2, 0.3, 0.5):
                 spec = build_collar_connection(generate_loop("power_k", n_t, k=1), width=width)
                 if r_min < 1.0 - 0.1 * width:
-                    with pytest.raises(Unrefined, match="rim"):
+                    with pytest.raises(Unrefined, match="on the rim r = 1 "):
                         edge_transports(spec, mesh, substeps)
                 else:
                     edge_transports(spec, mesh, substeps)
@@ -1081,24 +1051,12 @@ class TestRimResolution:
 
         spec = angular_spec(1, lambda r, t: np.zeros(r.shape + (1, 1), complex),
                             lambda r, t: np.zeros(r.shape, complex), "probe", rim_cutoff=rim_cutoff)
-        for mesh, radii in ((Mesh2D("disc", 4, 8), {1.0}),
-                            (Mesh2D("quarter_disc", 4, 8), {1.0}),
-                            (Mesh2D("annulus", 4, 8, r_inner=0.4), {1.0, 0.4})):
+        for mesh in (Mesh2D("disc", 4, 8), Mesh2D("quarter_disc", 4, 8)):
             seen.clear()
             edge_transports(spec, mesh)
-            # each rim: its chord points, then the rim radius itself
-            assert {float(r[-1]) for r in seen} == radii
-            assert all(r.size == 8 + 1 and np.all(r[:-1] < r[-1]) for r in seen)
-
-    def test_annulus_collar(self):
-        outer = generate_loop("circle_tangent", 16)
-        inner = generate_loop("power_k", 16, k=-1)
-        spec = build_annulus_collar_connection(outer, inner, r_inner=0.4, width=0.05)
-        with pytest.raises(Unrefined, match="r = 1"):
-            edge_transports(spec, Mesh2D("annulus", 12, 16, r_inner=0.4))
-        # a disc collar has no inner collar: its cutoff is 0 on the inner rim and
-        # on the chords inside it alike
-        edge_transports(build_collar_connection(outer), Mesh2D("annulus", 12, 64, r_inner=0.4))
+            # one rim: its chord points, then the rim radius itself
+            assert len(seen) == 1 and float(seen[0][-1]) == 1.0
+            assert seen[0].size == 8 + 1 and np.all(seen[0][:-1] < 1.0)
 
     def test_arc_collar(self):
         t = np.linspace(0.0, 1.0, 33)
@@ -1215,12 +1173,11 @@ class TestTraceProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]))
     def test_full_values_carry_the_trace(self, seed, n, N):
-        loop, inner = hypothesis_loop(seed, n, N), hypothesis_loop(seed + 1, n, N)
+        loop = hypothesis_loop(seed, n, N)
         weights = tuple(int(w) for w in np.random.default_rng(seed).integers(0, 4, n))
         specs = (build_collar_connection(loop),
-                 build_annulus_collar_connection(loop, inner, r_inner=0.4, width=0.2),
                  invariant_connection(OrbifoldDiscSpec(n, ConePoint(4, weights), loop)))
-        # every boundary sample on the rims, then points across the disc
+        # every boundary sample on the rim, then points across the disc
         t = np.concatenate([2 * np.pi * np.arange(N) / N, np.linspace(-1.0, 7.0, 41)])
         r = np.concatenate([np.ones(N), np.linspace(0.0, 1.0, 41)])
         for spec in specs:
@@ -1251,13 +1208,10 @@ def assert_report_matches_full_grid(rep):
 def band_cases(rng):
     """(name, spec, mesh, gap): ``gap`` says the nonzero rows come in two runs."""
     loop, _ = random_frame_loop(rng, 2, 64)
-    inner, _ = random_frame_loop(rng, 2, 64)
     collar = build_collar_connection(loop)
     disc = Mesh2D("disc", 16, 64)
     S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     yield "disc_collar", collar, disc, False
-    yield ("annulus", build_annulus_collar_connection(loop, inner, r_inner=0.3, width=0.15),
-           Mesh2D("annulus", 14, 64, r_inner=0.3), True)
     yield ("orbifold", invariant_connection(OrbifoldDiscSpec(2, ConePoint(3, (1, 2)), loop)),
            disc, True)
     yield ("arc_collar", build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import Undersampled, ZeroSample
+from maslovcw.errors import InvalidParameter, Undersampled, ZeroSample
 from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import (
+    MAX_SAMPLES,
     BundlePairSpec,
     FrameLoop,
     aligned_frames,
@@ -21,7 +22,6 @@ from maslovcw.loops import (
     random_frame_loop,
     samples_from_json,
     winding,
-    winding_detail,
     winding_increments,
 )
 from maslovcw.tolerances import TOL
@@ -92,9 +92,9 @@ class TestWinding:
 
     def test_residual_small_for_closed_loops(self, rng):
         z = np.exp(2j * np.pi * 3 * np.arange(256) / 256) * rng.uniform(0.5, 2.0, 256)
-        rounded, raw, residual = winding_detail(z)
-        assert rounded == 3
-        assert residual < 1e-9
+        raw = winding_increments(z).sum() / (2.0 * np.pi)
+        assert winding(z) == 3
+        assert abs(raw - 3) < 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -189,6 +189,11 @@ class TestConstruction:
         with pytest.raises(Undersampled):
             FrameLoop(1, np.ones((4, 1, 1), dtype=complex))
 
+    def test_generator_sample_cap(self):
+        assert len(generate_loop("power_k", MAX_SAMPLES, k=1)) == MAX_SAMPLES
+        with pytest.raises(InvalidParameter, match="cap"):
+            generate_loop("power_k", MAX_SAMPLES + 1, k=1)
+
     def test_guard_at_construction(self):
         t = np.arange(8) / 8
         with pytest.raises(Undersampled):
@@ -230,7 +235,7 @@ class TestConstruction:
         loop = FrameLoop(3, u)
         assert calls == [64]
         dphi = loop.phase_increments()
-        assert maslov_loop(loop) == maslov_loop(loop) == winding_detail(loop.det_b())[0]
+        assert maslov_loop(loop) == maslov_loop(loop) == winding(loop.det_b())
         assert calls == [64, 64] and loop.phase_increments() is dphi
         assert dphi.tobytes() == increments(loop.det_b()).tobytes()
         with pytest.raises(ValueError):

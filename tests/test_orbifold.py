@@ -4,9 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import MaslovCWError, RankMismatch
+from maslovcw.errors import InvalidParameter, MaslovCWError, RankMismatch
 from maslovcw.loops import (
-    BundlePairSpec, FrameLoop, generate_loop, loop_to_json, maslov_bundle_pair, random_frame_loop,
+    MAX_SAMPLES, BundlePairSpec, FrameLoop, generate_loop, loop_to_json, maslov_bundle_pair, random_frame_loop,
 )
 from maslovcw.orbifold import (
     BranchCover,
@@ -80,6 +80,15 @@ class TestPullback:
         spec = scalar_spec(2, 1, generate_loop("power_k", 128, k=1))
         pulled = pullback_bundle_pair(spec, BranchCover(2, 2))
         assert maslov_bundle_pair(pulled) == 2 * 1 + 2
+
+    def test_sample_cap(self):
+        half = MAX_SAMPLES // 2
+        pulled = pullback_bundle_pair(scalar_spec(2, 1, generate_loop("constant", half)),
+                                      BranchCover(2, 2))
+        assert len(pulled.loops[0]) == MAX_SAMPLES
+        spec = scalar_spec(2, 1, generate_loop("constant", half + 1))
+        with pytest.raises(InvalidParameter, match="cap"):
+            pullback_bundle_pair(spec, BranchCover(2, 2))
 
 
 class TestMuPi:
