@@ -5,13 +5,20 @@ success, 1 on input or usage errors, 2 when an identity check fails.  Every
 report embeds the fully resolved run configuration, and runs with the same
 seed are byte-identical.  ``--threads`` is recorded in that configuration
 but changes nothing.
+
+``verify --suite all`` runs its suites in worker processes made by fork, one
+per available CPU, and builds the report in suite order, so its bytes are
+those of an in-process run; with one CPU, one suite or no fork, the suites
+run in-process.  Each suite's seconds go to stderr beside its PASS/FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,6 +45,10 @@ from .polygon import fredholm_index, load_polygon, mu_cw_polygon
 
 MESH_MIN, MESH_MAX = 16, 1024
 SUBSTEPS_MAX = 16
+
+# the errors main reports, with exit code 2 and 1; the first tuple is tested first
+_IDENTITY_ERRORS = (ViolatedIdentity, InconsistentFormulas)
+_INPUT_ERRORS = (MaslovCWError, OSError, ValueError, KeyError)
 
 
 @dataclass
@@ -299,18 +310,79 @@ def _cmd_orbifold(args) -> dict:
     }
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_suite(name: str, seed: int) -> tuple:
+    """(result, seconds) of one suite, looked up by name where it runs."""
+    t0 = time.perf_counter()
+    result = verify_mod.SUITES[name](seed)
+    return result, time.perf_counter() - t0
+
+
+def _run_suite_in_worker(name: str, seed: int) -> tuple:
+    """``_run_suite`` in a worker, plus an error slot: an error ``main``
+    reports comes back as (is_identity, message), as the exception itself
+    may not pickle."""
+    try:
+        return *_run_suite(name, seed), None
+    except _INPUT_ERRORS as exc:
+        return None, None, (isinstance(exc, _IDENTITY_ERRORS), str(exc))
+
+
+def _run_suites(names: list, seed: int) -> list:
+    """(result, seconds) per suite, in order; in forked workers, one per
+    available CPU, when there are two or more of both."""
+    workers = min(len(names), _available_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_suites_forked(names, seed, multiprocessing.get_context("fork"), workers)
+    return [_run_suite(name, seed) for name in names]
+
+
+def _run_suites_forked(names: list, seed: int, context, workers: int) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    out = []
+    try:  # map hands the names out one at a time, in order
+        for result, seconds, error in pool.map(_run_suite_in_worker, names, [seed] * len(names)):
+            if error is not None:  # the first error in suite order, as in-process
+                is_identity, message = error
+                raise (ViolatedIdentity if is_identity else MaslovCWError)(message)
+            out.append((result, seconds))
+    except BrokenProcessPool as exc:
+        raise MaslovCWError(f"a verify worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return out
+
+
 def _cmd_verify(args) -> dict:
     cfg = _config(args, [])
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in verify_mod.SUITES:
             raise MaslovCWError(f"unknown suite {name!r}; choose from {sorted(verify_mod.SUITES)}")
-    report = verify_mod.run_suites(names, args.seed)
-    report["config"] = asdict(cfg)
-    for s in report["suites"]:
+    timed = _run_suites(names, args.seed)
+    suites = [result for result, _ in timed]
+    for s, seconds in timed:
         status = "PASS" if s["ok"] else "FAIL"
-        print(f"{s['suite']:32s} {status} ({s['passed']}/{s['cases']})", file=sys.stderr)
-    return report
+        print(f"{s['suite']:32s} {status} ({s['passed']}/{s['cases']}) {seconds:.3f} s",
+              file=sys.stderr)
+    return {
+        "seed": args.seed,
+        "suites": suites,
+        "ok": all(s["ok"] for s in suites),
+        "config": asdict(cfg),
+    }
 
 
 def _cmd_convergence(args) -> dict:
@@ -340,10 +412,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-    except (ViolatedIdentity, InconsistentFormulas) as exc:
+    except _IDENTITY_ERRORS as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 2
-    except (MaslovCWError, OSError, ValueError, KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.format)

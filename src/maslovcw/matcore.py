@@ -9,6 +9,7 @@ which a single shifted eigh call diagonalizes jointly.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,12 +25,15 @@ MAX_RANK = 16
 # from rank 6 on; on 64-sample stacks it loses 1.7x at rank 4 but 3x at 5.
 DET_EXPANSION_MAX = 4
 
-# First shift is fixed; the rest are pseudo-random from a frozen seed.  A
-# shift only fails when two distinct eigenvalue pairs collide accidentally,
-# which happens for at most one shift value per pair.
-_SHIFTS = (0.7310585786300049,) + tuple(
-    np.random.default_rng(0xC0FFEE).uniform(-2.0, 2.0, 40)
-)
+
+@cache
+def _shifts() -> tuple:
+    """The Takagi shifts: the first is fixed, the rest pseudo-random from a
+    frozen seed.  A shift only fails when two distinct eigenvalue pairs
+    collide accidentally, which happens for at most one shift value per pair.
+    Drawn on first use, so importing the package does not load numpy.random.
+    """
+    return (0.7310585786300049,) + tuple(np.random.default_rng(0xC0FFEE).uniform(-2.0, 2.0, 40))
 
 
 def det(U: np.ndarray) -> np.ndarray:
@@ -142,7 +146,7 @@ def takagi_symmetric_unitary(M: np.ndarray):
     Y = 0.5 * (M.imag + M.imag.T)
     # Genuine eigenvalue multiplicity is harmless (blocks are scalar there);
     # only accidental collisions of distinct (x, y) pairs force another shift.
-    for c in _SHIFTS:
+    for c in _shifts():
         _, O = np.linalg.eigh(X + c * Y)
         x = np.einsum("ij,jk,ki->i", O.T, X, O)
         y = np.einsum("ij,jk,ki->i", O.T, Y, O)

@@ -3,13 +3,12 @@
 Each suite returns a JSON-friendly dict with a deterministic case list; the
 CLI ``verify`` subcommand aggregates them into one report.  Suites draw
 their randomness from independent offsets of the base seed so case counts in
-one suite never shift another.
+one suite never shift another, and they share no state, so the CLI may run
+each in its own worker process.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -59,13 +58,9 @@ def _result(name: str, cases: list) -> dict:
 
 def suite_disc_example() -> dict:
     """The built-in disc connection integrates to 2 (raw within 1e-2)."""
-    t0 = time.perf_counter()
     spec = builtin_connection("example_2_7")
     D = edge_transports(spec, Mesh2D("disc", 128, 128))
     rep = chern_weil_index(D, Fraction(1))
-    elapsed = time.perf_counter() - t0
-    # wall-clock stays off the report so reruns are byte-identical
-    print(f"disc_example integrated in {elapsed:.3f} s", file=sys.stderr)
     case = {
         "raw": rep.raw,
         "rounded": float(rep.rounded),
@@ -352,14 +347,3 @@ SUITES = {
     "nonunitary_control": lambda seed: suite_nonunitary_control(),
     "convergence": lambda seed: suite_convergence(),
 }
-
-
-def run_suites(names, seed: int) -> dict:
-    suites = []
-    for name in names:
-        suites.append(SUITES[name](seed))
-    return {
-        "seed": seed,
-        "suites": suites,
-        "ok": all(s["ok"] for s in suites),
-    }

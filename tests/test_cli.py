@@ -1,5 +1,8 @@
 import copy
 import json
+import multiprocessing
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from maslovcw import _kernels, cli, verify as verify_mod
 from maslovcw.connections import build_collar_connection
 from maslovcw.curvature import edge_transports
-from maslovcw.errors import MaslovCWError
+from maslovcw.errors import MaslovCWError, Undersampled, ViolatedIdentity
 from maslovcw.loops import (
     generate_loop, load_loop, loop_from_json, loop_to_json, random_frame_loop, save_loop,
 )
@@ -405,8 +408,28 @@ class TestMalformedFiles:
             pass
 
 
+def assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+
+
+def raising(exc):
+    def suite(seed):
+        raise exc
+    return suite
+
+
 class TestVerify:
-    def test_single_suite(self, capsys):
+    def test_single_suite(self, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("a single suite runs in-process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         code, out, err = run_cli(
             ["verify", "--suite", "cover_multiplicativity", "--seed", "7"], capsys
         )
@@ -442,6 +465,46 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--suite", "all", "--seed", seed], capsys)
         assert code == 0
         assert mismatched_suites(out, ref) == []
+
+    @pytest.mark.parametrize("seed", ["3", "7"])
+    def test_one_cpu_prints_the_same_bytes(self, seed, capsys, monkeypatch):
+        argv = ["verify", "--suite", "all", "--seed", seed]
+        code, out, err = run_cli(argv, capsys)
+        assert_no_child_process()
+        one_cpu(monkeypatch)
+        code_1, out_1, err_1 = run_cli(argv, capsys)
+        assert code == code_1 == 0
+        assert out == out_1
+        # one line per suite, in suite order, with the seconds it took
+        for text in (err, err_1):
+            lines = text.splitlines()
+            assert [line.split()[0] for line in lines] == list(verify_mod.SUITES)
+            assert all(re.fullmatch(r"\S+ +PASS \((\d+)/\1\) \d+\.\d{3} s", line)
+                       for line in lines)
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        # the diagnostics cannot be pickled back from a worker
+        (ViolatedIdentity("planted", {"fn": lambda: 0}), 2, "identity violation: planted"),
+        (Undersampled("planted"), 1, "error: planted"),
+        (KeyError("planted"), 1, "error: 'planted'"),
+    ])
+    @pytest.mark.parametrize("cpus", ["all", 1])
+    def test_suite_error_exits_as_in_process(self, exc, code, prefix, cpus, capsys,
+                                             monkeypatch):
+        monkeypatch.setitem(verify_mod.SUITES, "bigon_viterbo", raising(exc))
+        if cpus == 1:
+            one_cpu(monkeypatch)
+        got, out, err = run_cli(["verify", "--suite", "all"], capsys)
+        assert_no_child_process()
+        assert (got, out, err) == (code, "", prefix + "\n")
+
+    @pytest.mark.skipif(cli._available_cpus() < 2, reason="one CPU runs the suites in-process")
+    def test_dead_worker_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify_mod.SUITES, "bigon_viterbo", lambda seed: os._exit(3))
+        code, out, err = run_cli(["verify", "--suite", "all"], capsys)
+        assert_no_child_process()
+        assert code == 1 and out == ""
+        assert err.startswith("error: a verify worker process died") and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -1276,6 +1276,8 @@ class TestFaceBand:
             reports.append(self)
 
         monkeypatch.setattr(curvature.CurvatureReport, "__init__", recording)
+        # one CPU: the suites run in this process, where the recorder sees them
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
         assert cli.main(["verify", "--suite", "all", "--seed", "3"]) == 0
         capsys.readouterr()
         assert len(reports) >= 50

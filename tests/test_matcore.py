@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +110,19 @@ class TestUnitarize:
 
 
 class TestTakagi:
+    def test_shifts_are_the_frozen_draw(self):
+        want = (0.7310585786300049,) + tuple(np.random.default_rng(0xC0FFEE).uniform(-2.0, 2.0, 40))
+        got = matcore._shifts()
+        assert len(got) == 41
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self, package_env):
+        code = "import sys, maslovcw.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_identity_reconstructs(self):
         O, th = matcore.takagi_symmetric_unitary(np.eye(3, dtype=complex))
         assert np.allclose((O * np.exp(2j * th)) @ O.T, np.eye(3))
