@@ -14,7 +14,6 @@ covers are the independent routes (README lists which verify suite is which).
 
 from .errors import (
     DegenerateSpectrum,
-    InconsistentFormulas,
     InvalidParameter,
     MaslovCWError,
     NonUnitaryConnection,

@@ -19,9 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .connections import build_collar_connection, builtin_connection
 from .curvature import (
     check_quantum, chern_weil_index, double_degree, edge_transports, index_refining,
 )
-from .errors import InconsistentFormulas, MaslovCWError, ViolatedIdentity
+from .errors import MaslovCWError, ViolatedIdentity
 from .loops import (
     BundlePairSpec,
     FrameLoop,
@@ -46,24 +44,8 @@ from .polygon import fredholm_index, load_polygon, mu_cw_polygon
 MESH_MIN, MESH_MAX = 16, 1024
 SUBSTEPS_MAX = 16
 
-# the errors main reports, with exit code 2 and 1; the first tuple is tested first
-_IDENTITY_ERRORS = (ViolatedIdentity, InconsistentFormulas)
+# the errors main reports: ViolatedIdentity (a MaslovCWError) exits 2, the rest 1
 _INPUT_ERRORS = (MaslovCWError, OSError, ValueError, KeyError)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list
-    mesh: int
-    substeps: int
-    collar: float
-    cutoff: str
-    quantum: str
-    format: str
-    plot: Optional[str]
-    seed: int
-    threads: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,20 +61,27 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
 
 
+# the flags every subcommand takes; each report's config records those it holds
+_SHARED_FLAGS = {
+    "mesh": dict(type=int, default=128, help="radial/angular resolution"),
+    "substeps": dict(type=int, default=1),
+    "collar": dict(type=float, default=0.3, help="collar width"),
+    "cutoff": dict(default="cubic", choices=["cubic", "quintic"]),
+    "quantum": dict(type=_frac, default=None, help="rounding quantum p/q"),
+    "format": dict(default="json", choices=["json", "csv"]),
+    "plot": dict(default=None, help="write det^2 phase curve SVG here"),
+    "seed": dict(type=int, default=7),
+    "threads": dict(type=int, default=1),
+}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="maslovcw", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--mesh", type=int, default=128, help="radial/angular resolution")
-        sp.add_argument("--substeps", type=int, default=1)
-        sp.add_argument("--collar", type=float, default=0.3, help="collar width")
-        sp.add_argument("--cutoff", default="cubic", choices=["cubic", "quintic"])
-        sp.add_argument("--quantum", type=_frac, default=None, help="rounding quantum p/q")
-        sp.add_argument("--format", default="json", choices=["json", "csv"])
-        sp.add_argument("--plot", default=None, help="write det^2 phase curve SVG here")
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--threads", type=int, default=1)
+        for name, spec in _SHARED_FLAGS.items():
+            sp.add_argument(f"--{name}", **spec)
 
     def generator(sp):  # the flags _loops_from_args reads
         sp.add_argument("--generator", default=None)
@@ -135,7 +124,10 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _config(args, inputs) -> RunConfig:
+def _config(args) -> dict:
+    """The run configuration a report embeds: the command, its inputs and the
+    shared flags ``args`` holds.  Checks --mesh, --substeps and --quantum, so
+    a bad shared flag is reported before any input is read."""
     if not (MESH_MIN <= args.mesh <= MESH_MAX):
         raise MaslovCWError(f"--mesh must lie in [{MESH_MIN}, {MESH_MAX}]")
     if not (1 <= args.substeps <= SUBSTEPS_MAX):
@@ -143,19 +135,14 @@ def _config(args, inputs) -> RunConfig:
     q = args.quantum
     if q is not None:
         check_quantum(q)
-    return RunConfig(
-        command=args.command,
-        inputs=list(inputs),
-        mesh=args.mesh,
-        substeps=args.substeps,
-        collar=args.collar,
-        cutoff=args.cutoff,
-        quantum="default" if q is None else f"{q.numerator}/{q.denominator}",
-        format=args.format,
-        plot=args.plot,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    inputs = getattr(args, "input", [])  # a list where --input repeats
+    inputs = [inputs] if isinstance(inputs, str) else list(inputs)
+    inputs += [name for name in (getattr(args, "generator", None), getattr(args, "builtin", None))
+               if name]
+    config = {name: getattr(args, name) for name in _SHARED_FLAGS if hasattr(args, name)}
+    config.update(command=args.command, inputs=inputs,
+                  quantum="default" if q is None else f"{q.numerator}/{q.denominator}")
+    return config
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -219,7 +206,6 @@ def _loops_from_args(args) -> list:
 
 def _cmd_maslov(args) -> dict:
     loops = _loops_from_args(args)
-    cfg = _config(args, args.input + ([args.generator] if args.generator else []))
     if len(loops) == 1:
         index = maslov_loop(loops[0])
     else:
@@ -227,11 +213,10 @@ def _cmd_maslov(args) -> dict:
         index = maslov_bundle_pair(pair)
     if args.plot:
         _phase_svg(loops[0], args.plot)
-    return {"index": index, "components": len(loops), "config": asdict(cfg)}
+    return {"index": index, "components": len(loops)}
 
 
 def _cmd_cw(args) -> dict:
-    cfg = _config(args, args.input + ([args.builtin] if args.builtin else []))
     quantum = args.quantum if args.quantum is not None else Fraction(1)
     if args.builtin:
         loop = None
@@ -256,23 +241,20 @@ def _cmd_cw(args) -> dict:
     # integral quanta print as plain ints, matching the simple-report shape
     if rep.rounded.denominator == 1:
         out["rounded"] = rep.rounded.numerator
-    out["config"] = asdict(cfg)
     return out
 
 
 def _cmd_double(args) -> dict:
     loops = _loops_from_args(args)
-    cfg = _config(args, args.input + ([args.generator] if args.generator else []))
     pair = BundlePairSpec(loops[0].n, tuple(loops))
     deg = double_degree(pair)
     mu = maslov_bundle_pair(pair)
     if deg != mu:
         raise ViolatedIdentity(f"doubled degree {deg} != index {mu}")
-    return {"degree": deg, "index": mu, "equal": True, "config": asdict(cfg)}
+    return {"degree": deg, "index": mu, "equal": True}
 
 
 def _cmd_polygon(args) -> dict:
-    cfg = _config(args, [args.input])
     data = load_polygon(args.input)
     value, details = mu_cw_polygon(data, verify=args.verify)
     ind = fredholm_index(data)
@@ -283,7 +265,6 @@ def _cmd_polygon(args) -> dict:
         "k_plus_1": data.k_plus_1,
         "n": data.n,
         "chi": data.chi,
-        "config": asdict(cfg),
     }
     if args.verify:
         report["verification"] = {"raw": details["raw"], "residual": details["residual"]}
@@ -291,7 +272,6 @@ def _cmd_polygon(args) -> dict:
 
 
 def _cmd_orbifold(args) -> dict:
-    cfg = _config(args, [args.input])
     out = verify_desingularization(load_orbifold(args.input))
     pi_m, rounded, corr = out["mu_pi"], out["mu_cw"], out["correction"]
     return {
@@ -306,7 +286,6 @@ def _cmd_orbifold(args) -> dict:
             "cover_independence": out["cover_independent"],
             "desingularization": out["identity_exact"],
         },
-        "config": asdict(cfg),
     }
 
 
@@ -318,55 +297,53 @@ def _available_cpus() -> int:
 
 
 def _run_suite(name: str, seed: int) -> tuple:
-    """(result, seconds) of one suite, looked up by name where it runs."""
+    """(result, seconds, error) of one suite, looked up by name where it runs.
+
+    An error ``main`` reports comes back as error = (is_identity, message),
+    since a worker's exception may not pickle.
+    """
     t0 = time.perf_counter()
-    result = verify_mod.SUITES[name](seed)
-    return result, time.perf_counter() - t0
-
-
-def _run_suite_in_worker(name: str, seed: int) -> tuple:
-    """``_run_suite`` in a worker, plus an error slot: an error ``main``
-    reports comes back as (is_identity, message), as the exception itself
-    may not pickle."""
     try:
-        return *_run_suite(name, seed), None
+        result = verify_mod.SUITES[name](seed)
     except _INPUT_ERRORS as exc:
-        return None, None, (isinstance(exc, _IDENTITY_ERRORS), str(exc))
+        return None, None, (isinstance(exc, ViolatedIdentity), str(exc))
+    return result, time.perf_counter() - t0, None
 
 
 def _run_suites(names: list, seed: int) -> list:
-    """(result, seconds) per suite, in order; in forked workers, one per
-    available CPU, when there are two or more of both."""
+    """(result, seconds) per suite, in suite order.
+
+    The suites run in forked workers, one per available CPU, when there are
+    two or more of both; else in-process.  One loop reads the results on
+    both paths and raises the first suite error in suite order.
+    """
+    runs, pool, broken = map, None, ()
     workers = min(len(names), _available_cpus())
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return _run_suites_forked(names, seed, multiprocessing.get_context("fork"), workers)
-    return [_run_suite(name, seed) for name in names]
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-
-def _run_suites_forked(names: list, seed: int, context, workers: int) -> list:
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            runs, broken = pool.map, BrokenProcessPool
     out = []
-    try:  # map hands the names out one at a time, in order
-        for result, seconds, error in pool.map(_run_suite_in_worker, names, [seed] * len(names)):
-            if error is not None:  # the first error in suite order, as in-process
+    try:  # either map hands the names out one at a time, in order
+        for result, seconds, error in runs(_run_suite, names, [seed] * len(names)):
+            if error is not None:
                 is_identity, message = error
                 raise (ViolatedIdentity if is_identity else MaslovCWError)(message)
             out.append((result, seconds))
-    except BrokenProcessPool as exc:
+    except broken as exc:
         raise MaslovCWError(f"a verify worker process died: {exc}") from None
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 
 def _cmd_verify(args) -> dict:
-    cfg = _config(args, [])
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in verify_mod.SUITES:
@@ -381,20 +358,16 @@ def _cmd_verify(args) -> dict:
         "seed": args.seed,
         "suites": suites,
         "ok": all(s["ok"] for s in suites),
-        "config": asdict(cfg),
     }
 
 
 def _cmd_convergence(args) -> dict:
-    cfg = _config(args, [])
     res = tuple(int(x) for x in args.resolutions.split(","))
     if len(res) < 2 or any(a >= b for a, b in zip(res, res[1:])):
         raise MaslovCWError("--resolutions needs at least two strictly increasing values")
     if not all(MESH_MIN <= N <= MESH_MAX for N in res):
         raise MaslovCWError(f"--resolutions values must lie in [{MESH_MIN}, {MESH_MAX}]")
-    report = verify_mod.suite_convergence(res)
-    report["config"] = asdict(cfg)
-    return report
+    return verify_mod.suite_convergence(res)
 
 
 _COMMANDS = {
@@ -411,13 +384,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        config = _config(args)
         report = _COMMANDS[args.command](args)
-    except _IDENTITY_ERRORS as exc:
+    except ViolatedIdentity as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report["config"] = config
     _emit(report, args.format)
     if args.command in ("verify", "convergence") and not report["ok"]:
         return 2

@@ -49,10 +49,6 @@ class NonUnitaryConnection(MaslovCWError):
     """Connection form is not skew-Hermitian and was not tagged as such."""
 
 
-class InconsistentFormulas(MaslovCWError):
-    """Two index formulas that must agree exactly disagree (internal bug)."""
-
-
 class ViolatedIdentity(MaslovCWError):
     """A numerical identity check failed; carries full diagnostics."""
 

@@ -82,7 +82,6 @@ class PositivePath:
     """
 
     start: LagrangianFrame
-    end: LagrangianFrame
     orthogonal: np.ndarray      # real orthogonal factor from the Takagi step
     angles: np.ndarray          # lifted angles, each strictly inside (0, pi)
 
@@ -116,5 +115,4 @@ def positive_path(F: LagrangianFrame, G: LagrangianFrame) -> PositivePath:
             "positive path undefined: a principal angle sits at 0 mod pi "
             f"(angles {np.round(lifted, 9)})"
         )
-    end = LagrangianFrame(F.n, (F.u @ O) * np.exp(1j * lifted)[None, :])
-    return PositivePath(start=F, end=end, orthogonal=O, angles=lifted)
+    return PositivePath(start=F, orthogonal=O, angles=lifted)

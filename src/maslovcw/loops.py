@@ -326,17 +326,23 @@ def generate_loop(name: str, N: int = 256, **params) -> FrameLoop:
         return FrameLoop(1, (1j * np.exp(2j * np.pi * t))[:, None, None])
     if name == "power_k":
         k = int_from_json(params.get("k", 1), "k")
+        # det B turns by 2 pi k / N per step: at pi/2 or more the samples
+        # alias inside the winding guard, so reject before sampling
+        if 4 * abs(k) >= N:
+            raise Undersampled(f"power_k with k = {k} needs more than 4|k| samples, got {N}")
         return FrameLoop(1, np.exp(1j * np.pi * k * t)[:, None, None])
     # constant
     n = int_from_json(params.get("n", 1), "n")
     if not 1 <= n <= matcore.MAX_RANK:
         raise RankMismatch(f"rank {n} outside [1, {matcore.MAX_RANK}]")
     frame = params.get("frame")
-    try:
-        f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, complex)
-    except (TypeError, ValueError):
-        raise RankMismatch(f"rank-{n} constant frame: need a square array of numbers") from None
-    return FrameLoop(n, np.tile(f, (N, 1, 1)))
+    try:  # no dtype yet: an integer too large for a float becomes an object entry
+        f = np.eye(n, dtype=complex) if frame is None else np.asarray(frame)
+    except ValueError:  # ragged nesting
+        f = None
+    if f is None or f.dtype.kind not in "biufc":
+        raise RankMismatch(f"rank-{n} constant frame: need a square array of numbers")
+    return FrameLoop(n, np.tile(f.astype(complex), (N, 1, 1)))
 
 
 def random_frame_loop(

@@ -28,8 +28,8 @@ from .loops import (
     maslov_bundle_pair, maslov_loop, read_json,
 )
 from .mesh import Mesh2D
+from .tolerances import TOL
 
-_RAW_TOL = 2e-2
 _COLLAR_WIDTH = 0.3
 _CW_MESH_N_R = 48
 
@@ -98,13 +98,13 @@ def pullback_bundle_pair(spec: OrbifoldDiscSpec, cover: BranchCover) -> BundlePa
     if cover.order != spec.cone.order:
         raise RankMismatch("cover order does not match the cone order")
     d = cover.degree
-    ratio = d // spec.cone.order
-    w = np.array(spec.cone.weights, dtype=float)
     base = spec.boundary
-    if d * len(base) > MAX_SAMPLES:
+    if d * len(base) > MAX_SAMPLES:  # before the weights (each below d) become floats
         raise InvalidParameter(
             f"pullback of {d * len(base)} samples exceeds the cap of {MAX_SAMPLES}"
         )
+    ratio = d // spec.cone.order
+    w = np.array(spec.cone.weights, dtype=float)
     while True:
         Nv = d * len(base)
         t = np.arange(Nv) / Nv
@@ -187,9 +187,9 @@ def verify_desingularization(spec: OrbifoldDiscSpec) -> dict:
     """Check mu_cw = mu_de + 2 * (weight sum) three ways.
 
     Exact rationals through the branch cover, the desingularized winding and
-    the weight correction; the curvature raw value must sit within 2e-2 of
-    the common rational.  Raises ViolatedIdentity with diagnostics on
-    failure.
+    the weight correction; the curvature raw value must sit within
+    ``TOL.raw_agreement`` of the common rational.  Raises ViolatedIdentity
+    with diagnostics on failure.
     """
     de = desing_index(spec)
     corr = chen_ruan_correction([spec.cone])
@@ -212,7 +212,7 @@ def verify_desingularization(spec: OrbifoldDiscSpec) -> dict:
     }
     if not out["cover_independent"]:
         raise ViolatedIdentity("branch-cover index depends on the cover degree", out)
-    if not out["identity_exact"] or out["identity_raw_residual"] > _RAW_TOL:
+    if not (out["identity_exact"] and out["identity_raw_residual"] <= TOL.raw_agreement):
         raise ViolatedIdentity(
             f"desingularization identity failed: cw={cw_rounded}, de={de}, corr={corr}",
             out,

@@ -4,8 +4,8 @@ Boundary data is one open frame path per edge; adjacent edges meet at
 vertices where their Lagrangians intersect trivially.  Closing the data with
 canonical positive-definite paths at the vertices produces the loop whose
 winding is the topological index; subtracting one quarter-disc model per
-vertex recovers the curvature index, and the two feed the closed index
-formulas (checked against each other in exact rational arithmetic).
+vertex recovers the curvature index, and the topological index feeds the
+closed index formula.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from . import matcore
 from .connections import build_arc_collar_connection, build_collar_connection, cutoff_profile
 from .curvature import CurvatureReport, chern_weil_index, edge_transports
 from .errors import (
-    InconsistentFormulas, MaslovCWError, NotTransverse, RankMismatch, Undersampled,
-    ViolatedIdentity, ZeroSample,
+    MaslovCWError, NotTransverse, RankMismatch, Undersampled, ViolatedIdentity, ZeroSample,
 )
 from .grassmann import LagrangianFrame, intersection_dim, positive_path
 from .loops import FrameLoop, int_from_json, maslov_loop, read_json, samples_from_json
 from .mesh import Mesh2D
+from .tolerances import TOL
 
-_VERIFY_TOL = 2e-2
 _VERTEX_SAMPLES = 64
 _DISC_MESH_N_R = 24
 _QUARTER_MESH_N_R, _QUARTER_MESH_N_T = 32, 128
@@ -154,7 +153,8 @@ def mu_cw_polygon(data: TransversalBundleData, verify: bool = False):
     the closed-up loop's collar connection is integrated over the disc (24
     rings, one angular step per loop sample) and the quarter-disc models of
     the k+1 vertices are subtracted, matching the gluing decomposition of
-    the boundary data.  The two routes must agree within 2e-2.
+    the boundary data.  The two routes must agree within
+    ``TOL.raw_agreement``.
 
     One model, on vertex 0's frame, is integrated and counted k+1 times.
     Its collar reads only the trace -(i/2) d/dt arg det B of the arc
@@ -174,7 +174,7 @@ def mu_cw_polygon(data: TransversalBundleData, verify: bool = False):
         raw = disc_raw - data.k_plus_1 * corner
         residual = abs(raw - float(value))
         details.update({"raw": raw, "residual": residual, "disc_raw": disc_raw})
-        if residual > _VERIFY_TOL:
+        if not residual <= TOL.raw_agreement:
             raise ViolatedIdentity(
                 f"curvature route gave {raw}, formula gives {float(value)}", details
             )
@@ -182,37 +182,20 @@ def mu_cw_polygon(data: TransversalBundleData, verify: bool = False):
 
 
 def fredholm_index(data: TransversalBundleData) -> int:
-    """Index of the boundary value problem from the closed formulas.
+    """Index of the boundary value problem: Ind = mu_top + n chi - (k+1) n.
 
-    Ind = mu_top + n chi - (k+1) n, cross-checked in exact rationals against
-    Ind = mu_cw + n chi - (k+1) n / 2.
+    In terms of the curvature index this is mu_cw + n chi - (k+1) n / 2.
     """
-    top = mu_top(data)
-    n, kp1, chi = data.n, data.k_plus_1, data.chi
-    ind_top = Fraction(top + n * chi - kp1 * n)
-    mu_cw = Fraction(top) - Fraction(kp1 * n, 2)
-    ind_cw = mu_cw + n * chi - Fraction(kp1 * n, 2)
-    if ind_top != ind_cw:
-        raise InconsistentFormulas(
-            f"index routes disagree: {ind_top} vs {ind_cw} "
-            f"(mu_top={top}, n={n}, k+1={kp1}, chi={chi})"
-        )
-    return int(ind_top)
+    return mu_top(data) + data.n * data.chi - data.k_plus_1 * data.n
 
 
 def maslov_viterbo(data: TransversalBundleData) -> int:
-    """Index of a bi-gon: mu_cw of the two-edge data, equal to the analytic index."""
+    """Index of a bi-gon on a disc: there Ind = mu_top - n = mu_cw."""
     if data.k_plus_1 != 2:
         raise RankMismatch("the bi-gon index needs exactly two edges")
     if data.chi != 1:
         raise RankMismatch("the bi-gon lives on a disc (chi = 1)")
-    value, _ = mu_cw_polygon(data)
-    if value.denominator != 1:
-        raise InconsistentFormulas(f"bi-gon curvature index {value} is not an integer")
-    ind = fredholm_index(data)
-    if int(value) != ind:
-        raise InconsistentFormulas(f"bi-gon index {value} != analytic index {ind}")
-    return int(value)
+    return fredholm_index(data)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ class Tolerances:
     face_angle_guard: float = math.pi / 2  # per-plaquette branch guard
     frame_step_sv: float = 0.5        # min singular value in frame alignment
     skew: float = 1e-10               # skew-Hermitian defect of connection values
+    raw_agreement: float = 2e-2       # raw curvature integrals of two routes to one index
+    analytic_raw: float = 1e-2        # raw curvature integral against its analytic value
 
 
 TOL = Tolerances()

@@ -55,6 +55,12 @@ class TestMaslov:
     @pytest.mark.parametrize("flags", [
         ["--generator", "power_k", "--samples", "100000000000"],
         ["--generator", "constant", "--rank", "100000000"],
+        # 4|k| >= N: the samples would alias inside the winding guard (k = 256
+        # read as index 0, 257 as 1, 300 as 44), and a 400-digit k overflowed
+        ["--generator", "power_k", "--samples", "256", "--k", "256"],
+        ["--generator", "power_k", "--samples", "256", "--k", "257"],
+        ["--generator", "power_k", "--samples", "256", "--k", "300"],
+        ["--generator", "power_k", "--samples", "256", "--k", "9" * 400],
     ])
     def test_oversized_generator_exits_one(self, flags, capsys):
         # rejected before any sample is allocated
@@ -235,6 +241,16 @@ class TestOrbifold:
         obj = {"n": 1, "cone": {"m": 10**12, "weights": [1]}, "boundary": _UNIT_LOOP}
         _assert_exits_one("orbifold", json.dumps(obj), tmp_path, capsys)
 
+    def test_400_digit_cone_exits_one(self, tmp_path, capsys):
+        # a well-formed file: the pullback cap rejects it before the weights
+        # become floats, which would overflow
+        path = tmp_path / "orb.json"
+        path.write_text(json.dumps({"n": 1, "cone": {"m": 10**400, "weights": [10**399]},
+                                    "boundary": _UNIT_LOOP}))
+        code, out, err = run_cli(["orbifold", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: pullback of") and err.count("\n") == 1
+
 
 # n = 1 sample lists, each malformed in one way
 _BAD_SAMPLES = {
@@ -295,6 +311,9 @@ _BAD_FIELDS = {
     "params_k_for_circle_tangent": ("maslov", {"generator": "circle_tangent", "params": {"k": 2}}),
     "params_N_over_cap": ("maslov", {"generator": "power_k", "params": {"N": 1e11}}),
     "params_n_over_max_rank": ("maslov", {"generator": "constant", "params": {"n": 10**8}}),
+    "params_k_aliasing": ("maslov", {"generator": "power_k", "params": {"k": 64, "N": 256}}),
+    "params_k_400_digits": ("maslov", {"generator": "power_k", "params": {"k": 10**400}}),
+    "params_frame_400_digits": ("maslov", {"generator": "constant", "params": {"frame": [[10**400]]}}),
 }
 
 _LOADERS = {"maslov": loop_from_json, "polygon": polygon_from_json, "orbifold": orbifold_from_json}
@@ -406,6 +425,42 @@ class TestMalformedFiles:
             _LOADERS[kind](obj)
         except MaslovCWError:
             pass
+
+
+_SHARED_DEFAULTS = {"mesh": 128, "substeps": 1, "collar": 0.3, "cutoff": "cubic",
+                    "quantum": "default", "format": "json", "plot": None, "seed": 7,
+                    "threads": 1}
+_ORBIFOLD_FILE = {"n": 1, "cone": {"m": 2, "weights": [1]},
+                  "boundary": {"generator": "constant", "params": {"N": 64}}}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command, flags, inputs", [
+        ("maslov", ["--generator", "circle_tangent"], ["circle_tangent"]),
+        ("cw", ["--builtin", "flat"], ["flat"]),
+        ("double", ["--generator", "circle_tangent"], ["circle_tangent"]),
+        ("polygon", ["--input", "polygon.json"], ["polygon.json"]),
+        ("orbifold", ["--input", "orbifold.json"], ["orbifold.json"]),
+        ("verify", ["--suite", "bigon_viterbo"], []),
+        ("convergence", ["--resolutions", "32,64"], []),
+    ])
+    def test_default_config_of_each_command(self, command, flags, inputs, tmp_path, capsys,
+                                            monkeypatch):
+        # the whole config object each report embeds at default shared flags
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "polygon.json").write_text(json.dumps({"n": 1, "edges": _bigon_edges()}))
+        (tmp_path / "orbifold.json").write_text(json.dumps(_ORBIFOLD_FILE))
+        code, out, _ = run_cli([command] + flags, capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == dict(_SHARED_DEFAULTS, command=command,
+                                                 inputs=inputs)
+
+    @pytest.mark.parametrize("command", ["maslov", "cw", "double", "polygon", "orbifold"])
+    def test_bad_shared_flag_is_reported_before_a_bad_input(self, command, tmp_path, capsys):
+        code, out, err = run_cli([command, "--input", str(tmp_path / "missing.json"),
+                                  "--mesh", "8"], capsys)
+        assert (code, out, err) == (1, "", f"error: --mesh must lie in [{cli.MESH_MIN}, "
+                                           f"{cli.MESH_MAX}]\n")
 
 
 def assert_no_child_process():

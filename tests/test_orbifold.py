@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw.errors import InvalidParameter, MaslovCWError, RankMismatch
+from maslovcw import orbifold
+from maslovcw.errors import InvalidParameter, MaslovCWError, RankMismatch, ViolatedIdentity
 from maslovcw.loops import (
     MAX_SAMPLES, BundlePairSpec, FrameLoop, generate_loop, loop_to_json, maslov_bundle_pair, random_frame_loop,
 )
@@ -182,6 +184,14 @@ class TestDesingularization:
             out = verify_desingularization(OrbifoldDiscSpec(n, ConePoint(m, weights), loop))
             assert out["identity_exact"]
             assert out["identity_raw_residual"] <= 2e-2
+
+    def test_nan_integral_fails_the_raw_agreement(self, monkeypatch):
+        spec = scalar_spec(2, 1, generate_loop("constant", 256))
+        rounded, _ = mu_cw_orbifold(spec)
+        nan = SimpleNamespace(raw=float("nan"))
+        monkeypatch.setattr(orbifold, "mu_cw_orbifold", lambda spec: (rounded, nan))
+        with pytest.raises(ViolatedIdentity, match="desingularization identity failed"):
+            verify_desingularization(spec)
 
 
 class TestCoverMultiplicativity:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from types import SimpleNamespace
 
 from maslovcw import polygon
-from maslovcw.errors import InconsistentFormulas, NotTransverse, RankMismatch, Undersampled
+from maslovcw.errors import NotTransverse, RankMismatch, Undersampled, ViolatedIdentity
 from maslovcw.grassmann import LagrangianFrame, positive_path, same_lagrangian
 from maslovcw.loops import FrameLoop, maslov_loop
 from maslovcw.polygon import (
@@ -221,6 +222,12 @@ class TestMuCw:
             value, details = mu_cw_polygon(data, verify=True)
             assert details["residual"] <= 2e-2
 
+    def test_nan_integral_fails_the_raw_agreement(self, monkeypatch):
+        nan = SimpleNamespace(raw=float("nan"))
+        monkeypatch.setattr(polygon, "quarter_model_report", lambda frame: nan)
+        with pytest.raises(ViolatedIdentity):
+            mu_cw_polygon(bigon_standard(1), verify=True)
+
 
 class TestCornerWorkOnce:
     @pytest.mark.parametrize("kp1", [2, 4])
@@ -302,13 +309,6 @@ class TestFredholm:
         assert fredholm_index(data) == mu_top(data) - 3
         assert maslov_viterbo(data) == 0
 
-    def test_rational_cross_check_runs_everywhere(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(1, 4))
-            kp1 = int(rng.integers(2, 6))
-            data = random_transversal_data(rng, n, kp1)
-            fredholm_index(data)  # raises InconsistentFormulas on any mismatch
-
 
 class TestMaslovViterbo:
     def test_standard_bigons(self):
@@ -324,11 +324,6 @@ class TestMaslovViterbo:
         data = random_transversal_data(rng, 2, 3)
         with pytest.raises(RankMismatch):
             maslov_viterbo(data)
-
-    def test_fractional_curvature_index_raises(self, monkeypatch):
-        monkeypatch.setattr(polygon, "mu_cw_polygon", lambda data: (Fraction(1, 2), {}))
-        with pytest.raises(InconsistentFormulas):
-            maslov_viterbo(bigon_standard(1))
 
 
 class TestJson:
