@@ -217,6 +217,11 @@ def _cmd_maslov(args) -> dict:
 
 
 def _cmd_cw(args) -> dict:
+    # one connection: a built-in, or the collar of one loop file
+    if args.builtin and args.input:
+        raise MaslovCWError("cw takes --builtin or --input, not both")
+    if len(args.input) > 1:
+        raise MaslovCWError(f"cw integrates one loop, got {len(args.input)} --input files")
     quantum = args.quantum if args.quantum is not None else Fraction(1)
     if args.builtin:
         loop = None

@@ -39,7 +39,7 @@ class LagrangianFrame:
         defect = matcore.unitary_defect(u)
         if not defect <= TOL.same_lagrangian:
             raise SingularInput(f"frame unitary defect {defect:.3g}")
-        if defect > 1e-13 * n:
+        if defect > TOL.frame_polish_per_rank * n:
             # one Newton step takes any defect up to TOL.same_lagrangian below 1e-14 n
             u = matcore.unitarize_batch(u, steps=1)
         return cls(n, u)

@@ -81,9 +81,9 @@ class FrameLoop:
         if not np.all(np.isfinite(s)):
             raise ZeroSample("non-finite frame entries")
         defect = matcore.unitary_defect(s)
-        if defect > TOL.same_lagrangian:
+        if not defect <= TOL.same_lagrangian:
             raise Undersampled(f"frame unitary defect {defect:.3g} at construction")
-        if defect > 1e-12:
+        if defect > TOL.loop_polish:
             s = matcore.unitarize_batch(s)
         object.__setattr__(self, "samples", s)
         det_b = matcore.det(s) ** 2
@@ -176,12 +176,41 @@ def maslov_bundle_pair(pair: BundlePairSpec) -> int:
 # frame alignment: smooth the right O(n) gauge so consecutive samples are close
 # ---------------------------------------------------------------------------
 
-def _step_matrices(samples: np.ndarray):
-    """(u, M) with M[k] = Re(u[k+1]* u[k]), the alignment matrix of step k (no seam)."""
+def _step_matrices(samples: np.ndarray, real_matmuls: bool = False):
+    """(u, M) with M[k] = Re(u[k+1]* u[k]), the alignment matrix of step k (no seam).
+
+    With ``real_matmuls`` and rank 2 or more, M = X[k+1]^T X[k] + Y[k+1]^T
+    Y[k] for X, Y the real and imaginary parts of u: about twice as fast,
+    and equal to the complex product within rounding (a few 1e-16).  At
+    rank 1 the complex product is the faster, and the two agree bitwise.
+    """
     u = np.asarray(samples, dtype=complex)
     if u.shape[1] == 0:
         raise RankMismatch("empty frames")
-    return u, np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    if not real_matmuls or u.shape[1] == 1:
+        return u, np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    x, y = u.real, u.imag
+    M = np.swapaxes(x[1:], -1, -2) @ x[:-1]
+    M += np.swapaxes(y[1:], -1, -2) @ y[:-1]
+    return u, M
+
+
+def _min_step_sv(M: np.ndarray) -> float:
+    """The smallest singular value of the step matrices ``M`` (N, n, n), NaN if one is not finite.
+
+    |M| at rank 1.  At rank 2, M = [[a, b], [c, d]] has the singular values
+    (hypot(a + d, b - c) +- hypot(a - d, b + c)) / 2.  Above, the square
+    root of the smallest eigenvalue of M^T M.
+    """
+    n = M.shape[-1]
+    if n == 1:
+        return float(np.abs(M).min())
+    if not np.isfinite(M).all():
+        return np.nan  # the guard reports it
+    if n == 2:
+        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        return float(np.abs(np.hypot(a + d, b - c) - np.hypot(a - d, b + c)).min() / 2)
+    return float(np.sqrt(max(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, 0].min(), 0.0)))
 
 
 def _check_step(step_sv) -> None:
@@ -219,24 +248,20 @@ def _check_wrap(first: np.ndarray, nxt: np.ndarray):
 def alignment_guard(samples: np.ndarray):
     """The guards of ``aligned_frames`` without aligning: (step, wrap) singular values.
 
-    The step minimum is sqrt of the smallest eigenvalue of M^T M (|M| at
-    rank 1).  The aligned frames are w[k] = u[k] O[k], O[k] = steps[k-1]
-    ... steps[0], so each of the last five is u[k] R[k] O[N-1], R[k] a
-    product of the last four steps transposed.  Re(w[0]* w_next) is the
-    same extrapolation of u[k] R[k] times the orthogonal O[N-1], so it has
-    the same singular values, and no frame is rotated.  At rank 1 the polar
-    steps and the wrap are signs and absolute values, with no SVD.  Raises
+    The step matrices come from real matmuls, and their smallest singular
+    value from ``_min_step_sv``, with no SVD.  The aligned frames are
+    w[k] = u[k] O[k], O[k] = steps[k-1] ... steps[0], so each of the last
+    five is u[k] R[k] O[N-1], R[k] a product of the last four steps
+    transposed.  Re(w[0]* w_next) is the same extrapolation of u[k] R[k]
+    times the orthogonal O[N-1], so it has the same singular values, and no
+    frame is rotated.  At rank 1 the polar steps and the wrap are signs and
+    absolute values, with no SVD.  Raises
     the same Undersampled errors at the same ``TOL.frame_step_sv``, also on
     NaN.
     """
-    u, M = _step_matrices(samples)
+    u, M = _step_matrices(samples, real_matmuls=True)
     N, n, _ = u.shape
-    if n == 1:
-        s = np.abs(M).min()
-    elif np.isfinite(M).all():
-        s = np.sqrt(max(np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[:, 0].min(), 0.0))
-    else:
-        s = np.nan  # the guard reports it
+    s = _min_step_sv(M)
     _check_step(s)
     tail = u
     if N >= 5:
@@ -253,7 +278,7 @@ def alignment_guard(samples: np.ndarray):
                 R[j] = last[j].T @ R[j + 1]
         tail = u[-5:] @ R
     wrap = _check_wrap(u[0], _extrapolated(tail))[1]
-    return float(s), float(wrap.min())
+    return s, float(wrap.min())
 
 
 def aligned_frames(samples: np.ndarray):

@@ -1,10 +1,13 @@
 """Dense complex small-matrix kernels (n <= 16).
 
-Stack determinants, a Newton unitary polish, and Takagi factorization of
-symmetric unitaries.  Up to rank ``DET_EXPANSION_MAX`` a determinant is an
-exact minor expansion vectorised over the stack, not one LAPACK LU per
-matrix.  A symmetric unitary splits into a commuting real symmetric pair,
-which a single shifted eigh call diagonalizes jointly.
+Stack determinants, unitarity defects, a Newton unitary polish, and Takagi
+factorization of symmetric unitaries.  Up to rank ``DET_EXPANSION_MAX`` a
+determinant is an exact minor expansion vectorised over the stack, not one
+LAPACK LU per matrix, and the unitarity defect of a stack builds each Gram
+entry in real arithmetic, elementwise over the stack; above that rank it
+takes two real matmuls.  One matrix keeps a complex matmul.  A symmetric
+unitary splits into a commuting real symmetric pair, which a single shifted
+eigh call diagonalizes jointly.
 """
 
 from __future__ import annotations
@@ -73,12 +76,86 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
+# matrices per block of a long stack: the temporaries stay small and in cache
+_DEFECT_BLOCK = 2**14
+
+
 def unitary_defect(U: np.ndarray) -> float:
-    """||U* U - I||_F."""
-    n = U.shape[-1]
-    return float(
-        np.max(np.linalg.norm(np.swapaxes(U, -1, -2).conj() @ U - np.eye(n), axis=(-2, -1)))
-    )
+    """max_k ||U_k* U_k - I||_F over a stack (..., n, n), or of one matrix.
+
+    A float or complex stack goes through ``_gram_defect_sq`` in blocks; one
+    matrix keeps a complex matmul, 2-7x faster there at ranks 2-4.  A
+    matrix's defect does not depend on the stack around it, so the defect
+    of any sub-stack is that of its worst matrix bitwise;
+    ``transport_defects`` relies on this, which is why short stacks get no
+    matmul path of their own (at rank 4 the elementwise form loses below
+    about 600 matrices).  NaN or inf when an entry is not finite, so a guard
+    written ``not defect <= tol`` trips.
+    """
+    U = np.asarray(U)
+    n = U.shape[-1] if U.ndim else 0
+    if U.ndim < 3 or not 1 <= n <= MAX_RANK or U.dtype.kind not in "fc":
+        return float(
+            np.max(np.linalg.norm(np.swapaxes(U, -1, -2).conj() @ U - np.eye(n), axis=(-2, -1)))
+        )
+    s = U.reshape(-1, n, n)
+    worst = 0.0
+    for a in range(0, len(s), _DEFECT_BLOCK):  # np.maximum keeps a NaN
+        worst = np.maximum(worst, _gram_defect_sq(s[a:a + _DEFECT_BLOCK]).max())
+    return float(np.sqrt(worst))
+
+
+def _gram_defect_sq(s: np.ndarray) -> np.ndarray:
+    """||G_k - I||_F^2 for G_k = U_k* U_k, each U_k of the stack ``s`` (m, n, n).
+
+    With X = Re U and Y = Im U, Re G = X^T X + Y^T Y and Im G = X^T Y - Y^T X.
+    Up to rank ``DET_EXPANSION_MAX`` the real and imaginary column planes
+    are copied once, so each entry is a plane over the stack, and each
+    entry j <= l of G is summed over the rows elementwise; above it, two
+    real matmuls give Re G and Im G.
+    """
+    m, n, _ = s.shape
+    if n > DET_EXPANSION_MAX:
+        X, Y = s.real, s.imag
+        Xt, Yt = np.swapaxes(X, -1, -2), np.swapaxes(Y, -1, -2)
+        re = Xt @ X
+        re += Yt @ Y
+        im = Xt @ Y
+        im -= Yt @ X
+        diag = np.arange(n)
+        re[:, diag, diag] -= 1.0
+        re *= re
+        im *= im
+        re += im
+        return re.sum(axis=(1, 2))
+    # P[i, j] = Re U[:, i, j] and P[n + i, j] = Im U[:, i, j], plus a zero
+    # column so that no plane is one column wide: numpy sums the rows of two
+    # or more columns one by one, but those of a lone column pairwise, which
+    # regroups the 8 rows at rank 4 and would change a one-matrix block's bits
+    P = np.empty((2 * n, n, m + 1))
+    P[:n, :, :m] = s.real.transpose(1, 2, 0)
+    P[n:, :, :m] = s.imag.transpose(1, 2, 0)
+    P[..., m] = 0.0
+    X, Y = P[:n], P[n:]
+    t = np.empty((2 * n, m + 1))
+    total = np.zeros(m + 1)
+    for j in range(n):
+        for l in range(j, n):
+            g = np.multiply(P[:, j], P[:, l], out=t).sum(axis=0)  # Re G_jl
+            if j == l:  # Im G_jj = 0
+                g -= 1.0
+                g *= g
+            else:  # G_lj = conj G_jl counts twice
+                np.multiply(X[:, j], Y[:, l], out=t[:n])
+                np.multiply(Y[:, j], X[:, l], out=t[n:])
+                t[:n] -= t[n:]
+                h = t[:n].sum(axis=0)  # Im G_jl
+                g *= g
+                h *= h
+                g += h
+                g *= 2.0
+            total += g
+    return total[:m]
 
 
 def skew_defect(A: np.ndarray) -> float:

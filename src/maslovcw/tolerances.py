@@ -17,6 +17,8 @@ class Tolerances:
     symmetric: float = 1e-10          # ||M - M^T||_F on symmetric unitaries
     takagi_recon: float = 1e-9        # ||O e^{2i Theta} O^T - M||_F
     same_lagrangian: float = 1e-8     # ||B(F) - B(G)||_F identifying Lagrangians
+    loop_polish: float = 1e-12        # FrameLoop samples are polished above this unitary defect
+    frame_polish_per_rank: float = 1e-13  # from_matrix polishes above this times the rank
     intersection_phase: float = 1e-7  # eigenphase window counting intersection dims
     transverse_angle: float = 1e-7    # positive-path angle distance to 0 mod pi
     winding_guard: float = math.pi / 2   # max per-step principal phase increment

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maslovcw import _kernels, cli, verify as verify_mod
+from maslovcw import _kernels, cli, matcore, verify as verify_mod
 from maslovcw.connections import build_collar_connection
 from maslovcw.curvature import edge_transports
 from maslovcw.errors import MaslovCWError, Undersampled, ViolatedIdentity
@@ -127,7 +128,9 @@ class TestCw:
         loop = load_loop(str(path))
         mesh = Mesh2D("disc", cli.MESH_MIN, len(loop))
         T = _kernels.transport_chain(edge_transports(build_collar_connection(loop), mesh).G)
-        drift = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1)).max()
+        drift = matcore.unitary_defect(T)
+        gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1))
+        assert abs(drift - gram.max()) <= 12 * np.finfo(float).eps
         P, worst = np.eye(3, dtype=complex), 0.0
         for j, e in enumerate(mesh.boundary_angular_ids()):
             P = T[e] @ P
@@ -138,6 +141,22 @@ class TestCw:
         assert report["orthogonality_defect"] == worst
         code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
         assert code == 0 and json.loads(out)["orthogonality_defect"] is None
+
+    def test_every_input_is_read_or_rejected(self, tmp_path, capsys):
+        # a second loop file, or a file beside a built-in, would go unread
+        path = tmp_path / "loop.json"
+        save_loop(generate_loop("power_k", 64, k=1), str(path))
+        both = "cw takes --builtin or --input, not both"
+        for args, message in [
+            (["--input", str(path), "--input", str(path)],
+             "cw integrates one loop, got 2 --input files"),
+            (["--builtin", "flat", "--input", str(tmp_path / "missing.json")], both),
+            (["--builtin", "flat", "--input", str(path)], both),
+        ]:
+            code, out, err = run_cli(["cw"] + args, capsys)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+            with pytest.raises(MaslovCWError, match=message):
+                cli._cmd_cw(cli._build_parser().parse_args(["cw"] + args))
 
     def test_mesh_bounds(self, capsys):
         code, _, err = run_cli(["cw", "--builtin", "flat", "--mesh", "8"], capsys)
@@ -509,6 +528,23 @@ class TestVerify:
         )
         assert code == 0
         assert "ok,True" in out
+
+    # the SHA-256 of the whole report, recorded with numpy 2.4.6: a kernel
+    # change that moves any byte shows here; other numpy builds may round
+    # differently, so the pins hold only under the version they were taken with
+    STDOUT_NUMPY = "2.4.6"
+    STDOUT_SHA256 = {
+        "3": "b2896343fb55d88a089d68149937c0d4974b3d997828e02530b7d115aec81824",
+        "7": "2a55c1e44e1d81ecdf053b90b87962db8ed781243eab3d357c48d7525dfcc46a",
+    }
+
+    @pytest.mark.skipif(np.__version__ != STDOUT_NUMPY,
+                        reason=f"verify stdout SHA-256 pinned under numpy {STDOUT_NUMPY}")
+    @pytest.mark.parametrize("seed", ["3", "7"])
+    def test_stdout_sha256_is_pinned(self, seed, capsys):
+        code, out, _ = run_cli(["verify", "--suite", "all", "--seed", seed], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[seed]
 
     @pytest.mark.parametrize("seed", ["3", "7"])
     def test_exact_fields_match_benchmark_references(self, seed, capsys, monkeypatch):

@@ -145,12 +145,14 @@ class TestEdgeTransports:
 def reference_diagnostics(D, loop):
     """Transports, drift and frame defect chained from the full G, edge by edge.
 
-    The frame defect is None when ``loop`` is.
+    The drift is ``unitary_defect`` over every edge, which must also match
+    the complex Gram formula to rounding.  The frame defect is None when
+    ``loop`` is.
     """
     T = _kernels.transport_chain(D.G)
-    drift = float(
-        np.max(np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(D.n), axis=(-2, -1)))
-    )
+    drift = matcore.unitary_defect(T)
+    gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(D.n), axis=(-2, -1))
+    assert abs(drift - gram.max()) <= 4 * D.n * np.finfo(float).eps
     if loop is None:
         return T, drift, None
     N, n = len(loop), loop.n

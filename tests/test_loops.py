@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maslovcw import loops, matcore
 from maslovcw.errors import InvalidParameter, Undersampled, ZeroSample
 from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import (
@@ -199,9 +200,25 @@ class TestConstruction:
         with pytest.raises(Undersampled):
             FrameLoop(1, np.exp(1j * np.pi * 5 * t)[:, None, None])
 
-    def test_det_b_computed_once_and_read_only(self, rng, monkeypatch):
-        from maslovcw import matcore
+    def test_polished_only_above_the_named_threshold(self, rng):
+        assert (TOL.loop_polish, TOL.frame_polish_per_rank) == (1e-12, 1e-13)
+        u = random_frame_loop(rng, 3, 64)[0].samples
+        E = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+        unit = 1e-9 / matcore.unitary_defect(u + 1e-9 * E)  # the defect is linear this close
+        for factor, polished in ((0.5, False), (2.0, True)):
+            s = u + (factor * TOL.loop_polish * unit) * E
+            assert (matcore.unitary_defect(s) > TOL.loop_polish) == polished
+            loop = FrameLoop(3, s)
+            assert np.array_equal(loop.samples, s) != polished
+            assert matcore.unitary_defect(loop.samples) <= TOL.loop_polish
 
+    def test_nan_defect_is_rejected(self, rng, monkeypatch):
+        u = random_frame_loop(rng, 2, 64)[0].samples
+        monkeypatch.setattr(matcore, "unitary_defect", lambda s: float("nan"))
+        with pytest.raises(Undersampled, match="frame unitary defect nan"):
+            FrameLoop(2, u)
+
+    def test_det_b_computed_once_and_read_only(self, rng, monkeypatch):
         u = random_frame_loop(rng, 3, 64)[0].samples
         calls = []
         det = matcore.det
@@ -397,6 +414,70 @@ def svd_alignment_guard(u):
     if not wrap.min() >= TOL.frame_step_sv:
         raise Undersampled(f"wrap alignment singular value {wrap.min():.3f}")
     return float(s), float(wrap.min())
+
+
+def svd_step_minimum(M):
+    return np.linalg.svd(M, compute_uv=False).min()
+
+
+class TestRankTwoStepMinimum:
+    """The rank-2 closed form of the smallest step singular value, against the SVD."""
+
+    @staticmethod
+    def with_singular_values(rng, s_min, s_max, reflect):
+        # A diag(s_max, s_min) B for random rotations A, B; a reflection gives det M < 0
+        def rotation():
+            a = rng.uniform(0, 2 * np.pi)
+            return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+        D = np.diag([s_max, -s_min if reflect else s_min])
+        return rotation() @ D @ rotation()
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_matches_the_svd(self, rng, reflect):
+        cases = [(rng.uniform(0, 1), rng.uniform(1, 2)) for _ in range(200)]
+        cases += [(eps, 1.0) for eps in (1e-6, 1e-10, 1e-14, 1e-17, 0.0)]  # near-singular
+        cases += [(0.5 + d, 1.0) for d in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+        for s_min, s_max in cases:
+            M = self.with_singular_values(rng, s_min, s_max, reflect)
+            if s_min >= 1e-6:  # below, rounding decides the sign of det M
+                assert (np.linalg.det(M) < 0) == reflect
+            got = loops._min_step_sv(M[None])
+            assert abs(got - svd_step_minimum(M)) <= 1e-12
+            assert abs(got - s_min) <= 1e-12
+        M = rng.normal(size=(4096, 2, 2))
+        assert abs(loops._min_step_sv(M) - svd_step_minimum(M)) <= 1e-12
+
+    def test_non_finite_step_is_nan(self, rng):
+        for bad in (np.nan, np.inf):
+            M = rng.normal(size=(8, 2, 2))
+            M[3, 1, 0] = bad
+            assert np.isnan(loops._min_step_sv(M))
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("delta", [-1e-12, -1e-13, 1e-13, 1e-12])
+    def test_guard_decision_and_message_at_the_threshold(self, rng, reflect, delta):
+        # u[k] = Q S^k with S = diag(e^{i a}, 1) P: every step matrix is
+        # P^T diag(cos a, 1), whose smallest singular value is 0.5 + delta
+        a = np.arccos(TOL.frame_step_sv + delta)
+        P = np.diag([1.0, -1.0]) if reflect else np.eye(2)
+        S = np.diag([np.exp(1j * a), 1.0]) @ P
+        u = np.empty((16, 2, 2), dtype=complex)
+        u[0] = matcore.haar_unitary(2, rng)
+        for k in range(1, 16):
+            u[k] = u[k - 1] @ S
+        M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+        assert abs(svd_step_minimum(M) - (TOL.frame_step_sv + delta)) <= 1e-14
+        try:
+            ref = svd_alignment_guard(u)
+        except Undersampled as exc:
+            with pytest.raises(Undersampled) as err:
+                alignment_guard(u)
+            assert str(err.value) == str(exc)
+            assert delta < 0 or "wrap" in str(exc)
+            return
+        assert delta > 0
+        assert np.abs(np.subtract(alignment_guard(u), ref)).max() <= 1e-12
 
 
 class TestRankOneGuard:

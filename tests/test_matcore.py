@@ -182,6 +182,79 @@ def test_takagi_reconstruction_property(n, seed):
     assert np.linalg.norm((O * np.exp(2j * th)) @ O.T - M) <= 1e-9
 
 
+def gram_defects(U):
+    """||U_k* U_k - I||_F of each matrix of a stack, through the complex Gram matrix."""
+    n = U.shape[-1]
+    return np.linalg.norm(np.swapaxes(U, -1, -2).conj() @ U - np.eye(n), axis=(-2, -1))
+
+
+class TestUnitaryDefect:
+    """``matcore.unitary_defect``: real Gram entries over a stack, a matmul for one matrix."""
+
+    RANKS = range(1, 9)
+
+    @staticmethod
+    def near_unitary(rng, N, n, scale=1e-9):
+        U = np.stack([matcore.haar_unitary(n, rng) for _ in range(N)]).reshape(N, n, n)
+        return U + scale * (rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape))
+
+    @pytest.mark.parametrize("n", RANKS)
+    @pytest.mark.parametrize("N", [1, 7, 64, 2048])
+    def test_matches_the_complex_gram(self, rng, n, N):
+        # both sides of the rank cut: elementwise up to DET_EXPANSION_MAX, real matmuls above
+        for scale in (0.0, 1e-12, 1e-9):
+            U = self.near_unitary(rng, N, n, scale)
+            ref = gram_defects(U).max()
+            assert abs(matcore.unitary_defect(U) - ref) <= 4 * n * n * np.finfo(float).eps
+        A = rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n))
+        ref = gram_defects(A).max()
+        assert abs(matcore.unitary_defect(A) - ref) <= 1e-13 * ref
+        real = rng.normal(size=(N, n, n))
+        ref = gram_defects(real).max()
+        assert abs(matcore.unitary_defect(real) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_one_matrix_is_the_complex_gram_bitwise(self, rng, n):
+        # from_matrix's polish decision reads this value
+        for u in (self.near_unitary(rng, 1, n)[0], rng.normal(size=(n, n)) + 0j):
+            assert matcore.unitary_defect(u) == float(gram_defects(u))
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_a_matrix_defect_does_not_depend_on_the_stack(self, rng, n):
+        # transport_defects reports the drift of the chained edges as that of
+        # every edge, so a sub-stack's defect must be the same bits
+        U = self.near_unitary(rng, 100, n)
+        whole = matcore.unitary_defect(U)
+        alone = [matcore.unitary_defect(U[k:k + 1]) for k in range(len(U))]
+        assert whole == max(alone)
+        for a, b in [(0, 1), (5, 7), (3, 40), (60, 100)]:
+            assert matcore.unitary_defect(U[a:b]) == max(alone[a:b])
+        assert matcore.unitary_defect(U.reshape(4, 25, n, n)) == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_blocks_of_a_long_stack(self, rng, n, monkeypatch):
+        # the worst matrix in the last, one-matrix block of a long stack
+        monkeypatch.setattr(matcore, "_DEFECT_BLOCK", 16)
+        U = self.near_unitary(rng, 33, n, 1e-12)
+        U[32] += 1e-9
+        ref = matcore.unitary_defect(U[32:])
+        assert matcore.unitary_defect(U) == ref
+        assert abs(ref - gram_defects(U).max()) <= 4 * n * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", RANKS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                     complex(0.0, np.inf)])
+    def test_non_finite_entry_gives_nan_or_inf(self, rng, n, bad):
+        U = self.near_unitary(rng, 64, n)
+        for i, j in {(0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1)}:
+            for A in (U.copy(), U[:1].copy(), U[0].copy()):
+                A.reshape(-1, n, n)[-1, i, j] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    d = matcore.unitary_defect(A)
+                assert np.isnan(d) or d == np.inf
+                assert not d <= TOL.same_lagrangian
+
+
 class TestDet:
     """``matcore.det``: minor expansion up to DET_EXPANSION_MAX, np.linalg.det above it."""
 
