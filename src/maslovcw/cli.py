@@ -10,11 +10,15 @@ but changes nothing.
 per available CPU, and builds the report in suite order, so its bytes are
 those of an in-process run; with one CPU, one suite or no fork, the suites
 run in-process.  Each suite's seconds go to stderr beside its PASS/FAIL.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+argument parser on the first call and shares nothing else between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -75,6 +79,7 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     p = _Parser(prog="maslovcw", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -126,12 +131,14 @@ def _build_parser() -> _Parser:
 
 def _config(args) -> dict:
     """The run configuration a report embeds: the command, its inputs and the
-    shared flags ``args`` holds.  Checks --mesh, --substeps and --quantum, so
-    a bad shared flag is reported before any input is read."""
+    shared flags ``args`` holds.  Checks --mesh, --substeps, --quantum and
+    --seed, so a bad shared flag is reported before any input is read."""
     if not (MESH_MIN <= args.mesh <= MESH_MAX):
         raise MaslovCWError(f"--mesh must lie in [{MESH_MIN}, {MESH_MAX}]")
     if not (1 <= args.substeps <= SUBSTEPS_MAX):
         raise MaslovCWError(f"--substeps must lie in [1, {SUBSTEPS_MAX}]")
+    if args.seed < 0:
+        raise MaslovCWError("--seed must be a non-negative integer")
     q = args.quantum
     if q is not None:
         check_quantum(q)
@@ -160,10 +167,16 @@ def _emit(report: dict, fmt: str) -> None:
         else:
             rows.append((prefix.rstrip("."), obj))
 
+    def field(obj):  # quoted, inner quotes doubled, only where RFC 4180 needs it
+        text = f"{obj}"
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
     rows = []
     flatten("", report, rows)
     for key, val in rows:
-        print(f"{key},{val}")
+        print(f"{field(key)},{field(val)}")
 
 
 def _phase_svg(loop: FrameLoop, path: str) -> None:

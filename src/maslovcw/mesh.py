@@ -168,13 +168,15 @@ def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
 
     # angular edges
     i_idx, j_idx = np.meshgrid(np.arange(mesh.n_r + 1), np.arange(mesh.n_t), indexing="ij")
+    j = j_idx.ravel()
     ring_r = rv[i_idx.ravel()]
-    th0 = tv[j_idx.ravel()]
-    th1 = tv[j_idx.ravel() + 1]
+    th0 = tv[j]
+    th1 = tv[j + 1]
     sl = slice(mesh.num_radial, None)
     center = ring_r <= 0.0
-    z0 = ring_r[:, None] * np.exp(1j * th0)[:, None]
-    z1 = ring_r[:, None] * np.exp(1j * th1)[:, None]
+    e = np.exp(1j * tv)  # the unit vector of each node angle, gathered per edge
+    z0 = ring_r[:, None] * e[j][:, None]
+    z1 = ring_r[:, None] * e[j + 1][:, None]
     frac = np.arange(s + 1) / s
     zz = z0 + (z1 - z0) * frac[None, :]
     zm = 0.5 * (zz[:, :-1] + zz[:, 1:])

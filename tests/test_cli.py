@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -481,6 +482,35 @@ class TestConfig:
         assert (code, out, err) == (1, "", f"error: --mesh must lie in [{cli.MESH_MIN}, "
                                            f"{cli.MESH_MAX}]\n")
 
+    @pytest.mark.parametrize("suite", ["all", "bigon_viterbo"])
+    def test_negative_seed_exits_one(self, suite, capsys, monkeypatch):
+        monkeypatch.setattr(verify_mod, "SUITES", {})  # no suite may run
+        code, out, err = run_cli(["verify", "--suite", suite, "--seed", "-1"], capsys)
+        assert (code, out, err) == (1, "", "error: --seed must be a non-negative integer\n")
+
+
+class TestCsv:
+    def _rows(self, path, capsys):
+        save_loop(generate_loop("power_k", 64, k=1), str(path))
+        code, out, _ = run_cli(["maslov", "--input", str(path), "--format", "csv"], capsys)
+        assert code == 0
+        return out.splitlines()
+
+    @pytest.mark.parametrize("name, quoted", [("a,b.json", True), ('a"b.json', True),
+                                              ("ab.json", False)])
+    def test_a_field_is_quoted_only_where_needed(self, name, quoted, tmp_path, capsys):
+        path = str(tmp_path / name)
+        rows = self._rows(path, capsys)
+        field = '"' + path.replace('"', '""') + '"' if quoted else path
+        assert f"config.inputs.0,{field}" in rows
+        assert ["config.inputs.0", path] in csv.reader(rows)
+        plain = self._rows(tmp_path / "plain.json", capsys)
+        # only the row naming the input differs, and every row is two fields
+        assert [r for r in rows if not r.startswith("config.inputs.0,")] == \
+               [r for r in plain if not r.startswith("config.inputs.0,")]
+        assert "config.plot,None" in rows
+        assert all(len(fields) == 2 for fields in csv.reader(rows))
+
 
 def assert_no_child_process():
     assert multiprocessing.active_children() == []
@@ -596,6 +626,46 @@ class TestVerify:
         assert_no_child_process()
         assert code == 1 and out == ""
         assert err.startswith("error: a verify worker process died") and "Traceback" not in err
+
+
+class TestReentry:
+    # main builds its parser once per process; nothing else outlives a call
+    def test_second_call_builds_no_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        outs = [run_cli(["maslov", "--generator", "circle_tangent"], capsys) for _ in range(2)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_cw_input_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        save_loop(generate_loop("power_k", 64, k=1), str(path))
+        code, out, _ = run_cli(["cw", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["config"]["inputs"] == [str(path)]
+        code, out, _ = run_cli(["cw", "--builtin", "flat"], capsys)
+        assert code == 0 and json.loads(out)["config"]["inputs"] == ["flat"]
+
+    def test_repeated_maslov_inputs_do_not_leak(self, tmp_path, capsys):
+        paths = [str(tmp_path / name) for name in ("x.json", "y.json")]
+        for path in paths:
+            save_loop(generate_loop("power_k", 64, k=1), path)
+        code, out, _ = run_cli(["maslov", "--input", paths[0], "--input", paths[1]], capsys)
+        assert code == 0 and json.loads(out)["config"]["inputs"] == paths
+        for _ in range(2):
+            code, out, _ = run_cli(["maslov", "--generator", "power_k"], capsys)
+            assert code == 0 and json.loads(out)["config"]["inputs"] == ["power_k"]
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys):
+        valid = ["maslov", "--generator", "power_k", "--samples", "64"]
+        cli._build_parser.cache_clear()
+        code, first, _ = run_cli(valid, capsys)
+        assert code == 0
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["maslov", "--samples", "many"])
+        assert exc.value.code == 1 and capsys.readouterr().err.startswith("error:")
+        code, again, _ = run_cli(valid, capsys)
+        assert (code, again) == (0, first)
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:

@@ -92,6 +92,39 @@ class TestMesh:
         again = Mesh2D(domain, 6, 12).reversed().edge_quadrature(substeps)
         assert all(a is b for a, b in zip(again, cached))
 
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 12), (24, 635)])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_quadrature_matches_per_edge_formula(self, domain, substeps, shape):
+        # the chord ends exp(i theta) taken on each edge's own two angles
+        m, s = Mesh2D(domain, *shape), substeps
+        rv, tv = m.r_nodes, m.t_nodes
+        frac_mid = (np.arange(s) + 0.5) / s
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(m.n_r), np.arange(m.n_tv),
+                                               indexing="ij"))
+        r0, r1 = rv[i][:, None], rv[i + 1][:, None]
+        radial = (r0 + (r1 - r0) * frac_mid, np.broadcast_to(tv[j][:, None], (len(i), s)),
+                  np.broadcast_to((r1 - r0) / s, (len(i), s)), np.zeros((len(i), s)))
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(m.n_r + 1), np.arange(m.n_t),
+                                               indexing="ij"))
+        r, th0, th1 = rv[i], tv[j], tv[j + 1]
+        z0 = r[:, None] * np.exp(1j * th0)[:, None]
+        z1 = r[:, None] * np.exp(1j * th1)[:, None]
+        zz = z0 + (z1 - z0) * (np.arange(s + 1) / s)
+        zm = 0.5 * (zz[:, :-1] + zz[:, 1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = np.angle(zz[:, 1:] / zz[:, :-1])
+        t_mid = np.mod(np.angle(zm), 2 * np.pi) if m.wrap else np.angle(zm)
+        angular = [np.abs(zm), t_mid, np.abs(zz[:, 1:]) - np.abs(zz[:, :-1]), dt]
+        center = r <= 0.0
+        angular[0][center] = 0.0
+        angular[1][center] = (th0[:, None] + (th1 - th0)[:, None] * frac_mid)[center]
+        angular[2][center] = 0.0
+        angular[3][center] = ((th1 - th0) / s)[:, None][center]
+        got = mesh_module._edge_quadrature.__wrapped__(m.domain, m.n_r, m.n_t, s)
+        for a, rad, ang in zip(got, radial, angular):
+            assert a.tobytes() == np.concatenate([rad, ang]).tobytes()
+
     def test_quadrature_cache_is_bounded(self):
         size = mesh_module.QUADRATURE_CACHE_SIZE
         for n_r in range(2, size + 6):
