@@ -3,8 +3,9 @@
 JSON reports go to stdout, human diagnostics to stderr.  Exit codes: 0 on
 success, 1 on input or usage errors, 2 when an identity check fails.  Every
 report embeds the fully resolved run configuration, and runs with the same
-seed are byte-identical.  ``--threads`` is recorded in that configuration
-but changes nothing.
+seed are byte-identical.  Only ``verify`` reads ``--seed``; the other
+commands record it in that configuration and ignore it, as they do
+``--threads``, which changes nothing.
 
 ``verify --suite all`` runs its suites in worker processes made by fork, one
 per available CPU, and builds the report in suite order, so its bytes are

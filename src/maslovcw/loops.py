@@ -98,10 +98,11 @@ class FrameLoop:
 
     @cached_property
     def alignment_margins(self):
-        """``alignment_guard(samples)``: (step, wrap) singular values, on first read.
+        """``alignment_guard(samples)``, on first read: the smallest step and wrap singular values.
 
-        The guards of ``aligned`` without the alignment; an Undersampled loop
-        is not cached: it raises on every read.
+        The guards of ``aligned`` on the same step matrices, without the
+        alignment; an Undersampled loop is not cached: it raises on every
+        read.
         """
         return alignment_guard(self.samples)
 
@@ -176,23 +177,38 @@ def maslov_bundle_pair(pair: BundlePairSpec) -> int:
 # frame alignment: smooth the right O(n) gauge so consecutive samples are close
 # ---------------------------------------------------------------------------
 
-def _step_matrices(samples: np.ndarray, real_matmuls: bool = False):
+def _step_matrices(samples: np.ndarray):
     """(u, M) with M[k] = Re(u[k+1]* u[k]), the alignment matrix of step k (no seam).
 
-    With ``real_matmuls`` and rank 2 or more, M = X[k+1]^T X[k] + Y[k+1]^T
-    Y[k] for X, Y the real and imaginary parts of u: about twice as fast,
-    and equal to the complex product within rounding (a few 1e-16).  At
-    rank 1 the complex product is the faster, and the two agree bitwise.
+    At rank 2 or more, M = X[k+1]^T X[k] + Y[k+1]^T Y[k] for X, Y the real
+    and imaginary parts of u: about twice as fast as the complex product,
+    and equal to it within rounding (a few 1e-16).  At rank 1 the complex
+    product is the faster.
     """
     u = np.asarray(samples, dtype=complex)
     if u.shape[1] == 0:
         raise RankMismatch("empty frames")
-    if not real_matmuls or u.shape[1] == 1:
-        return u, np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    if u.shape[1] == 1:
+        return u, np.real(u[1:].conj() @ u[:-1])
     x, y = u.real, u.imag
     M = np.swapaxes(x[1:], -1, -2) @ x[:-1]
     M += np.swapaxes(y[1:], -1, -2) @ y[:-1]
     return u, M
+
+
+def _polar(M: np.ndarray):
+    """(singular values, polar factors) of a stack of real n x n matrices, or of one.
+
+    At rank 1 they are |M| and sign(M), equal to the SVD's bitwise, and no
+    SVD runs.  Above, a non-finite entry gives NaN singular values and no
+    polar factors (the SVD would raise LinAlgError), for the guard to report.
+    """
+    if M.shape[-1] == 1:
+        return np.abs(M[..., 0]), np.sign(M)
+    if not np.isfinite(M).all():
+        return np.full(M.shape[:-1], np.nan), None
+    A, s, Bt = np.linalg.svd(M)
+    return s, A @ Bt
 
 
 def _min_step_sv(M: np.ndarray) -> float:
@@ -221,64 +237,45 @@ def _check_step(step_sv) -> None:
         )
 
 
-def _extrapolated(f: np.ndarray) -> np.ndarray:
-    """The frame one sample past the last of ``f``: 5-point extrapolation, or the last if N < 5."""
-    if len(f) < 5:
-        return f[-1]
-    return 5 * f[-1] - 10 * f[-2] + 10 * f[-3] - 5 * f[-4] + f[-5]
+def _check_wrap(first: np.ndarray, f: np.ndarray):
+    """(smallest singular value, polar factor) of Re(first* f_next), checked against the guard.
 
-
-def _check_wrap(first: np.ndarray, nxt: np.ndarray):
-    """(polar factor, singular values) of Re(first* nxt); Undersampled unless they clear the guard.
-
-    At rank 1 they are the sign and the absolute value, equal to the SVD's
-    bitwise, and no SVD runs.
+    f_next is the frame one sample past the last of ``f``: a 5-point
+    extrapolation, or the last frame if there are fewer than 5.
     """
-    W = np.real(first.conj().T @ nxt)
-    if W.shape == (1, 1):
-        polar, s = np.sign(W), np.abs(W[0])
-    else:
-        A, s, Bt = np.linalg.svd(W)
-        polar = A @ Bt
-    if not s.min() >= TOL.frame_step_sv:
-        raise Undersampled(f"wrap alignment singular value {s.min():.3f}")
-    return polar, s
+    nxt = f[-1] if len(f) < 5 else 5 * f[-1] - 10 * f[-2] + 10 * f[-3] - 5 * f[-4] + f[-5]
+    s, polar = _polar(np.real(first.conj().T @ nxt))
+    wrap = s.min()
+    if not wrap >= TOL.frame_step_sv:
+        raise Undersampled(f"wrap alignment singular value {wrap:.3f}")
+    return wrap, polar
 
 
 def alignment_guard(samples: np.ndarray):
-    """The guards of ``aligned_frames`` without aligning: (step, wrap) singular values.
+    """The guards of ``aligned_frames`` without aligning: smallest step and wrap singular values.
 
-    The step matrices come from real matmuls, and their smallest singular
-    value from ``_min_step_sv``, with no SVD.  The aligned frames are
-    w[k] = u[k] O[k], O[k] = steps[k-1] ... steps[0], so each of the last
-    five is u[k] R[k] O[N-1], R[k] a product of the last four steps
-    transposed.  Re(w[0]* w_next) is the same extrapolation of u[k] R[k]
-    times the orthogonal O[N-1], so it has the same singular values, and no
-    frame is rotated.  At rank 1 the polar steps and the wrap are signs and
-    absolute values, with no SVD.  Raises
-    the same Undersampled errors at the same ``TOL.frame_step_sv``, also on
-    NaN.
+    The step matrices are those of ``aligned_frames``, and their smallest
+    singular value comes from ``_min_step_sv``, with no SVD.  The aligned
+    frames are w[k] = u[k] O[k], O[k] = steps[k-1] ... steps[0], so each of
+    the last five is u[k] R[k] O[N-1], R[k] a product of the last four
+    polar steps transposed.  Re(w[0]* w_next) is the same extrapolation of
+    u[k] R[k] times the orthogonal O[N-1], so it has the same singular
+    values, and no frame is rotated.  Raises the same Undersampled errors
+    at the same ``TOL.frame_step_sv``, also on NaN.
     """
-    u, M = _step_matrices(samples, real_matmuls=True)
+    u, M = _step_matrices(samples)
     N, n, _ = u.shape
     s = _min_step_sv(M)
     _check_step(s)
     tail = u
     if N >= 5:
+        last = _polar(M[-4:])[1]
         R = np.empty((5, n, n))
         R[4] = np.eye(n)
-        if n == 1:
-            # polar factors of 1x1 matrices are signs, as in aligned_frames,
-            # and their products are exact
-            R[3::-1] = np.cumprod(np.sign(M[:-5:-1]), axis=0)
-        else:
-            A, _, Bt = np.linalg.svd(M[-4:])
-            last = A @ Bt
-            for j in (3, 2, 1, 0):
-                R[j] = last[j].T @ R[j + 1]
+        for j in (3, 2, 1, 0):  # at rank 1 a chain of +-1: exact
+            np.matmul(last[j].T, R[j + 1], out=R[j])
         tail = u[-5:] @ R
-    wrap = _check_wrap(u[0], _extrapolated(tail))[1]
-    return s, float(wrap.min())
+    return s, float(_check_wrap(u[0], tail)[0])
 
 
 def aligned_frames(samples: np.ndarray):
@@ -286,28 +283,21 @@ def aligned_frames(samples: np.ndarray):
 
     Returns (aligned samples, wrap monodromy O_w) with the continuation
     convention w(t + 1) = w(t) O_w.  The per-step orthogonal Procrustes
-    problems are solved independently and chained by a prefix scan of
-    log2(N) batched products; a small or NaN singular value in any alignment
-    matrix, or in the wrap, means the loop is too coarsely sampled.  The
-    guards are those of ``alignment_guard``, fed from this SVD and from the
-    aligned frames, so they cost no extra decomposition.
+    problems take their polar factors from one batched ``_polar`` of the
+    step matrices and are chained by a prefix scan of log2(N) batched
+    products; a small or NaN singular value in any step, or in the wrap,
+    means the loop is too coarsely sampled.  The guards and their errors are
+    those of ``alignment_guard``, fed from the same step matrices.
     """
     u, M = _step_matrices(samples)
     N, n, _ = u.shape
-    if n == 1:
-        # the polar factor of a 1x1 matrix is its sign, and products of +-1
-        # are exact, so this equals the SVD chain bitwise
-        s, steps = np.abs(M), np.sign(M)
-    elif np.isfinite(M).all():
-        A, s, Bt = np.linalg.svd(M)
-        steps = A @ Bt
-    else:
-        s = np.array(np.nan)  # the SVD would raise LinAlgError; the guard reports it
+    s, steps = _polar(M)
     _check_step(s.min())
     # O[k] = steps[k-1] ... steps[0]; the frames are rotated in one batch
     O = np.empty((N, n, n))
     O[0] = np.eye(n)
     if n == 1:
+        # products of +-1 are exact, so this equals the scan below bitwise, and is faster
         np.cumprod(steps, axis=0, out=O[1:])
     else:
         # Hillis-Steele scan: after the round with stride d, O[k] holds the
@@ -318,8 +308,7 @@ def aligned_frames(samples: np.ndarray):
             O[d:] = O[d:] @ O[:-d]
             d *= 2
     w = u @ O
-    # wrap monodromy from a 5-point extrapolation past the last sample
-    return w, _check_wrap(w[0], _extrapolated(w))[0]
+    return w, _check_wrap(w[0], w)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,24 @@ class TestMaslovLoop:
             assert maslov_loop(l2) == i2
 
 
+class TestAliasing:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the winding guard reads the principal increment of arg det B, and a step whose "
+        "Kahler angles turn det B by 2 sum(theta_j) in (3pi/2, 5pi/2) passes it aliased"))
+    @pytest.mark.parametrize("n, N, ks",
+                             [(4, 16, (4, 3, 3, 3)), (8, 64, (7,) * 8), (2, 20, (9, 9))])
+    def test_designed_index_or_undersampled(self, n, N, ks):
+        # Q diag(e^{i pi k_j t}) has index sum(k_j)
+        Q = matcore.haar_unitary(n, np.random.default_rng(0))
+        t = np.arange(N) / N
+        u = Q[None] * np.exp(1j * np.pi * np.outer(t, ks))[:, None, :]
+        try:
+            index = maslov_loop(FrameLoop(n, u))
+        except Undersampled:
+            return
+        assert index == sum(ks)
+
+
 class TestBundlePair:
     def test_disc_example(self):
         pair = BundlePairSpec(1, (generate_loop("circle_tangent", 128),))
@@ -269,7 +287,9 @@ class TestConstruction:
 
 
 def alignment_steps(u):
-    M = np.real(np.swapaxes(u[1:], -1, -2).conj() @ u[:-1])
+    """Polar factors of the step matrices, formed as aligned_frames forms them at rank 2 and up."""
+    x, y = u.real, u.imag
+    M = np.swapaxes(x[1:], -1, -2) @ x[:-1] + np.swapaxes(y[1:], -1, -2) @ y[:-1]
     A, _, Bt = np.linalg.svd(M)
     return A @ Bt
 
@@ -416,6 +436,25 @@ def svd_alignment_guard(u):
     return float(s), float(wrap.min())
 
 
+def sign_alignment_guard(u):
+    """``alignment_guard`` at rank 1 from signs: (min |M|, |Re(u_0* x)|).
+
+    x extrapolates past u[k] R[k], R a cumulative product of the last four step signs.
+    """
+    M = np.real(u[1:].conj() @ u[:-1])
+    s = np.abs(M).min()
+    if not s >= TOL.frame_step_sv:
+        raise Undersampled(f"frame alignment singular value {s:.3f} < {TOL.frame_step_sv}")
+    R = np.ones((5, 1, 1))
+    R[3::-1] = np.cumprod(np.sign(M[:-5:-1]), axis=0)
+    tail = u[-5:] @ R
+    x = 5 * tail[-1] - 10 * tail[-2] + 10 * tail[-3] - 5 * tail[-4] + tail[-5]
+    wrap = np.abs(np.real(u[0].conj().T @ x))[0, 0]
+    if not wrap >= TOL.frame_step_sv:
+        raise Undersampled(f"wrap alignment singular value {wrap:.3f}")
+    return float(s), float(wrap)
+
+
 def svd_step_minimum(M):
     return np.linalg.svd(M, compute_uv=False).min()
 
@@ -496,13 +535,15 @@ class TestRankOneGuard:
             try:
                 ref = svd_alignment_guard(u)
             except Undersampled as exc:
-                with pytest.raises(Undersampled) as err:
-                    alignment_guard(u)
-                assert str(err.value) == str(exc)
+                for guard in (alignment_guard, sign_alignment_guard):
+                    with pytest.raises(Undersampled) as err:
+                        guard(u)
+                    assert str(err.value) == str(exc)
                 outcomes.add(str(exc).split()[0])
                 continue
             got = alignment_guard(u)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert np.array(got).tobytes() == np.array(sign_alignment_guard(u)).tobytes()
             outcomes.add("pass")
         assert outcomes == {"pass", "frame", "wrap"}
 
