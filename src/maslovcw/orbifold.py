@@ -253,4 +253,4 @@ def orbifold_from_json(obj: dict) -> OrbifoldDiscSpec:
 
 
 def load_orbifold(path: str) -> OrbifoldDiscSpec:
-    return orbifold_from_json(read_json(path))
+    return read_json(path, orbifold_from_json)

@@ -254,4 +254,4 @@ def polygon_from_json(obj: dict) -> TransversalBundleData:
 
 
 def load_polygon(path: str) -> TransversalBundleData:
-    return polygon_from_json(read_json(path))
+    return read_json(path, polygon_from_json)

@@ -369,13 +369,18 @@ def _paths(obj, prefix=()):
 
 
 def _assert_exits_one(kind, text, tmp_path, capsys):
+    """Run ``kind --input`` on a file holding ``text`` (str or bytes); return stderr."""
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code, out, err = run_cli([kind, "--input", str(path)], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+    return err
 
 
 class TestUnresolvedCollar:
@@ -414,7 +419,17 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
     def test_deeply_nested_array_exits_one_with_error(self, kind, tmp_path, capsys):
         # 50,000 nested arrays (about 100 KB) exceed the parser's recursion limit
-        _assert_exits_one(kind, "[" * 50_000 + "]" * 50_000, tmp_path, capsys)
+        err = _assert_exits_one(kind, "[" * 50_000 + "]" * 50_000, tmp_path, capsys)
+        assert str(tmp_path / "bad.json") in err
+
+    @pytest.mark.parametrize("defect", ["truncated", "not_utf8"])
+    @pytest.mark.parametrize("kind", ["maslov", "polygon", "orbifold"])
+    def test_unparsable_file_exits_one_naming_it(self, kind, defect, tmp_path, capsys):
+        text = json.dumps(dict(_VALID_FILES)[kind]).encode()
+        # cut inside the value, or a Latin-1 byte that is not UTF-8 in a string
+        text = text[:len(text) // 2] if defect == "truncated" else text[:-1] + b', "note": "\xe9"}'
+        err = _assert_exits_one(kind, text, tmp_path, capsys)
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: ")
 
     @pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
     def test_bad_fields_raise_library_error(self, case):

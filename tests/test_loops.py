@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import warnings
 
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslovcw import loops, matcore
-from maslovcw.errors import InvalidParameter, Undersampled, ZeroSample
+from maslovcw.errors import InvalidParameter, MaslovCWError, Undersampled, ZeroSample
 from maslovcw.grassmann import LagrangianFrame, same_lagrangian
 from maslovcw.loops import (
     MAX_SAMPLES,
@@ -16,15 +19,19 @@ from maslovcw.loops import (
     aligned_frames,
     alignment_guard,
     generate_loop,
+    load_loop,
     loop_from_json,
     loop_to_json,
     maslov_bundle_pair,
     maslov_loop,
     random_frame_loop,
     samples_from_json,
+    save_loop,
     winding,
     winding_increments,
 )
+from maslovcw.orbifold import load_orbifold
+from maslovcw.polygon import load_polygon, random_transversal_data
 from maslovcw.tolerances import TOL
 
 
@@ -568,3 +575,126 @@ class TestJson:
     def test_generator_form(self):
         loop = loop_from_json({"generator": "power_k", "params": {"k": -2, "N": 128}})
         assert maslov_loop(loop) == -2
+
+
+# ---------------------------------------------------------------------------
+# sample files are read and written with the cyclic garbage collector paused
+# ---------------------------------------------------------------------------
+
+def _rows(u):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in u.reshape(len(u), -1)]
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    """(paths by kind, the loop, a path to save to): a rank-8, 1024-sample loop
+    file, and a polygon (16 edges of 64 samples) and an orbifold file of as many
+    [re, im] pairs, 65,536 each."""
+    rng = np.random.default_rng(27)
+    root = tmp_path_factory.mktemp("sample_files")
+    loop, _ = random_frame_loop(rng, 8, 1024)
+    edges = random_transversal_data(rng, 8, 16).edges
+    objs = {
+        "load_loop": loop_to_json(loop),
+        "load_polygon": {"n": 8, "edges": [_rows(e) for e in edges]},
+        "load_orbifold": {"n": 8, "cone": {"m": 2, "weights": [1] * 8},
+                          "boundary": loop_to_json(loop)},
+    }
+    paths = {name: root / f"{name}.json" for name in objs}
+    for name, obj in objs.items():
+        paths[name].write_text(json.dumps(obj))
+    return paths, loop, root / "saved.json"
+
+
+_READERS = {"load_loop": load_loop, "load_polygon": load_polygon, "load_orbifold": load_orbifold}
+_FILE_OPS = sorted(_READERS) + ["save_loop"]
+
+
+def _file_op(name, sample_files):
+    paths, loop, out = sample_files
+    if name == "save_loop":
+        return lambda: save_loop(loop, str(out))
+    return lambda: _READERS[name](str(paths[name]))
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """The cyclic collector on or off for the block; yields the generations it starts on."""
+    was = gc.isenabled()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()  # gen-0 count 0: no collection is due before the block's own allocations
+    gc.callbacks.append(hook)
+    try:
+        yield starts
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+
+
+# files each reader must reject with a MaslovCWError: from the parser, from the
+# build and from the parser's recursion limit
+_BAD_TEXT = {
+    "truncated": '{"n": 8, "samples": [[[1.0, 0.0]',
+    "bad_field": '{"n": 8.5}',
+    "deep": "[" * 50_000 + "]" * 50_000,
+}
+
+
+class TestFileGcPause:
+    @pytest.mark.parametrize("op", _FILE_OPS)
+    def test_no_collection_runs(self, op, sample_files):
+        call = _file_op(op, sample_files)
+        with _collector(True) as starts:
+            call()
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("op", _FILE_OPS)
+    def test_tree_is_freed_before_the_collector_resumes(self, op, enabled, sample_files):
+        # CPython takes a freed tracked object off the gen-0 count: a tree of
+        # about 66k lists still alive after the call would leave the count that
+        # much higher, or, with the collector on, set off a collection over it.
+        # About a hundred stay counted: objects freed onto CPython's free lists
+        # are not taken off.
+        call = _file_op(op, sample_files)
+        with _collector(enabled) as starts:
+            before = gc.get_count()[0]
+            call()
+            after = gc.get_count()[0]
+        assert starts == []
+        assert abs(after - before) <= 1000
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("op, case", [(op, case) for op in sorted(_READERS)
+                                          for case in ["ok"] + sorted(_BAD_TEXT)]
+                             + [("save_loop", "ok"), ("save_loop", "not_a_loop")])
+    def test_caller_collector_state_is_restored(self, op, case, enabled, sample_files, tmp_path):
+        if case == "ok":
+            call = _file_op(op, sample_files)
+        elif op == "save_loop":
+            call = lambda: save_loop(None, str(tmp_path / "out.json"))  # noqa: E731
+        else:
+            path = tmp_path / "bad.json"
+            path.write_text(_BAD_TEXT[case])
+            call = lambda: _READERS[op](str(path))  # noqa: E731
+        with _collector(enabled):
+            try:
+                call()
+            except (MaslovCWError, AttributeError):
+                assert case != "ok"
+            else:
+                assert case == "ok"
+            assert gc.isenabled() is enabled
+
+    def test_saved_file_is_what_the_streaming_encoder_writes(self, rng, tmp_path):
+        loop, _ = random_frame_loop(rng, 3, 64)
+        save_loop(loop, str(tmp_path / "loop.json"))
+        ref = io.StringIO()
+        json.dump(loop_to_json(loop), ref)
+        assert (tmp_path / "loop.json").read_text(encoding="utf-8") == ref.getvalue()
