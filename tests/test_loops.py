@@ -587,9 +587,9 @@ def _rows(u):
 
 @pytest.fixture(scope="module")
 def sample_files(tmp_path_factory):
-    """(paths by kind, the loop, a path to save to): a rank-8, 1024-sample loop
-    file, and a polygon (16 edges of 64 samples) and an orbifold file of as many
-    [re, im] pairs, 65,536 each."""
+    """(file path by loader name, the loop, a path to save to): a rank-8,
+    1024-sample loop file, and a polygon (16 edges of 64 samples) and an
+    orbifold file of as many [re, im] pairs, 65,536 each."""
     rng = np.random.default_rng(27)
     root = tmp_path_factory.mktemp("sample_files")
     loop, _ = random_frame_loop(rng, 8, 1024)

@@ -30,7 +30,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-VERIFY_ARGS = ["verify", "--suite", "all", "--seed", "7"]
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -48,8 +47,8 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple
 def verify_sha256(tree: Path) -> str:
     """SHA-256 of the tree's ``verify --suite all --seed 7`` stdout."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "maslovcw", *VERIFY_ARGS], cwd=tree, env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "maslovcw", "verify", "--suite", "all",
+                           "--seed", "7"], cwd=tree, env=env, capture_output=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: verify exited {proc.returncode} in {tree}")
     return hashlib.sha256(proc.stdout).hexdigest()
