@@ -452,9 +452,14 @@ def transport_defects(
     """Transport drift over every edge, and the rim's frame defect against ``loop``.
 
     The edges with a nonzero generator and, given a loop, the rim edges are
-    chained in one call.  An all-zero generator chains to the exact
-    identity, whose defect is 0, so the drift over that block is the drift
-    over every edge.  The frame defect is None without a loop.
+    chained, each once, in blocks of ``matcore.BLOCK`` matrices (edges times
+    substeps), so the working memory stays that of one block.  Each block's
+    drift is taken as it is chained and the rim transports are picked out
+    of the blocks they fall in.  A matrix's defect does not depend on its
+    stack, so the blocks give the bits one batch would.  An all-zero
+    generator chains to the exact identity, whose defect is 0, so the drift
+    over the chained edges is the drift over every edge.  The frame defect
+    is None without a loop.
     """
     rim = None if loop is None else _rim_ids(D.mesh, loop)
     # a NaN entry is truthy, so a NaN generator is chained and reported
@@ -464,9 +469,18 @@ def transport_defects(
     ids = np.flatnonzero(chained)
     if not ids.size:
         return 0.0, None
-    T = D.transports_of(ids)
-    frame = None if rim is None else _frame_defect(T[np.searchsorted(ids, rim)], loop)
-    return matcore.unitary_defect(T), frame
+    step = max(1, matcore.BLOCK // D.substeps)
+    if rim is not None:
+        at = np.searchsorted(ids, rim)  # increasing, as the rim ids are
+        rim_T = np.empty((len(rim), D.n, D.n), dtype=complex)
+    worst = 0.0
+    for a in range(0, ids.size, step):
+        T = D.transports_of(ids[a : a + step])
+        worst = np.maximum(worst, matcore.unitary_defect(T))  # np.maximum keeps a NaN
+        if rim is not None:
+            lo, hi = np.searchsorted(at, (a, a + step))
+            rim_T[lo:hi] = T[at[lo:hi] - a]
+    return float(worst), None if rim is None else _frame_defect(rim_T, loop)
 
 
 def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:

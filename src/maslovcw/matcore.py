@@ -77,7 +77,7 @@ def frobenius(M: np.ndarray) -> float:
 
 
 # matrices per block of a long stack: the temporaries stay small and in cache
-_DEFECT_BLOCK = 2**14
+BLOCK = 2**14
 
 
 def unitary_defect(U: np.ndarray) -> float:
@@ -100,8 +100,8 @@ def unitary_defect(U: np.ndarray) -> float:
         )
     s = U.reshape(-1, n, n)
     worst = 0.0
-    for a in range(0, len(s), _DEFECT_BLOCK):  # np.maximum keeps a NaN
-        worst = np.maximum(worst, _gram_defect_sq(s[a:a + _DEFECT_BLOCK]).max())
+    for a in range(0, len(s), BLOCK):  # np.maximum keeps a NaN
+        worst = np.maximum(worst, _gram_defect_sq(s[a:a + BLOCK]).max())
     return float(np.sqrt(worst))
 
 

@@ -15,10 +15,12 @@ be assembled from per-edge data alone.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from .errors import InvalidParameter, UnknownName
 
 DOMAINS = ("disc", "quarter_disc")
@@ -34,6 +36,8 @@ class Mesh2D:
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise UnknownName(f"unknown domain {self.domain!r}")
+        for name in ("n_r", "n_t"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_r < 2 or self.n_t < 4:
             raise InvalidParameter("mesh too coarse")
         if self.orientation not in (+1, -1):
@@ -129,9 +133,14 @@ class Mesh2D:
         their parametric d(theta) increment.  The geometry does not depend on
         the orientation; it is computed once per (domain, n_r, n_t, substeps),
         keeping the ``QUADRATURE_CACHE_SIZE`` most recently used, and the
-        arrays are read-only because every caller shares them.
+        arrays are read-only because every caller shares them.  They are
+        filled a block of rings at a time, radial rows and then angular
+        ones, each block about ``matcore.BLOCK`` matrices (edges times
+        substeps), so the temporaries beyond the output are one block's.
+        Every value is elementwise in the edge, so the bytes do not depend
+        on the block size.  ``substeps`` must be an integer >= 1.
         """
-        s = int(substeps)
+        s = _count(substeps, "substeps")
         if s < 1:
             raise InvalidParameter("substeps must be >= 1")
         return _edge_quadrature(self.domain, self.n_r, self.n_t, s)
@@ -141,6 +150,16 @@ class Mesh2D:
         return self.angular_id(self.n_r, np.arange(self.n_t))
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; InvalidParameter for a bool or any non-integer, a float included."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 # verify integrates about ten mesh shapes; cw integrates one
 QUADRATURE_CACHE_SIZE = 16
 
@@ -148,54 +167,51 @@ QUADRATURE_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
     mesh = Mesh2D(domain, n_r, n_t)
-    E = mesh.num_edges
-    r_mid = np.empty((E, s))
-    t_mid = np.empty((E, s))
-    dr = np.zeros((E, s))
-    dt = np.zeros((E, s))
+    out = tuple(np.empty((mesh.num_edges, s)) for _ in range(4))
     rv, tv = mesh.r_nodes, mesh.t_nodes
     frac_mid = (np.arange(s) + 0.5) / s
-
-    # radial edges
-    i_idx, j_idx = np.meshgrid(np.arange(mesh.n_r), np.arange(mesh.n_tv), indexing="ij")
-    r0 = rv[i_idx.ravel()][:, None]
-    r1 = rv[i_idx.ravel() + 1][:, None]
-    theta = tv[j_idx.ravel()][:, None]
-    sl = slice(0, mesh.num_radial)
-    r_mid[sl] = r0 + (r1 - r0) * frac_mid[None, :]
-    t_mid[sl] = np.broadcast_to(theta, (mesh.num_radial, s))
-    dr[sl] = np.broadcast_to((r1 - r0) / s, (mesh.num_radial, s))
-
-    # angular edges
-    i_idx, j_idx = np.meshgrid(np.arange(mesh.n_r + 1), np.arange(mesh.n_t), indexing="ij")
-    j = j_idx.ravel()
-    ring_r = rv[i_idx.ravel()]
-    th0 = tv[j]
-    th1 = tv[j + 1]
-    sl = slice(mesh.num_radial, None)
-    center = ring_r <= 0.0
-    e = np.exp(1j * tv)  # the unit vector of each node angle, gathered per edge
-    z0 = ring_r[:, None] * e[j][:, None]
-    z1 = ring_r[:, None] * e[j + 1][:, None]
-    frac = np.arange(s + 1) / s
-    zz = z0 + (z1 - z0) * frac[None, :]
-    zm = 0.5 * (zz[:, :-1] + zz[:, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ang_dt = np.angle(zz[:, 1:] / zz[:, :-1])
-    ang_r = np.abs(zm)
-    ang_t = np.mod(np.angle(zm), 2 * np.pi) if mesh.wrap else np.angle(zm)
-    ang_dr = np.abs(zz[:, 1:]) - np.abs(zz[:, :-1])
-    # degenerate ring at r = 0: parametric theta increments
-    mid_t = th0[:, None] + (th1 - th0)[:, None] * frac_mid[None, :]
-    step_t = ((th1 - th0) / s)[:, None]
-    ang_r[center] = 0.0
-    ang_t[center] = np.broadcast_to(mid_t, ang_t.shape)[center]
-    ang_dr[center] = 0.0
-    ang_dt = np.where(center[:, None], np.broadcast_to(step_t, ang_dt.shape), ang_dt)
-    r_mid[sl] = ang_r
-    t_mid[sl] = ang_t
-    dr[sl] = ang_dr
-    dt[sl] = ang_dt
-    for a in (r_mid, t_mid, dr, dt):
+    e = np.exp(1j * tv)  # the unit vector of each node angle
+    rings = max(1, matcore.BLOCK // (n_t * s))
+    radial = [a[: mesh.num_radial].reshape(n_r, mesh.n_tv, s) for a in out]
+    angular = [a[mesh.num_radial :].reshape(n_r + 1, n_t, s) for a in out]
+    for a in range(0, n_r, rings):
+        _radial_rows(rv[a : a + rings + 1], tv[: mesh.n_tv], frac_mid,
+                     [x[a : a + rings] for x in radial])
+    for a in range(0, n_r + 1, rings):
+        _angular_rows(rv[a : a + rings], tv, e, frac_mid, mesh.wrap,
+                      [x[a : a + rings] for x in angular])
+    for a in out:
         a.flags.writeable = False
-    return r_mid, t_mid, dr, dt
+    return out
+
+
+def _radial_rows(rv, tv, frac_mid, out) -> None:
+    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_tv, s), for radial edges rv[i] -> rv[i+1]."""
+    r_mid, t_mid, dr, dt = out
+    r0, r1 = rv[:-1, None, None], rv[1:, None, None]
+    r_mid[...] = r0 + (r1 - r0) * frac_mid
+    t_mid[...] = tv[:, None]
+    dr[...] = (r1 - r0) / len(frac_mid)
+    dt[...] = 0.0
+
+
+def _angular_rows(ring_r, tv, e, frac_mid, wrap, out) -> None:
+    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_t, s), for the chords of the rings ``ring_r``."""
+    s = len(frac_mid)
+    th0, th1 = tv[:-1], tv[1:]
+    z0 = ring_r[:, None, None] * e[:-1, None]
+    z1 = ring_r[:, None, None] * e[1:, None]
+    zz = z0 + (z1 - z0) * (np.arange(s + 1) / s)
+    zm = 0.5 * (zz[..., :-1] + zz[..., 1:])
+    r_mid, t_mid, dr, dt = out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt[...] = np.angle(zz[..., 1:] / zz[..., :-1])
+    np.abs(zm, out=r_mid)
+    t_mid[...] = np.mod(np.angle(zm), 2 * np.pi) if wrap else np.angle(zm)
+    np.subtract(np.abs(zz[..., 1:]), np.abs(zz[..., :-1]), out=dr)
+    # degenerate ring at r = 0: parametric theta increments
+    center = ring_r <= 0.0
+    r_mid[center] = 0.0
+    t_mid[center] = th0[:, None] + (th1 - th0)[:, None] * frac_mid
+    dr[center] = 0.0
+    dt[center] = ((th1 - th0) / s)[:, None]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maslovcw import _kernels, cli, matcore, verify as verify_mod
+from maslovcw import mesh as mesh_module
 from maslovcw.connections import build_collar_connection
 from maslovcw.curvature import edge_transports
 from maslovcw.errors import MaslovCWError, Undersampled, ViolatedIdentity
@@ -94,6 +96,25 @@ class TestCw:
         assert code == 0
         assert abs(report["raw"] - 2.0) <= 1e-2
         assert report["rounded"] == 2
+
+    def test_peak_memory_stays_near_the_live_arrays(self, capsys):
+        # the quadrature and the transport chains work in blocks of
+        # matcore.BLOCK matrices, so past the arrays the run keeps (the four
+        # quadrature arrays, the complex edge_logdet and rank-1 G, and the
+        # face angles: 8.9 MB here) the traced peak grows by under 3 MB; a
+        # full-mesh quadrature alone held 13 MB of temporaries at 256^2
+        run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
+        mesh = Mesh2D("disc", 256, 256)
+        mesh_module._edge_quadrature.cache_clear()
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "256"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["rounded"] == 2
+        live = (4 * 8 + 2 * 16) * mesh.num_edges + 8 * mesh.num_faces
+        assert peak <= live + 3_000_000, (peak, live)
 
     def test_collar_from_file_with_faces_csv(self, tmp_path, capsys):
         loop = generate_loop("power_k", 256, k=2)

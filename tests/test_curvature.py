@@ -78,6 +78,40 @@ class TestMesh:
             build()
         assert isinstance(err.value, MaslovCWError) and isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Mesh2D("disc", 24.0, 512),
+        lambda: Mesh2D("disc", 24, 512.0),
+        lambda: Mesh2D("disc", True, 512),
+        lambda: Mesh2D("disc", 24, np.float64(8)),
+        lambda: Mesh2D("disc", 24, 512).edge_quadrature(1.9),
+        lambda: Mesh2D("disc", 24, 512).edge_quadrature(1.0),
+        lambda: Mesh2D("disc", 24, 512).edge_quadrature(True),
+        lambda: Mesh2D("disc", 24, 512).edge_quadrature("2"),
+    ], ids=["float_n_r", "float_n_t", "bool_n_r", "numpy_float_n_t", "fractional_substeps",
+            "float_substeps", "bool_substeps", "str_substeps"])
+    def test_non_integer_sizes_raise_library_error(self, build):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_are_ints(self):
+        m = Mesh2D("disc", np.int64(6), np.int32(12))
+        assert type(m.n_r) is int and type(m.n_t) is int
+        assert m.edge_quadrature(np.int64(2)) is Mesh2D("disc", 6, 12).edge_quadrature(2)
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_quadrature_blocks_give_the_same_bits(self, domain, substeps, block, monkeypatch):
+        # 50 matrices hold 4 rings of 12 chords at one substep: the 16 radial
+        # and 17 angular rings then end in a short block
+        build = mesh_module._edge_quadrature.__wrapped__
+        for shape in [(5, 7), (16, 12)]:
+            monkeypatch.setattr(matcore, "BLOCK", 2**40)
+            whole = build(domain, *shape, substeps)
+            monkeypatch.setattr(matcore, "BLOCK", block)
+            for a, b in zip(build(domain, *shape, substeps), whole):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_quadrature_cached_per_shape(self, domain, substeps):
@@ -242,9 +276,14 @@ def assert_report_chains_once(spec, mesh, probe, first, chained):
         rim = mesh.boundary_angular_ids()
         assert rows[rim].all() == (live > 0)
         rows[rim] = True
-    assert chained == [np.count_nonzero(rows)]
+    # one or more calls of at most one block each; one call when the edges fit one block
+    block = max(1, matcore.BLOCK // D.substeps)
+    count = np.count_nonzero(rows)
+    assert chained and all(1 <= c <= block for c in chained) and sum(chained) == count
+    assert len(chained) == -(-count // block)
+    calls = len(chained)
     values = (rep.unitarity_defect, rep.orthogonality_defect)
-    assert len(chained) == 1
+    assert len(chained) == calls
     _, drift, worst = reference_diagnostics(D, probe)
     assert values == (drift, worst)
     assert (worst is None) == (probe is None)
@@ -329,6 +368,59 @@ class TestLazyTransports:
         spec = ConnectionSpec(2, coeffs, tag="real_rank2", unitary=False)
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 8, 16), allow_non_unitary=True)
+
+
+class TestBlockedDefects:
+    """``transport_defects`` chains in blocks of ``matcore.BLOCK`` matrices, with one batch's bits."""
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_match_one_batch_and_chain_each_edge_once(self, rng, block, substeps,
+                                                             monkeypatch):
+        # 7 and 100 divide none of the n_t = 256, 128, 16 of the cases, so the
+        # rim edges, chained last, straddle a block boundary
+        chain = _kernels.transport_chain
+        chained = []
+
+        def recording(gens):
+            chained.append(gens.copy())
+            return chain(gens)
+
+        monkeypatch.setattr(_kernels, "transport_chain", recording)
+        for spec, mesh, probe in report_cases(rng):
+            D = edge_transports(spec, mesh, substeps)
+            monkeypatch.setattr(matcore, "BLOCK", 2**40)
+            whole = transport_defects(D, probe)
+            rows = D.G.any(axis=(1, 2, 3))
+            if probe is not None:
+                rows[mesh.boundary_angular_ids()] = True
+            assert len(chained) == 1 and chained[0].tobytes() == D.G[rows].tobytes()
+            monkeypatch.setattr(matcore, "BLOCK", block)
+            chained.clear()
+            assert transport_defects(D, probe) == whole
+            step = max(1, block // substeps)
+            assert all(len(g) == step for g in chained[:-1]) and 1 <= len(chained[-1]) <= step
+            # each live or rim edge once, in increasing id order
+            assert np.concatenate(chained).tobytes() == D.G[rows].tobytes()
+            if probe is not None:
+                at = np.searchsorted(np.flatnonzero(rows), mesh.boundary_angular_ids())
+                assert len(np.unique(at // step)) > 1
+            chained.clear()
+
+    @pytest.mark.parametrize("with_probe", [False, True])
+    def test_nan_in_a_later_block_gives_nan_drift(self, rng, with_probe, monkeypatch):
+        # a finite first block: builtin max() would drop the later NaN.  Rank
+        # 1, where the chain is an exp that keeps a NaN (eigh may not converge)
+        loop, _ = random_frame_loop(rng, 1, 64)
+        monkeypatch.setattr(matcore, "BLOCK", 7)
+        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 64))
+        live = np.flatnonzero(D.G.any(axis=(1, 2, 3)))
+        assert len(live) > 7
+        D.G[live[len(live) // 2]] = np.nan
+        probe = loop if with_probe else None
+        drift, frame = transport_defects(D, probe)
+        assert math.isnan(drift)
+        assert (frame is None) == (probe is None)
 
 
 def zero_radial_twin(spec):

@@ -234,7 +234,7 @@ class TestUnitaryDefect:
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_blocks_of_a_long_stack(self, rng, n, monkeypatch):
         # the worst matrix in the last, one-matrix block of a long stack
-        monkeypatch.setattr(matcore, "_DEFECT_BLOCK", 16)
+        monkeypatch.setattr(matcore, "BLOCK", 16)
         U = self.near_unitary(rng, 33, n, 1e-12)
         U[32] += 1e-9
         ref = matcore.unitary_defect(U[32:])
