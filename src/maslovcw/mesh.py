@@ -186,7 +186,7 @@ def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
 
 
 def _radial_rows(rv, tv, frac_mid, out) -> None:
-    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_tv, s), for radial edges rv[i] -> rv[i+1]."""
+    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_tv, s), for edges rv[i] -> rv[i+1]."""
     r_mid, t_mid, dr, dt = out
     r0, r1 = rv[:-1, None, None], rv[1:, None, None]
     r_mid[...] = r0 + (r1 - r0) * frac_mid
@@ -196,7 +196,7 @@ def _radial_rows(rv, tv, frac_mid, out) -> None:
 
 
 def _angular_rows(ring_r, tv, e, frac_mid, wrap, out) -> None:
-    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_t, s), for the chords of the rings ``ring_r``."""
+    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_t, s), for the chords of ``ring_r``."""
     s = len(frac_mid)
     th0, th1 = tv[:-1], tv[1:]
     z0 = ring_r[:, None, None] * e[:-1, None]

@@ -371,7 +371,7 @@ class TestLazyTransports:
 
 
 class TestBlockedDefects:
-    """``transport_defects`` chains in blocks of ``matcore.BLOCK`` matrices, with one batch's bits."""
+    """``transport_defects`` in blocks of ``matcore.BLOCK`` matrices is bitwise one batch."""
 
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 100])
