@@ -1,7 +1,8 @@
 """Command-line front end.
 
 JSON reports go to stdout, human diagnostics to stderr.  Exit codes: 0 on
-success, 1 on input or usage errors, 2 when an identity check fails.  Every
+success, 1 on input or usage errors or when the reader of stdout closes it
+before the report is written, 2 when an identity check fails.  Every
 report embeds the fully resolved run configuration, and runs with the same
 seed are byte-identical.  Only ``verify`` reads ``--seed``; the other
 commands record it in that configuration and ignore it, as they do
@@ -412,7 +413,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report["config"] = config
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: as the Python docs advise, point it
+        # at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command in ("verify", "convergence") and not report["ok"]:
         return 2
     return 0

@@ -36,9 +36,13 @@ class DiscreteConnection:
 
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
     trace of the connection values; the index reads nothing else.  The
-    generators ``G`` (E, s, n, n) are built when first needed.  Transports
-    are for the canonical edge direction (outward radial, increasing
-    angle); they are chained from ``G`` on every read and not kept.
+    generators of any range of edges come from one evaluator,
+    ``_generators``.  ``transport_defects`` reads them a block at a time
+    (``generator_blocks``), so a report never builds the full (E, s, n, n)
+    ``G``; that is built when first read, and at once by ``edge_transports``
+    for a spec without a trace.  Once built, ``G`` is what every later read
+    sees.  Transports are for the canonical edge direction (outward radial,
+    increasing angle); they are chained on every read and not kept.
     """
 
     mesh: Mesh2D
@@ -57,11 +61,32 @@ class DiscreteConnection:
     @cached_property
     def G(self) -> np.ndarray:
         """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep."""
-        return _generators(self.spec, self.mesh, self.substeps)
+        lo = 0 if self.spec.trace is None else self.mesh.num_radial  # +0 radial rows
+        g = _generators(self.spec, self.mesh, self.substeps, lo, self.mesh.num_edges)
+        return np.concatenate([np.zeros((lo,) + g.shape[1:], dtype=complex), g])
+
+    def generator_blocks(self):
+        """(first edge id, generators) of consecutive edge ranges of ``matcore.BLOCK`` matrices.
+
+        Slices of ``G`` once it is built, as it always is for a spec without a
+        trace; otherwise each range of angular edges is evaluated alone.
+        """
+        G = self.G if self.spec.trace is None else self.__dict__.get("G")
+        lo = 0 if G is not None else self.mesh.num_radial
+        for a, b in _blocks(lo, self.mesh.num_edges, self.substeps):
+            yield a, G[a:b] if G is not None else _generators(self.spec, self.mesh,
+                                                              self.substeps, a, b)
 
     def transports_of(self, edge_ids) -> np.ndarray:
         """Transports of the given edge ids, chained on every call."""
         return _kernels.transport_chain(self.G[edge_ids])
+
+
+def _blocks(lo: int, hi: int, substeps: int):
+    """(a, b) edge ranges that tile lo..hi-1, each of at most ``matcore.BLOCK`` matrices."""
+    step = max(1, matcore.BLOCK // substeps)
+    for a in range(lo, hi, step):
+        yield a, min(a + step, hi)
 
 
 def edge_transports(
@@ -78,12 +103,15 @@ def edge_transports(
 
     ``edge_logdet`` is minus the trace times the step, summed over the
     substeps.  A spec without a trace evaluator is evaluated in full on
-    every edge, and its ``edge_logdet`` is ``trace(G.sum(axis=1))``.  A spec
-    with one has no dr part: its trace is evaluated on the angular edges
-    only (a radial edge has dtheta = 0), a unitary one is checked to be
-    imaginary, and its ``G`` is built and checked when first read.  A NaN
-    fails either check.  Edges outside the rows where the trace is nonzero
-    get exact +0, which is also what the sum gives on an all-zero row.
+    every edge, its ``G`` is kept, and its ``edge_logdet`` is
+    ``trace(G.sum(axis=1))``.  A spec with one has no dr part: its trace is
+    evaluated on the angular edges only (a radial edge has dtheta = 0), a
+    block of ``matcore.BLOCK`` matrices (edges times substeps) at a time, a
+    unitary one is checked to be imaginary over every block, and its
+    generators are evaluated only when read.  A NaN fails either check.
+    Edges outside the rows where a block's trace is nonzero get exact +0,
+    which is also what the sum gives on an all-zero row, so the bytes do
+    not depend on the block size.
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
@@ -104,24 +132,29 @@ def edge_transports(
     if spec.rim_cutoff is not None:
         _check_rim(spec, mesh, substeps)
     if spec.trace is None:
-        G = _generators(spec, mesh, substeps)
+        G = _generators(spec, mesh, substeps, 0, mesh.num_edges)
         D = DiscreteConnection(mesh, spec, substeps, np.trace(G.sum(axis=1), axis1=-2, axis2=-1))
         D.G = G  # fills the cache of the lazy property
         return D
-    skip = mesh.num_radial
-    r_mid, t_mid, _, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
-    tau = np.asarray(spec.trace(r_mid.ravel(), t_mid.ravel()), dtype=complex).reshape(r_mid.shape)
-    band = _live_rows(tau)  # skips a collar's flat interior
-    if spec.unitary:
-        check_skew(matcore.diagonal_skew_defect(tau[band]), "connection trace")
+    r_mid, t_mid, _, dt = mesh.edge_quadrature(substeps)
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    edge_logdet[skip:][band] = (-(tau[band] * dt[band])).sum(axis=1)
+    angular = edge_logdet[mesh.num_radial :]
+    worst = 0.0
+    for a, b in _blocks(0, len(r_mid), substeps):
+        tau = spec.trace(r_mid[a:b].ravel(), t_mid[a:b].ravel())
+        tau = np.asarray(tau, dtype=complex).reshape(b - a, substeps)
+        band = _live_rows(tau)  # skips a collar's flat interior
+        if spec.unitary:  # np.maximum keeps a NaN defect of any block
+            worst = np.maximum(worst, matcore.diagonal_skew_defect(tau[band]))
+        angular[a:b][band] = (-(tau[band] * dt[a:b][band])).sum(axis=1)
+    if spec.unitary:
+        check_skew(float(worst), "connection trace")
     return DiscreteConnection(mesh, spec, substeps, edge_logdet)
 
 
 def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
     """Raise Unrefined unless ``spec.rim_cutoff`` is the same at every rim point as on the rim."""
-    r_mid = mesh.edge_quadrature(substeps)[0][mesh.boundary_angular_ids()]
+    r_mid = mesh.edge_quadrature(substeps)[0][-mesh.n_t :]  # the outer ring's chords
     # the chords' points, then the rim r = 1 itself; a NaN compares unequal
     rho = spec.rim_cutoff(np.append(r_mid, 1.0))
     bad = rho[:-1] != rho[-1]
@@ -134,16 +167,23 @@ def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
         )
 
 
-def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> np.ndarray:
-    """(E, s, n, n) generators -(A_theta dt + A_r dr), from one ``coeffs`` call.
+def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, s, n, n) generators -(A_theta dt + A_r dr) of edges lo..hi-1, one ``coeffs`` call.
 
-    A spec with a trace evaluator is evaluated on the angular edges only,
-    must return A_r None, and keeps +0 on the radial rows; any other spec
-    is evaluated on every edge.  A unitary spec's values are checked
-    skew-Hermitian on every evaluated row.
+    A spec with a trace evaluator is read on angular edges only (lo at or
+    after ``num_radial``) and must return A_r None; only a range that
+    reaches into the radial edges builds their quadrature rows.  A unitary
+    spec's values are checked skew-Hermitian on every evaluated row.  Each
+    value is elementwise in the edge, so the bytes of an edge's generator
+    do not depend on the range it is evaluated in.
     """
-    skip = 0 if spec.trace is None else mesh.num_radial
-    r_mid, t_mid, dr, dt = (a[skip:] for a in mesh.edge_quadrature(substeps))
+    R = mesh.num_radial
+    quadrature = mesh.edge_quadrature(substeps)
+    if lo >= R:
+        r_mid, t_mid, dr, dt = (a[lo - R : hi - R] for a in quadrature)
+    else:
+        r_mid, t_mid, dr, dt = (np.concatenate([r, a])[lo:hi]
+                                for r, a in zip(mesh.radial_quadrature(substeps), quadrature))
     shape = r_mid.shape + (spec.n, spec.n)
     Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
     if Ar is not None and spec.trace is not None:
@@ -156,13 +196,11 @@ def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> np.ndarray
         # np.max, not max(): a NaN defect must propagate to the guard
         check_skew(float(np.max([matcore.skew_defect(A) for A in (At, Ar) if A is not None])),
                    "connection values")
-    G = np.zeros((mesh.num_edges,) + shape[1:], dtype=complex)
-    g = G[skip:]
-    np.multiply(At, dt[..., None, None], out=g)
+    g = np.multiply(At, dt[..., None, None])
     if Ar is not None:
         g += Ar * dr[..., None, None]
     np.negative(g, out=g)
-    return G
+    return g
 
 
 def _live_rows(tau: np.ndarray) -> slice:
@@ -213,26 +251,40 @@ def _principal(t: np.ndarray) -> np.ndarray:
     return a
 
 
-def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, np.ndarray]:
-    """Principal face angles of every face, and of the face rows that can be nonzero.
+def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, slice, float]:
+    """Principal angles of every face, the faces that can be nonzero, and their largest |angle|.
 
-    A face row is skipped only when its radial edges and both bounding
-    rings hold +-0 in ``edge_logdet.imag``; each of its faces is then
-    ((0 + 0) - 0) - 0 wrapped, exactly +0.  A NaN or inf counts as nonzero,
-    as in ``_live_rows``.  The first array holds every face in face order,
-    +0 outside the band; the second is the band, rows of n_t angles.
+    A face row can be nonzero unless its radial edges and both bounding
+    rings hold +-0 in ``edge_logdet.imag``; a NaN or inf counts as nonzero,
+    as in ``_live_rows``.  The faces are taken a block of whole face rows
+    (about ``matcore.BLOCK`` faces) at a time, and in each block the rows
+    from its first such row to its last are wrapped into ``alpha``.  A row
+    in between holds ((+-0 + +-0) - +-0) - +-0, which wraps to exactly +0,
+    as every face outside them is left, so the bytes do not depend on the
+    block size.  Returns ``alpha`` (num_faces,) in face order; the slice of
+    it from the first row that can be nonzero to the last (empty when there
+    is none); and the largest |angle|, NaN when an angle is NaN.
     """
     mesh = D.mesh
-    x = np.ascontiguousarray(D.edge_logdet.imag)
-    nz = x != 0
-    ring = nz[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t).any(axis=1)
-    radial = nz[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv).any(axis=1)
-    rows = np.flatnonzero(radial | ring[:-1] | ring[1:])
-    p, q, r, u = _face_terms(mesh, x, rows)
-    band = _principal(((p + q) - r) - u)
+    x = D.edge_logdet.imag
+    radial = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)
+    ring = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
     alpha = np.zeros((mesh.n_r, mesh.n_t))
-    alpha[rows] = band
-    return alpha.ravel(), band
+    rows = max(1, matcore.BLOCK // mesh.n_t)
+    live, worst = [], 0.0
+    for a in range(0, mesh.n_r, rows):
+        b = min(a + rows, mesh.n_r)
+        ring_nz = (ring[a : b + 1] != 0).any(axis=1)
+        nz = np.flatnonzero((radial[a:b] != 0).any(axis=1) | ring_nz[:-1] | ring_nz[1:])
+        if not nz.size:
+            continue
+        lo, hi = a + int(nz[0]), a + int(nz[-1]) + 1
+        p, q, r, u = _face_terms(mesh, x, slice(lo, hi))
+        alpha[lo:hi] = _principal(((p + q) - r) - u)
+        worst = np.maximum(worst, np.max(np.abs(alpha[lo:hi])))  # keeps a NaN
+        live += [lo, hi]
+    span = slice(live[0] * mesh.n_t, live[-1] * mesh.n_t) if live else slice(0, 0)
+    return alpha.ravel(), span, float(worst)
 
 
 # terms per np.sum in ``_exact_sum``: each level value is at most 2^30 units,
@@ -247,30 +299,34 @@ def _exact_sum(x: np.ndarray) -> float:
     multiple of 2^(e - 30k) by ``(x + C) - C`` with C = 1.5 * 2^(52 + e - 30k),
     which is exact, as is the new remainder.  A level's values are at most
     2^30 such units, so ``np.sum`` of a chunk of them is exact in any order.
-    Zero remainders are dropped after each level, and ``math.fsum`` rounds
-    the few level sums once.  Below the subnormal grid the remainder is
-    summed as it is.  Non-finite values, and values from 2^960 up, where a
-    level constant or sum could overflow, go to ``math.fsum`` itself.
+    The chunks, of at most ``matcore.BLOCK`` values, are taken through the
+    levels one at a time from the same e, so the temporaries are one
+    chunk's.  Zero remainders are dropped after each level, and
+    ``math.fsum`` rounds the few level sums once.  Below the subnormal grid
+    the remainder is summed as it is.  Non-finite values, and values from
+    2^960 up, where a level constant or sum could overflow, go to
+    ``math.fsum`` itself.
     """
     x = np.asarray(x, dtype=float).ravel()
-    top = float(np.max(np.abs(x))) if x.size else 0.0
+    # max and -min, where max |x| would copy x; np.maximum keeps a NaN
+    top = float(np.maximum(x.max(), -x.min())) if x.size else 0.0
     if not top < 2.0 ** 960:
         return math.fsum(x.tolist())
-    unit = math.frexp(top)[1]
+    first_unit = math.frexp(top)[1]
+    step = min(matcore.BLOCK, _SUM_CHUNK)
     sums = []
-    while x.size:
-        unit -= 30
-        if unit < -1074:
-            hi = x
-        else:
+    for start in range(0, x.size, step):
+        rest, unit = x[start : start + step], first_unit
+        while rest.size:
+            unit -= 30
+            if unit < -1074:
+                sums.append(float(np.sum(rest)))
+                break
             C = math.ldexp(1.5, 52 + unit)
-            hi = (x + C) - C
-        for start in range(0, hi.size, _SUM_CHUNK):
-            sums.append(float(np.sum(hi[start : start + _SUM_CHUNK])))
-        if hi is x:
-            break
-        x = x - hi
-        x = x[x != 0]
+            hi = (rest + C) - C
+            sums.append(float(np.sum(hi)))
+            rest = rest - hi
+            rest = rest[rest != 0]
     return math.fsum(sums)
 
 
@@ -332,12 +388,21 @@ class CurvatureReport:
         }
 
     def faces_csv(self, path: str) -> None:
-        """Per-face angle sidecar with columns face_i, face_j, alpha_f."""
+        """Per-face angle sidecar with columns face_i, face_j, alpha_f.
+
+        The lines are formatted from Python floats, a block of about
+        ``matcore.BLOCK`` faces (whole face rows) per write.
+        """
         n_t = self.connection.mesh.n_t
+        angles = self.face_angles.reshape(-1, n_t)
+        rows = max(1, matcore.BLOCK // n_t)
+        cols = [f",{j}," for j in range(n_t)]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("face_i,face_j,alpha_f\n")
-            for idx, a in enumerate(self.face_angles):
-                fh.write(f"{idx // n_t},{idx % n_t},{float(a)!r}\n")
+            for a in range(0, len(angles), rows):
+                fh.write("".join(f"{i}{c}{x!r}\n" for i, row in
+                                 enumerate(angles[a : a + rows].tolist(), a)
+                                 for c, x in zip(cols, row)))
 
 
 def chern_weil_index(
@@ -350,9 +415,10 @@ def chern_weil_index(
     raw = (1/pi) sum of face angles, the exact sum correctly rounded (so it
     does not depend on the summation order); rounded to the nearest
     multiple of ``quantum`` (checked by ``check_quantum``).  Only the face
-    rows that can be nonzero are wrapped, guarded and summed; every other
-    face is exactly +0.  Raises Unrefined when any face angle reaches the
-    pi/2 branch guard.  The probe loop (``loop``, else the spec's boundary loop) is checked here against
+    rows that can be nonzero are wrapped and guarded, a block at a time
+    (``_face_angles``), and summed; every other face is exactly +0.  Raises
+    Unrefined when any face angle reaches the pi/2 branch guard.  The probe
+    loop (``loop``, else the spec's boundary loop) is checked here against
     the rim, so a sample count not divisible by the angular resolution
     raises Undersampled at once; the report computes its frame defect only
     when it is read.
@@ -360,14 +426,13 @@ def chern_weil_index(
     if not D.unitary:
         raise NonUnitaryConnection("chern_weil_index requires a unitary connection")
     quantum = check_quantum(quantum)
-    alpha, band = _face_angles(D)
-    max_face = float(np.max(np.abs(band))) if band.size else 0.0
+    alpha, live, max_face = _face_angles(D)
     if not max_face < TOL.face_angle_guard:
         raise Unrefined(
             f"face angle {max_face:.3f} rad >= guard {TOL.face_angle_guard:.3f}; "
             "refine the mesh"
         )
-    raw = _exact_sum(band) / math.pi
+    raw = _exact_sum(alpha[live]) / math.pi
     rounded = Fraction(round(raw / quantum)) * quantum
     residual = abs(raw - float(rounded))
     probe = loop if loop is not None else D.spec.boundary_loop
@@ -451,35 +516,38 @@ def transport_defects(
 ) -> tuple[float, Optional[float]]:
     """Transport drift over every edge, and the rim's frame defect against ``loop``.
 
-    The edges with a nonzero generator and, given a loop, the rim edges are
-    chained, each once, in blocks of ``matcore.BLOCK`` matrices (edges times
-    substeps), so the working memory stays that of one block.  Each block's
-    drift is taken as it is chained and the rim transports are picked out
-    of the blocks they fall in.  A matrix's defect does not depend on its
-    stack, so the blocks give the bits one batch would.  An all-zero
-    generator chains to the exact identity, whose defect is 0, so the drift
-    over the chained edges is the drift over every edge.  The frame defect
-    is None without a loop.
+    The generators are taken in blocks of ``matcore.BLOCK`` matrices (edges
+    times substeps) from ``D.generator_blocks``, which evaluates them unless
+    ``G`` is built; in each block the edges with a nonzero generator and, given a
+    loop, the rim edges are chained at once, so the working memory stays
+    that of one block and the full ``G`` is never built.  Each edge is
+    chained once, a nonzero generator whether or not its trace is zero.
+    Each block's drift is taken as it is chained, with ``np.maximum`` so a
+    NaN of any block shows, and the rim transports are picked out of the
+    blocks they fall in.  A matrix's defect does not depend on its stack,
+    so the blocks give the bits one batch would.  An all-zero generator
+    chains to the exact identity, whose defect is 0, so the drift over the
+    chained edges is the drift over every edge.  A block whose values fail
+    the skew check raises before it is chained.  The frame defect is None
+    without a loop.
     """
     rim = None if loop is None else _rim_ids(D.mesh, loop)
-    # a NaN entry is truthy, so a NaN generator is chained and reported
-    chained = D.G.any(axis=(1, 2, 3))
     if rim is not None:
-        chained[rim] = True
-    ids = np.flatnonzero(chained)
-    if not ids.size:
-        return 0.0, None
-    step = max(1, matcore.BLOCK // D.substeps)
-    if rim is not None:
-        at = np.searchsorted(ids, rim)  # increasing, as the rim ids are
         rim_T = np.empty((len(rim), D.n, D.n), dtype=complex)
     worst = 0.0
-    for a in range(0, ids.size, step):
-        T = D.transports_of(ids[a : a + step])
-        worst = np.maximum(worst, matcore.unitary_defect(T))  # np.maximum keeps a NaN
+    for a, g in D.generator_blocks():
+        b = a + len(g)
+        # a NaN entry is truthy, so a NaN generator is chained and reported
+        chained = g.any(axis=(1, 2, 3))
         if rim is not None:
-            lo, hi = np.searchsorted(at, (a, a + step))
-            rim_T[lo:hi] = T[at[lo:hi] - a]
+            lo, hi = np.searchsorted(rim, (a, b))  # the rim ids are increasing
+            chained[rim[lo:hi] - a] = True
+        if not chained.any():
+            continue
+        T = _kernels.transport_chain(g if chained.all() else g[chained])
+        worst = np.maximum(worst, matcore.unitary_defect(T))
+        if rim is not None:
+            rim_T[lo:hi] = T[np.searchsorted(np.flatnonzero(chained), rim[lo:hi] - a)]
     return float(worst), None if rim is None else _frame_defect(rim_T, loop)
 
 

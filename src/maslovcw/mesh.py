@@ -124,30 +124,46 @@ class Mesh2D:
     # -- quadrature geometry --------------------------------------------------
 
     def edge_quadrature(self, substeps: int):
-        """Midpoint-rule nodes and polar displacements for every edge.
+        """Midpoint-rule nodes and polar displacements of every angular edge.
 
-        Returns (r_mid, t_mid, dr, dt), each (num_edges, substeps).  Radial
-        edges move only in r; angular edges are straight chords subdivided in
-        the plane, with exact per-substep increments of r and theta so closed
-        forms integrate exactly; center angular edges (zero length) keep
-        their parametric d(theta) increment.  The geometry does not depend on
-        the orientation; it is computed once per (domain, n_r, n_t, substeps),
-        keeping the ``QUADRATURE_CACHE_SIZE`` most recently used, and the
-        arrays are read-only because every caller shares them.  They are
-        filled a block of rings at a time, radial rows and then angular
-        ones, each block about ``matcore.BLOCK`` matrices (edges times
-        substeps), so the temporaries beyond the output are one block's.
-        Every value is elementwise in the edge, so the bytes do not depend
-        on the block size.  ``substeps`` must be an integer >= 1.
+        Returns (r_mid, t_mid, dr, dt), each (num_angular, substeps), row k
+        for edge id ``num_radial + k``.  The edges are straight chords
+        subdivided in the plane, with exact per-substep increments of r and
+        theta so closed forms integrate exactly; center angular edges (zero
+        length) keep their parametric d(theta) increment.  The geometry does
+        not depend on the orientation; it is computed once per (domain, n_r,
+        n_t, substeps), keeping the ``QUADRATURE_CACHE_SIZE`` most recently
+        used, and the arrays are read-only because every caller shares them.
+        They are filled a block of rings at a time, each block about
+        ``matcore.BLOCK`` matrices (edges times substeps), so the
+        temporaries beyond the output are one block's.  Every value is
+        elementwise in the edge, so the bytes do not depend on the block
+        size.  The radial rows, which only a form with a dr part reads, are
+        not cached: ``radial_quadrature`` builds them.  ``substeps`` must be
+        an integer >= 1.
         """
-        s = _count(substeps, "substeps")
-        if s < 1:
-            raise InvalidParameter("substeps must be >= 1")
-        return _edge_quadrature(self.domain, self.n_r, self.n_t, s)
+        return _edge_quadrature(self.domain, self.n_r, self.n_t, _substeps(substeps))
+
+    def radial_quadrature(self, substeps: int):
+        """(r_mid, t_mid, dr, dt) of every radial edge, each (num_radial, substeps), built per call.
+
+        Radial edges move only in r, so dt is 0.
+        """
+        s = _substeps(substeps)
+        out = tuple(np.empty((self.n_r, self.n_tv, s)) for _ in range(4))
+        _radial_rows(self.r_nodes, self.t_nodes[: self.n_tv], (np.arange(s) + 0.5) / s, out)
+        return tuple(a.reshape(self.num_radial, s) for a in out)
 
     def boundary_angular_ids(self) -> np.ndarray:
         """Edge ids of the rim chords (the outer ring, r = 1), in increasing angle order."""
         return self.angular_id(self.n_r, np.arange(self.n_t))
+
+
+def _substeps(value) -> int:
+    s = _count(value, "substeps")
+    if s < 1:
+        raise InvalidParameter("substeps must be >= 1")
+    return s
 
 
 def _count(value, name: str) -> int:
@@ -167,18 +183,14 @@ QUADRATURE_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
     mesh = Mesh2D(domain, n_r, n_t)
-    out = tuple(np.empty((mesh.num_edges, s)) for _ in range(4))
-    rv, tv = mesh.r_nodes, mesh.t_nodes
+    out = tuple(np.empty((mesh.num_angular, s)) for _ in range(4))
+    tv = mesh.t_nodes
     frac_mid = (np.arange(s) + 0.5) / s
     e = np.exp(1j * tv)  # the unit vector of each node angle
     rings = max(1, matcore.BLOCK // (n_t * s))
-    radial = [a[: mesh.num_radial].reshape(n_r, mesh.n_tv, s) for a in out]
-    angular = [a[mesh.num_radial :].reshape(n_r + 1, n_t, s) for a in out]
-    for a in range(0, n_r, rings):
-        _radial_rows(rv[a : a + rings + 1], tv[: mesh.n_tv], frac_mid,
-                     [x[a : a + rings] for x in radial])
+    angular = [a.reshape(n_r + 1, n_t, s) for a in out]
     for a in range(0, n_r + 1, rings):
-        _angular_rows(rv[a : a + rings], tv, e, frac_mid, mesh.wrap,
+        _angular_rows(mesh.r_nodes[a : a + rings], tv, e, frac_mid, mesh.wrap,
                       [x[a : a + rings] for x in angular])
     for a in out:
         a.flags.writeable = False

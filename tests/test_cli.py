@@ -82,6 +82,29 @@ class TestMaslov:
         assert text.startswith("<svg") and "polyline" in text
 
 
+def traced_cli_peak(args, capsys):
+    """(tracemalloc peak, stdout) of one in-process run, from an empty quadrature cache.
+
+    A first run at --mesh 32 (the same command otherwise) warms the imports.
+    """
+    warm = [("32" if prev == "--mesh" else a) for prev, a in zip([None] + args, args)]
+    run_cli(warm, capsys)
+    mesh_module._edge_quadrature.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(args, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, out
+
+
+def live_bytes(mesh):
+    """Bytes a cw run keeps: the angular quadrature, complex edge_logdet and face angles."""
+    return 4 * 8 * mesh.num_angular + 16 * mesh.num_edges + 8 * mesh.num_faces
+
+
 class TestCw:
     def test_flat(self, capsys):
         code, out, _ = run_cli(["cw", "--builtin", "flat", "--mesh", "64"], capsys)
@@ -98,23 +121,42 @@ class TestCw:
         assert report["rounded"] == 2
 
     def test_peak_memory_stays_near_the_live_arrays(self, capsys):
-        # the quadrature and the transport chains work in blocks of
-        # matcore.BLOCK matrices, so past the arrays the run keeps (the four
-        # quadrature arrays, the complex edge_logdet and rank-1 G, and the
-        # face angles: 8.9 MB here) the traced peak grows by under 3 MB; a
-        # full-mesh quadrature alone held 13 MB of temporaries at 256^2
-        run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
+        # every full-mesh stage works in blocks of matcore.BLOCK matrices, so
+        # past the arrays the run keeps (the four angular quadrature arrays,
+        # the complex edge_logdet and the face angles: 4.7 MB here) the
+        # traced peak grows by under 2 MB, about eight complex arrays of one
+        # rank-1 block; the whole-mesh trace, generators and face sum took
+        # it to 10.6 MB
         mesh = Mesh2D("disc", 256, 256)
-        mesh_module._edge_quadrature.cache_clear()
-        tracemalloc.start()
-        try:
-            code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "256"], capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and json.loads(out)["rounded"] == 2
-        live = (4 * 8 + 2 * 16) * mesh.num_edges + 8 * mesh.num_faces
-        assert peak <= live + 3_000_000, (peak, live)
+        peak, out = traced_cli_peak(["cw", "--builtin", "example_2_7", "--mesh", "256"], capsys)
+        assert json.loads(out)["rounded"] == 2
+        live = live_bytes(mesh)
+        assert peak <= live + 2_000_000, (peak, live)
+
+    def test_flat_peak_memory_builds_no_generators(self, capsys):
+        # a flat connection chains nothing; evaluating its zero generators a
+        # block at a time keeps the peak as near the live arrays as above
+        # (a full zero G took it to 10.1 MB)
+        mesh = Mesh2D("disc", 256, 256)
+        peak, out = traced_cli_peak(["cw", "--builtin", "flat", "--mesh", "256"], capsys)
+        assert json.loads(out)["rounded"] == 0
+        live = live_bytes(mesh)
+        assert peak <= live + 2_000_000, (peak, live)
+
+    def test_rank_four_collar_peak_memory_stays_under_a_full_generator_array(
+            self, tmp_path, capsys):
+        # a rank-4 collar at the default mesh (32 x 2048): the generators are
+        # evaluated, chained and drift-checked one block of edges at a time,
+        # so the temporaries, one block's, stay under the 34 MB of the full
+        # (E, 1, 4, 4) G (28.5 MB here; holding G as well took 64.4 MB)
+        loop, _ = random_frame_loop(np.random.default_rng(0), 4, 2048)
+        path = tmp_path / "loop.json"
+        save_loop(loop, str(path))
+        mesh = Mesh2D("disc", 32, 2048)
+        peak, out = traced_cli_peak(["cw", "--input", str(path)], capsys)
+        assert json.loads(out)["rounded"] == 1
+        live = live_bytes(mesh)
+        assert peak <= live + mesh.num_edges * 16 * 4 * 4, (peak, live)
 
     def test_collar_from_file_with_faces_csv(self, tmp_path, capsys):
         loop = generate_loop("power_k", 256, k=2)
@@ -735,6 +777,19 @@ class TestModuleEntry:
         bad = subprocess.run([sys.executable, "-m", "maslovcw", "cw", "--builtin", "nope"],
                              capture_output=True, text=True, env=package_env)
         assert bad.returncode == 1 and "error:" in bad.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reader_closing_stdout_exits_one_without_a_traceback(self, fmt, package_env):
+        # the reader closes the pipe before the report is written (the import
+        # alone takes longer), so every write of it meets a broken pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maslovcw", "cw", "--builtin", "flat", "--mesh", "64",
+             "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 class TestConvergenceCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import lru_cache
 from dataclasses import replace
@@ -32,7 +33,8 @@ from maslovcw.errors import (
     InvalidParameter, MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined,
 )
 from maslovcw.loops import (
-    BundlePairSpec, generate_loop, maslov_bundle_pair, maslov_loop, random_frame_loop,
+    BundlePairSpec, FrameLoop, generate_loop, maslov_bundle_pair, maslov_loop,
+    random_frame_loop,
 )
 from maslovcw.mesh import DOMAINS, Mesh2D
 from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
@@ -102,8 +104,8 @@ class TestMesh:
     @pytest.mark.parametrize("substeps", [1, 2, 3])
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_quadrature_blocks_give_the_same_bits(self, domain, substeps, block, monkeypatch):
-        # 50 matrices hold 4 rings of 12 chords at one substep: the 16 radial
-        # and 17 angular rings then end in a short block
+        # 50 matrices hold 4 rings of 12 chords at one substep: the 17
+        # angular rings then end in a short block
         build = mesh_module._edge_quadrature.__wrapped__
         for shape in [(5, 7), (16, 12)]:
             monkeypatch.setattr(matcore, "BLOCK", 2**40)
@@ -119,7 +121,8 @@ class TestMesh:
         cached = m.edge_quadrature(substeps)
         fresh = mesh_module._edge_quadrature.__wrapped__(m.domain, m.n_r, m.n_t, substeps)
         for a, b in zip(cached, fresh):
-            assert a.shape == (m.num_edges, substeps)
+            # the cache holds the angular chords only
+            assert a.shape == (m.num_angular, substeps)
             assert a.tobytes() == b.tobytes()
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
@@ -156,8 +159,10 @@ class TestMesh:
         angular[2][center] = 0.0
         angular[3][center] = ((th1 - th0) / s)[:, None][center]
         got = mesh_module._edge_quadrature.__wrapped__(m.domain, m.n_r, m.n_t, s)
-        for a, rad, ang in zip(got, radial, angular):
-            assert a.tobytes() == np.concatenate([rad, ang]).tobytes()
+        for a, ang in zip(got, angular):
+            assert a.tobytes() == ang.tobytes()
+        for a, rad in zip(m.radial_quadrature(s), radial):
+            assert a.tobytes() == rad.tobytes()
 
     def test_quadrature_cache_is_bounded(self):
         size = mesh_module.QUADRATURE_CACHE_SIZE
@@ -388,23 +393,30 @@ class TestBlockedDefects:
 
         monkeypatch.setattr(_kernels, "transport_chain", recording)
         for spec, mesh, probe in report_cases(rng):
-            D = edge_transports(spec, mesh, substeps)
             monkeypatch.setattr(matcore, "BLOCK", 2**40)
+            D = edge_transports(spec, mesh, substeps)
             whole = transport_defects(D, probe)
             rows = D.G.any(axis=(1, 2, 3))
             if probe is not None:
                 rows[mesh.boundary_angular_ids()] = True
             assert len(chained) == 1 and chained[0].tobytes() == D.G[rows].tobytes()
             monkeypatch.setattr(matcore, "BLOCK", block)
-            chained.clear()
-            assert transport_defects(D, probe) == whole
             step = max(1, block // substeps)
-            assert all(len(g) == step for g in chained[:-1]) and 1 <= len(chained[-1]) <= step
-            # each live or rim edge once, in increasing id order
-            assert np.concatenate(chained).tobytes() == D.G[rows].tobytes()
+            # generators evaluated a block of angular edges at a time, then
+            # read from a built G, whose blocks start at edge 0
+            D = edge_transports(spec, mesh, substeps)
+            for built, first in ((False, mesh.num_radial), (True, 0)):
+                assert ("G" in D.__dict__) == built
+                chained.clear()
+                assert transport_defects(D, probe) == whole
+                # one call per block that holds a live or rim edge, of that block's edges
+                assert len(chained) == len(np.unique((np.flatnonzero(rows) - first) // step))
+                assert all(1 <= len(g) <= step for g in chained)
+                # each live or rim edge once, in increasing id order
+                assert np.concatenate(chained).tobytes() == D.G[rows].tobytes()
             if probe is not None:
-                at = np.searchsorted(np.flatnonzero(rows), mesh.boundary_angular_ids())
-                assert len(np.unique(at // step)) > 1
+                rim = mesh.boundary_angular_ids() - mesh.num_radial
+                assert len(np.unique(rim // step)) > 1
             chained.clear()
 
     @pytest.mark.parametrize("with_probe", [False, True])
@@ -421,6 +433,135 @@ class TestBlockedDefects:
         drift, frame = transport_defects(D, probe)
         assert math.isnan(drift)
         assert (frame is None) == (probe is None)
+
+
+def block_cases(rng):
+    """(name, spec, mesh, probe) over both domains, trace specs and one without a trace."""
+    for domain in DOMAINS:
+        mesh = Mesh2D(domain, 6, 16)
+        yield f"example_2_7/{domain}", builtin_connection("example_2_7"), mesh, None
+        yield f"flat/{domain}", builtin_connection("flat", n=2), mesh, None
+    for n in (1, 2, 3, 4):
+        loop, _ = random_frame_loop(rng, n, 64)
+        yield f"collar/{n}", build_collar_connection(loop), Mesh2D("disc", 8, 64), loop
+    loop, _ = random_frame_loop(rng, 2, 64)
+    yield ("arc_collar", build_arc_collar_connection(loop.samples[:33], t_span=0.5 * np.pi),
+           Mesh2D("quarter_disc", 12, 16), None)
+    S = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    yield ("gauge", radial_gauge_transform(build_collar_connection(loop), S - S.conj().T),
+           Mesh2D("disc", 8, 64), loop)
+
+
+def block_report(spec, mesh, probe, substeps):
+    """(report JSON, face angle bytes) of one integration, both transport diagnostics read."""
+    rep = chern_weil_index(edge_transports(spec, mesh, substeps), loop=probe)
+    return json.dumps(rep.to_json_dict(), sort_keys=True), rep.face_angles.tobytes()
+
+
+def zero_trace_cases():
+    """(spec, mesh, probe) whose trace is rounding or exactly 0 while the generators are not.
+
+    A rank-2 collar of Q diag(e^{i pi t}, e^{-i pi t}), whose det B is
+    constant, and a traceless rank-2 form with a zero trace evaluator.
+    """
+    Q = matcore.haar_unitary(2, np.random.default_rng(0))
+    t = np.arange(64) / 64
+    loop = FrameLoop(2, Q[None] * np.exp(1j * np.pi * np.outer(t, (1, -1)))[:, None, :])
+    yield build_collar_connection(loop), Mesh2D("disc", 8, 64), loop
+
+    def a_theta(r, t):
+        c, s = np.cos(t), np.sin(t)
+        m = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
+        return 1j * (3.0 * r**2)[..., None, None] * m
+
+    spec = angular_spec(2, a_theta, lambda r, t: np.zeros(np.shape(r), complex), "traceless")
+    yield spec, Mesh2D("disc", 8, 32), None
+
+
+class TestBlockBoundaries:
+    """Every blocked stage of the trace path gives the bits of one block."""
+
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_reports_match_one_block(self, rng, block, substeps, monkeypatch):
+        for name, spec, mesh, probe in block_cases(rng):
+            monkeypatch.setattr(matcore, "BLOCK", 2**40)
+            whole = block_report(spec, mesh, probe, substeps)
+            monkeypatch.setattr(matcore, "BLOCK", block)
+            assert block_report(spec, mesh, probe, substeps) == whole, name
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_nan_trace_in_a_later_block_raises(self, block, monkeypatch):
+        # finite in the first blocks: builtin max() would drop the later NaN
+        def a_trace(r, t):
+            return np.where(r > 0.9, complex(0.0, np.nan), -1j * r)
+
+        spec = angular_spec(1, lambda r, t: a_trace(r, t)[..., None, None], a_trace, "nan_rim")
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        with pytest.raises(NonUnitaryConnection):
+            edge_transports(spec, Mesh2D("disc", 16, 16))
+
+    @pytest.mark.parametrize("bad", [2.0, -2.0, np.nan])
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_face_angle_past_the_guard_in_a_later_block_raises(self, block, bad, monkeypatch):
+        # small nonzero angles in every face row, one past the guard in the last
+        mesh = Mesh2D("disc", 16, 16)
+        D = edge_transports(builtin_connection("example_2_7"), mesh)
+        logdet = D.edge_logdet.copy()
+        logdet[mesh.radial_id(15, 5)] = complex(0.0, bad)
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        assert max(1, block // mesh.n_t) < 15
+        with np.errstate(invalid="ignore"), pytest.raises(Unrefined):
+            chern_weil_index(replace(D, edge_logdet=logdet))
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 2**40])
+    def test_flat_raw_is_positive_zero(self, block, monkeypatch):
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        for mesh in (Mesh2D("disc", 8, 16), Mesh2D("quarter_disc", 8, 16)):
+            rep = chern_weil_index(edge_transports(builtin_connection("flat", n=2), mesh))
+            assert same_bits(rep.raw, 0.0) and same_bits(rep.max_face_angle, 0.0)
+            assert same_bits(rep.unitarity_defect, 0.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 2**40])
+    def test_generators_outside_the_trace_band_are_chained(self, block, monkeypatch):
+        # the drift reads every nonzero generator, not only the edges whose
+        # trace is nonzero: here the trace is rounding or exactly 0
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        for spec, mesh, loop in zero_trace_cases():
+            D = edge_transports(spec, mesh)
+            rep = chern_weil_index(D, loop=loop)
+            assert same_bits(rep.raw, 0.0)
+            assert np.abs(D.edge_logdet).max() < 1e-12
+            _, drift, worst = reference_diagnostics(D, loop)
+            assert rep.unitarity_defect > 0.0
+            assert (rep.unitarity_defect, rep.orthogonality_defect) == (drift, worst)
+
+
+def loop_faces_csv(rep, path):
+    """The sidecar as a per-face loop over numpy scalars writes it."""
+    n_t = rep.connection.mesh.n_t
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("face_i,face_j,alpha_f\n")
+        for idx, a in enumerate(rep.face_angles):
+            fh.write(f"{idx // n_t},{idx % n_t},{float(a)!r}\n")
+
+
+class TestFacesCsv:
+    @pytest.mark.parametrize("block", [7, 2**14])
+    def test_matches_the_per_face_loop(self, rng, block, tmp_path, monkeypatch):
+        # a collar: +0 interior rows and nonzero band rows, and -0 put in
+        loop, _ = random_frame_loop(rng, 2, 64)
+        rep = collar_report(loop, n_r=12)
+        angles = rep.face_angles.copy()
+        assert (angles == 0).any() and (angles != 0).any()
+        angles[[3, 70, 12 * 64 - 1]] = -0.0
+        rep = replace(rep, face_angles=angles)
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        rep.faces_csv(tmp_path / "new.csv")
+        loop_faces_csv(rep, tmp_path / "old.csv")
+        new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+        assert b",-0.0\n" in new and b",0.0\n" in new
+        assert new == old
 
 
 def zero_radial_twin(spec):
@@ -691,10 +832,16 @@ class TestTraceOnlyPath:
                 assert chain(other.G).tobytes() == chain(D.G).tobytes()
 
 
+def full_quadrature(mesh, substeps):
+    """(r_mid, t_mid, dr, dt) of every edge, radial rows first: (num_edges, substeps) each."""
+    return tuple(np.concatenate([r, a]) for r, a in
+                 zip(mesh.radial_quadrature(substeps), mesh.edge_quadrature(substeps)))
+
+
 def trace_logdet(D):
     """edge_logdet of a trace spec by its formula: -sum over substeps of tau dt."""
     skip = D.mesh.num_radial
-    r_mid, t_mid, _, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
+    r_mid, t_mid, _, dt = D.mesh.edge_quadrature(D.substeps)
     tau = D.spec.trace(r_mid.ravel(), t_mid.ravel()).reshape(r_mid.shape)
     logdet = np.zeros(D.mesh.num_edges, dtype=complex)
     logdet[skip:] = (-(tau * dt)).sum(axis=1)
@@ -709,7 +856,7 @@ def full_array_reference(D):
     A spec with a trace evaluator is evaluated on the angular edges only.
     """
     skip = 0 if D.spec.trace is None else D.mesh.num_radial
-    r_mid, t_mid, dr, dt = (a[skip:] for a in D.mesh.edge_quadrature(D.substeps))
+    r_mid, t_mid, dr, dt = (a[skip:] for a in full_quadrature(D.mesh, D.substeps))
     shape = r_mid.shape + (D.n, D.n)
     A_r, A_theta = D.spec.coeffs(r_mid.ravel(), t_mid.ravel())
     A_theta = np.asarray(A_theta, dtype=complex).reshape(shape)
@@ -825,7 +972,7 @@ class TestLiveRows:
         # a single nonzero row, Hermitian and so not skew: the range must hold it
         mesh = Mesh2D("disc", 6, 16)
         k = {"first": 0, "middle": mesh.num_angular // 2, "last": mesh.num_angular - 1}[row]
-        r_mid, t_mid, _, _ = (a[mesh.num_radial:] for a in mesh.edge_quadrature(1))
+        r_mid, t_mid, _, _ = mesh.edge_quadrature(1)
         r0, t0 = r_mid[k, 0], t_mid[k, 0]
 
         def a_theta(r, t):
@@ -1160,7 +1307,7 @@ class TestRimResolution:
         # rim points lie at |z| for points z on the chords
         for n_t in (16, 32, 64, 128):
             mesh = Mesh2D("disc", 8, n_t)
-            r_min = mesh.edge_quadrature(substeps)[0][mesh.boundary_angular_ids()].min()
+            r_min = mesh.edge_quadrature(substeps)[0][-n_t:].min()
             for width in (0.05, 0.1, 0.2, 0.3, 0.5):
                 spec = build_collar_connection(generate_loop("power_k", n_t, k=1), width=width)
                 if r_min < 1.0 - 0.1 * width:
@@ -1355,8 +1502,10 @@ class TestFaceBand:
             # the band is exactly the rows holding a nonzero face edge
             ids, _ = mesh.face_edges()
             live = (D.edge_logdet.imag[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1)
-            _, band = curvature._face_angles(D)
-            assert band.shape == (np.count_nonzero(live), mesh.n_t), name
+            # the live span runs from the first such row to the last, gap included
+            _, span, _ = curvature._face_angles(D)
+            rows = np.flatnonzero(live)
+            assert span == slice(rows[0] * mesh.n_t, (rows[-1] + 1) * mesh.n_t), name
             runs = np.count_nonzero(np.diff(np.concatenate([[0], live.astype(int), [0]])) == 1)
             assert runs == (2 if gap else 1), name
             if name != "gauge":
@@ -1367,7 +1516,7 @@ class TestFaceBand:
         D = edge_transports(builtin_connection("flat", n=n), Mesh2D("disc", 8, 16))
         rep = chern_weil_index(D)
         assert same_bits(rep.raw, 0.0) and same_bits(rep.max_face_angle, 0.0)
-        assert curvature._face_angles(D)[1].shape == (0, 16)
+        assert curvature._face_angles(D)[1:] == (slice(0, 0), 0.0)
         assert_report_matches_full_grid(rep)
 
     @pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf)])
