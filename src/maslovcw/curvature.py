@@ -518,10 +518,10 @@ def transport_defects(
 
     The generators are taken in blocks of ``matcore.BLOCK`` matrices (edges
     times substeps) from ``D.generator_blocks``, which evaluates them unless
-    ``G`` is built; in each block the edges with a nonzero generator and, given a
-    loop, the rim edges are chained at once, so the working memory stays
-    that of one block and the full ``G`` is never built.  Each edge is
-    chained once, a nonzero generator whether or not its trace is zero.
+    ``G`` is built.  In each block the edges with a nonzero generator and,
+    given a loop, the rim edges are chained at once, so the working memory
+    stays that of one block and the full ``G`` is never built.  Each edge
+    is chained once, a nonzero generator whether or not its trace is zero.
     Each block's drift is taken as it is chained, with ``np.maximum`` so a
     NaN of any block shows, and the rim transports are picked out of the
     blocks they fall in.  A matrix's defect does not depend on its stack,

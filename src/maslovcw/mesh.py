@@ -150,8 +150,12 @@ class Mesh2D:
         Radial edges move only in r, so dt is 0.
         """
         s = _substeps(substeps)
-        out = tuple(np.empty((self.n_r, self.n_tv, s)) for _ in range(4))
-        _radial_rows(self.r_nodes, self.t_nodes[: self.n_tv], (np.arange(s) + 0.5) / s, out)
+        out = r_mid, t_mid, dr, dt = tuple(np.empty((self.n_r, self.n_tv, s)) for _ in range(4))
+        r0, r1 = self.r_nodes[:-1, None, None], self.r_nodes[1:, None, None]
+        r_mid[...] = r0 + (r1 - r0) * ((np.arange(s) + 0.5) / s)
+        t_mid[...] = self.t_nodes[: self.n_tv, None]
+        dr[...] = (r1 - r0) / s
+        dt[...] = 0.0
         return tuple(a.reshape(self.num_radial, s) for a in out)
 
     def boundary_angular_ids(self) -> np.ndarray:
@@ -195,16 +199,6 @@ def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def _radial_rows(rv, tv, frac_mid, out) -> None:
-    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_tv, s), for edges rv[i] -> rv[i+1]."""
-    r_mid, t_mid, dr, dt = out
-    r0, r1 = rv[:-1, None, None], rv[1:, None, None]
-    r_mid[...] = r0 + (r1 - r0) * frac_mid
-    t_mid[...] = tv[:, None]
-    dr[...] = (r1 - r0) / len(frac_mid)
-    dt[...] = 0.0
 
 
 def _angular_rows(ring_r, tv, e, frac_mid, wrap, out) -> None:
