@@ -37,12 +37,13 @@ class DiscreteConnection:
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
     trace of the connection values; the index reads nothing else.  The
     generators of any range of edges come from one evaluator,
-    ``_generators``.  ``transport_defects`` reads them a block at a time
-    (``generator_blocks``), so a report never builds the full (E, s, n, n)
-    ``G``; that is built when first read, and at once by ``edge_transports``
-    for a spec without a trace.  Once built, ``G`` is what every later read
-    sees.  Transports are for the canonical edge direction (outward radial,
-    increasing angle); they are chained on every read and not kept.
+    ``_generators``.  ``transport_defects`` evaluates them a block at a time
+    to check their values and keeps only the rim's, so a report never
+    builds the full (E, s, n, n) ``G``; that is built when first read, and
+    at once by ``edge_transports`` for a spec without a trace.  Once built,
+    ``G`` is what every later read sees.  Transports are for the canonical
+    edge direction (outward radial, increasing angle); they are chained on
+    every read and not kept.
     """
 
     mesh: Mesh2D
@@ -64,22 +65,6 @@ class DiscreteConnection:
         lo = 0 if self.spec.trace is None else self.mesh.num_radial  # +0 radial rows
         g = _generators(self.spec, self.mesh, self.substeps, lo, self.mesh.num_edges)
         return np.concatenate([np.zeros((lo,) + g.shape[1:], dtype=complex), g])
-
-    def generator_blocks(self):
-        """(first edge id, generators) of consecutive edge ranges of ``matcore.BLOCK`` matrices.
-
-        Slices of ``G`` once it is built, as it always is for a spec without a
-        trace; otherwise each range of angular edges is evaluated alone.
-        """
-        G = self.G if self.spec.trace is None else self.__dict__.get("G")
-        lo = 0 if G is not None else self.mesh.num_radial
-        for a, b in _blocks(lo, self.mesh.num_edges, self.substeps):
-            yield a, G[a:b] if G is not None else _generators(self.spec, self.mesh,
-                                                              self.substeps, a, b)
-
-    def transports_of(self, edge_ids) -> np.ndarray:
-        """Transports of the given edge ids, chained on every call."""
-        return _kernels.transport_chain(self.G[edge_ids])
 
 
 def _blocks(lo: int, hi: int, substeps: int):
@@ -344,10 +329,10 @@ class CurvatureReport:
     """Outcome of one curvature integration.
 
     The two diagnostics that need transports are computed together on the
-    first read of either, by ``transport_defects``: ``unitarity_defect``
-    over the edges with a nonzero generator, and ``orthogonality_defect``
-    over the rim against ``probe`` (None when there is no probe loop or no
-    closed rim).
+    first read of either, by ``transport_defects``, from one chain of the
+    outer ring's edges: ``unitarity_defect``, the drift of those
+    transports, and ``orthogonality_defect``, the rim's frame defect against
+    ``probe`` (None when there is no probe loop or no closed rim).
     """
 
     raw: float
@@ -365,7 +350,7 @@ class CurvatureReport:
 
     @property
     def unitarity_defect(self) -> float:
-        """Transport drift over every edge."""
+        """Transport drift over the outer ring's edges."""
         return self._transport_defects[0]
 
     @property
@@ -417,7 +402,9 @@ def chern_weil_index(
     multiple of ``quantum`` (checked by ``check_quantum``).  Only the face
     rows that can be nonzero are wrapped and guarded, a block at a time
     (``_face_angles``), and summed; every other face is exactly +0.  Raises
-    Unrefined when any face angle reaches the pi/2 branch guard.  The probe
+    Unrefined when any face angle reaches the pi/2 branch guard, or when
+    raw lies farther than ``TOL.rounding_residual`` quanta from its
+    rounding.  The probe
     loop (``loop``, else the spec's boundary loop) is checked here against
     the rim, so a sample count not divisible by the angular resolution
     raises Undersampled at once; the report computes its frame defect only
@@ -435,9 +422,14 @@ def chern_weil_index(
     raw = _exact_sum(alpha[live]) / math.pi
     rounded = Fraction(round(raw / quantum)) * quantum
     residual = abs(raw - float(rounded))
+    if not residual <= TOL.rounding_residual * float(quantum):
+        raise Unrefined(
+            f"raw index {raw:.6g} lies {residual / float(quantum):.3g} quanta of {quantum} "
+            f"from {rounded}, past the rounding bound {TOL.rounding_residual:g}; refine the mesh"
+        )
     probe = loop if loop is not None else D.spec.boundary_loop
     if probe is not None and D.mesh.wrap:
-        _rim_ids(D.mesh, probe)
+        _check_probe(D.mesh, probe)
     else:
         probe = None
     return CurvatureReport(
@@ -487,8 +479,8 @@ def index_refining(index, loop: FrameLoop):
             loop = loop.refined()
 
 
-def _rim_ids(mesh: Mesh2D, loop: FrameLoop) -> np.ndarray:
-    """Rim edge ids; the rim must be closed and the loop samples align with it."""
+def _check_probe(mesh: Mesh2D, loop: FrameLoop) -> None:
+    """Raise Undersampled unless the rim is closed and the loop samples align with it."""
     if not mesh.wrap:
         raise Undersampled("boundary transport defect needs a closed rim")
     N = len(loop)
@@ -496,7 +488,6 @@ def _rim_ids(mesh: Mesh2D, loop: FrameLoop) -> np.ndarray:
         raise Undersampled(
             f"loop samples ({N}) must be divisible by the angular resolution ({mesh.n_t})"
         )
-    return mesh.boundary_angular_ids()
 
 
 def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
@@ -506,53 +497,46 @@ def orthogonality_defect(D: DiscreteConnection, loop: FrameLoop) -> float:
     measures, at every vertex, the distance of (transported)^* (loop frame)
     from the real orthogonal group.  Requires the loop samples to align with
     the rim vertices (sample count divisible by the angular resolution).
-    Only the rim edges are chained, and all rim SVDs run as one batch.
+    The frame defect of ``transport_defects``.
     """
-    return _frame_defect(D.transports_of(_rim_ids(D.mesh, loop)), loop)
+    return transport_defects(D, loop)[1]
 
 
 def transport_defects(
     D: DiscreteConnection, loop: Optional[FrameLoop] = None
 ) -> tuple[float, Optional[float]]:
-    """Transport drift over every edge, and the rim's frame defect against ``loop``.
+    """Drift of the rim transports, and their frame defect against ``loop`` (None without).
 
-    The generators are taken in blocks of ``matcore.BLOCK`` matrices (edges
-    times substeps) from ``D.generator_blocks``, which evaluates them unless
-    ``G`` is built.  In each block the edges with a nonzero generator and,
-    given a loop, the rim edges are chained at once, so the working memory
-    stays that of one block and the full ``G`` is never built.  Each edge
-    is chained once, a nonzero generator whether or not its trace is zero.
-    Each block's drift is taken as it is chained, with ``np.maximum`` so a
-    NaN of any block shows, and the rim transports are picked out of the
-    blocks they fall in.  A matrix's defect does not depend on its stack,
-    so the blocks give the bits one batch would.  An all-zero generator
-    chains to the exact identity, whose defect is 0, so the drift over the
-    chained edges is the drift over every edge.  A block whose values fail
-    the skew check raises before it is chained.  The frame defect is None
-    without a loop.
+    Only the outer ring's n_t edges, the last n_t edge ids, are chained, in
+    one call.  Their generators are sliced from ``G`` once it is built (and
+    so checked), as it is for a spec without a trace.  Otherwise every
+    angular edge is evaluated by ``_generators`` and so skew-checked, a
+    block of ``matcore.BLOCK`` matrices at a time, and the rim's rows are
+    kept; the bytes do not depend on the block size.
     """
-    rim = None if loop is None else _rim_ids(D.mesh, loop)
-    if rim is not None:
-        rim_T = np.empty((len(rim), D.n, D.n), dtype=complex)
-    worst = 0.0
-    for a, g in D.generator_blocks():
-        b = a + len(g)
-        # a NaN entry is truthy, so a NaN generator is chained and reported
-        chained = g.any(axis=(1, 2, 3))
-        if rim is not None:
-            lo, hi = np.searchsorted(rim, (a, b))  # the rim ids are increasing
-            chained[rim[lo:hi] - a] = True
-        if not chained.any():
-            continue
-        T = _kernels.transport_chain(g if chained.all() else g[chained])
-        worst = np.maximum(worst, matcore.unitary_defect(T))
-        if rim is not None:
-            rim_T[lo:hi] = T[np.searchsorted(np.flatnonzero(chained), rim[lo:hi] - a)]
-    return float(worst), None if rim is None else _frame_defect(rim_T, loop)
+    mesh = D.mesh
+    if loop is not None:
+        _check_probe(mesh, loop)
+    rim = mesh.num_edges - mesh.n_t  # the first rim edge id
+    G = D.G if D.spec.trace is None else D.__dict__.get("G")
+    if G is not None:
+        g = G[rim:]
+    else:
+        parts = []
+        for a, b in _blocks(mesh.num_radial, mesh.num_edges, D.substeps):
+            block = _generators(D.spec, mesh, D.substeps, a, b)
+            if b > rim:
+                parts.append(block[max(rim - a, 0):])
+        g = np.concatenate(parts)
+    T = _kernels.transport_chain(g)
+    return matcore.unitary_defect(T), None if loop is None else _frame_defect(T, loop)
 
 
 def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:
-    """Frame defect of the rim transports ``T`` (increasing angle) against ``loop``."""
+    """Frame defect of the rim transports ``T`` (increasing angle) against ``loop``.
+
+    NaN when an entry is not finite, so that a ``not defect <= tol`` guard trips.
+    """
     N, n, n_t = len(loop), loop.n, len(T)
     P = np.empty_like(T)
     acc = np.eye(n, dtype=complex)
@@ -561,12 +545,14 @@ def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:
         P[j] = acc
     targets = loop.samples[(np.arange(1, n_t + 1) * (N // n_t)) % N]
     M = np.swapaxes((P @ loop.samples[0]).conj(), -1, -2) @ targets
+    if not np.isfinite(M).all():  # the SVD would not converge
+        return math.nan
     sv_sums = np.linalg.svd(np.real(M), compute_uv=False).sum(axis=-1)
-    worst = 0.0
-    for Mj, sv_sum in zip(M, sv_sums):
-        d2 = float(np.linalg.norm(Mj) ** 2 + n - 2.0 * sv_sum)
-        worst = max(worst, math.sqrt(max(d2, 0.0)))
-    return worst
+    # ||M_j||_F as np.linalg.norm takes it, from the real and imaginary planes
+    x, y = (part.reshape(n_t, 1, n * n) for part in (M.real, M.imag))
+    sq = (x @ np.swapaxes(x, -1, -2) + y @ np.swapaxes(y, -1, -2)).reshape(n_t)
+    d2 = np.sqrt(sq) ** 2 + n - 2.0 * sv_sums
+    return float(np.sqrt(np.maximum(d2, 0.0)).max(initial=0.0))
 
 
 def double_degree(pair: BundlePairSpec) -> int:

@@ -40,8 +40,9 @@ class UnknownName(MaslovCWError):
 class Unrefined(MaslovCWError):
     """The mesh cannot resolve the connection; refine it.
 
-    A per-face curvature angle exceeds the branch guard, or the rim chords
-    reach inside a collar's plateau.
+    A per-face curvature angle exceeds the branch guard, the rim chords
+    reach inside a collar's plateau, or the raw index lies too far from
+    its rounding to name a multiple of the quantum.
     """
 
 

@@ -23,6 +23,7 @@ class Tolerances:
     transverse_angle: float = 1e-7    # positive-path angle distance to 0 mod pi
     winding_guard: float = math.pi / 2   # max per-step principal phase increment
     face_angle_guard: float = math.pi / 2  # per-plaquette branch guard
+    rounding_residual: float = 0.25   # |raw - rounded| index, in quanta
     frame_step_sv: float = 0.5        # min singular value in frame alignment
     skew: float = 1e-10               # skew-Hermitian defect of connection values
     raw_agreement: float = 2e-2       # raw curvature integrals of two routes to one index

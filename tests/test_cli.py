@@ -188,16 +188,18 @@ class TestCw:
         code, out, _ = run_cli(["cw", "--input", str(path), "--mesh", "64"], capsys)
         assert code == 0
         report = json.loads(out)
-        # the same connection, every edge chained, the rim walked edge by edge
+        # the same connection, every edge chained, the rim's transports read
+        # from the full chain and walked edge by edge
         loop = load_loop(str(path))
         mesh = Mesh2D("disc", cli.MESH_MIN, len(loop))
         T = _kernels.transport_chain(edge_transports(build_collar_connection(loop), mesh).G)
+        T = T[mesh.boundary_angular_ids()]
         drift = matcore.unitary_defect(T)
         gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1))
         assert abs(drift - gram.max()) <= 12 * np.finfo(float).eps
         P, worst = np.eye(3, dtype=complex), 0.0
-        for j, e in enumerate(mesh.boundary_angular_ids()):
-            P = T[e] @ P
+        for j, Tj in enumerate(T):
+            P = Tj @ P
             M = (P @ loop.samples[0]).conj().T @ loop.samples[(j + 1) % len(loop)]
             d2 = np.linalg.norm(M) ** 2 + 3 - 2.0 * np.linalg.svd(M.real, compute_uv=False).sum()
             worst = max(worst, np.sqrt(max(d2, 0.0)))
@@ -205,6 +207,17 @@ class TestCw:
         assert report["orthogonality_defect"] == worst
         code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
         assert code == 0 and json.loads(out)["orthogonality_defect"] is None
+
+    def test_quantum_finer_than_the_mesh_exits_one(self, capsys):
+        # raw 1.9616 at 16^2 would round to 63/32 for a quantum of 1/64
+        code, out, err = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "16",
+                                  "--quantum", "1/64"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: raw index 1.96157 lies 0.459 quanta of 1/64 from 63/32")
+        assert "past the rounding bound 0.25; refine the mesh" in err
+        code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "16",
+                                "--quantum", "1/2"], capsys)
+        assert code == 0 and json.loads(out)["rounded_exact"] == {"num": 2, "den": 1}
 
     def test_every_input_is_read_or_rejected(self, tmp_path, capsys):
         # a second loop file, or a file beside a built-in, would go unread

@@ -215,13 +215,14 @@ class TestEdgeTransports:
 
 
 def reference_diagnostics(D, loop):
-    """Transports, drift and frame defect chained from the full G, edge by edge.
+    """Rim transports, drift and frame defect chained from the full G's rim rows.
 
-    The drift is ``unitary_defect`` over every edge, which must also match
-    the complex Gram formula to rounding.  The frame defect is None when
-    ``loop`` is.
+    The transports are those of the outer ring's edges, in increasing
+    angle; the drift is ``unitary_defect`` over them, which must also match
+    the complex Gram formula to rounding.  The frame defect, walked vertex
+    by vertex, is None when ``loop`` is.
     """
-    T = _kernels.transport_chain(D.G)
+    T = _kernels.transport_chain(D.G[D.mesh.boundary_angular_ids()])
     drift = matcore.unitary_defect(T)
     gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(D.n), axis=(-2, -1))
     assert abs(drift - gram.max()) <= 4 * D.n * np.finfo(float).eps
@@ -231,8 +232,8 @@ def reference_diagnostics(D, loop):
     stride = N // D.mesh.n_t
     P = np.eye(n, dtype=complex)
     worst = 0.0
-    for j, e in enumerate(D.mesh.boundary_angular_ids()):
-        P = T[e] @ P
+    for j, Tj in enumerate(T):
+        P = Tj @ P
         M = (P @ loop.samples[0]).conj().T @ loop.samples[((j + 1) * stride) % N]
         sv = np.linalg.svd(np.real(M), compute_uv=False)
         d2 = float(np.linalg.norm(M) ** 2 + n - 2.0 * sv.sum())
@@ -244,51 +245,45 @@ def report_cases(rng):
     """(spec, mesh, probe) for a collar, flat with a probe, and a built-in without one."""
     loop, _ = random_frame_loop(rng, 3, 256)
     return (
-        # a collar: the rim edges are among the live ones
+        # a collar: the rim edges are live, and so are interior ones
         (build_collar_connection(loop), Mesh2D("disc", 16, 256), loop),
-        # flat with a probe: no live edge, so only the n_t rim edges
+        # flat with a probe: every generator is zero, the rim's too
         (builtin_connection("flat", n=3), Mesh2D("disc", 8, 128),
          generate_loop("constant", N=128, n=3)),
-        # a built-in with no probe loop: the live edges only
+        # a built-in with no probe loop: the drift alone
         (builtin_connection("example_2_7"), Mesh2D("disc", 16, 16), None),
     )
 
 
 def recording_chain(monkeypatch):
-    """Patch transport_chain to record the row count of each call; return the record."""
+    """Patch transport_chain to record a copy of the generators of each call; return the record."""
     chained = []
     chain = _kernels.transport_chain
 
     def recording(gens):
-        chained.append(gens.shape[0])
+        chained.append(gens.copy())
         return chain(gens)
 
     monkeypatch.setattr(_kernels, "transport_chain", recording)
     return chained
 
 
+def assert_chained_the_rim(chained, mesh, G):
+    """One transport_chain call, of exactly the n_t rim rows of the generators ``G``, bitwise."""
+    rim = mesh.boundary_angular_ids()
+    assert np.array_equal(rim, np.arange(mesh.num_edges)[-mesh.n_t:])
+    assert len(chained) == 1 and chained[0].tobytes() == G[rim].tobytes()
+
+
 def assert_report_chains_once(spec, mesh, probe, first, chained):
-    """The index chains nothing; reading ``first`` chains live and rim once, the other read none."""
+    """The index chains nothing; reading ``first`` chains the rim once, the other read none."""
     chained.clear()
     D = edge_transports(spec, mesh)
     rep = chern_weil_index(D, loop=probe)
     assert chained == []
     getattr(rep, first)
-    rows = D.G.any(axis=(1, 2, 3))
-    live = np.count_nonzero(rows)
-    if probe is not None:
-        # the rim edges are all live, or none is
-        rim = mesh.boundary_angular_ids()
-        assert rows[rim].all() == (live > 0)
-        rows[rim] = True
-    # one or more calls of at most one block each; one call when the edges fit one block
-    block = max(1, matcore.BLOCK // D.substeps)
-    count = np.count_nonzero(rows)
-    assert chained and all(1 <= c <= block for c in chained) and sum(chained) == count
-    assert len(chained) == -(-count // block)
-    calls = len(chained)
     values = (rep.unitarity_defect, rep.orthogonality_defect)
-    assert len(chained) == calls
+    assert_chained_the_rim(chained, mesh, D.G)
     _, drift, worst = reference_diagnostics(D, probe)
     assert values == (drift, worst)
     assert (worst is None) == (probe is None)
@@ -307,45 +302,42 @@ def store_spec(n):
 class TestLazyTransports:
     def test_index_chains_only_rim_edges(self, rng, monkeypatch):
         # the index reads no transport; the frame defect read first chains
-        # the live and rim edges in one call, and the drift then chains none
+        # the n_t rim edges in one call, and the drift then chains none
         chained = recording_chain(monkeypatch)
         for spec, mesh, probe in report_cases(rng):
-            D = assert_report_chains_once(spec, mesh, probe, "orthogonality_defect", chained)
-            if not D.G.any():
-                # with no live edge, the report chains the n_t rim edges only
-                assert chained[0] == mesh.n_t
+            assert_report_chains_once(spec, mesh, probe, "orthogonality_defect", chained)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), reads=st.lists(
-        st.one_of(
-            # distinct ids in random order, or a run of consecutive ids
-            st.lists(st.integers(0, STORE_MESH.num_edges - 1), min_size=1, max_size=12, unique=True),
-            st.tuples(st.integers(0, STORE_MESH.num_edges - 1), st.integers(1, 80)).map(
-                lambda t: list(range(t[0], min(t[0] + t[1], STORE_MESH.num_edges)))),
-        ), min_size=1, max_size=6))
+        st.sampled_from(["drift", "with_loop", "frame", "G"]), min_size=1, max_size=6))
     def test_store_reads_match_chain_and_chain_once(self, n, reads):
-        # nothing is stored: each read chains its own ids once, in one call
-        D = edge_transports(store_spec(n), STORE_MESH)
+        # nothing is stored: each diagnostics read chains the rim once, in one
+        # call, to the same bits whether G was built before it or not
+        spec = store_spec(n)
+        loop = spec.boundary_loop
+        built = edge_transports(spec, STORE_MESH)
+        _, drift, worst = reference_diagnostics(built, loop)
+        D = edge_transports(spec, STORE_MESH)
         chain = _kernels.transport_chain
         chained = []
 
         def recording(gens):
-            chained.append(gens.shape[0])
+            chained.append(gens.copy())
             return chain(gens)
 
         with mock.patch.object(_kernels, "transport_chain", recording):
-            for ids in reads:
-                ids = np.array(ids)
+            for read in reads:
                 chained.clear()
-                T = D.transports_of(ids)
-                assert chained == [len(ids)]
-                assert T.tobytes() == chain(D.G[ids]).tobytes()
-            # the drift chains the live edges in one call, whatever was read above
-            chained.clear()
-            drift, frame = transport_defects(D)
-        live = np.count_nonzero(D.G.any(axis=(1, 2, 3)))
-        assert chained == ([live] if live else [])
-        assert frame is None and drift == reference_diagnostics(D, None)[1]
+                if read == "G":
+                    D.G
+                    assert chained == []
+                    continue
+                if read == "frame":
+                    assert orthogonality_defect(D, loop) == worst
+                else:
+                    probe = loop if read == "with_loop" else None
+                    assert transport_defects(D, probe) == (drift, None if probe is None else worst)
+                assert_chained_the_rim(chained, STORE_MESH, built.G)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_full_chain_bitwise(self, rng, n):
@@ -356,7 +348,9 @@ class TestLazyTransports:
         rep = chern_weil_index(lazy, Fraction(1), loop=loop)
         T, drift, worst = reference_diagnostics(lazy, loop)
         assert rep.orthogonality_defect == worst == orthogonality_defect(lazy, loop)
-        assert np.array_equal(_kernels.transport_chain(lazy.G), T)
+        # the rim chained alone is the full chain's rim rows, bitwise
+        rim = mesh.boundary_angular_ids()
+        assert _kernels.transport_chain(lazy.G)[rim].tobytes() == T.tobytes()
         assert rep.unitarity_defect == drift
         # generators built before the index give the same report
         eager = edge_transports(spec, mesh, substeps=2)
@@ -376,63 +370,81 @@ class TestLazyTransports:
 
 
 class TestBlockedDefects:
-    """``transport_defects`` in blocks of ``matcore.BLOCK`` matrices is bitwise one batch."""
+    """``transport_defects`` checks every angular edge a block at a time and chains the rim once."""
 
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocks_match_one_batch_and_chain_each_edge_once(self, rng, block, substeps,
                                                              monkeypatch):
         # 7 and 100 divide none of the n_t = 256, 128, 16 of the cases, so the
-        # rim edges, chained last, straddle a block boundary
-        chain = _kernels.transport_chain
-        chained = []
-
-        def recording(gens):
-            chained.append(gens.copy())
-            return chain(gens)
-
-        monkeypatch.setattr(_kernels, "transport_chain", recording)
+        # rim's generators straddle a block boundary
+        chained = recording_chain(monkeypatch)
         for spec, mesh, probe in report_cases(rng):
             monkeypatch.setattr(matcore, "BLOCK", 2**40)
             D = edge_transports(spec, mesh, substeps)
             whole = transport_defects(D, probe)
-            rows = D.G.any(axis=(1, 2, 3))
-            if probe is not None:
-                rows[mesh.boundary_angular_ids()] = True
-            assert len(chained) == 1 and chained[0].tobytes() == D.G[rows].tobytes()
+            assert_chained_the_rim(chained, mesh, D.G)
             monkeypatch.setattr(matcore, "BLOCK", block)
             step = max(1, block // substeps)
             # generators evaluated a block of angular edges at a time, then
-            # read from a built G, whose blocks start at edge 0
-            D = edge_transports(spec, mesh, substeps)
-            for built, first in ((False, mesh.num_radial), (True, 0)):
+            # sliced from a built G
+            points = []
+            D = edge_transports(recording_coeffs(spec, points), mesh, substeps)
+            for built in (False, True):
                 assert ("G" in D.__dict__) == built
                 chained.clear()
+                points.clear()
                 assert transport_defects(D, probe) == whole
-                # one call per block that holds a live or rim edge, of that block's edges
-                assert len(chained) == len(np.unique((np.flatnonzero(rows) - first) // step))
-                assert all(1 <= len(g) <= step for g in chained)
-                # each live or rim edge once, in increasing id order
-                assert np.concatenate(chained).tobytes() == D.G[rows].tobytes()
+                # unbuilt, the skew check saw every angular edge, a block per call
+                sizes = [k for name, k in points if name == "coeffs"]
+                assert sizes == ([] if built else [min(step, mesh.num_angular - a) * substeps
+                                                   for a in range(0, mesh.num_angular, step)])
+                assert_chained_the_rim(chained, mesh, D.G)
             if probe is not None:
                 rim = mesh.boundary_angular_ids() - mesh.num_radial
                 assert len(np.unique(rim // step)) > 1
             chained.clear()
 
     @pytest.mark.parametrize("with_probe", [False, True])
-    def test_nan_in_a_later_block_gives_nan_drift(self, rng, with_probe, monkeypatch):
-        # a finite first block: builtin max() would drop the later NaN.  Rank
-        # 1, where the chain is an exp that keeps a NaN (eigh may not converge)
-        loop, _ = random_frame_loop(rng, 1, 64)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_in_a_later_block_gives_nan_drift(self, rng, n, with_probe, monkeypatch):
+        # a NaN rim generator in the last block of the drift's blocks: a
+        # finite first block, where builtin max() would drop the later NaN.
+        # The frame defect is NaN too, where the SVD would not converge.
+        # Ranks 1 and 2, where the chain keeps a NaN (eigh may not converge)
+        loop, _ = random_frame_loop(rng, n, 64)
         monkeypatch.setattr(matcore, "BLOCK", 7)
-        D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 8, 64))
-        live = np.flatnonzero(D.G.any(axis=(1, 2, 3)))
-        assert len(live) > 7
-        D.G[live[len(live) // 2]] = np.nan
+        mesh = Mesh2D("disc", 8, 64)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        D.G[mesh.boundary_angular_ids()[-1]] = np.nan
         probe = loop if with_probe else None
         drift, frame = transport_defects(D, probe)
         assert math.isnan(drift)
-        assert (frame is None) == (probe is None)
+        assert frame is None if probe is None else math.isnan(frame)
+
+    @pytest.mark.parametrize("bad", ["nan", "hermitian"])
+    @pytest.mark.parametrize("block", [1, 7, 100, 2**40])
+    def test_bad_value_off_the_rim_raises(self, block, bad, monkeypatch):
+        # the trace is imaginary everywhere, so the index passes; the full
+        # values fail the skew check on one interior ring only, which the
+        # drift never chains
+        mesh = Mesh2D("disc", 8, 16)
+        r_bad = mesh.edge_quadrature(1)[0][3 * mesh.n_t, 0]  # a chord point of ring 3
+
+        def a_theta(r, t):
+            A = np.zeros(r.shape + (2, 2), dtype=complex)
+            A[..., 0, 0] = 1j * r
+            off = np.where(r == r_bad, np.nan if bad == "nan" else 1.0, 0.0)
+            A[..., 0, 1] = A[..., 1, 0] = off  # Hermitian, or NaN
+            return A
+
+        spec = angular_spec(2, a_theta, lambda r, t: 1j * r, f"interior_{bad}")
+        monkeypatch.setattr(matcore, "BLOCK", block)
+        D = edge_transports(spec, mesh)
+        assert chern_weil_index(D).rounded is not None
+        with pytest.raises(NonUnitaryConnection):
+            transport_defects(D)
+        assert "G" not in D.__dict__
 
 
 def block_cases(rng):
@@ -452,9 +464,14 @@ def block_cases(rng):
            Mesh2D("disc", 8, 64), loop)
 
 
+# a quantum whose multiples hold every index of the test cases: halves on a
+# quarter disc, thirds at a cone of order 3, and the integers
+CASE_QUANTUM = Fraction(1, 6)
+
+
 def block_report(spec, mesh, probe, substeps):
     """(report JSON, face angle bytes) of one integration, both transport diagnostics read."""
-    rep = chern_weil_index(edge_transports(spec, mesh, substeps), loop=probe)
+    rep = chern_weil_index(edge_transports(spec, mesh, substeps), CASE_QUANTUM, loop=probe)
     return json.dumps(rep.to_json_dict(), sort_keys=True), rep.face_angles.tobytes()
 
 
@@ -524,8 +541,8 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("block", [1, 7, 100, 2**40])
     def test_generators_outside_the_trace_band_are_chained(self, block, monkeypatch):
-        # the drift reads every nonzero generator, not only the edges whose
-        # trace is nonzero: here the trace is rounding or exactly 0
+        # the drift reads the rim's generators, not its trace: here the
+        # trace is rounding or exactly 0 and the generators are not
         monkeypatch.setattr(matcore, "BLOCK", block)
         for spec, mesh, loop in zero_trace_cases():
             D = edge_transports(spec, mesh)
@@ -736,34 +753,28 @@ class TestTraceOnlyPath:
                 assert np.abs(D.edge_logdet - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_drift_read_first_matches_full_chain(self, rng, n):
+    def test_drift_read_first_matches_full_chain(self, rng, n, monkeypatch):
+        chained = recording_chain(monkeypatch)
         chain = _kernels.transport_chain
-        chained = []
-
-        def recording(gens):
-            chained.append(gens.copy())
-            return chain(gens)
-
         for spec, mesh in drift_meshes_and_specs(rng, n):
             D = edge_transports(spec, mesh)
             chained.clear()
-            with mock.patch.object(_kernels, "transport_chain", recording):
-                drift, frame = transport_defects(D)
+            drift, frame = transport_defects(D)
             assert frame is None
-            # only the edges with a nonzero generator were chained, in one call
-            live = D.G.any(axis=(1, 2, 3))
-            if live.any():
-                assert len(chained) == 1 and chained[0].tobytes() == D.G[live].tobytes()
-            else:
-                assert chained == [] and drift == 0.0
-            assert drift == matcore.unitary_defect(chain(D.G))
+            # the n_t rim edges were chained in one call, live or not
+            assert_chained_the_rim(chained, mesh, D.G)
+            rim = mesh.boundary_angular_ids()
+            assert drift == matcore.unitary_defect(chain(D.G)[rim])
+            if not D.G[rim].any():
+                assert drift == 0.0
 
     def test_nan_generator_is_chained(self):
+        # a NaN rim generator shows in both diagnostics; the index never reads it
         D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 4, 8))
         rep = chern_weil_index(D, loop=generate_loop("constant", N=8, n=2))
-        D.G[0, 0, 0, 0] = np.nan
+        D.G[D.mesh.boundary_angular_ids()[2], 0, 0, 0] = np.nan
         assert math.isnan(rep.unitarity_defect)
-        assert rep.orthogonality_defect <= 1e-12
+        assert math.isnan(rep.orthogonality_defect)
 
     def test_index_leaves_generators_unbuilt(self, rng):
         loop, _ = random_frame_loop(rng, 3, 128)
@@ -1011,7 +1022,7 @@ class TestDiagonalPath:
             assert "G" not in D.__dict__ and "G" in F.__dict__
             # the trace meets the diagonal sums of the full values up to rounding
             assert np.abs(D.edge_logdet - F.edge_logdet).max() <= 1e-12
-            rep, ref = chern_weil_index(D), chern_weil_index(F)
+            rep, ref = chern_weil_index(D, CASE_QUANTUM), chern_weil_index(F, CASE_QUANTUM)
             assert np.abs(rep.face_angles - ref.face_angles).max() <= 1e-12
             assert abs(rep.raw - ref.raw) <= 1e-9 and rep.rounded == ref.rounded
             # the generators agree up to the sign of the radial rows' zeros,
@@ -1081,7 +1092,7 @@ def face_holonomy(D, f):
     """Ordered product of the four edge transports around face ``f``."""
     ids, signs = D.mesh.face_edges()
     H = np.eye(D.n, dtype=complex)
-    for T, sg in zip(D.transports_of(ids[f]), signs[f]):
+    for T, sg in zip(_kernels.transport_chain(D.G[ids[f]]), signs[f]):
         H = (T if sg > 0 else T.conj().T) @ H
     return H
 
@@ -1164,6 +1175,24 @@ class TestChernWeilIndex:
         assert np.array_equal(a.face_angles, b.face_angles)
 
 
+def loop_frame_defect(T, loop):
+    """The frame defect with one ``np.linalg.norm`` and builtin ``max`` per vertex."""
+    N, n, n_t = len(loop), loop.n, len(T)
+    P = np.empty_like(T)
+    acc = np.eye(n, dtype=complex)
+    for j, Tj in enumerate(T):
+        acc = Tj @ acc
+        P[j] = acc
+    targets = loop.samples[(np.arange(1, n_t + 1) * (N // n_t)) % N]
+    M = np.swapaxes((P @ loop.samples[0]).conj(), -1, -2) @ targets
+    sv_sums = np.linalg.svd(np.real(M), compute_uv=False).sum(axis=-1)
+    worst = 0.0
+    for Mj, sv_sum in zip(M, sv_sums):
+        d2 = float(np.linalg.norm(Mj) ** 2 + n - 2.0 * sv_sum)
+        worst = max(worst, math.sqrt(max(d2, 0.0)))
+    return worst
+
+
 class TestOrthogonalityDefect:
     def test_collar_self_consistency(self):
         loop = generate_loop("circle_tangent", 256)
@@ -1190,6 +1219,32 @@ class TestOrthogonalityDefect:
         loop = generate_loop("circle_tangent", 128)
         D = edge_transports(builtin_connection("flat", n=1), Mesh2D("disc", 8, 128))
         assert orthogonality_defect(D, loop) >= 0.5
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batched_norms_match_the_per_vertex_loop(self, rng, n):
+        # near-unitary rim transports, so the vertex defects are small and
+        # the ||M_j||^2 + n - 2 sum(sv) cancellation is at its worst
+        for N, n_t in ((64, 64), (96, 32), (40, 8)):
+            loop, _ = random_frame_loop(rng, n, N)
+            for scale in (0.0, 1e-6, 0.3):
+                H = rng.normal(size=(n_t, n, n)) + 1j * rng.normal(size=(n_t, n, n))
+                S = scale * (H - np.swapaxes(H, -1, -2).conj())
+                T = _kernels.transport_chain(S[:, None])
+                assert curvature._frame_defect(T, loop) == loop_frame_defect(T, loop)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nan_rim_transport_gives_nan(self, rng, n):
+        # the SVD of a NaN matrix does not converge, and builtin max() would
+        # drop a NaN vertex defect after the first
+        loop, _ = random_frame_loop(rng, n, 64)
+        mesh = Mesh2D("disc", 8, 64)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        T = _kernels.transport_chain(D.G[mesh.boundary_angular_ids()])
+        assert math.isfinite(curvature._frame_defect(T, loop))
+        for j in (0, 37):
+            bad = T.copy()
+            bad[j, 0, 0] = np.nan
+            assert math.isnan(curvature._frame_defect(bad, loop))
 
 
 class TestConjugationAndOrientation:
@@ -1408,9 +1463,25 @@ class TestQuantum:
             chern_weil_index(D, quantum)
 
     def test_tiny_and_huge_positive_quanta_round(self):
-        D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 32, 32))
-        for q in (Fraction(1, 10**300), Fraction(10**300)):
-            assert chern_weil_index(D, q).quantum == q
+        mesh = Mesh2D("disc", 32, 32)
+        D = edge_transports(builtin_connection("example_2_7"), mesh)
+        flat = edge_transports(builtin_connection("flat"), mesh)
+        tiny, huge = Fraction(1, 10**300), Fraction(10**300)
+        assert chern_weil_index(D, huge).quantum == huge
+        assert chern_weil_index(flat, tiny).quantum == tiny
+        # raw is no closer to a multiple of a tiny quantum than its rounding error
+        with pytest.raises(Unrefined, match="rounding bound"):
+            chern_weil_index(D, tiny)
+
+
+    def test_rounding_past_the_bound_raises(self):
+        # 16^2 is too coarse for a quantum of 1/64: raw 1.9616 lies 0.46
+        # quanta from 63/32, the nearest multiple, and would report it
+        D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 16, 16))
+        with pytest.raises(Unrefined, match="rounding bound"):
+            chern_weil_index(D, Fraction(1, 64))
+        rep = chern_weil_index(D, Fraction(1, 2))
+        assert rep.rounded == 2 and rep.residual <= TOL.rounding_residual / 2
 
 
 class TestConvergence:
@@ -1498,7 +1569,7 @@ class TestFaceBand:
     def test_band_matches_full_grid(self, rng):
         for name, spec, mesh, gap in band_cases(rng):
             D = edge_transports(spec, mesh)
-            assert_report_matches_full_grid(chern_weil_index(D))
+            assert_report_matches_full_grid(chern_weil_index(D, CASE_QUANTUM))
             # the band is exactly the rows holding a nonzero face edge
             ids, _ = mesh.face_edges()
             live = (D.edge_logdet.imag[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1)
