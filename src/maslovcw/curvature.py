@@ -404,11 +404,10 @@ def chern_weil_index(
     (``_face_angles``), and summed; every other face is exactly +0.  Raises
     Unrefined when any face angle reaches the pi/2 branch guard, or when
     raw lies farther than ``TOL.rounding_residual`` quanta from its
-    rounding.  The probe
-    loop (``loop``, else the spec's boundary loop) is checked here against
-    the rim, so a sample count not divisible by the angular resolution
-    raises Undersampled at once; the report computes its frame defect only
-    when it is read.
+    rounding.  The probe loop (``loop``, else the spec's boundary loop) is
+    checked here against the rim, so a sample count not divisible by the
+    angular resolution raises Undersampled at once; the report computes its
+    frame defect only when it is read.
     """
     if not D.unitary:
         raise NonUnitaryConnection("chern_weil_index requires a unitary connection")
