@@ -754,8 +754,8 @@ class TestTraceOnlyPath:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_drift_read_first_matches_full_chain(self, rng, n, monkeypatch):
-        chained = recording_chain(monkeypatch)
         chain = _kernels.transport_chain
+        chained = recording_chain(monkeypatch)
         for spec, mesh in drift_meshes_and_specs(rng, n):
             D = edge_transports(spec, mesh)
             chained.clear()
