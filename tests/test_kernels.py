@@ -43,7 +43,6 @@ def test_numpy_path_is_unitary_over_the_edge_step_range(seed, n, s, E, top):
     target = rng.uniform(0.0, top, (E, s, 1, 1))
     target[0, 0] = top  # the top of the range is always drawn
     G = np.divide(G * target, norms, out=np.zeros_like(G), where=norms > 0)
-    assert np.all(np.linalg.norm(G, axis=(-2, -1)) <= top * (1 + 1e-12))
     T = _kernels.transport_chain(G)
     assert T.shape == (E, n, n)
     assert matcore.unitary_defect(T) <= TOL.unitary_global
