@@ -1,16 +1,16 @@
 """Unitary connection 1-forms on meshed domains.
 
-A ConnectionSpec evaluates the polar coefficients (A_r, A_theta) of a
-skew-Hermitian-valued 1-form at batches of points.  Collar connections
-extend a boundary frame loop inward through a radial cutoff so that parallel
-transport along the boundary preserves the Lagrangian frames; the analytic
-built-ins cover the standard disc example, the flat connection, and the
-non-unitary counterexample of the verify suite's non-unitary control.
+A ConnectionSpec evaluates the d(theta) coefficient A_theta of a
+skew-Hermitian-valued 1-form with no dr part, and its trace, at batches of
+points.  Collar connections extend a boundary frame loop inward through a
+radial cutoff so that parallel transport along the boundary preserves the
+Lagrangian frames; the analytic built-ins cover the standard disc example,
+the flat connection, and the verify suite's non-unitary counterexample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
@@ -48,30 +48,28 @@ def cutoff_profile(x: np.ndarray, kind: str = "cubic", saturation: float = _SATU
 
 @dataclass(eq=False)
 class ConnectionSpec:
-    """Evaluator of a connection 1-form in polar coefficients.
+    """Evaluator of a connection 1-form A_theta d(theta) with no dr part.
 
-    ``coeffs(r, t)`` takes flat arrays and returns (A_r, A_theta), each of
-    shape r.shape + (n, n); A_r may be None, which counts as zero.
-    ``unitary`` tags whether the values are skew-Hermitian; non-unitary
-    specs are only accepted by the norm-drift pipeline.  ``trace``, when
-    given, returns tr A_theta, shape r.shape, equal up to rounding to the
-    trace of the ``coeffs`` values, and declares that the form has no dr
-    part: ``coeffs`` must then return A_r None, and the spec is evaluated
-    only at angular-edge points, since dtheta vanishes along radial edges.
-    The index path then evaluates only the trace, and ``coeffs`` runs only
-    when the generators are read.  A spec without a trace is evaluated in
-    full on every edge.  ``rim_cutoff(r)``, when given, is the collar's
-    cutoff as a function of the radius; at every quadrature point of the
-    mesh's rim chords it must equal its value on the rim itself, or
-    ``edge_transports`` raises Unrefined.  Every collar-type spec gives one.
+    ``coeffs(r, t)`` takes flat arrays and returns A_theta, shape
+    r.shape + (n, n).  ``trace(r, t)`` returns tr A_theta, shape r.shape,
+    equal up to rounding to the trace of the ``coeffs`` values.  Since
+    d(theta) vanishes along radial edges, the spec is evaluated only at
+    angular-edge points: the index path evaluates only the trace, and
+    ``coeffs`` runs only when the generators are read.  ``unitary`` tags
+    whether the values are skew-Hermitian; non-unitary specs are only
+    accepted by the norm-drift pipeline.  ``rim_cutoff(r)``, when given, is
+    the collar's cutoff as a function of the radius; at every quadrature
+    point of the mesh's rim chords it must equal its value on the rim
+    itself, or ``edge_transports`` raises Unrefined.  Every collar-type spec
+    gives one.
     """
 
     n: int
-    coeffs: Callable[[np.ndarray, np.ndarray], tuple]
+    coeffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    trace: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tag: str
     unitary: bool = True
     boundary_loop: Optional[FrameLoop] = None
-    trace: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rim_cutoff: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -81,20 +79,9 @@ def check_skew(defect: float, what: str) -> None:
         raise NonUnitaryConnection(f"skew-Hermitian defect {defect:.3g} of the {what}")
 
 
-def angular_spec(n: int, a_theta: Callable, a_trace: Callable, tag: str, boundary_loop=None,
-                 rim_cutoff: Optional[Callable] = None) -> ConnectionSpec:
-    """Spec with no dr part (A_r None), A_theta = a_theta(r, t) and trace a_trace(r, t)."""
-
-    def coeffs(r, t):
-        return None, a_theta(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-
-    return ConnectionSpec(n, coeffs, tag=tag, boundary_loop=boundary_loop, trace=a_trace,
-                          rim_cutoff=rim_cutoff)
-
-
 def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str,
                 boundary_loop=None, rim_cutoff: Optional[Callable] = None) -> ConnectionSpec:
-    """Rank-n angular spec: A_theta = term(*forms(), r, t), trace term(*traces, r, t).
+    """Rank-n spec: A_theta = term(*forms(), r, t), trace term(*traces, r, t).
 
     ``term`` may only interpolate, scale and add its inputs with real
     weights, for any trailing shape.  ``traces`` (complex arrays (N,) or ())
@@ -116,8 +103,8 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
             F[..., diag, diag] -= ((np.trace(F, axis1=-2, axis2=-1) - tr) / n)[..., None]
         return out
 
-    return angular_spec(n, lambda r, t: term(*shifted(), r, t), lambda r, t: term(*traces, r, t),
-                        tag, boundary_loop, rim_cutoff)
+    return ConnectionSpec(n, lambda r, t: term(*shifted(), r, t), lambda r, t: term(*traces, r, t),
+                          tag, boundary_loop=boundary_loop, rim_cutoff=rim_cutoff)
 
 
 def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
@@ -129,15 +116,14 @@ def builtin_connection(name: str, n: int = 1) -> ConnectionSpec:
     Lagrangian data but not the metric.  ``flat``: d.
     """
     if name == "example_2_7":
-        return angular_spec(1, lambda r, t: (-1j * r)[..., None, None].astype(complex),
-                            lambda r, t: -1j * r, name)
+        return ConnectionSpec(1, lambda r, t: (-1j * r)[..., None, None].astype(complex),
+                              lambda r, t: -1j * r, name)
     if name == "example_4_3_nonunitary":
-        spec = angular_spec(1, lambda r, t: r[..., None, None].astype(complex),
-                            lambda r, t: r, name)
-        return replace(spec, unitary=False)
+        return ConnectionSpec(1, lambda r, t: r[..., None, None].astype(complex),
+                              lambda r, t: r, name, unitary=False)
     if name == "flat":
-        return angular_spec(n, lambda r, t: np.zeros(r.shape + (n, n), dtype=complex),
-                            lambda r, t: np.zeros(r.shape, dtype=complex), name)
+        return ConnectionSpec(n, lambda r, t: np.zeros(r.shape + (n, n), dtype=complex),
+                              lambda r, t: np.zeros(r.shape, dtype=complex), name)
     raise UnknownName(f"unknown builtin connection {name!r}")
 
 
@@ -294,39 +280,3 @@ def build_arc_collar_connection(
     return collar_spec(term, (open_path_trace(path),), lambda: (open_path_form(path),),
                        path.shape[-1], f"arc_collar(w={width})",
                        rim_cutoff=lambda r: cutoff_profile(depth(r)))
-
-
-def radial_gauge_transform(
-    spec: ConnectionSpec, generator: np.ndarray, amplitude: float = 1.0
-) -> ConnectionSpec:
-    """Gauge-transform by g(r) = exp(c s(r) S) with s(1) = 0.
-
-    S is a constant skew-Hermitian generator and s(r) = (1 - r^2)^2, so g is
-    the identity on the boundary and smooth at the origin.  The transformed
-    form is A' = c s'(r) S dr + g^{-1} A g; its trace curvature integral must
-    match the original up to quadrature error.  A base A_r of None counts
-    as zero.
-    """
-    S = np.asarray(generator, dtype=complex)
-    S = 0.5 * (S - S.conj().T)
-    lam, V = np.linalg.eigh(-1j * S)
-    base = spec.coeffs
-    c = float(amplitude)
-
-    def coeffs(r, t):
-        r = np.asarray(r, dtype=float)
-        s = (1.0 - r**2) ** 2
-        s_prime = -4.0 * r * (1.0 - r**2)
-        ph = np.exp(1j * np.multiply.outer(c * s, lam))
-        g = np.einsum("ij,...j,kj->...ik", V, ph, V.conj())
-        g_inv = np.einsum("ij,...j,kj->...ik", V, 1.0 / ph, V.conj())
-        Ar, At = base(r, t)
-        Ar2 = (c * s_prime)[..., None, None] * S
-        if Ar is not None:
-            Ar2 = Ar2 + g_inv @ Ar @ g
-        return Ar2, g_inv @ At @ g
-
-    return ConnectionSpec(
-        spec.n, coeffs, tag=f"gauge({spec.tag})", unitary=spec.unitary,
-        boundary_loop=spec.boundary_loop, rim_cutoff=spec.rim_cutoff,
-    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, matcore
 from .connections import ConnectionSpec, check_skew
-from .errors import InvalidParameter, MaslovCWError, NonUnitaryConnection, Undersampled, Unrefined
+from .errors import InvalidParameter, NonUnitaryConnection, Undersampled, Unrefined
 from .loops import BundlePairSpec, FrameLoop, winding
 from .mesh import Mesh2D
 from .tolerances import TOL
@@ -36,14 +36,12 @@ class DiscreteConnection:
 
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
     trace of the connection values; the index reads nothing else.  The
-    generators of any range of edges come from one evaluator,
+    generators of any range of angular edges come from one evaluator,
     ``_generators``.  ``transport_defects`` evaluates them a block at a time
     to check their values and keeps only the rim's, so a report never
-    builds the full (E, s, n, n) ``G``; that is built when first read, and
-    at once by ``edge_transports`` for a spec without a trace.  Once built,
-    ``G`` is what every later read sees.  Transports are for the canonical
-    edge direction (outward radial, increasing angle); they are chained on
-    every read and not kept.
+    builds the full (E, s, n, n) ``G``; that is built, and cached, when
+    first read.  Transports are for the canonical edge direction (outward
+    radial, increasing angle); they are chained on every read and not kept.
     """
 
     mesh: Mesh2D
@@ -61,10 +59,10 @@ class DiscreteConnection:
 
     @cached_property
     def G(self) -> np.ndarray:
-        """(E, s, n, n) generators -(A_theta dt + A_r dr) of every substep."""
-        lo = 0 if self.spec.trace is None else self.mesh.num_radial  # +0 radial rows
-        g = _generators(self.spec, self.mesh, self.substeps, lo, self.mesh.num_edges)
-        return np.concatenate([np.zeros((lo,) + g.shape[1:], dtype=complex), g])
+        """(E, s, n, n) generators -A_theta dt of every substep; the radial rows are +0."""
+        R = self.mesh.num_radial
+        g = _generators(self.spec, self.mesh, self.substeps, R, self.mesh.num_edges)
+        return np.concatenate([np.zeros((R,) + g.shape[1:], dtype=complex), g])
 
 
 def _blocks(lo: int, hi: int, substeps: int):
@@ -87,16 +85,13 @@ def edge_transports(
     allowed (the non-unitary control, rank 1 only).
 
     ``edge_logdet`` is minus the trace times the step, summed over the
-    substeps.  A spec without a trace evaluator is evaluated in full on
-    every edge, its ``G`` is kept, and its ``edge_logdet`` is
-    ``trace(G.sum(axis=1))``.  A spec with one has no dr part: its trace is
-    evaluated on the angular edges only (a radial edge has dtheta = 0), a
-    block of ``matcore.BLOCK`` matrices (edges times substeps) at a time, a
-    unitary one is checked to be imaginary over every block, and its
-    generators are evaluated only when read.  A NaN fails either check.
-    Edges outside the rows where a block's trace is nonzero get exact +0,
-    which is also what the sum gives on an all-zero row, so the bytes do
-    not depend on the block size.
+    substeps.  The trace is evaluated on the angular edges only (a radial
+    edge has dtheta = 0), a block of ``matcore.BLOCK`` matrices (edges
+    times substeps) at a time; a unitary spec's is checked to be imaginary
+    over every block, and a NaN fails the check.  The generators are
+    evaluated only when read.  Edges outside the rows where a block's trace
+    is nonzero get exact +0, which is also what the sum gives on an
+    all-zero row, so the bytes do not depend on the block size.
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
@@ -116,12 +111,7 @@ def edge_transports(
             raise NonUnitaryConnection("non-unitary transports implemented for rank 1 only")
     if spec.rim_cutoff is not None:
         _check_rim(spec, mesh, substeps)
-    if spec.trace is None:
-        G = _generators(spec, mesh, substeps, 0, mesh.num_edges)
-        D = DiscreteConnection(mesh, spec, substeps, np.trace(G.sum(axis=1), axis1=-2, axis2=-1))
-        D.G = G  # fills the cache of the lazy property
-        return D
-    r_mid, t_mid, _, dt = mesh.edge_quadrature(substeps)
+    r_mid, t_mid, dt = mesh.edge_quadrature(substeps)
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
     angular = edge_logdet[mesh.num_radial :]
     worst = 0.0
@@ -153,37 +143,19 @@ def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
 
 
 def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, s, n, n) generators -(A_theta dt + A_r dr) of edges lo..hi-1, one ``coeffs`` call.
+    """(hi - lo, s, n, n) generators -A_theta dt of angular edges lo..hi-1, one ``coeffs`` call.
 
-    A spec with a trace evaluator is read on angular edges only (lo at or
-    after ``num_radial``) and must return A_r None; only a range that
-    reaches into the radial edges builds their quadrature rows.  A unitary
-    spec's values are checked skew-Hermitian on every evaluated row.  Each
-    value is elementwise in the edge, so the bytes of an edge's generator
-    do not depend on the range it is evaluated in.
+    A unitary spec's values are checked skew-Hermitian on every evaluated
+    row.  Each value is elementwise in the edge, so the bytes of an edge's
+    generator do not depend on the range it is evaluated in.
     """
     R = mesh.num_radial
-    quadrature = mesh.edge_quadrature(substeps)
-    if lo >= R:
-        r_mid, t_mid, dr, dt = (a[lo - R : hi - R] for a in quadrature)
-    else:
-        r_mid, t_mid, dr, dt = (np.concatenate([r, a])[lo:hi]
-                                for r, a in zip(mesh.radial_quadrature(substeps), quadrature))
-    shape = r_mid.shape + (spec.n, spec.n)
-    Ar, At = spec.coeffs(r_mid.ravel(), t_mid.ravel())
-    if Ar is not None and spec.trace is not None:
-        raise MaslovCWError(f"spec {spec.tag!r} has a trace evaluator, so no dr part, "
-                            "but returned A_r")
-    At = np.asarray(At, dtype=complex).reshape(shape)
-    if Ar is not None:
-        Ar = np.asarray(Ar, dtype=complex).reshape(shape)
+    r_mid, t_mid, dt = (a[lo - R : hi - R] for a in mesh.edge_quadrature(substeps))
+    At = np.asarray(spec.coeffs(r_mid.ravel(), t_mid.ravel()), dtype=complex)
+    At = At.reshape(r_mid.shape + (spec.n, spec.n))
     if spec.unitary:
-        # np.max, not max(): a NaN defect must propagate to the guard
-        check_skew(float(np.max([matcore.skew_defect(A) for A in (At, Ar) if A is not None])),
-                   "connection values")
+        check_skew(float(matcore.skew_defect(At)), "connection values")
     g = np.multiply(At, dt[..., None, None])
-    if Ar is not None:
-        g += Ar * dr[..., None, None]
     np.negative(g, out=g)
     return g
 
@@ -507,34 +479,31 @@ def transport_defects(
     """Drift of the rim transports, and their frame defect against ``loop`` (None without).
 
     Only the outer ring's n_t edges, the last n_t edge ids, are chained, in
-    one call.  Their generators are sliced from ``G`` once it is built (and
-    so checked), as it is for a spec without a trace.  Otherwise every
-    angular edge is evaluated by ``_generators`` and so skew-checked, a
-    block of ``matcore.BLOCK`` matrices at a time, and the rim's rows are
-    kept; the bytes do not depend on the block size.
+    one call.  Every angular edge is evaluated by ``_generators`` and so
+    skew-checked, a block of ``matcore.BLOCK`` matrices at a time, and the
+    rim's rows are kept; the bytes do not depend on the block size.
     """
     mesh = D.mesh
     if loop is not None:
         _check_probe(mesh, loop)
     rim = mesh.num_edges - mesh.n_t  # the first rim edge id
-    G = D.G if D.spec.trace is None else D.__dict__.get("G")
-    if G is not None:
-        g = G[rim:]
-    else:
-        parts = []
-        for a, b in _blocks(mesh.num_radial, mesh.num_edges, D.substeps):
-            block = _generators(D.spec, mesh, D.substeps, a, b)
-            if b > rim:
-                parts.append(block[max(rim - a, 0):])
-        g = np.concatenate(parts)
-    T = _kernels.transport_chain(g)
+    parts = []
+    for a, b in _blocks(mesh.num_radial, mesh.num_edges, D.substeps):
+        block = _generators(D.spec, mesh, D.substeps, a, b)
+        if b > rim:
+            parts.append(block[max(rim - a, 0):])
+    T = _kernels.transport_chain(np.concatenate(parts))
     return matcore.unitary_defect(T), None if loop is None else _frame_defect(T, loop)
 
 
 def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:
     """Frame defect of the rim transports ``T`` (increasing angle) against ``loop``.
 
-    NaN when an entry is not finite, so that a ``not defect <= tol`` guard trips.
+    At each rim vertex, the distance ||M - O||_F of M = (transported)^*
+    (loop frame) from the nearest real orthogonal O, the polar factor of
+    Re M: d^2 = sum_j (1 - sigma_j)^2 + ||Im M||_F^2 over the singular
+    values sigma_j of Re M, a sum of squares that does not cancel.  NaN
+    when an entry is not finite, so that a ``not defect <= tol`` guard trips.
     """
     N, n, n_t = len(loop), loop.n, len(T)
     P = np.empty_like(T)
@@ -546,12 +515,9 @@ def _frame_defect(T: np.ndarray, loop: FrameLoop) -> float:
     M = np.swapaxes((P @ loop.samples[0]).conj(), -1, -2) @ targets
     if not np.isfinite(M).all():  # the SVD would not converge
         return math.nan
-    sv_sums = np.linalg.svd(np.real(M), compute_uv=False).sum(axis=-1)
-    # ||M_j||_F as np.linalg.norm takes it, from the real and imaginary planes
-    x, y = (part.reshape(n_t, 1, n * n) for part in (M.real, M.imag))
-    sq = (x @ np.swapaxes(x, -1, -2) + y @ np.swapaxes(y, -1, -2)).reshape(n_t)
-    d2 = np.sqrt(sq) ** 2 + n - 2.0 * sv_sums
-    return float(np.sqrt(np.maximum(d2, 0.0)).max(initial=0.0))
+    sv = np.linalg.svd(np.real(M), compute_uv=False)
+    d2 = ((1.0 - sv) ** 2).sum(axis=-1) + (np.imag(M) ** 2).sum(axis=(-2, -1))
+    return float(np.sqrt(d2).max(initial=0.0))
 
 
 def double_degree(pair: BundlePairSpec) -> int:

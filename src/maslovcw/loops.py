@@ -15,6 +15,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -420,15 +421,21 @@ def int_from_json(value, name: str) -> int:
 def samples_from_json(rows, n: int) -> np.ndarray:
     """(N, n, n) complex samples from N rows of n² row-major [re, im] pairs.
 
-    Raises RankMismatch unless ``rows`` is a list of such rows of numbers.
+    Raises RankMismatch unless ``rows`` is a list of such rows of numbers;
+    a JSON boolean is not a number here.
     """
     try:
         arr = np.asarray(rows)
     except ValueError:  # ragged nesting
         arr = None
-    if (arr is None or n < 1 or arr.dtype.kind not in "biuf" or arr.ndim != 3
+    if (arr is None or n < 1 or arr.dtype.kind not in "iuf" or arr.ndim != 3
             or arr.shape[1:] != (n * n, 2)):
         raise RankMismatch(f"samples must be rows of {n * n} [re, im] pairs")
+    # np.asarray turns booleans among numbers into exact 0 and 1, so walk only
+    # the samples holding such entries: at worst one C-level pass over the tree
+    for k in np.flatnonzero(((arr == 0) | (arr == 1)).any(axis=(1, 2))).tolist():
+        if bool in map(type, chain.from_iterable(rows[k])):
+            raise RankMismatch(f"sample {k} holds a boolean, not a number")
     s = np.empty(arr.shape[:2], dtype=complex)
     s.real = arr[..., 0]
     s.imag = arr[..., 1]

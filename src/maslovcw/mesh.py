@@ -124,50 +124,32 @@ class Mesh2D:
     # -- quadrature geometry --------------------------------------------------
 
     def edge_quadrature(self, substeps: int):
-        """Midpoint-rule nodes and polar displacements of every angular edge.
+        """Midpoint-rule nodes and angular displacements of every angular edge.
 
-        Returns (r_mid, t_mid, dr, dt), each (num_angular, substeps), row k
-        for edge id ``num_radial + k``.  The edges are straight chords
-        subdivided in the plane, with exact per-substep increments of r and
-        theta so closed forms integrate exactly; center angular edges (zero
-        length) keep their parametric d(theta) increment.  The geometry does
-        not depend on the orientation; it is computed once per (domain, n_r,
-        n_t, substeps), keeping the ``QUADRATURE_CACHE_SIZE`` most recently
-        used, and the arrays are read-only because every caller shares them.
-        They are filled a block of rings at a time, each block about
-        ``matcore.BLOCK`` matrices (edges times substeps), so the
-        temporaries beyond the output are one block's.  Every value is
-        elementwise in the edge, so the bytes do not depend on the block
-        size.  The radial rows, which only a form with a dr part reads, are
-        not cached: ``radial_quadrature`` builds them.  ``substeps`` must be
-        an integer >= 1.
+        Returns (r_mid, t_mid, dt), each (num_angular, substeps), row k for
+        edge id ``num_radial + k``.  The edges are straight chords
+        subdivided in the plane, with the exact per-substep increment of
+        theta, so closed forms integrate exactly; center angular edges (zero
+        length) keep their parametric d(theta) increment.  A connection has
+        no dr part, so neither the chords' dr nor the radial edges (where
+        d(theta) = 0) get rows.  The geometry does not depend on the
+        orientation; it is computed once per (domain, n_r, n_t, substeps),
+        keeping the ``QUADRATURE_CACHE_SIZE`` most recently used, and the
+        arrays are read-only because every caller shares them.  They are
+        filled a block of rings at a time, each block about ``matcore.BLOCK``
+        matrices (edges times substeps), so the temporaries beyond the
+        output are one block's.  Every value is elementwise in the edge, so
+        the bytes do not depend on the block size.  ``substeps`` must be an
+        integer >= 1.
         """
-        return _edge_quadrature(self.domain, self.n_r, self.n_t, _substeps(substeps))
-
-    def radial_quadrature(self, substeps: int):
-        """(r_mid, t_mid, dr, dt) of every radial edge, each (num_radial, substeps), built per call.
-
-        Radial edges move only in r, so dt is 0.
-        """
-        s = _substeps(substeps)
-        out = r_mid, t_mid, dr, dt = tuple(np.empty((self.n_r, self.n_tv, s)) for _ in range(4))
-        r0, r1 = self.r_nodes[:-1, None, None], self.r_nodes[1:, None, None]
-        r_mid[...] = r0 + (r1 - r0) * ((np.arange(s) + 0.5) / s)
-        t_mid[...] = self.t_nodes[: self.n_tv, None]
-        dr[...] = (r1 - r0) / s
-        dt[...] = 0.0
-        return tuple(a.reshape(self.num_radial, s) for a in out)
+        s = _count(substeps, "substeps")
+        if s < 1:
+            raise InvalidParameter("substeps must be >= 1")
+        return _edge_quadrature(self.domain, self.n_r, self.n_t, s)
 
     def boundary_angular_ids(self) -> np.ndarray:
         """Edge ids of the rim chords (the outer ring, r = 1), in increasing angle order."""
         return self.angular_id(self.n_r, np.arange(self.n_t))
-
-
-def _substeps(value) -> int:
-    s = _count(value, "substeps")
-    if s < 1:
-        raise InvalidParameter("substeps must be >= 1")
-    return s
 
 
 def _count(value, name: str) -> int:
@@ -187,7 +169,7 @@ QUADRATURE_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=QUADRATURE_CACHE_SIZE)
 def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
     mesh = Mesh2D(domain, n_r, n_t)
-    out = tuple(np.empty((mesh.num_angular, s)) for _ in range(4))
+    out = tuple(np.empty((mesh.num_angular, s)) for _ in range(3))
     tv = mesh.t_nodes
     frac_mid = (np.arange(s) + 0.5) / s
     e = np.exp(1j * tv)  # the unit vector of each node angle
@@ -202,22 +184,20 @@ def _edge_quadrature(domain: str, n_r: int, n_t: int, s: int):
 
 
 def _angular_rows(ring_r, tv, e, frac_mid, wrap, out) -> None:
-    """Fill ``out`` (r_mid, t_mid, dr, dt), each (rings, n_t, s), for the chords of ``ring_r``."""
+    """Fill ``out`` (r_mid, t_mid, dt), each (rings, n_t, s), for the chords of ``ring_r``."""
     s = len(frac_mid)
     th0, th1 = tv[:-1], tv[1:]
     z0 = ring_r[:, None, None] * e[:-1, None]
     z1 = ring_r[:, None, None] * e[1:, None]
     zz = z0 + (z1 - z0) * (np.arange(s + 1) / s)
     zm = 0.5 * (zz[..., :-1] + zz[..., 1:])
-    r_mid, t_mid, dr, dt = out
+    r_mid, t_mid, dt = out
     with np.errstate(divide="ignore", invalid="ignore"):
         dt[...] = np.angle(zz[..., 1:] / zz[..., :-1])
     np.abs(zm, out=r_mid)
     t_mid[...] = np.mod(np.angle(zm), 2 * np.pi) if wrap else np.angle(zm)
-    np.subtract(np.abs(zz[..., 1:]), np.abs(zz[..., :-1]), out=dr)
     # degenerate ring at r = 0: parametric theta increments
     center = ring_r <= 0.0
     r_mid[center] = 0.0
     t_mid[center] = th0[:, None] + (th1 - th0)[:, None] * frac_mid
-    dr[center] = 0.0
     dt[center] = ((th1 - th0) / s)[:, None]

@@ -197,14 +197,19 @@ class TestCw:
         drift = matcore.unitary_defect(T)
         gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1))
         assert abs(drift - gram.max()) <= 12 * np.finfo(float).eps
-        P, worst = np.eye(3, dtype=complex), 0.0
+        # the frame defect: at each vertex, the distance of M from the polar
+        # factor of Re M, as a sum of squares and as the direct residual
+        P, worst, residual = np.eye(3, dtype=complex), 0.0, 0.0
         for j, Tj in enumerate(T):
             P = Tj @ P
             M = (P @ loop.samples[0]).conj().T @ loop.samples[(j + 1) % len(loop)]
-            d2 = np.linalg.norm(M) ** 2 + 3 - 2.0 * np.linalg.svd(M.real, compute_uv=False).sum()
-            worst = max(worst, np.sqrt(max(d2, 0.0)))
+            sv = np.linalg.svd(M.real, compute_uv=False)
+            worst = max(worst, np.sqrt(((1.0 - sv) ** 2).sum() + (M.imag ** 2).sum()))
+            U, _, Vt = np.linalg.svd(M.real)
+            residual = max(residual, np.linalg.norm(M - U @ Vt))
         assert report["unitarity_defect"] == drift
         assert report["orthogonality_defect"] == worst
+        assert abs(worst - residual) <= 1e-14
         code, out, _ = run_cli(["cw", "--builtin", "example_2_7", "--mesh", "32"], capsys)
         assert code == 0 and json.loads(out)["orthogonality_defect"] is None
 
@@ -356,6 +361,9 @@ _BAD_SAMPLES = {
     "not_pairs": [[[1.0, 0.0, 0.0]]] * 16,
     "string_entries": [[["1", "0"]]] * 16,
     "null_entries": [[[1.0, None]]] * 16,
+    "boolean_entries": [[[True, False]]] * 16,
+    # np.asarray reads these booleans as the floats 1.0 and 0.0
+    "mixed_boolean_entries": [[[1.0, 0.0]]] * 8 + [[[True, 0.0]]] * 8,
     "object_rows": {"0": [[1.0, 0.0]]},
 }
 
