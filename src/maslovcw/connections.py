@@ -55,9 +55,10 @@ class ConnectionSpec:
     equal up to rounding to the trace of the ``coeffs`` values.  Since
     d(theta) vanishes along radial edges, the spec is evaluated only at
     angular-edge points: the index path evaluates only the trace, and
-    ``coeffs`` runs only when the generators are read.  ``unitary`` tags
-    whether the values are skew-Hermitian; non-unitary specs are only
-    accepted by the norm-drift pipeline.  ``rim_cutoff(r)``, when given, is
+    ``coeffs`` runs only on the rim, where its values are checked.
+    ``unitary`` tags whether the values are skew-Hermitian (the builders'
+    are, exactly); non-unitary specs are only accepted by the norm-drift
+    pipeline.  ``rim_cutoff(r)``, when given, is
     the collar's cutoff as a function of the radius; at every quadrature
     point of the mesh's rim chords it must equal its value on the rim
     itself, or ``edge_transports`` raises Unrefined.  Every collar-type spec
@@ -87,8 +88,10 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
     weights, for any trailing shape.  ``traces`` (complex arrays (N,) or ())
     are checked here, NaN-safe, to be imaginary.  ``forms()`` gives the
     skew-Hermitian samples (N, n, n) or matrices (n, n); it runs on the first
-    ``coeffs`` call, where each form F is checked against ``TOL.skew`` and
-    moved onto its trace: F - ((tr F - trace) / n) I, still skew-Hermitian.
+    ``coeffs`` call, where each form F is checked against ``TOL.skew``, made
+    exactly skew, (F - F^*) / 2, and moved onto its trace: F - ((tr F -
+    trace) / n) I.  So ``term``'s values are exactly skew off the diagonal,
+    whose real part is the weighted Re trace / n, checked on every edge.
     ``rim_cutoff(r)`` is the collar cutoff (see ``ConnectionSpec``).
     """
     for tr in traces:
@@ -97,10 +100,12 @@ def collar_spec(term: Callable, traces: tuple, forms: Callable, n: int, tag: str
 
     @cache
     def shifted():
-        out = [F.copy() for F in forms()]
-        for F, tr in zip(out, traces):
+        out = []
+        for F, tr in zip(forms(), traces):
             check_skew(matcore.skew_defect(F), "boundary form")
+            F = 0.5 * (F - np.swapaxes(F, -1, -2).conj())
             F[..., diag, diag] -= ((np.trace(F, axis1=-2, axis2=-1) - tr) / n)[..., None]
+            out.append(F)
         return out
 
     return ConnectionSpec(n, lambda r, t: term(*shifted(), r, t), lambda r, t: term(*traces, r, t),

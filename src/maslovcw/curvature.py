@@ -37,11 +37,10 @@ class DiscreteConnection:
     ``edge_logdet`` (E,) is log det of each edge transport, summed from the
     trace of the connection values; the index reads nothing else.  The
     generators of any range of angular edges come from one evaluator,
-    ``_generators``.  ``transport_defects`` evaluates them a block at a time
-    to check their values and keeps only the rim's, so a report never
-    builds the full (E, s, n, n) ``G``; that is built, and cached, when
-    first read.  Transports are for the canonical edge direction (outward
-    radial, increasing angle); they are chained on every read and not kept.
+    ``_generators``; ``transport_defects`` evaluates only the rim's, so no
+    interior value is built.  Transports are for the canonical edge
+    direction (outward radial, increasing angle); they are chained on every
+    read and not kept.
     """
 
     mesh: Mesh2D
@@ -56,20 +55,6 @@ class DiscreteConnection:
     @property
     def unitary(self) -> bool:
         return self.spec.unitary
-
-    @cached_property
-    def G(self) -> np.ndarray:
-        """(E, s, n, n) generators -A_theta dt of every substep; the radial rows are +0."""
-        R = self.mesh.num_radial
-        g = _generators(self.spec, self.mesh, self.substeps, R, self.mesh.num_edges)
-        return np.concatenate([np.zeros((R,) + g.shape[1:], dtype=complex), g])
-
-
-def _blocks(lo: int, hi: int, substeps: int):
-    """(a, b) edge ranges that tile lo..hi-1, each of at most ``matcore.BLOCK`` matrices."""
-    step = max(1, matcore.BLOCK // substeps)
-    for a in range(lo, hi, step):
-        yield a, min(a + step, hi)
 
 
 def edge_transports(
@@ -88,10 +73,11 @@ def edge_transports(
     substeps.  The trace is evaluated on the angular edges only (a radial
     edge has dtheta = 0), a block of ``matcore.BLOCK`` matrices (edges
     times substeps) at a time; a unitary spec's is checked to be imaginary
-    over every block, and a NaN fails the check.  The generators are
-    evaluated only when read.  Edges outside the rows where a block's trace
-    is nonzero get exact +0, which is also what the sum gives on an
-    all-zero row, so the bytes do not depend on the block size.
+    over every block, and a NaN fails the check.  Only
+    ``transport_defects`` evaluates the full values, on the rim.  Edges
+    outside the rows where a block's trace is nonzero get exact +0, which
+    is also what the sum gives on an all-zero row, so the bytes do not
+    depend on the block size.
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
@@ -114,8 +100,9 @@ def edge_transports(
     r_mid, t_mid, dt = mesh.edge_quadrature(substeps)
     edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
     angular = edge_logdet[mesh.num_radial :]
-    worst = 0.0
-    for a, b in _blocks(0, len(r_mid), substeps):
+    worst, step = 0.0, max(1, matcore.BLOCK // substeps)  # edges per block
+    for a in range(0, len(r_mid), step):
+        b = min(a + step, len(r_mid))
         tau = spec.trace(r_mid[a:b].ravel(), t_mid[a:b].ravel())
         tau = np.asarray(tau, dtype=complex).reshape(b - a, substeps)
         band = _live_rows(tau)  # skips a collar's flat interior
@@ -478,21 +465,17 @@ def transport_defects(
 ) -> tuple[float, Optional[float]]:
     """Drift of the rim transports, and their frame defect against ``loop`` (None without).
 
-    Only the outer ring's n_t edges, the last n_t edge ids, are chained, in
-    one call.  Every angular edge is evaluated by ``_generators`` and so
-    skew-checked, a block of ``matcore.BLOCK`` matrices at a time, and the
-    rim's rows are kept; the bytes do not depend on the block size.
+    Only the outer ring's n_t edges, the last n_t edge ids, are evaluated
+    (one ``_generators`` call, which skew-checks them) and chained (one
+    call).  The index reads only the trace, which is checked on every
+    angular edge, and ``connections.collar_spec`` makes the builders'
+    values exactly skew, so no interior value is evaluated.
     """
     mesh = D.mesh
     if loop is not None:
         _check_probe(mesh, loop)
     rim = mesh.num_edges - mesh.n_t  # the first rim edge id
-    parts = []
-    for a, b in _blocks(mesh.num_radial, mesh.num_edges, D.substeps):
-        block = _generators(D.spec, mesh, D.substeps, a, b)
-        if b > rim:
-            parts.append(block[max(rim - a, 0):])
-    T = _kernels.transport_chain(np.concatenate(parts))
+    T = _kernels.transport_chain(_generators(D.spec, mesh, D.substeps, rim, mesh.num_edges))
     return matcore.unitary_defect(T), None if loop is None else _frame_defect(T, loop)
 
 

@@ -6,7 +6,7 @@ spec's radial gauge transform, or the spec with an explicit zero A_r.
 ``reference_connection`` integrates either the long way, with generators
 G = -(A_theta dt + A_r dr) on every edge, radial rows included, and
 log det = tr of G summed over the substeps.  The gauge and twin tests run
-against it.
+against it.  ``full_generators`` gives a spec's generators on every edge.
 """
 
 from dataclasses import dataclass, replace
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from maslovcw import matcore
+from maslovcw import curvature, matcore
 from maslovcw.connections import ConnectionSpec, check_skew
 from maslovcw.curvature import DiscreteConnection
 
@@ -105,6 +105,18 @@ def full_quadrature(mesh, substeps: int):
     r_mid, t_mid, dt = mesh.edge_quadrature(substeps)
     angular = (r_mid, t_mid, chord_dr(mesh, substeps), dt)
     return tuple(np.concatenate([a, b]) for a, b in zip(radial_quadrature(mesh, substeps), angular))
+
+
+def full_generators(D: DiscreteConnection) -> np.ndarray:
+    """(E, s, n, n) generators -A_theta dt of every edge of ``D``; the radial rows are +0.
+
+    The angular rows come from one ``curvature._generators`` call, the
+    evaluator the transport diagnostics run on the rim, so a unitary spec's
+    values are skew-checked on every angular edge here.
+    """
+    R = D.mesh.num_radial
+    g = curvature._generators(D.spec, D.mesh, D.substeps, R, D.mesh.num_edges)
+    return np.concatenate([np.zeros((R,) + g.shape[1:], dtype=complex), g])
 
 
 def reference_connection(form, mesh, substeps: int = 1):

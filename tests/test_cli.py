@@ -27,6 +27,8 @@ from maslovcw.mesh import Mesh2D
 from maslovcw.orbifold import orbifold_from_json
 from maslovcw.polygon import polygon_from_json
 
+from full_reference import full_generators
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -192,7 +194,8 @@ class TestCw:
         # from the full chain and walked edge by edge
         loop = load_loop(str(path))
         mesh = Mesh2D("disc", cli.MESH_MIN, len(loop))
-        T = _kernels.transport_chain(edge_transports(build_collar_connection(loop), mesh).G)
+        D = edge_transports(build_collar_connection(loop), mesh)
+        T = _kernels.transport_chain(full_generators(D))
         T = T[mesh.boundary_angular_ids()]
         drift = matcore.unitary_defect(T)
         gram = np.linalg.norm(np.swapaxes(T, -1, -2).conj() @ T - np.eye(3), axis=(-2, -1))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maslovcw import matcore
 from maslovcw.connections import (
     build_arc_collar_connection,
     build_collar_connection,
     builtin_connection,
+    collar_spec,
     collar_term,
     cutoff_profile,
     loop_boundary_form,
@@ -12,7 +16,9 @@ from maslovcw.connections import (
     open_path_form,
     open_path_trace,
 )
-from maslovcw.errors import InvalidParameter, MaslovCWError, RankMismatch, UnknownName, Undersampled
+from maslovcw.errors import (
+    InvalidParameter, MaslovCWError, NonUnitaryConnection, RankMismatch, UnknownName, Undersampled,
+)
 from maslovcw.grassmann import LagrangianFrame
 from maslovcw.loops import FrameLoop, aligned_frames, generate_loop, random_frame_loop
 from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
@@ -163,6 +169,76 @@ class TestCollar:
         t = np.linspace(0.0, 1.0, 9)
         with pytest.raises(Undersampled):
             open_path_trace(np.exp(3j * np.pi * t)[:, None, None])
+
+
+def builder_spec(kind, n, rng, width, cutoff, t_span):
+    """A rank-n spec from one of the package's builders (``example_2_7`` is rank 1)."""
+    if kind in ("example_2_7", "flat"):
+        return builtin_connection(kind, n=n)
+    loop, _ = random_frame_loop(rng, n, 64)
+    if kind == "collar":
+        return build_collar_connection(loop, width=width, cutoff=cutoff)
+    if kind == "arc_collar":
+        return build_arc_collar_connection(loop.samples[:33], t_span=t_span, width=width)
+    m = int(rng.integers(2, 5))
+    weights = tuple(int(w) for w in rng.integers(0, m, n))
+    return invariant_connection(OrbifoldDiscSpec(n, ConePoint(m, weights), loop))
+
+
+def near_skew_spec(n, defect):
+    """A rank-n ``collar_spec`` of one constant form F = S + defect * ones, S skew-Hermitian.
+
+    F's skew defect is 2 defect; its trace, tr S, is imaginary, and ``term``
+    scales F by r.
+    """
+    H = np.random.default_rng(n).normal(size=(2, n, n))
+    S = (H[0] + 1j * H[1]) - (H[0] + 1j * H[1]).conj().T
+    F = S + defect * np.ones((n, n))
+    return collar_spec(lambda A, r, t: r.reshape(r.shape + (1,) * A.ndim) * A,
+                       (np.trace(S),), lambda: (F,), n, "near_skew")
+
+
+class TestExactlySkew:
+    """Every value a builder gives is exactly skew-Hermitian, at any point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["collar", "arc_collar", "orbifold", "example_2_7", "flat"]),
+           n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           width=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           cutoff=st.sampled_from(["cubic", "quintic"]),
+           t_span=st.floats(0.05, 2 * np.pi),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-20.0, 20.0)), max_size=30))
+    def test_builder_values_have_zero_skew_defect(self, kind, n, seed, width, cutoff, t_span,
+                                                  points):
+        # t runs past the span, where a closed loop wraps and an open path
+        # clamps; a grid of r and t adds points inside every collar
+        n = 1 if kind == "example_2_7" else n
+        rng = np.random.default_rng(seed)
+        spec = builder_spec(kind, n, rng, width, cutoff, t_span)
+        r, t = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(-1.0, 8.0, 7))
+        drawn = np.array(points, dtype=float).reshape(-1, 2)
+        r, t = np.append(r.ravel(), drawn[:, 0]), np.append(t.ravel(), drawn[:, 1])
+        with np.errstate(over="ignore", divide="ignore"):  # depth of a tiny width
+            values = np.asarray(spec.coeffs(r, t))
+        assert values.shape == r.shape + (n, n)
+        assert matcore.skew_defect(values) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_form_within_tolerance_is_made_exactly_skew(self, n):
+        spec = near_skew_spec(n, 0.25 * TOL.skew)
+        r = np.linspace(0.0, 1.0, 9)
+        values = spec.coeffs(r, np.zeros_like(r))
+        assert matcore.skew_defect(values) == 0.0
+        assert np.abs(np.trace(values, axis1=-2, axis2=-1) - spec.trace(r, r)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_form_past_tolerance_raises_on_the_first_coeffs_call(self, n):
+        # the build and the trace read only the trace, which is imaginary
+        spec = near_skew_spec(n, 4.0 * TOL.skew)
+        r = np.linspace(0.0, 1.0, 9)
+        assert spec.trace(r, r).shape == r.shape
+        with pytest.raises(NonUnitaryConnection, match="boundary form"):
+            spec.coeffs(r, r)
 
 
 class TestGaugeTransform:

@@ -73,3 +73,28 @@ def test_zero_generators_chain_to_the_exact_identity(n, s):
         T = _kernels.transport_chain(G)
         assert T.tobytes() == np.broadcast_to(np.eye(n, dtype=complex), T.shape).tobytes()
         assert matcore.unitary_defect(T) == 0.0
+
+
+@pytest.mark.parametrize("where", ["whole", "upper", "lower", "diagonal", "inf", "one_substep"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_non_finite_edge_chains_to_nan(rng, n, where):
+    # eigh reads the lower triangle only, and at rank >= 3 a NaN matrix may
+    # raise LinAlgError; cexp(NaN + 0j) keeps a zero imaginary part.  A bad
+    # edge is all NaN, and every other edge keeps the bits of a clean chain
+    if n == 1 and where in ("upper", "lower"):
+        return
+    G = random_skew_batch(rng, 6, 2, n)
+    clean = _kernels.transport_chain(G)
+    bad = G.copy()
+    for e in (1, 4):
+        entry = {"whole": (slice(None), slice(None), slice(None)), "upper": (0, 0, n - 1),
+                 "lower": (1, n - 1, 0), "diagonal": (0, 0, 0), "inf": (1, 0, 0),
+                 "one_substep": (1, slice(None), slice(None))}[where]
+        bad[e][entry] = complex(np.inf, 0.0) if where == "inf" else np.nan
+    T = _kernels.transport_chain(bad)
+    assert T.shape == clean.shape
+    assert np.isnan(T[[1, 4]]).all()
+    keep = [0, 2, 3, 5]
+    assert T[keep].tobytes() == clean[keep].tobytes()
+    assert np.isnan(matcore.unitary_defect(T))
+
