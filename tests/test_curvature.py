@@ -395,7 +395,6 @@ class TestBlockedDefects:
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocks_match_one_batch_and_chain_each_edge_once(self, rng, block, substeps,
                                                              monkeypatch):
-        # 7 and 100 divide none of the n_t = 256, 128, 16 of the cases
         chained = recording_chain(monkeypatch)
         for spec, mesh, probe in report_cases(rng):
             monkeypatch.setattr(matcore, "BLOCK", 2**40)
