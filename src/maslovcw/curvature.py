@@ -7,9 +7,11 @@ angles divided by pi gives the raw index, which is rounded to a
 caller-declared quantum.  Only the abelianized (trace) part of the
 curvature enters, so per-edge determinant phases are accumulated exactly
 from the generators and faces only wrap them once through the principal
-branch, guarded at pi/2.  A face row whose edges all carry a zero phase
-has angle exactly +0, so only the rows that can be nonzero (a collar band,
-a cone disc) are wrapped, guarded and summed.
+branch, guarded at pi/2.  A connection has no dr part, so each face angle
+is the difference of its two angular edges' phases.  A face row whose
+bounding rings carry a zero phase has angle exactly +0, so only the rows
+that can be nonzero (a collar band, a cone disc) are wrapped, guarded and
+summed.
 """
 
 from __future__ import annotations
@@ -34,19 +36,20 @@ from .tolerances import TOL
 class DiscreteConnection:
     """A connection integrated along every directed mesh edge.
 
-    ``edge_logdet`` (E,) is log det of each edge transport, summed from the
-    trace of the connection values; the index reads nothing else.  The
+    ``ring_logdet`` (num_angular,) is log det of each angular edge
+    transport (ring i, column j at i * n_t + j), summed from the trace of
+    the connection values; the index reads nothing else.  A spec has no dr
+    part, so a radial edge's log det is exactly 0 and is not stored.  The
     generators of any range of angular edges come from one evaluator,
     ``_generators``; ``transport_defects`` evaluates only the rim's, so no
-    interior value is built.  Transports are for the canonical edge
-    direction (outward radial, increasing angle); they are chained on every
-    read and not kept.
+    interior value is built.  Transports are for increasing angle; they
+    are chained on every read and not kept.
     """
 
     mesh: Mesh2D
     spec: ConnectionSpec
     substeps: int
-    edge_logdet: np.ndarray     # (E,) complex
+    ring_logdet: np.ndarray     # (num_angular,) complex
 
     @property
     def n(self) -> int:
@@ -69,15 +72,13 @@ def edge_transports(
     only when read.  A non-unitary spec is rejected unless explicitly
     allowed (the non-unitary control, rank 1 only).
 
-    ``edge_logdet`` is minus the trace times the step, summed over the
-    substeps.  The trace is evaluated on the angular edges only (a radial
-    edge has dtheta = 0), a block of ``matcore.BLOCK`` matrices (edges
-    times substeps) at a time; a unitary spec's is checked to be imaginary
-    over every block, and a NaN fails the check.  Only
-    ``transport_defects`` evaluates the full values, on the rim.  Edges
-    outside the rows where a block's trace is nonzero get exact +0, which
-    is also what the sum gives on an all-zero row, so the bytes do not
-    depend on the block size.
+    ``ring_logdet`` is minus the trace times the step, summed over the
+    substeps, a block of ``matcore.BLOCK`` matrices (edges times substeps)
+    at a time; a unitary spec's trace is checked to be imaginary over every
+    block, and a NaN fails the check.  Only ``transport_defects`` evaluates
+    the full values, on the rim.  Edges outside the rows where a block's
+    trace is nonzero get exact +0, which is also what the sum gives on an
+    all-zero row, so the bytes do not depend on the block size.
 
     A spec with a ``rim_cutoff`` raises Unrefined where that cutoff at a
     quadrature point of a rim chord differs from its value on the rim
@@ -98,8 +99,7 @@ def edge_transports(
     if spec.rim_cutoff is not None:
         _check_rim(spec, mesh, substeps)
     r_mid, t_mid, dt = mesh.edge_quadrature(substeps)
-    edge_logdet = np.zeros(mesh.num_edges, dtype=complex)
-    angular = edge_logdet[mesh.num_radial :]
+    ring_logdet = np.zeros(mesh.num_angular, dtype=complex)
     worst, step = 0.0, max(1, matcore.BLOCK // substeps)  # edges per block
     for a in range(0, len(r_mid), step):
         b = min(a + step, len(r_mid))
@@ -108,10 +108,10 @@ def edge_transports(
         band = _live_rows(tau)  # skips a collar's flat interior
         if spec.unitary:  # np.maximum keeps a NaN defect of any block
             worst = np.maximum(worst, matcore.diagonal_skew_defect(tau[band]))
-        angular[a:b][band] = (-(tau[band] * dt[a:b][band])).sum(axis=1)
+        ring_logdet[a:b][band] = (-(tau[band] * dt[a:b][band])).sum(axis=1)
     if spec.unitary:
         check_skew(float(worst), "connection trace")
-    return DiscreteConnection(mesh, spec, substeps, edge_logdet)
+    return DiscreteConnection(mesh, spec, substeps, ring_logdet)
 
 
 def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
@@ -132,12 +132,12 @@ def _check_rim(spec: ConnectionSpec, mesh: Mesh2D, substeps: int) -> None:
 def _generators(spec: ConnectionSpec, mesh: Mesh2D, substeps: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, s, n, n) generators -A_theta dt of angular edges lo..hi-1, one ``coeffs`` call.
 
+    Angular edges are numbered from 0, as the rows of ``edge_quadrature``.
     A unitary spec's values are checked skew-Hermitian on every evaluated
     row.  Each value is elementwise in the edge, so the bytes of an edge's
     generator do not depend on the range it is evaluated in.
     """
-    R = mesh.num_radial
-    r_mid, t_mid, dt = (a[lo - R : hi - R] for a in mesh.edge_quadrature(substeps))
+    r_mid, t_mid, dt = (a[lo:hi] for a in mesh.edge_quadrature(substeps))
     At = np.asarray(spec.coeffs(r_mid.ravel(), t_mid.ravel()), dtype=complex)
     At = At.reshape(r_mid.shape + (spec.n, spec.n))
     if spec.unitary:
@@ -163,23 +163,18 @@ def _live_rows(tau: np.ndarray) -> slice:
 
 
 def _face_terms(mesh: Mesh2D, x: np.ndarray, rows=slice(None)):
-    """Boundary terms (p, q, r, u) of the faces in ``rows``, face value p + q - r - u.
+    """Ring terms (q, u) of the faces in ``rows``, face value q - u.
 
     Face (i, j) has boundary +radial(i, j), +angular(i+1, j), -radial(i, j+1),
     -angular(i, j); a reversed mesh walks it backwards with flipped signs.
-    Each term is an array of the per-edge values ``x`` on the structured
-    grid, one row of n_t per face row, in row-major face order; the column
-    after the last wraps to column 0 on a closed rim.
+    The radial terms are +0, left out: q is the outer ring and u the inner
+    (swapped on a reversed mesh), views of the per-angular-edge values
+    ``x``, one row of n_t per face row.  ((+0 + q) - +0) - u differs from
+    q - u only by +0 for -0, which ``_principal`` maps to +0 alike.
     """
-    rad = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)[rows]
-    ang = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
-    inner, outer = ang[:-1][rows], ang[1:][rows]
-    if mesh.wrap:
-        rad = np.concatenate([rad, rad[:, :1]], axis=1)
-    left, right = rad[:, :-1], rad[:, 1:]
-    if mesh.orientation > 0:
-        return left, outer, right, inner
-    return inner, right, outer, left
+    ring = x.reshape(mesh.n_r + 1, mesh.n_t)
+    inner, outer = ring[:-1][rows], ring[1:][rows]
+    return (outer, inner) if mesh.orientation > 0 else (inner, outer)
 
 
 def _principal(t: np.ndarray) -> np.ndarray:
@@ -198,33 +193,33 @@ def _principal(t: np.ndarray) -> np.ndarray:
 def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, slice, float]:
     """Principal angles of every face, the faces that can be nonzero, and their largest |angle|.
 
-    A face row can be nonzero unless its radial edges and both bounding
-    rings hold +-0 in ``edge_logdet.imag``; a NaN or inf counts as nonzero,
-    as in ``_live_rows``.  The faces are taken a block of whole face rows
-    (about ``matcore.BLOCK`` faces) at a time, and in each block the rows
-    from its first such row to its last are wrapped into ``alpha``.  A row
-    in between holds ((+-0 + +-0) - +-0) - +-0, which wraps to exactly +0,
-    as every face outside them is left, so the bytes do not depend on the
-    block size.  Returns ``alpha`` (num_faces,) in face order; the slice of
-    it from the first row that can be nonzero to the last (empty when there
-    is none); and the largest |angle|, NaN when an angle is NaN.
+    A face angle wraps its two ring terms (``_face_terms``) of
+    ``ring_logdet.imag``, one log det per angular edge.  A face row can be
+    nonzero unless both its bounding rings hold +-0; a NaN or inf counts as
+    nonzero, as in ``_live_rows``.  The faces are taken a block of whole
+    face rows (about ``matcore.BLOCK`` faces) at a time, and in each block
+    the rows from its first such row to its last are wrapped into
+    ``alpha``.  A row in between holds +-0 - +-0, which wraps to exactly
+    +0, as every face outside them is left, so the bytes do not depend on
+    the block size.  Returns ``alpha`` (num_faces,) in face order; the
+    slice of it from the first row that can be nonzero to the last (empty
+    when there is none); and the largest |angle|, NaN when an angle is NaN.
     """
     mesh = D.mesh
-    x = D.edge_logdet.imag
-    radial = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)
-    ring = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
+    x = D.ring_logdet.imag
+    ring = x.reshape(mesh.n_r + 1, mesh.n_t)
     alpha = np.zeros((mesh.n_r, mesh.n_t))
     rows = max(1, matcore.BLOCK // mesh.n_t)
     live, worst = [], 0.0
     for a in range(0, mesh.n_r, rows):
         b = min(a + rows, mesh.n_r)
         ring_nz = (ring[a : b + 1] != 0).any(axis=1)
-        nz = np.flatnonzero((radial[a:b] != 0).any(axis=1) | ring_nz[:-1] | ring_nz[1:])
+        nz = np.flatnonzero(ring_nz[:-1] | ring_nz[1:])
         if not nz.size:
             continue
         lo, hi = a + int(nz[0]), a + int(nz[-1]) + 1
-        p, q, r, u = _face_terms(mesh, x, slice(lo, hi))
-        alpha[lo:hi] = _principal(((p + q) - r) - u)
+        q, u = _face_terms(mesh, x, slice(lo, hi))
+        alpha[lo:hi] = _principal(q - u)
         worst = np.maximum(worst, np.max(np.abs(alpha[lo:hi])))  # keeps a NaN
         live += [lo, hi]
     span = slice(live[0] * mesh.n_t, live[-1] * mesh.n_t) if live else slice(0, 0)
@@ -276,10 +271,10 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
     """Per-face log det holonomy with principal imaginary part (any rank-1 spec)."""
-    p, q, r, u = _face_terms(D.mesh, D.edge_logdet)
-    # pairwise here, left to right in _face_angles: both orders are
-    # fixed, and the reported values depend on them bitwise
-    z = ((p + q) - (r + u)).ravel()
+    q, u = _face_terms(D.mesh, D.ring_logdet)
+    # the face sum (p + q) - (r + u) with p = r = +0: the real part is
+    # summed unwrapped, so it keeps the signed zeros that sum gives
+    z = ((0.0 + q) - (0.0 + u)).ravel()
     return z.real + 1j * _principal(z.imag)
 
 
@@ -465,7 +460,7 @@ def transport_defects(
 ) -> tuple[float, Optional[float]]:
     """Drift of the rim transports, and their frame defect against ``loop`` (None without).
 
-    Only the outer ring's n_t edges, the last n_t edge ids, are evaluated
+    Only the outer ring's n_t edges, the last n_t angular edges, are evaluated
     (one ``_generators`` call, which skew-checks them) and chained (one
     call).  The index reads only the trace, which is checked on every
     angular edge, and ``connections.collar_spec`` makes the builders'
@@ -474,8 +469,8 @@ def transport_defects(
     mesh = D.mesh
     if loop is not None:
         _check_probe(mesh, loop)
-    rim = mesh.num_edges - mesh.n_t  # the first rim edge id
-    T = _kernels.transport_chain(_generators(D.spec, mesh, D.substeps, rim, mesh.num_edges))
+    rim = mesh.num_angular - mesh.n_t  # the first rim edge
+    T = _kernels.transport_chain(_generators(D.spec, mesh, D.substeps, rim, mesh.num_angular))
     return matcore.unitary_defect(T), None if loop is None else _frame_defect(T, loop)
 
 

@@ -6,9 +6,12 @@ spec's radial gauge transform, or the spec with an explicit zero A_r.
 ``reference_connection`` integrates either the long way, with generators
 G = -(A_theta dt + A_r dr) on every edge, radial rows included, and
 log det = tr of G summed over the substeps.  The gauge and twin tests run
-against it.  ``full_generators`` gives a spec's generators on every edge.
+against it.  ``full_generators`` gives a spec's generators on every edge,
+``full_logdet`` its log dets, and ``reference_face_sum`` sums the faces of
+every edge's log det by id and sign, radial edges included.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -114,19 +117,55 @@ def full_generators(D: DiscreteConnection) -> np.ndarray:
     evaluator the transport diagnostics run on the rim, so a unitary spec's
     values are skew-checked on every angular edge here.
     """
-    R = D.mesh.num_radial
-    g = curvature._generators(D.spec, D.mesh, D.substeps, R, D.mesh.num_edges)
-    return np.concatenate([np.zeros((R,) + g.shape[1:], dtype=complex), g])
+    g = curvature._generators(D.spec, D.mesh, D.substeps, 0, D.mesh.num_angular)
+    return np.concatenate([np.zeros((D.mesh.num_radial,) + g.shape[1:], dtype=complex), g])
+
+
+def full_logdet(D: DiscreteConnection) -> np.ndarray:
+    """(E,) log det of every edge of ``D`` by edge id: +0 on the radial edges, then ``ring_logdet``."""
+    return np.concatenate([np.zeros(D.mesh.num_radial, dtype=complex), D.ring_logdet])
+
+
+def four_term_faces(mesh, x: np.ndarray) -> tuple:
+    """Boundary terms (p, q, r, u) of every face from per-edge values ``x`` (E,), face p + q - r - u.
+
+    The face sum over all four edges, radial ones included, on the
+    structured grid: one row of n_t per face row, in row-major face order,
+    the column after the last wrapping to column 0 on a closed rim.
+    """
+    rad = x[: mesh.num_radial].reshape(mesh.n_r, mesh.n_tv)
+    ang = x[mesh.num_radial :].reshape(mesh.n_r + 1, mesh.n_t)
+    inner, outer = ang[:-1], ang[1:]
+    if mesh.wrap:
+        rad = np.concatenate([rad, rad[:, :1]], axis=1)
+    left, right = rad[:, :-1], rad[:, 1:]
+    if mesh.orientation > 0:
+        return left, outer, right, inner
+    return inner, right, outer, left
+
+
+def reference_face_sum(mesh, logdet: np.ndarray) -> tuple:
+    """(alpha, raw): principal angles of every face of the log dets ``logdet`` (E,), and raw.
+
+    Each face gathers its four edges' ``logdet.imag`` by the ids and signs
+    of ``mesh.face_edges``, so radial edges enter; ``curvature._principal``
+    wraps the sum, and raw is the ``math.fsum`` of the angles over pi.
+    """
+    ids, signs = mesh.face_edges()
+    alpha = curvature._principal((logdet.imag[ids] * signs).sum(axis=1))
+    return alpha, math.fsum(alpha.tolist()) / math.pi
 
 
 def reference_connection(form, mesh, substeps: int = 1):
-    """(D, G): ``form`` (a FullForm or a spec) integrated in full on every edge.
+    """(D, G, logdet): ``form`` (a FullForm or a spec) integrated in full on every edge.
 
     G (E, s, n, n) is -(A_theta dt + A_r dr), from one evaluation at every
     edge's quadrature points; a unitary form's values are checked
-    skew-Hermitian, so a NaN raises NonUnitaryConnection too.  D carries
-    ``form.spec`` and ``edge_logdet`` = tr G summed over the substeps, which
-    is all the index reads; the transports of the form are chained from G.
+    skew-Hermitian, so a NaN raises NonUnitaryConnection too.  ``logdet``
+    (E,) is tr G summed over the substeps, radial edges included, for
+    ``reference_face_sum``; D carries ``form.spec`` and the angular slice of
+    ``logdet`` as ``ring_logdet``, which is all the index reads, so it
+    leaves out a dr part.  The transports of the form are chained from G.
     """
     form = full_form(form)
     r_mid, t_mid, dr, dt = full_quadrature(mesh, substeps)
@@ -143,4 +182,4 @@ def reference_connection(form, mesh, substeps: int = 1):
         G += values[1] * dr[..., None, None]
     np.negative(G, out=G)
     logdet = np.trace(G.sum(axis=1), axis1=-2, axis2=-1)
-    return DiscreteConnection(mesh, form.spec, substeps, logdet), G
+    return DiscreteConnection(mesh, form.spec, substeps, logdet[mesh.num_radial :]), G, logdet

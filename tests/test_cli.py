@@ -103,8 +103,8 @@ def traced_cli_peak(args, capsys):
 
 
 def live_bytes(mesh):
-    """Bytes a cw run keeps: the angular quadrature, complex edge_logdet and face angles."""
-    return 4 * 8 * mesh.num_angular + 16 * mesh.num_edges + 8 * mesh.num_faces
+    """Bytes a cw run keeps: the angular quadrature, complex ring_logdet and face angles."""
+    return 3 * 8 * mesh.num_angular + 16 * mesh.num_angular + 8 * mesh.num_faces
 
 
 class TestCw:
@@ -124,11 +124,11 @@ class TestCw:
 
     def test_peak_memory_stays_near_the_live_arrays(self, capsys):
         # every full-mesh stage works in blocks of matcore.BLOCK matrices, so
-        # past the arrays the run keeps (the four angular quadrature arrays,
-        # the complex edge_logdet and the face angles: 4.7 MB here) the
-        # traced peak grows by under 2 MB, about eight complex arrays of one
-        # rank-1 block; the whole-mesh trace, generators and face sum took
-        # it to 10.6 MB
+        # past the arrays the run keeps (the three angular quadrature arrays,
+        # the complex ring_logdet and the face angles: 3.2 MB here; the peak
+        # is 3.7 MB) the traced peak grows by under 2 MB, about eight complex
+        # arrays of one rank-1 block; the whole-mesh trace, generators and
+        # face sum took it to 10.6 MB
         mesh = Mesh2D("disc", 256, 256)
         peak, out = traced_cli_peak(["cw", "--builtin", "example_2_7", "--mesh", "256"], capsys)
         assert json.loads(out)["rounded"] == 2
@@ -147,10 +147,11 @@ class TestCw:
 
     def test_rank_four_collar_peak_memory_stays_under_a_full_generator_array(
             self, tmp_path, capsys):
-        # a rank-4 collar at the default mesh (32 x 2048): the generators are
-        # evaluated, chained and drift-checked one block of edges at a time,
-        # so the temporaries, one block's, stay under the 34 MB of the full
-        # (E, 1, 4, 4) G (28.5 MB here; holding G as well took 64.4 MB)
+        # a rank-4 collar at the default mesh (32 x 2048): only the rim's
+        # generators are evaluated, so the peak (8.1 MB, 3.2 MB of it live)
+        # stays 8 MB past the live arrays.  Evaluating the interior ones as
+        # well, a block at a time, took it to 22.7 MB, and keeping them all
+        # (the 17.3 MB of an (num_angular, 1, 4, 4) G) to 38.5 MB
         loop, _ = random_frame_loop(np.random.default_rng(0), 4, 2048)
         path = tmp_path / "loop.json"
         save_loop(loop, str(path))
@@ -158,7 +159,7 @@ class TestCw:
         peak, out = traced_cli_peak(["cw", "--input", str(path)], capsys)
         assert json.loads(out)["rounded"] == 1
         live = live_bytes(mesh)
-        assert peak <= live + mesh.num_edges * 16 * 4 * 4, (peak, live)
+        assert peak <= live + 8_000_000, (peak, live)
 
     def test_collar_from_file_with_faces_csv(self, tmp_path, capsys):
         loop = generate_loop("power_k", 256, k=2)

@@ -39,8 +39,8 @@ from maslovcw.orbifold import ConePoint, OrbifoldDiscSpec, invariant_connection
 from maslovcw.tolerances import TOL
 
 from full_reference import (
-    FullForm, full_form, full_generators, full_quadrature, radial_gauge_transform,
-    reference_connection, zero_radial_twin,
+    FullForm, four_term_faces, full_form, full_generators, full_logdet, full_quadrature,
+    radial_gauge_transform, reference_connection, reference_face_sum, zero_radial_twin,
 )
 
 
@@ -180,7 +180,8 @@ class TestEdgeTransports:
     def test_flat_gives_identities(self):
         D = edge_transports(builtin_connection("flat", n=2), Mesh2D("disc", 8, 16))
         assert np.allclose(_kernels.transport_chain(full_generators(D)), np.eye(2), atol=1e-14)
-        assert np.allclose(D.edge_logdet, 0.0)
+        assert D.ring_logdet.shape == (D.mesh.num_angular,)
+        assert np.allclose(D.ring_logdet, 0.0)
 
     def test_disc_example_angular_edge_closed_form(self):
         N = 64
@@ -380,7 +381,7 @@ def nan_rim_generator(monkeypatch, column):
 
     def patched(spec, mesh, substeps, lo, hi):
         g = generators(spec, mesh, substeps, lo, hi)
-        e = mesh.boundary_angular_ids()[column]
+        e = mesh.boundary_angular_ids()[column] - mesh.num_radial  # angular edges from 0
         if lo <= e < hi:
             g[e - lo] = np.nan
         return g
@@ -461,7 +462,7 @@ class TestBlockedDefects:
 
 
 def integrate(form, mesh, substeps=1):
-    """``edge_transports`` of a spec; the reference integration of a FullForm, which has a dr part."""
+    """``edge_transports`` of a spec; for a FullForm, the angular slice of its reference integration."""
     if isinstance(form, FullForm):
         return reference_connection(form, mesh, substeps)[0]
     return edge_transports(form, mesh, substeps)
@@ -541,15 +542,16 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("bad", [2.0, -2.0, np.nan])
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_face_angle_past_the_guard_in_a_later_block_raises(self, block, bad, monkeypatch):
-        # small nonzero angles in every face row, one past the guard in the last
+        # small nonzero angles in every face row, one past the guard in the
+        # last: the rim ring's edge 5 bounds face (15, 5) only
         mesh = Mesh2D("disc", 16, 16)
         D = edge_transports(builtin_connection("example_2_7"), mesh)
-        logdet = D.edge_logdet.copy()
-        logdet[mesh.radial_id(15, 5)] = complex(0.0, bad)
+        logdet = D.ring_logdet.copy()
+        logdet[16 * mesh.n_t + 5] += complex(0.0, bad)
         monkeypatch.setattr(matcore, "BLOCK", block)
         assert max(1, block // mesh.n_t) < 15
         with np.errstate(invalid="ignore"), pytest.raises(Unrefined):
-            chern_weil_index(replace(D, edge_logdet=logdet))
+            chern_weil_index(replace(D, ring_logdet=logdet))
 
     @pytest.mark.parametrize("block", [1, 7, 100, 2**40])
     def test_flat_raw_is_positive_zero(self, block, monkeypatch):
@@ -568,7 +570,7 @@ class TestBlockBoundaries:
             D = edge_transports(spec, mesh)
             rep = chern_weil_index(D, loop=loop)
             assert same_bits(rep.raw, 0.0)
-            assert np.abs(D.edge_logdet).max() < 1e-12
+            assert np.abs(D.ring_logdet).max() < 1e-12
             _, drift, worst = reference_diagnostics(D, loop)
             assert rep.unitarity_defect > 0.0
             assert (rep.unitarity_defect, rep.orthogonality_defect) == (drift, worst)
@@ -637,24 +639,26 @@ class TestAbsentRadialPart:
         for mesh in TWIN_MESHES:
             # the trace path meets the twin's trace sums up to rounding only
             Da = edge_transports(spec, mesh, substeps)
-            Db, Gb = reference_connection(twin, mesh, substeps)
-            assert np.abs(Da.edge_logdet - Db.edge_logdet).max() <= 1e-12
+            Db, Gb, _ = reference_connection(twin, mesh, substeps)
+            assert np.abs(Da.ring_logdet - Db.ring_logdet).max() <= 1e-12
             fa, fb = curvature._face_angles(Da)[0], curvature._face_angles(Db)[0]
             assert np.abs(fa - fb).max() <= 1e-12
             assert np.array_equal(chain(full_generators(Da)), chain(Gb))
             assert transport_defects(Da) == reference_diagnostics(Db, None, Gb)[1:]
             for a, b in [(spec, twin), (radial_gauge_transform(spec, S),
                                         radial_gauge_transform(twin, S))]:
-                (Da, Ga), (Db, Gb) = (reference_connection(x, mesh, substeps) for x in (a, b))
-                assert np.array_equal(Da.edge_logdet, Db.edge_logdet)
-                fa, fb = curvature._face_angles(Da)[0], curvature._face_angles(Db)[0]
-                assert np.array_equal(fa, fb)
+                # every edge's log det, and the faces summed over all four edges
+                (Da, Ga, la), (Db, Gb, lb) = (reference_connection(x, mesh, substeps)
+                                              for x in (a, b))
+                assert np.array_equal(la, lb)
+                assert np.array_equal(reference_face_sum(mesh, la)[0],
+                                      reference_face_sum(mesh, lb)[0])
                 assert np.array_equal(chain(Ga), chain(Gb))
                 assert reference_diagnostics(Da, None, Ga)[1] == reference_diagnostics(Db, None, Gb)[1]
             D = edge_transports(spec, mesh, substeps)
             R = mesh.num_radial
             G = full_generators(D)
-            assert not np.any(G[:R]) and not np.any(D.edge_logdet[:R])
+            assert D.ring_logdet.shape == (mesh.num_angular,) and not np.any(G[:R])
             T = chain(G)
             assert np.array_equal(T[:R], np.broadcast_to(np.eye(n), (R, n, n)))
 
@@ -702,9 +706,11 @@ class TestTraceOnlyPath:
     @pytest.mark.parametrize("mesh", FACE_MESHES, ids=lambda m: m.domain)
     def test_face_sums_match_gather(self, rng, mesh, reverse):
         mesh = mesh.reversed() if reverse else mesh
+        # random ring values, the radial edges +0: the four-edge gather
         D = edge_transports(builtin_connection("flat"), mesh)
-        logdet = rng.normal(size=mesh.num_edges) + 1j * rng.uniform(-3, 3, mesh.num_edges)
-        D = replace(D, edge_logdet=logdet)
+        size = mesh.num_angular
+        D = replace(D, ring_logdet=rng.normal(size=size) + 1j * rng.uniform(-3, 3, size))
+        logdet = full_logdet(D)
         alpha = gather_face_sum(mesh, logdet.imag)
         wrapped = (alpha + np.pi) % (2 * np.pi) - np.pi
         assert curvature._face_angles(D)[0].tobytes() == wrapped.tobytes()
@@ -724,10 +730,12 @@ class TestTraceOnlyPath:
         mesh = Mesh2D("disc", 6, 64)
         D = edge_transports(spec, mesh, substeps)
         ref = np.trace(full_generators(D).sum(axis=1), axis1=-2, axis2=-1)
-        assert D.edge_logdet.tobytes() == trace_logdet(D)[0].tobytes()
-        assert np.abs(D.edge_logdet - ref).max() <= 1e-12
-        D, G = reference_connection(radial_gauge_transform(spec, S - S.conj().T), mesh, substeps)
-        assert D.edge_logdet.tobytes() == np.trace(G.sum(axis=1), axis1=-2, axis2=-1).tobytes()
+        assert D.ring_logdet.tobytes() == trace_logdet(D)[0].tobytes()
+        assert np.abs(full_logdet(D) - ref).max() <= 1e-12
+        D, G, logdet = reference_connection(radial_gauge_transform(spec, S - S.conj().T), mesh,
+                                            substeps)
+        assert logdet.tobytes() == np.trace(G.sum(axis=1), axis1=-2, axis2=-1).tobytes()
+        assert D.ring_logdet.tobytes() == logdet[mesh.num_radial:].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_drift_read_first_matches_full_chain(self, rng, n, monkeypatch):
@@ -816,24 +824,21 @@ class TestTraceOnlyPath:
         for sp in (spec, radial_gauge_transform(spec, S).spec):
             D = edge_transports(sp, Mesh2D("disc", 8, 64), 2)
             G = full_generators(D)
-            for other in (replace(D, edge_logdet=D.edge_logdet.conj()),
+            for other in (replace(D, ring_logdet=D.ring_logdet.conj()),
                           replace(D, mesh=D.mesh.reversed())):
                 assert full_generators(other).tobytes() == G.tobytes()
                 assert chain(full_generators(other)).tobytes() == chain(G).tobytes()
 
 
 def trace_logdet(D):
-    """edge_logdet of a trace spec by its formula: -sum over substeps of tau dt."""
-    skip = D.mesh.num_radial
+    """ring_logdet of a trace spec by its formula: -sum over substeps of tau dt."""
     r_mid, t_mid, dt = D.mesh.edge_quadrature(D.substeps)
     tau = D.spec.trace(r_mid.ravel(), t_mid.ravel()).reshape(r_mid.shape)
-    logdet = np.zeros(D.mesh.num_edges, dtype=complex)
-    logdet[skip:] = (-(tau * dt)).sum(axis=1)
-    return logdet, tau
+    return (-(tau * dt)).sum(axis=1), tau
 
 
 def full_array_reference(D, form=None):
-    """Skew defect, edge_logdet and G by the formulas over every evaluated row.
+    """Skew defect, every edge's log det and G by the formulas over every evaluated row.
 
     The full values are evaluated here, not read from ``D``, and returned
     too: [A_theta], or [A_r, A_theta] for a form with a dr part.  ``D.spec``
@@ -893,11 +898,12 @@ class TestLiveRows:
         for spec, mesh in live_range_specs(rng, n):
             if isinstance(spec, FullForm):
                 # the reference integration sums the trace of its generators
-                D, G_ref = reference_connection(spec, mesh, substeps)
+                D, G_ref, logdet_ref = reference_connection(spec, mesh, substeps)
                 skew, logdet, G, _ = full_array_reference(D, spec)
                 assert skew <= TOL.skew
                 assert G_ref.tobytes() == G.tobytes()
-                assert D.edge_logdet.tobytes() == logdet.tobytes()
+                assert logdet_ref.tobytes() == logdet.tobytes()
+                assert D.ring_logdet.tobytes() == logdet[mesh.num_radial:].tobytes()
             else:
                 D = edge_transports(spec, mesh, substeps)
                 skew, logdet, G, _ = full_array_reference(D)
@@ -906,8 +912,8 @@ class TestLiveRows:
                 # it sums -tau dt over the rows of its nonzero traces, which
                 # meets the diagonal sums up to rounding
                 trace_ref, tau = trace_logdet(D)
-                assert D.edge_logdet.tobytes() == trace_ref.tobytes()
-                assert np.abs(D.edge_logdet - logdet).max() <= 1e-12
+                assert D.ring_logdet.tobytes() == trace_ref.tobytes()
+                assert np.abs(full_logdet(D) - logdet).max() <= 1e-12
                 assert_tight(curvature._live_rows(tau), [tau])
 
     def test_collar_range_skips_the_interior(self, rng):
@@ -918,18 +924,20 @@ class TestLiveRows:
         first_ring = int(np.argmax(mesh.r_nodes > 0.7))
         live = curvature._live_rows(trace_logdet(D)[1])
         assert live == slice(first_ring * mesh.n_t, (mesh.n_r + 1) * mesh.n_t)
-        assert not D.edge_logdet[mesh.num_radial:][:live.start].any()
+        assert not D.ring_logdet[:live.start].any()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_all_rows_zero(self, n):
         # the trace path and the reference integration both give exact +0 rows
         mesh = Mesh2D("disc", 8, 32)
         flat = builtin_connection("flat", n=n)
-        D, F = edge_transports(flat, mesh, 2), reference_connection(flat, mesh, 2)
-        for D, G_D, form in ((D, full_generators(D), None), (*F, flat)):
+        D = edge_transports(flat, mesh, 2)
+        F, G_F, logdet_F = reference_connection(flat, mesh, 2)
+        assert logdet_F.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
+        for D, G_D, form in ((D, full_generators(D), None), (F, G_F, flat)):
             skew, logdet, G, _ = full_array_reference(D, form)
             assert skew == 0.0
-            assert D.edge_logdet.tobytes() == logdet.tobytes()
+            assert full_logdet(D).tobytes() == logdet.tobytes()
             assert logdet.tobytes() == np.zeros(mesh.num_edges, complex).tobytes()
             assert G_D.tobytes() == G.tobytes()
             assert transport_defects(D) == (0.0, None)
@@ -946,7 +954,7 @@ class TestLiveRows:
         assert curvature._live_rows(trace_logdet(D)[1]) == slice(0, mesh.num_angular)
         _, logdet, G, _ = full_array_reference(D)
         # rank 1: the trace is the value itself, so the sums agree bitwise
-        assert D.edge_logdet.tobytes() == logdet.tobytes()
+        assert D.ring_logdet.tobytes() == logdet[mesh.num_radial:].tobytes()
         assert full_generators(D).tobytes() == G.tobytes()
         disc = Mesh2D("disc", 8, 32)
         D = edge_transports(builtin_connection("example_2_7"), disc)
@@ -1000,9 +1008,9 @@ class TestDiagonalPath:
         assert len(specs) == 3
         for spec, mesh in specs:
             D = edge_transports(spec, mesh, substeps)
-            F, G = reference_connection(spec, mesh, substeps)
+            F, G, _ = reference_connection(spec, mesh, substeps)
             # the trace meets the diagonal sums of the full values up to rounding
-            assert np.abs(D.edge_logdet - F.edge_logdet).max() <= 1e-12
+            assert np.abs(D.ring_logdet - F.ring_logdet).max() <= 1e-12
             rep, ref = chern_weil_index(D, CASE_QUANTUM), chern_weil_index(F, CASE_QUANTUM)
             assert np.abs(rep.face_angles - ref.face_angles).max() <= 1e-12
             assert abs(rep.raw - ref.raw) <= 1e-9 and rep.rounded == ref.rounded
@@ -1143,10 +1151,10 @@ class TestChernWeilIndex:
 
     def test_nan_face_angle_trips_the_guard(self):
         D = edge_transports(builtin_connection("example_2_7"), Mesh2D("disc", 16, 16))
-        logdet = D.edge_logdet.copy()
+        logdet = D.ring_logdet.copy()
         logdet[-1] = complex(0.0, np.nan)
         with pytest.raises(Unrefined):
-            chern_weil_index(replace(D, edge_logdet=logdet), Fraction(1))
+            chern_weil_index(replace(D, ring_logdet=logdet), Fraction(1))
 
     def test_determinism_bitwise(self, rng):
         loop, _ = random_frame_loop(rng, 2, 256)
@@ -1241,7 +1249,7 @@ class TestConjugationAndOrientation:
         loop, _ = random_frame_loop(rng, 2, 256)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 16, 256))
         a = curvature._face_angles(D)[0]
-        a_conj = curvature._face_angles(replace(D, edge_logdet=D.edge_logdet.conj()))[0]
+        a_conj = curvature._face_angles(replace(D, ring_logdet=D.ring_logdet.conj()))[0]
         assert np.max(np.abs(a + a_conj)) <= 1e-10
 
     def test_reversed_mesh_negates_exactly(self, rng):
@@ -1257,7 +1265,7 @@ class TestConjugationAndOrientation:
         loop, idx = random_frame_loop(rng, 2, 256)
         D = edge_transports(build_collar_connection(loop), Mesh2D("disc", 16, 256))
         raw = chern_weil_index(D, Fraction(1)).raw
-        mirrored = replace(D, edge_logdet=D.edge_logdet.conj(), mesh=D.mesh.reversed())
+        mirrored = replace(D, ring_logdet=D.ring_logdet.conj(), mesh=D.mesh.reversed())
         raw_mirror = chern_weil_index(mirrored, Fraction(1)).raw
         assert abs(raw - raw_mirror) <= 1e-10
         assert round((raw + raw_mirror) / 2) == idx
@@ -1271,9 +1279,10 @@ class TestGaugeInvariance:
         gauged = radial_gauge_transform(spec, S, amplitude=0.8)
         mesh = Mesh2D("disc", 32, 256)
         rep0 = chern_weil_index(edge_transports(spec, mesh, substeps=2), Fraction(1))
-        rep1 = chern_weil_index(reference_connection(gauged, mesh, substeps=2)[0], Fraction(1))
-        assert abs(rep0.raw - rep1.raw) <= 2e-2
-        assert rep0.rounded == rep1.rounded == idx
+        # the gauge transform has a dr part: its faces sum all four edges
+        raw1 = reference_face_sum(mesh, reference_connection(gauged, mesh, substeps=2)[2])[1]
+        assert abs(rep0.raw - raw1) <= 2e-2
+        assert rep0.rounded == round(raw1) == idx
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]),
@@ -1283,14 +1292,16 @@ class TestGaugeInvariance:
         re, im = np.random.default_rng(seed).normal(size=(2, n, n))
         S = re + 1j * im
         spec = build_collar_connection(loop)
-        # the gauge transform has a dr part: the reference integrates it in full
+        # the gauge transform has a dr part: the reference integrates it in
+        # full and sums every face over its four edges
         gauged = radial_gauge_transform(spec, S - S.conj().T, amplitude=amplitude)
         assert gauged.radial is not None
         mesh = Mesh2D("disc", 16, N)
-        rep0, rep1 = (chern_weil_index(D) for D in (edge_transports(spec, mesh, substeps=2),
-                                                   reference_connection(gauged, mesh, 2)[0]))
-        assert abs(rep0.raw - rep1.raw) <= 2e-2
-        assert rep0.rounded == rep1.rounded == maslov_loop(loop)
+        rep0 = chern_weil_index(edge_transports(spec, mesh, substeps=2))
+        alpha, raw1 = reference_face_sum(mesh, reference_connection(gauged, mesh, 2)[2])
+        assert np.max(np.abs(alpha)) < TOL.face_angle_guard
+        assert abs(rep0.raw - raw1) <= 2e-2
+        assert rep0.rounded == round(raw1) == maslov_loop(loop)
 
 
 class TestDoubleDegree:
@@ -1522,8 +1533,8 @@ def same_bits(a, b):
 
 
 def full_grid_angles(D):
-    """Principal face angles of every face by the full-grid gather."""
-    alpha = gather_face_sum(D.mesh, D.edge_logdet.imag)
+    """Principal face angles of every face by the full-grid gather, radial edges +0."""
+    alpha = gather_face_sum(D.mesh, full_logdet(D).imag)
     return (alpha + np.pi) % (2 * np.pi) - np.pi
 
 
@@ -1533,6 +1544,28 @@ def assert_report_matches_full_grid(rep):
     assert rep.face_angles.tobytes() == full.tobytes()
     assert same_bits(rep.raw, math.fsum(full.tolist()) / math.pi)
     assert same_bits(rep.max_face_angle, float(np.max(np.abs(full))))
+
+
+# ring values: signed zeros, NaN, infinities, angles that wrap, and any float
+RING_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, math.pi, -math.pi, 3 * math.pi]),
+    st.floats(-4 * math.pi, 4 * math.pi),
+    st.floats(),
+)
+
+
+def four_term_face_angles(mesh, x):
+    """(alpha, live span, worst |angle|) of the four-term face sums ((p + q) - r) - u of ``x`` (E,).
+
+    The live span runs from the first face row with a nonzero edge to the
+    last; a NaN or inf counts as nonzero.
+    """
+    p, q, r, u = four_term_faces(mesh, x)
+    alpha = curvature._principal(((p + q) - r) - u).ravel()
+    ids, _ = mesh.face_edges()
+    rows = np.flatnonzero((x[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1))
+    span = slice(rows[0] * mesh.n_t, (rows[-1] + 1) * mesh.n_t) if rows.size else slice(0, 0)
+    return alpha, span, float(np.max(np.abs(alpha)))
 
 
 def band_cases(rng):
@@ -1557,7 +1590,7 @@ class TestFaceBand:
             assert_report_matches_full_grid(chern_weil_index(D, CASE_QUANTUM))
             # the band is exactly the rows holding a nonzero face edge
             ids, _ = mesh.face_edges()
-            live = (D.edge_logdet.imag[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1)
+            live = (full_logdet(D).imag[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1)
             # the live span runs from the first such row to the last, gap included
             _, span, _ = curvature._face_angles(D)
             rows = np.flatnonzero(live)
@@ -1576,17 +1609,49 @@ class TestFaceBand:
         assert_report_matches_full_grid(rep)
 
     @pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf)])
-    @pytest.mark.parametrize("edge", ["radial", "ring"])
+    @pytest.mark.parametrize("edge", ["ring", "center"])
     def test_non_finite_edge_in_a_zero_row_trips_the_guard(self, rng, edge, bad):
         loop, _ = random_frame_loop(rng, 2, 64)
         mesh = Mesh2D("disc", 16, 64)
         D = edge_transports(build_collar_connection(loop), mesh)
-        eid = mesh.radial_id(1, 5) if edge == "radial" else mesh.angular_id(2, 5)
         assert not np.abs(curvature._face_angles(D)[0]).reshape(16, 64)[:3].any()
-        logdet = D.edge_logdet.copy()
-        logdet[eid] = bad
+        logdet = D.ring_logdet.copy()
+        # ring 2 bounds face rows 1 and 2; the centre ring, row 0 alone
+        logdet[(2 if edge == "ring" else 0) * mesh.n_t + 5] = bad
         with np.errstate(invalid="ignore"), pytest.raises(Unrefined):
-            chern_weil_index(replace(D, edge_logdet=logdet))
+            chern_weil_index(replace(D, ring_logdet=logdet))
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain=st.sampled_from(DOMAINS), reverse=st.booleans(), n_r=st.integers(2, 5),
+           n_t=st.integers(4, 7), block=st.sampled_from([1, 7, 12, 2**14]), data=st.data())
+    def test_ring_faces_match_the_four_term_sum(self, domain, reverse, n_r, n_t, block, data):
+        # the ring-only faces against the sum over all four edges with the
+        # radial ones +0, bitwise: angles, live span, worst angle and the
+        # complex face sums, whose real part keeps its signed zeros
+        mesh = Mesh2D(domain, n_r, n_t)
+        mesh = mesh.reversed() if reverse else mesh
+        size = mesh.num_angular
+        parts = [np.array(data.draw(st.lists(RING_VALUES, min_size=size, max_size=size)))
+                 for _ in range(2)]
+        # whole rings of signed zeros, so that live spans start, end and gap
+        zero = np.repeat(data.draw(st.lists(st.booleans(), min_size=n_r + 1, max_size=n_r + 1)),
+                         n_t)
+        x = np.empty(size, dtype=complex)
+        x.real, x.imag = (np.where(zero, np.copysign(0.0, a), a) for a in parts)
+        D = curvature.DiscreteConnection(mesh, builtin_connection("flat"), 1, x)
+        full = full_logdet(D)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(matcore, "BLOCK", block):
+            alpha, span, worst = curvature._face_angles(D)
+            z = curvature.complex_face_logsum(D)
+            ref_alpha, ref_span, ref_worst = four_term_face_angles(mesh, full.imag)
+            p, q, r, u = four_term_faces(mesh, full)
+            ref_z = ((p + q) - (r + u)).ravel()
+            ref_z = ref_z.real + 1j * curvature._principal(ref_z.imag)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert span == ref_span
+        assert same_bits(worst, ref_worst) or (math.isnan(worst) and math.isnan(ref_worst))
+        assert z.tobytes() == ref_z.tobytes()
 
     def test_principal_matches_the_remainder_formula(self, rng):
         edges = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi, -3 * np.pi,

@@ -9,12 +9,16 @@ subprocess with that tree's ``src/`` on the path:
 * ``maslovcw verify --suite all --seed S`` runs for seeds 0-31;
 * the ``cli_files`` ops of ``perfbench/workloads.build`` (imported read-only,
   from that tree) run at the cli seed, on inputs written to one temporary
-  directory, the same path for both trees, since the reports echo it.
+  directory, the same path for both trees, since the reports echo it;
+* ``maslovcw cw --faces-csv`` runs for ``--builtin example_2_7 --mesh 64``
+  and for ``--input`` on each ``cw*.json`` collar loop of those ops, since
+  the per-face angles reach users only through that sidecar.
 
-Each verify seed and each op whose exit code or stdout differs between the
-trees is printed with both exit codes and the top-level JSON keys whose
-values differ.  Exits 1 on any difference, 0 when every output is
-byte-identical.  Standard library plus numpy (which the ops import).
+Each verify seed, op and cw run whose exit code or stdout differs between
+the trees is printed with both exit codes and the top-level JSON keys whose
+values differ, and each cw run whose sidecar differs is printed too.  Exits
+1 on any difference, 0 when every output is byte-identical.  Standard
+library plus numpy (which the ops import).
 """
 
 from __future__ import annotations
@@ -64,6 +68,18 @@ def cli_runs(tree: Path, seed: int, work: Path) -> list:
     return json.loads(proc.stdout)
 
 
+def faces_run(tree: Path, argv: list, sidecar: Path) -> tuple:
+    """(exit code, stdout text, sidecar bytes) of the tree's ``maslovcw ARGV --faces-csv SIDECAR``.
+
+    The sidecar is read and removed, so the other tree writes the same path.
+    """
+    proc = subprocess.run([sys.executable, "-m", "maslovcw", *argv, "--faces-csv", str(sidecar)],
+                          cwd=tree, env=_env(tree), capture_output=True)
+    data = sidecar.read_bytes() if sidecar.exists() else b""
+    sidecar.unlink(missing_ok=True)
+    return proc.returncode, proc.stdout.decode("utf-8", "replace"), data
+
+
 def differing_keys(a: str, b: str) -> str:
     """The top-level JSON keys whose values differ, or why the texts cannot be compared."""
     try:
@@ -95,16 +111,27 @@ def main(argv=None) -> int:
     for seed in VERIFY_SEEDS:
         same &= compare(f"verify --seed {seed}", *(verify_run(t, seed) for t in trees))
     with tempfile.TemporaryDirectory(prefix="same_output_") as work:
-        parent, change = (cli_runs(t, args.cli_seed, Path(work)) for t in trees)
+        work = Path(work)
+        parent, change = (cli_runs(t, args.cli_seed, work) for t in trees)
+        cw_runs = [["cw", "--builtin", "example_2_7", "--mesh", "64"]]
+        cw_runs += [["cw", "--input", str(p)] for p in sorted(work.glob("cw*.json"))]
+        for argv in cw_runs:
+            a, b = (faces_run(t, argv, work / "faces.csv") for t in trees)
+            name = " ".join(argv).replace(str(work), "WORK") + " --faces-csv"
+            same &= compare(name, a[:2], b[:2])
+            if a[2] != b[2] or not a[2]:
+                print(f"{name}: the sidecars differ or are empty ({len(a[2])} and {len(b[2])} B)")
+                same = False
     if [r["op"] for r in parent] != [r["op"] for r in change]:
         print("cli_files: the op lists differ")
         return 1
     for a, b in zip(parent, change):
         same &= compare(f"cli_files seed {args.cli_seed} op {a['op']}",
                         (a["exit"], a["stdout"]), (b["exit"], b["stdout"]))
-    n = len(VERIFY_SEEDS) + len(parent)
-    print(f"{'same' if same else 'different'}: {len(VERIFY_SEEDS)} verify seeds and "
-          f"{len(parent)} cli_files ops ({n} outputs) compared")
+    n = len(VERIFY_SEEDS) + len(parent) + len(cw_runs)
+    print(f"{'same' if same else 'different'}: {len(VERIFY_SEEDS)} verify seeds, "
+          f"{len(parent)} cli_files ops and {len(cw_runs)} cw --faces-csv runs "
+          f"({n} outputs) compared")
     return 0 if same else 1
 
 
