@@ -144,15 +144,20 @@ def four_term_faces(mesh, x: np.ndarray) -> tuple:
     return inner, right, outer, left
 
 
+def gather_face_sum(mesh, x: np.ndarray) -> np.ndarray:
+    """Face sums of per-edge values ``x`` (E,): the four boundary edges of every face by id and sign."""
+    ids, signs = mesh.face_edges()
+    return (x[ids] * signs).sum(axis=1)
+
+
 def reference_face_sum(mesh, logdet: np.ndarray) -> tuple:
     """(alpha, raw): principal angles of every face of the log dets ``logdet`` (E,), and raw.
 
-    Each face gathers its four edges' ``logdet.imag`` by the ids and signs
-    of ``mesh.face_edges``, so radial edges enter; ``curvature._principal``
-    wraps the sum, and raw is the ``math.fsum`` of the angles over pi.
+    Each face gathers its four edges' ``logdet.imag`` (``gather_face_sum``),
+    so radial edges enter; ``curvature._principal`` wraps the sum, and raw
+    is the ``math.fsum`` of the angles over pi.
     """
-    ids, signs = mesh.face_edges()
-    alpha = curvature._principal((logdet.imag[ids] * signs).sum(axis=1))
+    alpha = curvature._principal(gather_face_sum(mesh, logdet.imag))
     return alpha, math.fsum(alpha.tolist()) / math.pi
 
 

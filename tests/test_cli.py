@@ -149,9 +149,9 @@ class TestCw:
             self, tmp_path, capsys):
         # a rank-4 collar at the default mesh (32 x 2048): only the rim's
         # generators are evaluated, so the peak (8.1 MB, 3.2 MB of it live)
-        # stays 8 MB past the live arrays.  Evaluating the interior ones as
-        # well, a block at a time, took it to 22.7 MB, and keeping them all
-        # (the 17.3 MB of an (num_angular, 1, 4, 4) G) to 38.5 MB
+        # stays under the live arrays plus 8 MB.  Evaluating the interior
+        # ones as well, a block at a time, took it to 22.7 MB, and keeping
+        # them all (the 17.3 MB of an (num_angular, 1, 4, 4) G) to 38.5 MB
         loop, _ = random_frame_loop(np.random.default_rng(0), 4, 2048)
         path = tmp_path / "loop.json"
         save_loop(loop, str(path))

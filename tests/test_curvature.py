@@ -40,7 +40,8 @@ from maslovcw.tolerances import TOL
 
 from full_reference import (
     FullForm, four_term_faces, full_form, full_generators, full_logdet, full_quadrature,
-    radial_gauge_transform, reference_connection, reference_face_sum, zero_radial_twin,
+    gather_face_sum, radial_gauge_transform, reference_connection, reference_face_sum,
+    zero_radial_twin,
 )
 
 
@@ -677,12 +678,6 @@ class TestAbsentRadialPart:
         full_generators(D)
         rim = mesh.n_t * substeps
         assert angular == [("trace", points), ("coeffs", rim), ("coeffs", points)]
-
-
-def gather_face_sum(mesh, x):
-    """Reference face sum: gather the four boundary edges of every face by id."""
-    ids, signs = mesh.face_edges()
-    return (x[ids] * signs).sum(axis=1)
 
 
 FACE_MESHES = (
