@@ -108,7 +108,9 @@ def edge_transports(
         band = _live_rows(tau)  # skips a collar's flat interior
         if spec.unitary:  # np.maximum keeps a NaN defect of any block
             worst = np.maximum(worst, matcore.diagonal_skew_defect(tau[band]))
-        ring_logdet[a:b][band] = (-(tau[band] * dt[a:b][band])).sum(axis=1)
+        g = tau[band] * dt[a:b][band]
+        np.negative(g.view(float), out=g.view(float))  # one float pass, same bits
+        g.sum(axis=1, out=ring_logdet[a:b][band])  # 0 + makes a -0 sum +0
     if spec.unitary:
         check_skew(float(worst), "connection trace")
     return DiscreteConnection(mesh, spec, substeps, ring_logdet)
@@ -177,17 +179,22 @@ def _face_terms(mesh: Mesh2D, x: np.ndarray, rows=slice(None)):
     return (outer, inner) if mesh.orientation > 0 else (inner, outer)
 
 
-def _principal(t: np.ndarray) -> np.ndarray:
-    """(t + pi) % (2 pi) - pi, bitwise, taking the remainder only where it acts.
+def _principal(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """(t + pi) % (2 pi) - pi, bitwise, and its largest |value| (NaN when one is NaN).
 
     Where t + pi lies in [0, 2 pi) the remainder returns it unchanged, so
-    only the entries outside that range, NaN or inf pay for the slow
-    floating-point remainder.
+    it runs, masked to the entries outside that range, only when the min or
+    max of t + pi leaves it (a NaN fails the check).  The largest |value|
+    is max(max - pi, pi - min) of the wrapped t + pi, bitwise, since
+    rounding is monotone and odd.
     """
     a = t + np.pi
-    np.remainder(a, 2.0 * np.pi, out=a, where=~((a >= 0.0) & (a < 2.0 * np.pi)))
+    lo, hi = a.min(initial=np.inf), a.max(initial=-np.inf)
+    if not (lo >= 0.0 and hi < 2.0 * np.pi):
+        np.remainder(a, 2.0 * np.pi, out=a, where=~((a >= 0.0) & (a < 2.0 * np.pi)))
+        lo, hi = a.min(initial=np.inf), a.max(initial=-np.inf)
     a -= np.pi
-    return a
+    return a, float(np.maximum(hi - np.pi, np.pi - lo))
 
 
 def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, slice, float]:
@@ -219,8 +226,8 @@ def _face_angles(D: DiscreteConnection) -> tuple[np.ndarray, slice, float]:
             continue
         lo, hi = a + int(nz[0]), a + int(nz[-1]) + 1
         q, u = _face_terms(mesh, x, slice(lo, hi))
-        alpha[lo:hi] = _principal(q - u)
-        worst = np.maximum(worst, np.max(np.abs(alpha[lo:hi])))  # keeps a NaN
+        alpha[lo:hi], top = _principal(q - u)
+        worst = np.maximum(worst, top)  # keeps a NaN
         live += [lo, hi]
     span = slice(live[0] * mesh.n_t, live[-1] * mesh.n_t) if live else slice(0, 0)
     return alpha.ravel(), span, float(worst)
@@ -262,10 +269,11 @@ def _exact_sum(x: np.ndarray) -> float:
                 sums.append(float(np.sum(rest)))
                 break
             C = math.ldexp(1.5, 52 + unit)
-            hi = (rest + C) - C
+            hi = rest + C
+            hi -= C
             sums.append(float(np.sum(hi)))
-            rest = rest - hi
-            rest = rest[rest != 0]
+            np.subtract(rest, hi, out=hi)  # the new remainder, in the level's buffer
+            rest = hi[hi != 0]
     return math.fsum(sums)
 
 
@@ -275,7 +283,7 @@ def complex_face_logsum(D: DiscreteConnection) -> np.ndarray:
     # the face sum (p + q) - (r + u) with p = r = +0: the real part is
     # summed unwrapped, so it keeps the signed zeros that sum gives
     z = ((0.0 + q) - (0.0 + u)).ravel()
-    return z.real + 1j * _principal(z.imag)
+    return z.real + 1j * _principal(z.imag)[0]
 
 
 @dataclass(eq=False)

@@ -130,11 +130,6 @@ class FrameLoop:
         """Principal increments of arg det B, sample k to k + 1 and across the seam (read-only)."""
         return self._dphi
 
-    def reversed(self) -> "FrameLoop":
-        """Orientation reversal; keeps sample 0 as the base point."""
-        rev = np.roll(self.samples[::-1], 1, axis=0)
-        return FrameLoop(self.n, rev)
-
     def refined(self) -> "FrameLoop":
         """The loop with twice the samples: polar midpoints between aligned frames."""
         w, o_wrap = self.aligned

@@ -9,6 +9,9 @@ log det = tr of G summed over the substeps.  The gauge and twin tests run
 against it.  ``full_generators`` gives a spec's generators on every edge,
 ``full_logdet`` its log dets, and ``reference_face_sum`` sums the faces of
 every edge's log det by id and sign, radial edges included.
+``reference_ring_logdet`` is the per-edge log det formula of
+``edge_transports`` written out over whole arrays.  ``reversed_loop`` reverses a frame loop's orientation, which only the
+tests need.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 from maslovcw import curvature, matcore
 from maslovcw.connections import ConnectionSpec, check_skew
 from maslovcw.curvature import DiscreteConnection
+from maslovcw.loops import FrameLoop
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +161,7 @@ def reference_face_sum(mesh, logdet: np.ndarray) -> tuple:
     so radial edges enter; ``curvature._principal`` wraps the sum, and raw
     is the ``math.fsum`` of the angles over pi.
     """
-    alpha = curvature._principal(gather_face_sum(mesh, logdet.imag))
+    alpha = curvature._principal(gather_face_sum(mesh, logdet.imag))[0]
     return alpha, math.fsum(alpha.tolist()) / math.pi
 
 
@@ -188,3 +192,20 @@ def reference_connection(form, mesh, substeps: int = 1):
     np.negative(G, out=G)
     logdet = np.trace(G.sum(axis=1), axis1=-2, axis2=-1)
     return DiscreteConnection(mesh, form.spec, substeps, logdet[mesh.num_radial :]), G, logdet
+
+
+def reference_ring_logdet(tau: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """(E,) log dets of the traces ``tau`` (E, s) with steps ``dt`` (E, s).
+
+    ``(-(tau * dt)).sum(axis=1)`` on the rows holding a nonzero entry (a
+    NaN or inf counts, a -0 does not) and +0 on the others.
+    """
+    live = (tau.reshape(len(tau), -1).view(float) != 0).any(axis=1)
+    out = np.zeros(len(tau), dtype=complex)
+    out[live] = (-(tau[live] * dt[live])).sum(axis=1)
+    return out
+
+
+def reversed_loop(loop: FrameLoop) -> FrameLoop:
+    """Orientation reversal of ``loop``; keeps sample 0 as the base point."""
+    return FrameLoop(loop.n, np.roll(loop.samples[::-1], 1, axis=0))

@@ -41,7 +41,7 @@ from maslovcw.tolerances import TOL
 from full_reference import (
     FullForm, four_term_faces, full_form, full_generators, full_logdet, full_quadrature,
     gather_face_sum, radial_gauge_transform, reference_connection, reference_face_sum,
-    zero_radial_twin,
+    reference_ring_logdet, reversed_loop, zero_radial_twin,
 )
 
 
@@ -219,6 +219,38 @@ class TestEdgeTransports:
         spec = builtin_connection("example_4_3_nonunitary")
         with pytest.raises(NonUnitaryConnection):
             edge_transports(spec, Mesh2D("disc", 16, 16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_r=st.integers(2, 4), n_t=st.integers(4, 6), substeps=st.integers(1, 3),
+           block=st.sampled_from([1, 2, 3, 7, 2**14]), data=st.data())
+    def test_edge_product_matches_the_formula_bitwise(self, n_r, n_t, substeps, block, data):
+        # a rank-1 trace of drawn values (signed zeros, NaN, infinities, any
+        # float) and whole zero rows, so that live rows start, end and gap
+        mesh = Mesh2D("disc", n_r, n_t)
+        shape = (mesh.num_angular, substeps)
+        parts = [np.array(data.draw(st.lists(RING_VALUES, min_size=shape[0] * substeps,
+                                             max_size=shape[0] * substeps))).reshape(shape)
+                 for _ in range(2)]
+        zero = data.draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
+        tau = np.empty(shape, dtype=complex)
+        tau.real, tau.imag = (np.where(np.array(zero)[:, None], np.copysign(0.0, a), a)
+                              for a in parts)
+        flat = tau.ravel()
+        served = [0]
+
+        def trace(r, t):
+            # the drawn values in edge order, block after block
+            out = flat[served[0] : served[0] + len(r)]
+            served[0] += len(r)
+            return out
+
+        spec = ConnectionSpec(1, None, trace, "drawn", unitary=False)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(matcore, "BLOCK", block):
+            D = edge_transports(spec, mesh, substeps, allow_non_unitary=True)
+            want = reference_ring_logdet(tau, mesh.edge_quadrature(substeps)[2])
+        assert served[0] == flat.size
+        assert D.ring_logdet.tobytes() == want.tobytes()
 
 
 def reference_diagnostics(D, loop, G=None):
@@ -1496,7 +1528,7 @@ class TestTraceProperties:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), N=st.sampled_from([64, 128]))
     def test_reversal_negates_the_index(self, seed, n, N):
         loop = hypothesis_loop(seed, n, N)
-        rev = loop.reversed()
+        rev = reversed_loop(loop)
         assert maslov_loop(rev) == -maslov_loop(loop)
         reps = [chern_weil_index(edge_transports(build_collar_connection(L), Mesh2D("disc", 8, N)))
                 for L in (loop, rev)]
@@ -1556,7 +1588,7 @@ def four_term_face_angles(mesh, x):
     last; a NaN or inf counts as nonzero.
     """
     p, q, r, u = four_term_faces(mesh, x)
-    alpha = curvature._principal(((p + q) - r) - u).ravel()
+    alpha = curvature._principal(((p + q) - r) - u)[0].ravel()
     ids, _ = mesh.face_edges()
     rows = np.flatnonzero((x[ids] != 0).any(axis=1).reshape(mesh.n_r, mesh.n_t).any(axis=1))
     span = slice(rows[0] * mesh.n_t, (rows[-1] + 1) * mesh.n_t) if rows.size else slice(0, 0)
@@ -1576,6 +1608,48 @@ def band_cases(rng):
            Mesh2D("quarter_disc", 12, 16), False)
     yield "reversed", collar, disc.reversed(), False
     yield "gauge", radial_gauge_transform(collar, S - S.conj().T), disc, False
+
+
+def below(x):
+    """The largest t with t + pi < x, rounded, for x a float in (pi, 4 pi]."""
+    t = x - np.pi
+    while t + np.pi >= x:
+        t = np.nextafter(t, -np.inf)
+    while np.nextafter(t, np.inf) + np.pi < x:
+        t = np.nextafter(t, np.inf)
+    return t
+
+
+# one entry per block of ``test_principal_blocks_in_and_out_of_range``: the
+# value of t, named by where t + pi falls
+PRINCIPAL_EDGES = {
+    None: None,
+    "zero": -np.pi,
+    "below_zero": np.nextafter(-np.pi, -np.inf),
+    "two_pi_less_ulp": below(2 * np.pi),
+    "two_pi": np.pi,
+    "nan": np.nan,
+    "inf": np.inf,
+    "-inf": -np.inf,
+}
+
+
+def assert_principal_matches(t):
+    """``_principal(t)`` against the remainder formula, bitwise, with its largest |angle|.
+
+    The remainder must run exactly when some t + pi lies outside [0, 2 pi)
+    or is NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        a = t + np.pi
+        want = a % (2 * np.pi) - np.pi
+        in_range = bool(((a >= 0.0) & (a < 2 * np.pi)).all())
+        with mock.patch.object(curvature.np, "remainder", wraps=np.remainder) as spy:
+            got, worst = curvature._principal(t)
+    assert got.tobytes() == want.tobytes()
+    want_worst = float(np.max(np.abs(want)))
+    assert same_bits(worst, want_worst) or (math.isnan(worst) and math.isnan(want_worst))
+    assert spy.called == (not in_range)
 
 
 class TestFaceBand:
@@ -1642,7 +1716,7 @@ class TestFaceBand:
             ref_alpha, ref_span, ref_worst = four_term_face_angles(mesh, full.imag)
             p, q, r, u = four_term_faces(mesh, full)
             ref_z = ((p + q) - (r + u)).ravel()
-            ref_z = ref_z.real + 1j * curvature._principal(ref_z.imag)
+            ref_z = ref_z.real + 1j * curvature._principal(ref_z.imag)[0]
         assert alpha.tobytes() == ref_alpha.tobytes()
         assert span == ref_span
         assert same_bits(worst, ref_worst) or (math.isnan(worst) and math.isnan(ref_worst))
@@ -1653,9 +1727,18 @@ class TestFaceBand:
                           1e300, -1e300, 5e-324, np.nan, np.inf, -np.inf])
         near = np.nextafter(edges[2:8, None], [[-np.inf, np.inf]]).ravel()
         t = np.concatenate([edges, near, rng.uniform(-10, 10, 1000), rng.uniform(-1, 1, 1000)])
-        with np.errstate(invalid="ignore"):
-            want = (t + np.pi) % (2 * np.pi) - np.pi
-            assert curvature._principal(t).tobytes() == want.tobytes()
+        assert_principal_matches(t)
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (3, 5), (40, 16)])
+    @pytest.mark.parametrize("edge", list(PRINCIPAL_EDGES))
+    def test_principal_blocks_in_and_out_of_range(self, rng, shape, edge):
+        # a block wholly in range, or with one entry on or just past an end
+        # of [0, 2 pi) for t + pi, or not finite; t + pi = -0 cannot arise,
+        # since a sum with pi is never -0
+        t = rng.uniform(-3.0, 3.0, shape)
+        if edge is not None:
+            t.flat[rng.integers(t.size)] = PRINCIPAL_EDGES[edge]
+        assert_principal_matches(t)
 
     def test_every_verify_report_matches_full_grid(self, monkeypatch, capsys):
         from maslovcw import cli

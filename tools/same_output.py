@@ -12,7 +12,9 @@ subprocess with that tree's ``src/`` on the path:
   directory, the same path for both trees, since the reports echo it;
 * ``maslovcw cw --faces-csv`` runs for ``--builtin example_2_7 --mesh 64``
   and for ``--input`` on each ``cw*.json`` collar loop of those ops, since
-  the per-face angles reach users only through that sidecar.
+  the per-face angles reach users only through that sidecar; the builtin
+  and the first collar loop run again at ``--substeps 2`` and ``3``, which
+  no verify suite or ``cli_files`` op passes.
 
 Each verify seed, op and cw run whose exit code or stdout differs between
 the trees is printed with both exit codes and the top-level JSON keys whose
@@ -115,6 +117,7 @@ def main(argv=None) -> int:
         parent, change = (cli_runs(t, args.cli_seed, work) for t in trees)
         cw_runs = [["cw", "--builtin", "example_2_7", "--mesh", "64"]]
         cw_runs += [["cw", "--input", str(p)] for p in sorted(work.glob("cw*.json"))]
+        cw_runs += [argv + ["--substeps", str(s)] for argv in cw_runs[:2] for s in (2, 3)]
         for argv in cw_runs:
             a, b = (faces_run(t, argv, work / "faces.csv") for t in trees)
             name = " ".join(argv).replace(str(work), "WORK") + " --faces-csv"
