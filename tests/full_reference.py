@@ -10,8 +10,8 @@ against it.  ``full_generators`` gives a spec's generators on every edge,
 ``full_logdet`` its log dets, and ``reference_face_sum`` sums the faces of
 every edge's log det by id and sign, radial edges included.
 ``reference_ring_logdet`` is the per-edge log det formula of
-``edge_transports`` written out over whole arrays.  ``reversed_loop`` reverses a frame loop's orientation, which only the
-tests need.
+``edge_transports`` written out over whole arrays, and ``reversed_loop``
+reverses a frame loop's orientation, which only the tests need.
 """
 
 import math
@@ -200,7 +200,7 @@ def reference_ring_logdet(tau: np.ndarray, dt: np.ndarray) -> np.ndarray:
     ``(-(tau * dt)).sum(axis=1)`` on the rows holding a nonzero entry (a
     NaN or inf counts, a -0 does not) and +0 on the others.
     """
-    live = (tau.reshape(len(tau), -1).view(float) != 0).any(axis=1)
+    live = (tau.view(float) != 0).any(axis=1)
     out = np.zeros(len(tau), dtype=complex)
     out[live] = (-(tau[live] * dt[live])).sum(axis=1)
     return out

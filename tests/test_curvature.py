@@ -227,13 +227,12 @@ class TestEdgeTransports:
         # a rank-1 trace of drawn values (signed zeros, NaN, infinities, any
         # float) and whole zero rows, so that live rows start, end and gap
         mesh = Mesh2D("disc", n_r, n_t)
-        shape = (mesh.num_angular, substeps)
-        parts = [np.array(data.draw(st.lists(RING_VALUES, min_size=shape[0] * substeps,
-                                             max_size=shape[0] * substeps))).reshape(shape)
+        E, size = mesh.num_angular, mesh.num_angular * substeps
+        parts = [np.array(data.draw(st.lists(RING_VALUES, min_size=size, max_size=size)))
                  for _ in range(2)]
-        zero = data.draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))
-        tau = np.empty(shape, dtype=complex)
-        tau.real, tau.imag = (np.where(np.array(zero)[:, None], np.copysign(0.0, a), a)
+        zero = np.repeat(data.draw(st.lists(st.booleans(), min_size=E, max_size=E)), substeps)
+        tau = np.empty((E, substeps), dtype=complex)
+        tau.real, tau.imag = (np.where(zero, np.copysign(0.0, a), a).reshape(E, substeps)
                               for a in parts)
         flat = tau.ravel()
         served = [0]
@@ -1610,23 +1609,14 @@ def band_cases(rng):
     yield "gauge", radial_gauge_transform(collar, S - S.conj().T), disc, False
 
 
-def below(x):
-    """The largest t with t + pi < x, rounded, for x a float in (pi, 4 pi]."""
-    t = x - np.pi
-    while t + np.pi >= x:
-        t = np.nextafter(t, -np.inf)
-    while np.nextafter(t, np.inf) + np.pi < x:
-        t = np.nextafter(t, np.inf)
-    return t
-
-
 # one entry per block of ``test_principal_blocks_in_and_out_of_range``: the
-# value of t, named by where t + pi falls
+# value of t, named by where t + pi falls; both differences with pi are
+# exact (Sterbenz), so t + pi gives back 2 pi less one ulp
 PRINCIPAL_EDGES = {
     None: None,
     "zero": -np.pi,
     "below_zero": np.nextafter(-np.pi, -np.inf),
-    "two_pi_less_ulp": below(2 * np.pi),
+    "two_pi_less_ulp": np.nextafter(2 * np.pi, 0.0) - np.pi,
     "two_pi": np.pi,
     "nan": np.nan,
     "inf": np.inf,
